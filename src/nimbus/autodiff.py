@@ -9,12 +9,19 @@ causal left-pad is requested.
 
 Values default to float32; reductions accumulate in float64. Tests flip the
 default to float64 (``use_dtype``) for finite-difference gradient checks.
+
+Inference runs inside ``no_grad()``: an operation there returns a tensor with
+no parents and no backward closure, so nothing the backward pass would need
+(im2col matrices, activations) outlives the operation. The switch is
+per-thread, so one thread may sample while another trains. Leaf tensors are
+still checked for non-finite values.
 """
 
 from __future__ import annotations
 
 import contextlib
 import struct
+import threading
 from typing import Callable
 
 import numpy as np
@@ -48,6 +55,28 @@ def use_dtype(dtype):
         set_default_dtype(prev)
 
 
+_GRAD_MODE = threading.local()
+
+
+def grad_enabled() -> bool:
+    """Whether operations on this thread record the graph for backward()."""
+    return getattr(_GRAD_MODE, "enabled", True)
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Run operations on this thread without recording a graph.
+
+    Usable as a decorator; the previous mode is restored on exit.
+    """
+    prev = grad_enabled()
+    _GRAD_MODE.enabled = False
+    try:
+        yield
+    finally:
+        _GRAD_MODE.enabled = prev
+
+
 class Tensor:
     """A numpy array with an optional gradient and a backward closure."""
 
@@ -57,8 +86,11 @@ class Tensor:
         arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(_DEFAULT_DTYPE)
-        if not _parents and not np.all(np.isfinite(arr)):
-            raise DomainError("non-finite values may not enter the graph")
+        if not _parents:
+            if not np.all(np.isfinite(arr)):
+                raise DomainError("non-finite values may not enter the graph")
+        elif not grad_enabled():
+            requires_grad, _parents, _backward = False, (), None
         self.data = arr
         self.grad = None
         self.requires_grad = bool(requires_grad)

@@ -135,8 +135,7 @@ def build_stack(
 
 def _apply_layer(stack: CausalStack, i: int, h: ad.Tensor) -> ad.Tensor:
     sp = stack.specs[i]
-    w = stack.params[f"c3d{i}.w"]
-    b = stack.params.get(f"c3d{i}.b")
+    w, b = stack.layer(i)
     h = ad.conv3d(h, w, b, stride_t=sp.stride_t, stride_hw=sp.stride_hw)
     if sp.activation:
         h = ad.silu(h)
@@ -160,7 +159,7 @@ def encode_full(x: ad.Tensor, stack: CausalStack, mask_last: bool = True) -> ad.
 
 
 # ---------------------------------------------------------------------------
-# Streaming path (inference only, plain numpy)
+# Streaming path (inference only, no graph)
 # ---------------------------------------------------------------------------
 
 
@@ -177,19 +176,7 @@ def init_cache(stack: CausalStack) -> CacheState:
     return CacheState(input_tail=None, pending=[None] * len(stack.specs), stage=0)
 
 
-def _conv3d_raw(h, w, b, stride_t, stride_hw):
-    """Forward-only conv3d sharing the autodiff arithmetic path."""
-    xp, _ = ad._pad_spatial(h, w.shape[3], w.shape[4])
-    out, _ = ad._corr(xp, w, (stride_t, stride_hw, stride_hw))
-    if b is not None:
-        out = out + b[None, :, None, None, None]
-    return out
-
-
-def _silu(a):
-    return a / (1.0 + np.exp(-a))
-
-
+@ad.no_grad()
 def stream_step(stack: CausalStack, pair: np.ndarray, cache: CacheState):
     """Consume the next two padded frames; emit one latent frame.
 
@@ -213,47 +200,26 @@ def stream_step(stack: CausalStack, pair: np.ndarray, cache: CacheState):
     # Temporal layer 0 over the 4-frame window [c_{s-1}, pair].
     window = np.concatenate([cache.input_tail, pair], axis=2)
     cache.input_tail = pair.copy()
-    sp0 = stack.specs[0]
-    w0, b0 = stack.params["c3d0.w"], stack.params.get("c3d0.b")
-    out0 = _conv3d_raw(
-        window, w0.data, None if b0 is None else b0.data, 1, sp0.stride_hw
-    )
-    if sp0.activation:
-        out0 = _silu(out0)
+    out0 = _apply_layer(stack, 0, ad.constant(window)).data
     # Stage 1 contributes three new frames to the layer-0 stream; later
     # stages recompute the overlap frame, which is dropped.
     chunk = out0 if cache.stage == 1 else out0[:, :, 1:]
 
     # Strided temporal layer: consume the stream in strict pairs.
-    sp1 = stack.specs[1]
-    w1, b1 = stack.params["c3d1.w"], stack.params.get("c3d1.b")
     stream = chunk if cache.pending[1] is None else np.concatenate(
         [cache.pending[1], chunk], axis=2
     )
     n_pairs = stream.shape[2] // 2
     if n_pairs == 0:
         raise StateError("strided layer starved: no full pair available")
-    out1 = _conv3d_raw(
-        stream[:, :, : 2 * n_pairs],
-        w1.data,
-        None if b1 is None else b1.data,
-        2,
-        sp1.stride_hw,
-    )
-    if sp1.activation:
-        out1 = _silu(out1)
+    h = _apply_layer(stack, 1, ad.constant(stream[:, :, : 2 * n_pairs]))
     leftover = stream[:, :, 2 * n_pairs :]
     cache.pending[1] = leftover.copy() if leftover.shape[2] else None
 
     # Frame-local layers.
-    h = out1
     for i in range(2, len(stack.specs)):
-        sp = stack.specs[i]
-        w, b = stack.layer(i)
-        h = _conv3d_raw(h, w.data, None if b is None else b.data, 1, sp.stride_hw)
-        if sp.activation:
-            h = _silu(h)
-    return h, cache
+        h = _apply_layer(stack, i, h)
+    return h.data, cache
 
 
 def stream_pairs(x: np.ndarray, mask_last: bool = True):
@@ -280,24 +246,3 @@ def encode_streaming(x: np.ndarray, stack: CausalStack, mask_last: bool = True) 
         outs.append(z)
     return np.concatenate(outs, axis=2)
 
-
-def encode_full_array(x: np.ndarray, stack: CausalStack, mask_last: bool = True) -> np.ndarray:
-    """Forward-only monolithic encoding (no autodiff graph)."""
-    k = check_window_length(x.shape[2])
-    b, c, _, h, w = x.shape
-    padded = np.concatenate([np.zeros((b, c, 3, h, w), dtype=x.dtype), x], axis=2)
-    if mask_last:
-        padded = padded.copy()
-        padded[:, :, -1] = 0.0
-    hcur = padded
-    for i, sp in enumerate(stack.specs):
-        wt = stack.params[f"c3d{i}.w"]
-        bt = stack.params.get(f"c3d{i}.b")
-        hcur = _conv3d_raw(
-            hcur, wt.data, None if bt is None else bt.data, sp.stride_t, sp.stride_hw
-        )
-        if sp.activation:
-            hcur = _silu(hcur)
-    if hcur.shape[2] != 1 + k // 2:
-        raise StateError(f"stack produced {hcur.shape[2]} frames, expected {1 + k // 2}")
-    return hcur

@@ -235,13 +235,15 @@ def cmd_train_mae(cfg, args):
     log.info("saved 3D-MAE checkpoint")
 
 
-def cmd_train_diffusion(cfg, args):
+def _load_autoencoders(cfg, args, bundle, seed):
+    """The VAE and the conditioning encoder, rebuilt from their checkpoints.
+
+    Returns (vae, cond_mode, encoder); the encoder is None for cond_mode "none".
+    """
     from . import autodiff as ad
 
-    bundle = _load_bundle(cfg, args)
-    seed = args.seed or 0
     strategy = Strategy(cfg["vae"]["regularizer"])
-    vae = pipeline.train_vae(bundle, cfg["vae"], strategy, seed)
+    vae = pipeline.train_vae(bundle, {**cfg["vae"], "iters": 0, "batch": 1}, strategy, seed)
     ad.assign_params(vae.params, ad.load_params(_require_checkpoint(args.out, "vae.pypt")))
     cond_mode = cfg["diffusion"]["cond_mode"]
     enc = None
@@ -251,6 +253,13 @@ def cmd_train_diffusion(cfg, args):
     elif cond_mode == "2d":
         enc = pipeline.train_frame_ae(bundle, {**cfg["frame_ae"], "iters": 0, "batch": 1}, seed)
         ad.assign_params(enc.params, ad.load_params(_require_checkpoint(args.out, "frame_ae.pypt")))
+    return vae, cond_mode, enc
+
+
+def cmd_train_diffusion(cfg, args):
+    bundle = _load_bundle(cfg, args)
+    seed = args.seed or 0
+    vae, cond_mode, enc = _load_autoencoders(cfg, args, bundle, seed)
     dcfg = dict(cfg["diffusion"])
     dcfg["k"] = cfg["mae"]["k"]
     net, edm_cfg = pipeline.train_denoiser(
@@ -266,17 +275,7 @@ def _rebuild_models(cfg, args, seed):
     from . import autodiff as ad
 
     bundle = _load_bundle(cfg, args)
-    strategy = Strategy(cfg["vae"]["regularizer"])
-    vae = pipeline.train_vae(bundle, {**cfg["vae"], "iters": 0, "batch": 1}, strategy, seed)
-    ad.assign_params(vae.params, ad.load_params(_require_checkpoint(args.out, "vae.pypt")))
-    cond_mode = cfg["diffusion"]["cond_mode"]
-    enc = None
-    if cond_mode == "3dmae":
-        enc = pipeline.train_mae(bundle, {**cfg["mae"], "iters": 0, "batch": 1}, seed)
-        ad.assign_params(enc.params, ad.load_params(_require_checkpoint(args.out, "mae.pypt")))
-    elif cond_mode == "2d":
-        enc = pipeline.train_frame_ae(bundle, {**cfg["frame_ae"], "iters": 0, "batch": 1}, seed)
-        ad.assign_params(enc.params, ad.load_params(_require_checkpoint(args.out, "frame_ae.pypt")))
+    vae, cond_mode, enc = _load_autoencoders(cfg, args, bundle, seed)
     net_cfg = edm.DenoiserConfig(
         latent_channels=cfg["vae"]["latent_channels"],
         hidden=cfg["diffusion"]["hidden"],

@@ -8,10 +8,16 @@ with the standard scalings c_skip = sd^2/(s^2+sd^2), c_out = s*sd/sqrt(s^2+sd^2)
 c_in = 1/sqrt(s^2+sd^2), c_noise = ln(s)/4. Sampling follows the second-order
 Heun scheme over the rho-schedule, optionally with stochastic churn; the final
 step integrates to sigma = 0 from the last denoiser evaluation.
+
+Inference runs in float32 throughout. The sampler draws its noise in float64
+(so each seed keeps its stream) and casts it to float32; noise levels and
+preconditioning scalars are Python floats, which cannot promote the float32
+state. The denoiser closure runs the network under ``autodiff.no_grad()``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -176,9 +182,10 @@ class Denoiser:
 def make_denoise_fn(net: Denoiser, z_bar: np.ndarray, z_prev: np.ndarray, config: EdmConfig):
     """Closure (z_noisy, sigma) -> D for sampling, conditioning held fixed."""
 
+    @ad.no_grad()
     def denoise(z_noisy: np.ndarray, sigma: float) -> np.ndarray:
-        c_skip, c_out, c_in, c_noise = precondition(sigma, config)
-        cond = build_condition(z_bar, z_prev, (c_in * z_noisy).astype(z_noisy.dtype))
+        c_skip, c_out, c_in, c_noise = (float(c) for c in precondition(sigma, config))
+        cond = build_condition(z_bar, z_prev, c_in * z_noisy)
         b = z_noisy.shape[0]
         f = net.forward(ad.constant(cond), np.full(b, c_noise))
         return c_skip * z_noisy + c_out * f.data
@@ -219,24 +226,26 @@ def diffusion_loss(
 
 
 def _heun_sample(denoise, shape, rng, config: EdmConfig, churn: ChurnConfig | None):
-    sigmas = sigma_schedule(config)
+    def d_of(x, sigma):
+        return (x - np.asarray(denoise(x, sigma), dtype=np.float32)) / sigma
+
+    sigmas = sigma_schedule(config).tolist()
     n = len(sigmas)
-    x = rng.standard_normal(shape) * sigmas[0]
+    x = rng.standard_normal(shape).astype(np.float32) * sigmas[0]
     for i in range(n):
         sigma = sigmas[i]
         sigma_next = sigmas[i + 1] if i + 1 < n else 0.0
         if churn is not None and churn.s_churn > 0 and churn.s_min <= sigma <= churn.s_max:
-            gamma = min(churn.s_churn / n, np.sqrt(2.0) - 1.0)
+            gamma = min(churn.s_churn / n, math.sqrt(2.0) - 1.0)
             if gamma > 0:
                 sigma_hat = sigma * (1.0 + gamma)
-                extra = np.sqrt(sigma_hat**2 - sigma**2)
-                x = x + churn.s_noise * extra * rng.standard_normal(shape)
+                extra = math.sqrt(sigma_hat**2 - sigma**2)
+                x = x + churn.s_noise * extra * rng.standard_normal(shape).astype(np.float32)
                 sigma = sigma_hat
-        d = (x - denoise(x, sigma)) / sigma
+        d = d_of(x, sigma)
         x_next = x + (sigma_next - sigma) * d
         if sigma_next > 0:
-            d2 = (x_next - denoise(x_next, sigma_next)) / sigma_next
-            x_next = x + (sigma_next - sigma) * 0.5 * (d + d2)
+            x_next = x + (sigma_next - sigma) * 0.5 * (d + d_of(x_next, sigma_next))
         x = x_next
     return x
 

@@ -27,9 +27,11 @@ class StateError(RuntimeError):
 class RolloutError(RuntimeError):
     """An autoregressive rollout hit non-finite values.
 
-    Carries the forecast step index at which the abort happened.
+    Carries the forecast step index at which the abort happened and, once
+    the rollout knows it, the ensemble member.
     """
 
-    def __init__(self, message, step):
-        super().__init__(f"{message} (forecast step {step})")
-        self.step = step
+    def __init__(self, message, step, member=None):
+        where = f"forecast step {step}" if member is None else f"member {member}, forecast step {step}"
+        super().__init__(f"{message} ({where})")
+        self.message, self.step, self.member = message, step, member

@@ -66,7 +66,7 @@ def init_member_state(models: ForecastModels, init_window: np.ndarray) -> Member
 def conditioning_latent(models: ForecastModels, state: MemberState, streaming: bool = False):
     """z_bar for the target time: masked window ending one step ahead."""
     k = models.k
-    states_std = grid.standardize_array(state.states, models.state_specs).astype(np.float32)
+    states_std = grid.standardize_array(state.states, models.state_specs)
     if models.cond_mode == "none":
         dummy = models.vae.latent_channels
         h, w = state.z_prev.shape[-2:]
@@ -74,7 +74,7 @@ def conditioning_latent(models: ForecastModels, state: MemberState, streaming: b
     if models.cond_mode == "2d":
         n = 1 + k // 2
         frames = states_std[-n:]
-        z = models.frame_ae.encode_array(frames.astype(np.float32))
+        z = models.frame_ae.encode_array(frames)
         return np.ascontiguousarray(z.swapaxes(0, 1))[None]
     # 3D-MAE: window (X_{t-k+1..t}, masked future frame).
     future = np.zeros_like(states_std[:1])
@@ -100,10 +100,11 @@ def step(
         z_hat = edm.sample_stochastic(denoise, shape, rng, models.edm_config)
     else:
         z_hat = edm.sample_deterministic(denoise, shape, rng, models.edm_config)
-    z_hat = z_hat.astype(np.float32)
+    if not np.all(np.isfinite(z_hat)):
+        raise RolloutError("non-finite values in sampled latent", state.step_index)
     dx_std = models.vae.decode_array(z_hat)[0]
     dx = grid.destandardize_array(dx_std, models.resid_specs)
-    x_next = state.states[-1] + dx.astype(np.float32)
+    x_next = state.states[-1] + dx
     if not np.all(np.isfinite(x_next)):
         raise RolloutError("non-finite values in decoded field", state.step_index)
     new_states = np.concatenate([state.states[1:], x_next[None]], axis=0)
@@ -133,9 +134,12 @@ def _run_member(models, init_window, t_lead, base_seed, m, stochastic, streaming
     rng = np.random.default_rng([int(base_seed), int(m)])
     state = init_member_state(models, init_window)
     frames = np.empty((t_lead,) + init_window.shape[1:], dtype=np.float32)
-    for t in range(t_lead):
-        state = step(models, state, rng, stochastic=stochastic, streaming=streaming)
-        frames[t] = state.states[-1]
+    try:
+        for t in range(t_lead):
+            state = step(models, state, rng, stochastic=stochastic, streaming=streaming)
+            frames[t] = state.states[-1]
+    except RolloutError as exc:
+        raise RolloutError(exc.message, exc.step, member=m) from exc
     return frames
 
 

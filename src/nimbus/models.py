@@ -90,11 +90,13 @@ class Vae:
         h = ad.silu(ad.conv2d(h, p["dec2.w"], p["dec2.b"]))
         return ad.conv2d(h, p["dech.w"], p["dech.b"])
 
+    @ad.no_grad()
     def encode_mean(self, x: np.ndarray) -> np.ndarray:
         """Posterior mean for (B, V, H, W) data."""
         mu, _ = self.encode(ad.constant(x))
         return mu.data
 
+    @ad.no_grad()
     def decode_array(self, z: np.ndarray) -> np.ndarray:
         return self.decode(ad.constant(z)).data
 
@@ -241,10 +243,11 @@ class Mae:
         """(B, V, k+1, H, W) window -> (B, Cz, 1+k/2, h, w) latent."""
         return causal3d.encode_full(x, self.stack, mask_last=mask_last)
 
+    @ad.no_grad()
     def encode_array(self, x: np.ndarray, mask_last: bool = True, streaming: bool = False):
         if streaming:
             return causal3d.encode_streaming(x, self.stack, mask_last=mask_last)
-        return causal3d.encode_full_array(x, self.stack, mask_last=mask_last)
+        return self.encode(ad.constant(x), mask_last=mask_last).data
 
     def decode(self, z: ad.Tensor) -> ad.Tensor:
         """Latent frames -> (B, V, k+1, H, W) reconstruction.
@@ -315,6 +318,7 @@ class FrameAe:
         h = ad.upsample2d(h)
         return ad.conv2d(h, p["dh.w"], p["dh.b"])
 
+    @ad.no_grad()
     def encode_array(self, x: np.ndarray) -> np.ndarray:
         return self.encode(ad.constant(x)).data
 

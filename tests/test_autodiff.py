@@ -311,6 +311,94 @@ class TestGraph:
         assert float(l1.data) == pytest.approx(float(l2.data), abs=1e-6)
 
 
+def small_conv_net(rng):
+    """Params plus a scalar loss over conv2d, conv3d, rmsnorm and silu."""
+    p = {
+        "w2": random_param(rng, (3, 2, 3, 3), 0.5),
+        "b2": random_param(rng, (3,), 0.1),
+        "w3": random_param(rng, (2, 3, 2, 3, 3), 0.5),
+        "g": random_param(rng, (2,)),
+    }
+    x2 = ad.constant(rng.standard_normal((2, 2, 5, 6)))
+
+    def loss():
+        h = ad.silu(ad.conv2d(x2, p["w2"], p["b2"]))
+        h = ad.reshape(h, (1, 3, 2, 5, 6))
+        h = ad.rmsnorm(ad.conv3d(h, p["w3"], pad_t=1), p["g"], axis=1)
+        return ad.sum_all(ad.square(h))
+
+    return p, loss
+
+
+class TestNoGrad:
+    def test_keeps_no_parents_or_closures(self):
+        p, loss = small_conv_net(np.random.default_rng(0))
+        with ad.no_grad():
+            assert not ad.grad_enabled()
+            out = loss()
+            h = ad.conv2d(ad.constant(np.ones((1, 2, 4, 4))), p["w2"], p["b2"])
+        for t in (out, h):
+            assert t._parents == () and t._backward is None and not t.requires_grad
+        assert ad.grad_enabled()
+        assert loss()._parents != ()
+
+    def test_values_match_graph_mode(self):
+        _, loss = small_conv_net(np.random.default_rng(1))
+        with ad.no_grad():
+            off = loss().data
+        np.testing.assert_array_equal(off, loss().data)
+
+    def test_leaf_check_stays(self):
+        with ad.no_grad():
+            with pytest.raises(DomainError):
+                ad.constant(np.array([1.0, np.inf]))
+
+    def test_gradients_unchanged_after_context(self):
+        p, loss = small_conv_net(np.random.default_rng(2))
+        loss().backward()
+        before = {k: t.grad.copy() for k, t in p.items()}
+        for t in p.values():
+            t.grad = None
+        with ad.no_grad():
+            loss()
+        loss().backward()
+        for k, t in p.items():
+            np.testing.assert_array_equal(t.grad, before[k])
+
+    def test_restored_after_exception(self):
+        with pytest.raises(DomainError):
+            with ad.no_grad():
+                ad.constant(np.array([np.nan]))
+        assert ad.grad_enabled()
+
+    def test_flag_is_per_thread(self):
+        import threading
+
+        seen = {}
+        x = ad.param(np.ones(3))
+
+        def other():
+            seen["enabled"] = ad.grad_enabled()
+            seen["parents"] = len(ad.square(x)._parents)
+            with ad.no_grad():
+                seen["inner"] = ad.grad_enabled()
+                seen["release"].wait(timeout=10)
+
+        seen["release"] = threading.Event()
+        with ad.no_grad():
+            t = threading.Thread(target=other)
+            t.start()
+            while "inner" not in seen and t.is_alive():
+                t.join(timeout=0.01)
+        # The other thread now waits inside its own no_grad; ours records.
+        assert ad.grad_enabled()
+        assert len(ad.square(x)._parents) == 1
+        seen["release"].set()
+        t.join(timeout=10)
+        assert not t.is_alive()
+        assert seen["enabled"] is True and seen["parents"] == 1 and seen["inner"] is False
+
+
 class TestAdamW:
     def test_zero_grad_zero_decay_no_change(self):
         p = ad.param(np.array([1.0, 2.0]))

@@ -110,7 +110,7 @@ class TestStreaming:
         for seed in range(50):
             stack = small_stack(seed=seed)
             x = window(seed=seed + 1000, k=k, h=5, w=6)
-            full = causal3d.encode_full_array(x, stack, mask_last=True)
+            full = causal3d.encode_full(ad.constant(x), stack, mask_last=True).data
             streamed = causal3d.encode_streaming(x, stack, mask_last=True)
             assert np.abs(full - streamed).max() < 1e-6
 
@@ -120,7 +120,7 @@ class TestStreaming:
             rng, in_channels=2, channels=(4, 6), latent_channels=3, spatial_strides=(2, 2)
         )
         x = window(seed=8, h=8, w=8)
-        full = causal3d.encode_full_array(x, stack)
+        full = causal3d.encode_full(ad.constant(x), stack).data
         streamed = causal3d.encode_streaming(x, stack)
         assert np.abs(full - streamed).max() < 1e-6
 
@@ -140,14 +140,14 @@ class TestStreaming:
         # bitwise unchanged.
         stack = small_stack(seed=10)
         x = window(seed=10, k=4)
-        base = causal3d.encode_full_array(x, stack, mask_last=False)
+        base = causal3d.encode_full(ad.constant(x), stack, mask_last=False).data
         rng = np.random.default_rng(11)
         for stage in (2, 3):
             x2 = x.copy()
             # Stage s ingests original frames 2s-3 and 2s-2 (0-indexed input).
             first_new = 2 * stage - 3
             x2[:, :, first_new:] = rng.standard_normal(x2[:, :, first_new:].shape)
-            out2 = causal3d.encode_full_array(x2, stack, mask_last=False)
+            out2 = causal3d.encode_full(ad.constant(x2), stack, mask_last=False).data
             np.testing.assert_array_equal(base[:, :, : stage - 1], out2[:, :, : stage - 1])
 
     def test_jacobian_sparsity(self):
@@ -155,11 +155,11 @@ class TestStreaming:
         # i.e. <= 2j+1 for 1-indexed outputs as stated.
         stack = small_stack(seed=12)
         x = window(seed=12, k=4)
-        base = causal3d.encode_full_array(x, stack, mask_last=False)
+        base = causal3d.encode_full(ad.constant(x), stack, mask_last=False).data
         for frame in range(5):  # original frame index = padded index - 3
             x2 = x.copy()
             x2[:, :, frame] += 1.0
-            out = causal3d.encode_full_array(x2, stack, mask_last=False)
+            out = causal3d.encode_full(ad.constant(x2), stack, mask_last=False).data
             changed = [
                 j
                 for j in range(base.shape[2])
@@ -186,7 +186,7 @@ class TestStreaming:
             for p in stack.params.values():
                 p.data = p.data.astype(np.float32)
             x = window(seed=14).astype(np.float32)
-            full = causal3d.encode_full_array(x, stack)
+            full = causal3d.encode_full(ad.constant(x), stack).data
             streamed = causal3d.encode_streaming(x, stack)
             assert np.abs(full - streamed).max() < 1e-5
 

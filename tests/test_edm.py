@@ -229,6 +229,31 @@ class TestSamplers:
         )
         assert sto.std(axis=0).mean() > det.std(axis=0).mean()
 
+    @pytest.mark.parametrize("stochastic", [False, True])
+    def test_state_stays_float32(self, stochastic):
+        # The float64 oracle output must not promote the sampler state.
+        _, _, oracle = self.gaussian_problem(seed=6)
+        seen = []
+
+        def denoise(x, sigma):
+            seen.append(x.dtype)
+            return oracle(x, sigma)
+
+        sample = edm.sample_stochastic if stochastic else edm.sample_deterministic
+        out = sample(denoise, (4, 16), np.random.default_rng(8), default_cfg())
+        assert out.dtype == np.float32
+        assert seen == [np.dtype(np.float32)] * 49
+
+    def test_noise_stream_kept(self):
+        # The first state is the float64 draw, cast once.
+        cfg = default_cfg(steps=1)
+        first = []
+        edm.sample_deterministic(
+            lambda x, s: first.append(x) or x, (3, 5), np.random.default_rng(4), cfg
+        )
+        expect = np.random.default_rng(4).standard_normal((3, 5)).astype(np.float32)
+        np.testing.assert_array_equal(first[0], expect * np.float32(cfg.sigma_max))
+
     def test_reproducible_across_runs(self):
         _, _, denoise = self.gaussian_problem(seed=4)
         cfg = default_cfg()
