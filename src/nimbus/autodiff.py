@@ -20,6 +20,8 @@ still checked for non-finite values.
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import os
 import struct
 import threading
 from typing import Callable
@@ -492,6 +494,65 @@ def _dilate(go, strides):
     idx = (Ellipsis,) + tuple(slice(None, None, s) for s in strides)
     out[idx] = go
     return out
+
+
+# Thread-count entry points (set, get) of the OpenBLAS copies numpy's and
+# scipy's wheels bundle: 64- and 32-bit integer interfaces.
+_OPENBLAS_THREAD_FUNCS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+)
+
+
+def _loaded_openblas():
+    """(path, get, set) thread-count functions of each OpenBLAS loaded here.
+
+    Libraries are found by file name in /proc/self/maps. Without that file
+    (not Linux), nothing is returned; a BLAS exporting none of the names
+    above (MKL, Accelerate, another OpenBLAS build) is skipped.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split(None, 5)[-1].strip() for line in fh if "openblas" in line}
+    except OSError:
+        return []
+    found = []
+    for path in sorted(paths):
+        if "openblas" not in os.path.basename(path):
+            continue
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        for set_name, get_name in _OPENBLAS_THREAD_FUNCS:
+            if hasattr(lib, set_name) and hasattr(lib, get_name):
+                setter, getter = getattr(lib, set_name), getattr(lib, get_name)
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                found.append((path, getter, setter))
+                break
+    return found
+
+
+@contextlib.contextmanager
+def share_blas_threads(n: int):
+    """Divide each loaded OpenBLAS's threads among n threads that run GEMMs.
+
+    Sets every OpenBLAS to max(1, previous // n) threads and restores the
+    previous counts on exit, also when the body raises. The count is
+    process-wide (even OpenBLAS's "local" setter changes it for every
+    thread), so enter this once around a pool of n threads, never inside
+    them. With no OpenBLAS loaded it changes nothing.
+    """
+    libs = _loaded_openblas()
+    prev = [get() for _, get, _ in libs]
+    for (_, _, set_), count in zip(libs, prev):
+        set_(max(1, count // n))
+    try:
+        yield
+    finally:
+        for (_, _, set_), count in zip(libs, prev):
+            set_(count)
 
 
 def _corr(x, w, strides):

@@ -4,6 +4,9 @@ All subcommands take --config/--seed/--out/--workers/--dry-run, write a
 manifest (config hash, seed, versions) into the output directory, and exit
 with 0 on success, 2 on configuration errors, 3 on numeric failures.
 NIMBUS_LOG controls log verbosity.
+
+``forecast`` and ``ablate`` run ensemble members on --workers threads; the
+BLAS threads are divided among those threads while members run.
 """
 
 from __future__ import annotations
@@ -141,8 +144,13 @@ def load_config(path=None) -> dict:
     """Schema-checked config with defaults filled in; unknown keys rejected."""
     if path is None:
         return copy.deepcopy(DEFAULT_CONFIG)
-    with open(path) as fh:
-        given = json.load(fh)
+    try:
+        with open(path) as fh:
+            given = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError on non-UTF-8 bytes
+        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return _check_section(DEFAULT_CONFIG, given, "")
 
 
@@ -242,16 +250,15 @@ def _load_autoencoders(cfg, args, bundle, seed):
     """
     from . import autodiff as ad
 
-    strategy = Strategy(cfg["vae"]["regularizer"])
-    vae = pipeline.train_vae(bundle, {**cfg["vae"], "iters": 0, "batch": 1}, strategy, seed)
+    vae = pipeline.build_vae(bundle, cfg["vae"], seed)
     ad.assign_params(vae.params, ad.load_params(_require_checkpoint(args.out, "vae.pypt")))
     cond_mode = cfg["diffusion"]["cond_mode"]
     enc = None
     if cond_mode == "3dmae":
-        enc = pipeline.train_mae(bundle, {**cfg["mae"], "iters": 0, "batch": 1}, seed)
+        enc = pipeline.build_mae(bundle, cfg["mae"], seed)
         ad.assign_params(enc.params, ad.load_params(_require_checkpoint(args.out, "mae.pypt")))
     elif cond_mode == "2d":
-        enc = pipeline.train_frame_ae(bundle, {**cfg["frame_ae"], "iters": 0, "batch": 1}, seed)
+        enc = pipeline.build_frame_ae(bundle, cfg["frame_ae"], seed)
         ad.assign_params(enc.params, ad.load_params(_require_checkpoint(args.out, "frame_ae.pypt")))
     return vae, cond_mode, enc
 
@@ -469,7 +476,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=str, default=None, help="JSON config path")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", type=str, default="out")
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument(
+            "--workers",
+            type=int,
+            default=1,
+            help="threads for ensemble members (forecast, ablate); BLAS threads are divided among them",
+        )
         p.add_argument("--dry-run", action="store_true")
     return parser
 
@@ -481,6 +493,8 @@ def main(argv=None) -> int:
     )
     args = build_parser().parse_args(argv)
     try:
+        if args.workers < 1:
+            raise ConfigError(f"--workers must be at least 1, got {args.workers}")
         cfg = load_config(args.config)
         if args.dry_run:
             log.info("config ok (hash %s); dry run, no side effects", config_hash(cfg))

@@ -5,18 +5,24 @@ an RNG stream derived from (base_seed, member index), so results are
 independent of scheduling. One step encodes the conditioning window (final
 frame masked), samples a residual latent with the EDM sampler, decodes it,
 and integrates X_{t+1} = X_t + dX.
+
+With ``workers`` > 1, members run on that many threads, and the BLAS
+threads are divided among them for the rollout, so member threads and
+BLAS threads do not compete for the same cores.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
 from . import edm, grid
-from .errors import DomainError, RolloutError
+from .errors import ConfigError, DomainError, RolloutError
 from .models import FrameAe, Mae, Vae
 
 COND_MODES = ("3dmae", "2d", "none")
@@ -162,8 +168,10 @@ def rollout(
         raise DomainError("members and t_lead must be >= 1")
     init = np.asarray(init_window.data, dtype=np.float32)
     out = np.empty((members, t_lead) + init.shape[1:], dtype=np.float32)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+    threads = min(workers, members)
+    if threads > 1:
+        # A lone thread keeps every BLAS thread: the serial path is faster with them.
+        with ad.share_blas_threads(threads), ThreadPoolExecutor(max_workers=threads) as pool:
             futures = {
                 m: pool.submit(
                     _run_member, models, init, t_lead, base_seed, m, stochastic, streaming
@@ -186,8 +194,6 @@ def rollout(
 
 def write_forecast(ens: EnsembleForecast, out_dir, manifest_extra=None) -> None:
     """One PYLD1 file per member plus a manifest with seeds."""
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     for m in range(ens.members):
         batch = grid.FieldBatch(
@@ -205,14 +211,19 @@ def write_forecast(ens: EnsembleForecast, out_dir, manifest_extra=None) -> None:
         json.dump(manifest, fh, indent=2, sort_keys=True)
 
 
-def read_forecast(out_dir) -> EnsembleForecast:
-    import os
+def _forecast_file(out_dir, name):
+    path = os.path.join(out_dir, name)
+    if not os.path.exists(path):
+        raise ConfigError(f"missing forecast file {path}; run `nimbus forecast` again")
+    return path
 
-    with open(os.path.join(out_dir, "manifest.json")) as fh:
+
+def read_forecast(out_dir) -> EnsembleForecast:
+    with open(_forecast_file(out_dir, "manifest.json")) as fh:
         manifest = json.load(fh)
     members = manifest["members"]
     batches = [
-        grid.read_fields(os.path.join(out_dir, f"member_{m:03d}.pyld"))
+        grid.read_fields(_forecast_file(out_dir, f"member_{m:03d}.pyld"))
         for m in range(members)
     ]
     fields = np.stack([b.data for b in batches])

@@ -84,17 +84,46 @@ def standardized_state_frames(bundle: DatasetBundle) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def train_vae(bundle: DatasetBundle, cfg: dict, strategy: Strategy, seed: int) -> models.Vae:
-    rng = np.random.default_rng([seed, 101])
-    vae = models.Vae(
+def build_vae(bundle: DatasetBundle, cfg: dict, seed: int) -> models.Vae:
+    """The untrained VAE that ``train_vae`` starts from, for the same seed."""
+    return models.Vae(
         v=bundle.train.data.shape[1],
         cfg=models.VaeConfig(
             latent_channels=cfg["latent_channels"],
             base_channels=cfg["base_channels"],
             beta=cfg["beta"],
         ),
-        rng=rng,
+        rng=np.random.default_rng([seed, 101]),
     )
+
+
+def build_mae(bundle: DatasetBundle, cfg: dict, seed: int) -> models.Mae:
+    """The untrained 3D-MAE that ``train_mae`` starts from, for the same seed."""
+    return models.Mae(
+        v=bundle.train.data.shape[1],
+        cfg=models.MaeConfig(
+            latent_channels=cfg["latent_channels"],
+            channels=tuple(cfg["channels"]),
+            spatial_strides=tuple(cfg["spatial_strides"]),
+            decoder_channels=cfg["decoder_channels"],
+            k=cfg["k"],
+        ),
+        rng=np.random.default_rng([seed, 202]),
+    )
+
+
+def build_frame_ae(bundle: DatasetBundle, cfg: dict, seed: int) -> models.FrameAe:
+    """The untrained frame AE that ``train_frame_ae`` starts from, for the same seed."""
+    return models.FrameAe(
+        v=bundle.train.data.shape[1],
+        latent_channels=cfg["latent_channels"],
+        rng=np.random.default_rng([seed, 303]),
+        base=cfg["base_channels"],
+    )
+
+
+def train_vae(bundle: DatasetBundle, cfg: dict, strategy: Strategy, seed: int) -> models.Vae:
+    vae = build_vae(bundle, cfg, seed)
     tc = models.TrainConfig(
         iters=cfg["iters"], batch=cfg["batch"], lr=cfg["lr"], seed=seed * 7919 + 11
     )
@@ -104,18 +133,7 @@ def train_vae(bundle: DatasetBundle, cfg: dict, strategy: Strategy, seed: int) -
 
 
 def train_mae(bundle: DatasetBundle, cfg: dict, seed: int) -> models.Mae:
-    rng = np.random.default_rng([seed, 202])
-    mae = models.Mae(
-        v=bundle.train.data.shape[1],
-        cfg=models.MaeConfig(
-            latent_channels=cfg["latent_channels"],
-            channels=tuple(cfg["channels"]),
-            spatial_strides=tuple(cfg["spatial_strides"]),
-            decoder_channels=cfg["decoder_channels"],
-            k=cfg["k"],
-        ),
-        rng=rng,
-    )
+    mae = build_mae(bundle, cfg, seed)
     tc = models.TrainConfig(
         iters=cfg["iters"], batch=cfg["batch"], lr=cfg["lr"], seed=seed * 7919 + 22
     )
@@ -125,13 +143,7 @@ def train_mae(bundle: DatasetBundle, cfg: dict, seed: int) -> models.Mae:
 
 
 def train_frame_ae(bundle: DatasetBundle, cfg: dict, seed: int) -> models.FrameAe:
-    rng = np.random.default_rng([seed, 303])
-    ae = models.FrameAe(
-        v=bundle.train.data.shape[1],
-        latent_channels=cfg["latent_channels"],
-        rng=rng,
-        base=cfg["base_channels"],
-    )
+    ae = build_frame_ae(bundle, cfg, seed)
     tc = models.TrainConfig(
         iters=cfg["iters"], batch=cfg["batch"], lr=cfg["lr"], seed=seed * 7919 + 33
     )

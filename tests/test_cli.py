@@ -1,6 +1,8 @@
+import argparse
 import json
 import logging
 import os
+import shutil
 import subprocess
 import sys
 
@@ -8,7 +10,8 @@ import numpy as np
 import pytest
 
 import nimbus
-from nimbus import cli, edm, forecast, models
+from nimbus import autodiff as ad
+from nimbus import cli, edm, forecast, grid, models, pipeline
 
 TINY = {
     "data": {"h": 16, "w": 32, "v": 3, "t": 40},
@@ -73,3 +76,75 @@ def test_import_does_not_load_scipy_stats():
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "False"
+
+
+def test_rebuild_loads_checkpoints_without_standardizing(trained, monkeypatch):
+    out, config, _ = trained
+
+    def forbidden(bundle):
+        raise AssertionError("model rebuild standardized the training slice")
+
+    monkeypatch.setattr(pipeline, "standardized_residual_frames", forbidden)
+    monkeypatch.setattr(pipeline, "standardized_state_frames", forbidden)
+    cfg = cli.load_config(str(config))
+    _, fmodels = cli._rebuild_models(cfg, argparse.Namespace(out=str(out)), 0)
+    rebuilt = {"vae.pypt": fmodels.vae, "mae.pypt": fmodels.mae, "denoiser.pypt": fmodels.denoiser}
+    for name, model in rebuilt.items():
+        saved = ad.load_params(out / name)
+        assert set(saved) == set(model.params)
+        for key, arr in saved.items():
+            np.testing.assert_array_equal(model.params[key].data, arr)
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_exits_2(tmp_path, workers, caplog):
+    with caplog.at_level(logging.ERROR, logger="nimbus"):
+        argv = ["forecast", "--out", str(tmp_path), "--workers", workers, "--dry-run"]
+        assert cli.main(argv) == 2
+    assert f"--workers must be at least 1, got {workers}" in caplog.text
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [(None, "cannot read config"), ('{"data": {"h": 16,', "is not valid JSON")],
+    ids=["missing", "invalid-json"],
+)
+def test_unreadable_config_exits_2(tmp_path, content, message, caplog):
+    path = tmp_path / "config.json"
+    if content is not None:
+        path.write_text(content)
+    with caplog.at_level(logging.ERROR, logger="nimbus"):
+        argv = ["gen-data", "--config", str(path), "--out", str(tmp_path), "--dry-run"]
+        assert cli.main(argv) == 2
+    assert message in caplog.text and str(path) in caplog.text
+
+
+def test_evaluate_missing_member_exits_2(trained, tmp_path, caplog):
+    out, config, _ = trained
+    shutil.copy(out / "dataset.pyld", tmp_path)
+    data = grid.read_fields(tmp_path / "dataset.pyld")
+    ens = forecast.EnsembleForecast(
+        np.stack([data.data[-2:]] * 2), [[0, 0], [0, 1]], data.lat, data.lon, data.specs
+    )
+    forecast.write_forecast(ens, tmp_path / "forecast")
+    (tmp_path / "forecast" / "member_001.pyld").unlink()
+    with caplog.at_level(logging.ERROR, logger="nimbus"):
+        assert cli.main(["evaluate", "--config", str(config), "--out", str(tmp_path)]) == 2
+    assert "member_001.pyld" in caplog.text
+
+
+def test_ablate_rows_do_not_depend_on_workers(trained):
+    out, config, _ = trained
+    cfg = cli.load_config(str(config))
+    bundle = pipeline.split_dataset(
+        grid.read_fields(out / "dataset.pyld"), cfg["forecast"]["train_frames"], cfg["mae"]["k"]
+    )
+    a = cfg["ablate"]
+    rows = [
+        pipeline.ablate(
+            bundle, cfg, ["3dmae"], ["vamfm"], [0], a["members"], a["t_lead"], workers=workers
+        )
+        for workers in (1, 2)
+    ]
+    assert len(rows[0]) == 1
+    assert rows[0] == rows[1]

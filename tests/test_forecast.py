@@ -8,6 +8,14 @@ from nimbus.errors import RolloutError
 K = 4
 CZ = 4
 
+# Thread-count getter of the OpenBLAS that runs numpy's GEMMs, if it is one.
+NUMPY_BLAS_THREADS = next(
+    (get for path, get, _ in ad._loaded_openblas() if "numpy" in path), None
+)
+needs_openblas = pytest.mark.skipif(
+    NUMPY_BLAS_THREADS is None, reason="numpy's BLAS is not an OpenBLAS this process can find"
+)
+
 
 @pytest.fixture(scope="module")
 def tiny():
@@ -114,3 +122,48 @@ def test_rollout_error_names_member_and_step(tiny, monkeypatch):
         run(tiny, members=3, t_lead=2, workers=1)
     assert (info.value.member, info.value.step) == (1, 1)
     assert "member 1, forecast step 1" in str(info.value)
+
+
+def blas_threads_seen(monkeypatch, fail=False):
+    """Record numpy's BLAS thread count at every denoiser call."""
+    seen = []
+    make = edm.make_denoise_fn
+
+    def recording_make(*args, **kwargs):
+        denoise = make(*args, **kwargs)
+
+        def wrapped(z_noisy, sigma):
+            seen.append(NUMPY_BLAS_THREADS())
+            return np.full_like(z_noisy, np.nan) if fail else denoise(z_noisy, sigma)
+
+        return wrapped
+
+    monkeypatch.setattr(edm, "make_denoise_fn", recording_make)
+    return seen
+
+
+@needs_openblas
+def test_member_threads_divide_blas_threads(tiny, monkeypatch):
+    before = NUMPY_BLAS_THREADS()
+    seen = blas_threads_seen(monkeypatch)
+    run(tiny, members=2, t_lead=1, workers=2)
+    assert seen and set(seen) == {max(1, before // 2)}
+    assert NUMPY_BLAS_THREADS() == before
+
+
+@needs_openblas
+def test_blas_threads_restored_after_rollout_error(tiny, monkeypatch):
+    before = NUMPY_BLAS_THREADS()
+    seen = blas_threads_seen(monkeypatch, fail=True)
+    with pytest.raises(RolloutError):
+        run(tiny, members=2, t_lead=1, workers=2)
+    assert seen and set(seen) == {max(1, before // 2)}
+    assert NUMPY_BLAS_THREADS() == before
+
+
+@needs_openblas
+def test_lone_member_keeps_blas_threads(tiny, monkeypatch):
+    before = NUMPY_BLAS_THREADS()
+    seen = blas_threads_seen(monkeypatch)
+    run(tiny, members=1, t_lead=1, workers=2)
+    assert seen and set(seen) == {before}
