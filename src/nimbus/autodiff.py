@@ -29,15 +29,12 @@ from typing import Callable
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import spectral
 from .errors import DomainError, FormatError
 
 MAGIC_PARAMS = b"PYPT0001"
 
 _DEFAULT_DTYPE = np.float32
-
-
-def default_dtype():
-    return _DEFAULT_DTYPE
 
 
 def set_default_dtype(dtype) -> None:
@@ -107,12 +104,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self):
-        return float(self.data)
-
-    def detach(self) -> np.ndarray:
-        return self.data
-
     def zero_grad(self):
         self.grad = None
 
@@ -150,19 +141,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, grad={self.requires_grad})"
-
-    # Convenience arithmetic (broadcast-aware).
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
 
 
 def constant(data) -> Tensor:
@@ -708,22 +686,13 @@ def lowpass2d(x: Tensor, r_cut: float) -> Tensor:
     """Per-channel spectral low-pass of the trailing two axes.
 
     The projection is linear and self-adjoint, so the backward pass applies
-    the same mask to the incoming gradient.
+    the same low-pass to the incoming gradient.
     """
-    from . import spectral
-
-    h, w = x.data.shape[-2], x.data.shape[-1]
-    mask = spectral.lowpass_mask(h, w, r_cut)
-
-    def project(a):
-        return np.fft.ifft2(np.fft.fft2(a, axes=(-2, -1)) * mask, axes=(-2, -1)).real.astype(
-            a.dtype
-        )
 
     def backward(go):
-        return (project(go),)
+        return (spectral.lowpass(go, r_cut),)
 
-    return Tensor(project(x.data), x.requires_grad, (x,), backward)
+    return Tensor(spectral.lowpass(x.data, r_cut), x.requires_grad, (x,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -835,7 +804,11 @@ def load_params(path) -> dict[str, np.ndarray]:
 
     while pos < len(buf):
         (nlen,) = struct.unpack("<H", take(2, "tensor name length"))
-        name = take(nlen, "tensor name").decode("utf-8")
+        offset = pos
+        try:
+            name = take(nlen, "tensor name").decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError("tensor name is not valid UTF-8", offset) from None
         (rank,) = struct.unpack("<B", take(1, "tensor rank"))
         dims = struct.unpack(f"<{rank}I", take(4 * rank, "tensor dims"))
         count = int(np.prod(dims)) if rank else 1
@@ -848,6 +821,9 @@ def assign_params(params: dict[str, Tensor], arrays: dict[str, np.ndarray]) -> N
     missing = set(params) - set(arrays)
     if missing:
         raise FormatError(f"checkpoint missing tensors: {sorted(missing)}", 0)
+    extra = set(arrays) - set(params)
+    if extra:
+        raise FormatError(f"checkpoint has tensors the model lacks: {sorted(extra)}", 0)
     for k, p in params.items():
         if arrays[k].shape != p.data.shape:
             raise FormatError(

@@ -77,12 +77,6 @@ class CausalStack:
     def out_channels(self) -> int:
         return self.specs[-1].out_channels
 
-    def spatial_factor(self) -> int:
-        f = 1
-        for s in self.specs:
-            f *= s.stride_hw
-        return f
-
     def layer(self, i: int):
         return self.params[f"c3d{i}.w"], self.params.get(f"c3d{i}.b")
 

@@ -379,7 +379,7 @@ def cmd_diagnose(cfg, args):
         bundle,
         k,
     )
-    targets = np.arange(k, pipeline.standardized_state_frames(bundle).shape[0] - 1)
+    targets = np.arange(k, bundle.train.data.shape[0] - 1)
     n = min(64, len(targets))
     rng = np.random.default_rng(seed)
     gen = []

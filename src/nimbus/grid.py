@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -84,15 +84,6 @@ class FieldBatch:
     def shape(self):
         return self.data.shape
 
-    def spec_by_name(self, name: str) -> VariableSpec:
-        for s in self.specs:
-            if s.name == name:
-                return s
-        raise ConfigError(f"no spec for variable {name!r}")
-
-    def with_data(self, data: np.ndarray) -> "FieldBatch":
-        return replace(self, data=data)
-
 
 class ResidualBatch(FieldBatch):
     """One-step differences X_{t+1} - X_t; specs hold residual statistics."""
@@ -121,43 +112,24 @@ def lat_weights(lat) -> LatWeights:
     return LatWeights(c / c.mean())
 
 
-def standardize(x: FieldBatch, specs=None) -> FieldBatch:
-    """Per-variable (x - mean) / std using the given (or attached) specs."""
-    specs = tuple(specs) if specs is not None else x.specs
-    _check_specs_cover(x, specs)
-    mean = np.array([s.mean for s in specs], dtype=np.float32)[:, None, None]
-    std = np.array([s.std for s in specs], dtype=np.float32)[:, None, None]
-    out = (x.data - mean) / std
-    return replace(x, data=out, specs=specs)
-
-
-def destandardize(x: FieldBatch, specs=None) -> FieldBatch:
-    """Inverse of :func:`standardize`."""
-    specs = tuple(specs) if specs is not None else x.specs
-    _check_specs_cover(x, specs)
-    mean = np.array([s.mean for s in specs], dtype=np.float32)[:, None, None]
-    std = np.array([s.std for s in specs], dtype=np.float32)[:, None, None]
-    return replace(x, data=x.data * std + mean, specs=specs)
+def _spec_stats(a: np.ndarray, specs):
+    if len(specs) != a.shape[-3]:
+        raise ConfigError(f"{len(specs)} specs cannot standardize {a.shape[-3]} variables")
+    mean = np.array([s.mean for s in specs], dtype=a.dtype)[:, None, None]
+    std = np.array([s.std for s in specs], dtype=a.dtype)[:, None, None]
+    return mean, std
 
 
 def standardize_array(a: np.ndarray, specs) -> np.ndarray:
-    """Array-level standardize for (..., V, H, W) data."""
-    mean = np.array([s.mean for s in specs], dtype=a.dtype)[:, None, None]
-    std = np.array([s.std for s in specs], dtype=a.dtype)[:, None, None]
+    """Per-variable (a - mean) / std for (..., V, H, W) data."""
+    mean, std = _spec_stats(a, specs)
     return (a - mean) / std
 
 
 def destandardize_array(a: np.ndarray, specs) -> np.ndarray:
-    mean = np.array([s.mean for s in specs], dtype=a.dtype)[:, None, None]
-    std = np.array([s.std for s in specs], dtype=a.dtype)[:, None, None]
+    """Inverse of :func:`standardize_array`."""
+    mean, std = _spec_stats(a, specs)
     return a * std + mean
-
-
-def _check_specs_cover(x: FieldBatch, specs):
-    if len(specs) != x.data.shape[1]:
-        raise ConfigError(
-            f"{len(specs)} specs cannot standardize {x.data.shape[1]} variables"
-        )
 
 
 def residual_specs(x: FieldBatch) -> tuple[VariableSpec, ...]:
@@ -188,7 +160,7 @@ def residuals(x: FieldBatch, specs=None) -> ResidualBatch:
     """Raw one-step differences with residual-statistics specs attached.
 
     Entry ``t`` of the output equals ``X_{t+1} - X_t``; standardization is a
-    separate step (see :func:`standardize`).
+    separate step (see :func:`standardize_array`).
     """
     if x.data.shape[0] < 2:
         raise DomainError("residuals need T >= 2 time steps")
@@ -321,7 +293,11 @@ def read_fields(path) -> FieldBatch:
     specs = []
     for _ in range(v):
         (nlen,) = struct.unpack("<H", cur.take(2, "truncated header (variable record)"))
-        name = cur.take(nlen, "truncated header (variable name)").decode("utf-8")
+        offset = cur.pos
+        try:
+            name = cur.take(nlen, "truncated header (variable name)").decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError("variable name is not valid UTF-8", offset) from None
         mean, std, lw, level = struct.unpack(
             "<4d", cur.take(32, "truncated header (variable stats)")
         )

@@ -9,7 +9,6 @@ A frame-wise 2D autoencoder provides the conditioning baseline for ablations.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,13 +124,6 @@ def _pool_lat(lat_w, factor: int):
     return np.asarray(lat_w, dtype=np.float64).reshape(-1, factor).mean(axis=1)
 
 
-def _batch_lowpass(batch: np.ndarray, r_cut: float) -> np.ndarray:
-    """Fixed-radius lowpass of every (..., H, W) plane."""
-    mask = spectral.lowpass_mask(batch.shape[-2], batch.shape[-1], r_cut)
-    out = np.fft.ifft2(np.fft.fft2(batch, axes=(-2, -1)) * mask, axes=(-2, -1)).real
-    return out.astype(batch.dtype)
-
-
 def build_targets(batch: np.ndarray, strategy: Strategy, gamma: float, se_factor: int = 1):
     """Reconstruction targets for a (B, V, H, W) batch under a strategy."""
     if strategy == Strategy.SE:
@@ -139,15 +131,15 @@ def build_targets(batch: np.ndarray, strategy: Strategy, gamma: float, se_factor
     if strategy == Strategy.NONE or gamma == 1.0:
         return batch
     if strategy == Strategy.VAMFM:
-        target = np.empty_like(batch)
-        for i in range(batch.shape[0]):
-            for v in range(batch.shape[1]):
-                prof = spectral.radial_profile(spectral.fft2(batch[i, v]))
-                r_v = spectral.cutoff_for_ratio(prof, gamma)
-                target[i, v] = spectral.lowpass(batch[i, v], r_v)
-        return target
+        # Each plane keeps the fraction gamma of its own spectral energy.
+        planes = batch.astype(np.float64)
+        radii = [
+            [spectral.cutoff_for_ratio(spectral.radial_profile(spectral.fft2(p)), gamma) for p in s]
+            for s in planes
+        ]
+        return spectral.lowpass(planes, np.array(radii)).astype(batch.dtype)
     if strategy == Strategy.FFM:
-        return _batch_lowpass(batch, regularize.FFM_INPUT_CUTOFFS[gamma])
+        return spectral.lowpass(batch, regularize.FFM_INPUT_CUTOFFS[gamma]).astype(batch.dtype)
     raise ConfigError(f"unknown strategy {strategy}")
 
 
@@ -342,15 +334,6 @@ class TrainConfig:
     betas: tuple = (0.9, 0.95)
     weight_decay: float = 0.0
     seed: int = 0
-    log_every: int = 10
-
-
-def write_loss_csv(path, losses) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iter", "loss"])
-        for i, v in enumerate(losses):
-            writer.writerow([i, f"{v:.8g}"])
 
 
 def train_vae(

@@ -206,8 +206,7 @@ def train_denoiser(
     k = cfg["k"]
     z_all = residual_latents(vae, bundle)  # index t: residual of step t -> t+1
     z_bar_all = conditioning_latents(cond_mode, cond_encoder, bundle, k)
-    t_total = standardized_state_frames(bundle).shape[0]
-    targets = np.arange(k, t_total - 1)
+    targets = np.arange(k, bundle.train.data.shape[0] - 1)
 
     cz = vae.latent_channels
     hh, ww = z_all.shape[-2:]

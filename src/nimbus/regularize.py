@@ -1,13 +1,16 @@
-"""Training-target construction for spectral regularization of the autoencoder.
+"""Spectral-regularization schedule for the autoencoder.
 
-Three strategies are supported:
+The strategies themselves are applied by ``models.build_targets`` (input
+side) and ``models.mask_latent`` (latent side); this module holds what they
+share:
 
-* VAMFM - per-variable low-pass cutoffs chosen so every channel retains the
-  same fraction gamma of its spectral amplitude; latent channels are
-  low-passed at the fixed radius gamma.
-* FFM   - one fixed input cutoff shared by all variables, paired with the
-  latent cutoff gamma.
-* SE    - both input and latent are box-downsampled by an integer factor.
+* ``Strategy``: VAMFM (per-variable input cutoffs, each plane keeping the
+  fraction gamma of its spectral energy; latent low-passed at radius gamma),
+  FFM (one fixed input cutoff per gamma, ``FFM_INPUT_CUTOFFS``, with the same
+  latent cutoff), SE (input and latent box-downsampled by an integer factor)
+  and NONE.
+* ``GAMMA_CHOICES`` and ``sample_gamma``: the masking schedule.
+* ``box_downsample``: the SE projection.
 
 gamma = 1.0 always reduces to the unmasked (NONE) behavior exactly.
 """
@@ -15,11 +18,9 @@ gamma = 1.0 always reduces to the unmasked (NONE) behavior exactly.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
-from . import spectral
 from .errors import DomainError
 
 GAMMA_CHOICES = (0.25, 0.5, 0.75, 1.0)
@@ -36,94 +37,9 @@ class Strategy(str, enum.Enum):
     NONE = "none"
 
 
-@dataclass(frozen=True)
-class MaskPlan:
-    """Resolved cutoffs for one training sample."""
-
-    gamma: float
-    input_cutoffs: np.ndarray
-    latent_cutoff: float
-    strategy: Strategy
-
-    def __post_init__(self):
-        if self.gamma not in GAMMA_CHOICES:
-            raise DomainError(f"gamma must be one of {GAMMA_CHOICES}, got {self.gamma}")
-
-
 def sample_gamma(rng: np.random.Generator) -> float:
     """Draw gamma uniformly from the 4-element masking schedule."""
     return float(GAMMA_CHOICES[rng.integers(len(GAMMA_CHOICES))])
-
-
-def _check_latent(z):
-    z = np.asarray(z)
-    if z.ndim != 3 or z.shape[-2] < 2 or z.shape[-1] < 2:
-        raise DomainError(f"latent must be (C, h, w) with spatial dims >= 2, got {z.shape}")
-    return z
-
-
-def _mask_latent(z, r_cut):
-    out = np.empty_like(z, dtype=np.float64)
-    mask = spectral.lowpass_mask(z.shape[-2], z.shape[-1], r_cut)
-    for c in range(z.shape[0]):
-        out[c] = np.fft.ifft2(np.fft.fft2(z[c]) * mask).real
-    return out
-
-
-def vamfm_plan(x, gamma: float) -> MaskPlan:
-    """Variable-adaptive cutoffs: each channel keeps energy fraction gamma."""
-    x = np.asarray(x)
-    cutoffs = np.empty(x.shape[0])
-    for v in range(x.shape[0]):
-        prof = spectral.radial_profile(spectral.fft2(x[v]))
-        cutoffs[v] = spectral.cutoff_for_ratio(prof, gamma)
-    return MaskPlan(
-        gamma=gamma, input_cutoffs=cutoffs, latent_cutoff=gamma, strategy=Strategy.VAMFM
-    )
-
-
-def vamfm_targets(x, z, gamma: float):
-    """Low-passed reconstruction targets plus the masked latent.
-
-    ``x`` is a (V, H, W) stack of standardized fields, ``z`` a (C, h, w)
-    latent. Returns (masked_targets, masked_latent); gamma = 1 is an exact
-    identity on both.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    z = _check_latent(z)
-    if gamma == 1.0:
-        return x.copy(), np.asarray(z, dtype=np.float64).copy()
-    plan = vamfm_plan(x, gamma)
-    targets = np.empty_like(x)
-    for v in range(x.shape[0]):
-        targets[v] = spectral.lowpass(x[v], plan.input_cutoffs[v])
-    return targets, _mask_latent(z, plan.latent_cutoff)
-
-
-def ffm_targets(x, z, gamma: float):
-    """Fixed-threshold masking: one input cutoff for every variable."""
-    x = np.asarray(x, dtype=np.float64)
-    z = _check_latent(z)
-    if gamma not in FFM_INPUT_CUTOFFS:
-        raise DomainError(f"gamma must be one of {GAMMA_CHOICES}, got {gamma}")
-    if gamma == 1.0:
-        return x.copy(), np.asarray(z, dtype=np.float64).copy()
-    r_in = FFM_INPUT_CUTOFFS[gamma]
-    targets = np.empty_like(x)
-    for v in range(x.shape[0]):
-        targets[v] = spectral.lowpass(x[v], r_in)
-    return targets, _mask_latent(z, gamma)
-
-
-def ffm_plan(x, gamma: float) -> MaskPlan:
-    x = np.asarray(x)
-    r_in = FFM_INPUT_CUTOFFS[gamma]
-    return MaskPlan(
-        gamma=gamma,
-        input_cutoffs=np.full(x.shape[0], r_in),
-        latent_cutoff=gamma,
-        strategy=Strategy.FFM,
-    )
 
 
 def box_downsample(a, factor: int) -> np.ndarray:
@@ -136,12 +52,3 @@ def box_downsample(a, factor: int) -> np.ndarray:
         raise DomainError(f"factor {factor} does not divide spatial dims ({h},{w})")
     shape = a.shape[:-2] + (h // factor, factor, w // factor, factor)
     return a.reshape(shape).mean(axis=(-3, -1))
-
-
-def se_targets(x, z, factor: int):
-    """Scale-equivariance targets: downsample both input and latent."""
-    x = np.asarray(x, dtype=np.float64)
-    z = _check_latent(z)
-    if factor not in (1, 2, 4):
-        raise DomainError(f"factor must be one of 1, 2, 4, got {factor}")
-    return box_downsample(x, factor), box_downsample(z, factor)

@@ -8,7 +8,6 @@ keeps rectangular grids consistent. Shell statistics use the magnitude |F|
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,10 +57,6 @@ def fft2(x) -> Spectrum2D:
     return Spectrum2D(coeffs=np.fft.fft2(x), h=x.shape[0], w=x.shape[1])
 
 
-def ifft2(s: Spectrum2D) -> np.ndarray:
-    return np.fft.ifft2(s.coeffs).real
-
-
 def shell_count(h: int, w: int) -> int:
     """One shell per integer radius of the finer axis."""
     return max(h, w) // 2
@@ -100,29 +95,26 @@ def cutoff_for_ratio(p: SpectralProfile, gamma: float) -> float:
     return float(p.radii[idx])
 
 
-def lowpass(x, r_cut: float) -> np.ndarray:
-    """Zero all coefficients with radius >= r_cut (strictly r < r_cut retained)."""
-    x = np.asarray(x, dtype=np.float64)
-    if r_cut < 0.0:
+def lowpass(x, r_cut) -> np.ndarray:
+    """Zero every coefficient with radius >= r_cut in each (H, W) plane of x.
+
+    ``r_cut`` is one radius for every plane or one per plane, shaped
+    ``x.shape[:-2]``. The transform runs in float32 for float32 input and in
+    float64 otherwise, and the result has that dtype.
+    """
+    x = np.asarray(x)
+    if x.dtype != np.float32:
+        x = x.astype(np.float64, copy=False)
+    r = np.asarray(r_cut, dtype=np.float64)
+    if x.ndim < 2 or x.shape[-2] < 2 or x.shape[-1] < 2:
+        raise DomainError(f"lowpass expects (..., H, W) planes of size >= 2x2, got {x.shape}")
+    if r.shape not in ((), x.shape[:-2]):
+        raise DomainError(f"r_cut shape {r.shape} is neither scalar nor {x.shape[:-2]}")
+    if np.any(r < 0.0):
         raise DomainError(f"r_cut must be non-negative, got {r_cut}")
-    s = fft2(x)
-    mask = normalized_radius(s.h, s.w) < r_cut
-    return np.fft.ifft2(s.coeffs * mask).real
-
-
-def lowpass_mask(h: int, w: int, r_cut: float) -> np.ndarray:
-    """Boolean retain-mask for :func:`lowpass`, in unshifted layout."""
-    return normalized_radius(h, w) < r_cut
-
-
-def retained_energy(x, r_cut: float) -> float:
-    """Fraction of total spectral amplitude retained by a lowpass at r_cut."""
-    s = fft2(x)
-    mag = np.abs(s.coeffs)
-    total = mag.sum()
-    if total <= 0:
-        return 1.0
-    return float(mag[normalized_radius(s.h, s.w) < r_cut].sum() / total)
+    mask = normalized_radius(x.shape[-2], x.shape[-1]) < r[..., None, None]
+    coeffs = np.fft.fft2(x, axes=(-2, -1)) * mask
+    return np.fft.ifft2(coeffs, axes=(-2, -1)).real
 
 
 def band_energy(x, band_edges) -> np.ndarray:
@@ -144,11 +136,3 @@ def band_energy(x, band_edges) -> np.ndarray:
         out[0] = 1.0
         return out
     return sums / total
-
-
-def profile_to_csv(p: SpectralProfile, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["radius", "amplitude", "cumulative"])
-        for r, a, e in zip(p.radii, p.amplitude, p.cumulative):
-            writer.writerow([f"{r:.10g}", f"{a:.10g}", f"{e:.10g}"])

@@ -271,12 +271,7 @@ def diffusability_report(
         rmse = {"encoder": [], "generated": []}
         for name, fam in (("encoder", enc), ("generated", gen)):
             for r in radii:
-                masked = np.empty_like(fam)
-                mask = spectral.lowpass_mask(fam.shape[-2], fam.shape[-1], r)
-                masked = np.fft.ifft2(
-                    np.fft.fft2(fam, axes=(-2, -1)) * mask, axes=(-2, -1)
-                ).real
-                decoded = decoder(masked.astype(np.float32))
+                decoded = decoder(spectral.lowpass(fam, r).astype(np.float32))
                 err2 = np.square(decoded.astype(np.float64) - reference)
                 rmse[name].append(float(np.sqrt(_wmean(err2, weights))))
         report["mask_radii"] = radii

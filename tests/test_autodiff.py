@@ -461,3 +461,14 @@ class TestCheckpoints:
         other = {"w": ad.param(np.zeros((3, 3)))}
         with pytest.raises(FormatError):
             ad.assign_params(other, arrays)
+        extra = {**arrays, "stale.b": np.zeros(2, np.float32)}
+        with pytest.raises(FormatError, match="stale.b"):
+            ad.assign_params(params, extra)
+
+    def test_non_utf8_tensor_name(self, tmp_path):
+        ad.save_params({"ab": ad.param(np.zeros(2))}, tmp_path / "c.pypt")
+        blob = (tmp_path / "c.pypt").read_bytes()
+        (tmp_path / "c.pypt").write_bytes(blob.replace(b"ab", b"\xff\xfe", 1))
+        with pytest.raises(FormatError, match="not valid UTF-8") as info:
+            ad.load_params(tmp_path / "c.pypt")
+        assert info.value.offset == 10

@@ -201,4 +201,6 @@ class TestStackValidation:
     def test_build_spatial_factor(self):
         rng = np.random.default_rng(0)
         stack = causal3d.build_stack(rng, 2, channels=(4, 4), spatial_strides=(2, 2))
-        assert stack.spatial_factor() == 4
+        x = rng.standard_normal((1, 2, 5, 8, 16)).astype(np.float32)
+        z = causal3d.encode_full(ad.constant(x), stack).data
+        assert z.shape[-2:] == (8 // 4, 16 // 4)

@@ -1,10 +1,12 @@
 import argparse
+import dataclasses
 import json
 import logging
 import os
 import shutil
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -148,3 +150,44 @@ def test_ablate_rows_do_not_depend_on_workers(trained):
     ]
     assert len(rows[0]) == 1
     assert rows[0] == rows[1]
+
+
+def test_stages_standardize_states_once(trained, tmp_path, monkeypatch):
+    out, config, _ = trained
+    shutil.copytree(out, tmp_path, dirs_exist_ok=True)
+    counts = {}
+    state_frames = pipeline.standardized_state_frames
+
+    def counting(bundle):
+        counts[stage] = counts.get(stage, 0) + 1
+        return state_frames(bundle)
+
+    monkeypatch.setattr(pipeline, "standardized_state_frames", counting)
+    for stage in ("train-diffusion", "diagnose"):
+        assert cli.main([stage, "--config", str(config), "--out", str(tmp_path)]) == 0
+    assert counts == {"train-diffusion": 1, "diagnose": 1}
+
+
+def test_non_utf8_variable_name_exits_3(trained, tmp_path, caplog):
+    out, config, _ = trained
+    blob = (out / "dataset.pyld").read_bytes()
+    (tmp_path / "dataset.pyld").write_bytes(blob.replace(b"var1", b"\xffar1", 1))
+    with caplog.at_level(logging.ERROR, logger="nimbus"):
+        assert cli.main(["train-vae", "--config", str(config), "--out", str(tmp_path)]) == 3
+    assert "variable name is not valid UTF-8" in caplog.text
+
+
+def test_evaluate_plots_escape_variable_names(trained, tmp_path):
+    out, config, _ = trained
+    data = grid.read_fields(out / "dataset.pyld")
+    names = ["t<2&q", "a--b", "x,y"]
+    specs = tuple(dataclasses.replace(s, name=n) for s, n in zip(data.specs, names))
+    grid.write_fields(dataclasses.replace(data, specs=specs), tmp_path / "dataset.pyld")
+    ens = forecast.EnsembleForecast(
+        np.stack([data.data[-2:]] * 2), [[0, 0], [0, 1]], data.lat, data.lon, specs
+    )
+    forecast.write_forecast(ens, tmp_path / "forecast")
+    assert cli.main(["evaluate", "--config", str(config), "--out", str(tmp_path)]) == 0
+    root = ET.parse(tmp_path / "rmse.svg").getroot()
+    texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert set(names) <= set(texts)

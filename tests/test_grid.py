@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -47,40 +49,40 @@ class TestStandardize:
         data = np.zeros_like(b.data)
         for i, s in enumerate(b.specs):
             data[:, i] = s.mean
-        b2 = b.with_data(data)
-        out = grid.standardize(b2)
-        assert np.all(out.data == 0)
+        out = grid.standardize_array(data, b.specs)
+        assert np.all(out == 0)
 
     def test_identity_when_standard(self):
         b = make_batch()
         specs = tuple(
             grid.VariableSpec(name=s.name, mean=0.0, std=1.0) for s in b.specs
         )
-        out = grid.standardize(b, specs)
-        np.testing.assert_array_equal(out.data, b.data)
+        out = grid.standardize_array(b.data, specs)
+        np.testing.assert_array_equal(out, b.data)
 
     def test_direct_arithmetic(self):
         b = make_batch(t=1, v=1)
-        b = b.with_data(np.full_like(b.data, 5.0))
         spec = (grid.VariableSpec(name="var0", mean=1.0, std=2.0),)
-        out = grid.standardize(b, spec)
-        np.testing.assert_allclose(out.data, 2.0)
+        out = grid.standardize_array(np.full_like(b.data, 5.0), spec)
+        np.testing.assert_allclose(out, 2.0)
 
     def test_roundtrip(self):
         b = make_batch(seed=3)
-        back = grid.destandardize(grid.standardize(b))
-        np.testing.assert_allclose(back.data, b.data, rtol=1e-6, atol=1e-6)
+        back = grid.destandardize_array(grid.standardize_array(b.data, b.specs), b.specs)
+        np.testing.assert_allclose(back, b.data, rtol=1e-6, atol=1e-6)
 
     def test_missing_spec_is_config_error(self):
         b = make_batch(v=2)
         with pytest.raises(ConfigError):
-            grid.standardize(b, b.specs[:1])
+            grid.standardize_array(b.data, b.specs[:1])
+        with pytest.raises(ConfigError):
+            grid.destandardize_array(b.data, b.specs[:1])
 
 
 class TestResiduals:
     def test_constant_sequence_zero(self):
         b = make_batch()
-        b = b.with_data(np.ones_like(b.data))
+        b = dataclasses.replace(b, data=np.ones_like(b.data))
         r = grid.residuals(b, specs=b.specs)
         assert np.all(r.data == 0)
 
@@ -89,7 +91,7 @@ class TestResiduals:
         data = np.broadcast_to(
             np.arange(5, dtype=np.float32)[:, None, None, None], b.data.shape
         ).copy()
-        r = grid.residuals(b.with_data(data), specs=b.specs)
+        r = grid.residuals(dataclasses.replace(b, data=data), specs=b.specs)
         np.testing.assert_array_equal(r.data, np.ones_like(r.data))
 
     def test_matches_subtraction_oracle(self):
@@ -183,6 +185,16 @@ class TestFieldFile:
         grid.write_fields(b, p1)
         grid.write_fields(grid.read_fields(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_non_utf8_variable_name(self, tmp_path):
+        b = grid.gen_synthetic(seed=0, h=8, w=8, v=2, t=1, names=["ab", "cd"])
+        path = tmp_path / "x.pyld"
+        grid.write_fields(b, path)
+        path.write_bytes(path.read_bytes().replace(b"cd", b"\xc3\x28", 1))
+        with pytest.raises(FormatError, match="not valid UTF-8") as info:
+            grid.read_fields(path)
+        # magic 8 + dims 16 + first record (2 + 2 + 32) + name length 2
+        assert info.value.offset == 62
 
     def test_empty_file_bad_magic(self, tmp_path):
         path = tmp_path / "empty.pyld"

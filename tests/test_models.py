@@ -215,8 +215,3 @@ class TestTraining:
             if err_last < err_first:
                 wins += 1
         assert wins >= 2
-
-    def test_loss_csv(self, tmp_path):
-        path = tmp_path / "loss.csv"
-        models.write_loss_csv(path, [1.0, 0.5])
-        assert path.read_text().splitlines() == ["iter,loss", "0,1", "1,0.5"]

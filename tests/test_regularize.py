@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from nimbus import grid, regularize, spectral
+from nimbus import autodiff as ad
+from nimbus import grid, models, regularize, spectral
 from nimbus.errors import DomainError
 from nimbus.regularize import Strategy
 
@@ -9,6 +10,20 @@ from nimbus.regularize import Strategy
 def sloped_fields(slopes, h=64, w=64, seed=0):
     b = grid.gen_synthetic(seed=seed, h=h, w=w, v=len(slopes), t=1, spectral_slopes=slopes)
     return b.data[0].astype(np.float64)
+
+
+def targets(x, strategy, gamma, se_factor=1):
+    """models.build_targets on one (V, H, W) sample."""
+    return models.build_targets(x[None], strategy, gamma, se_factor)[0]
+
+
+def masked_latent(z, strategy, gamma, se_factor=1):
+    """models.mask_latent on one (C, h, w) latent."""
+    return models.mask_latent(ad.constant(z[None]), strategy, gamma, se_factor).data[0]
+
+
+def vamfm_cutoff(plane, gamma):
+    return spectral.cutoff_for_ratio(spectral.radial_profile(spectral.fft2(plane)), gamma)
 
 
 def shell_mass_at(x, r_cut):
@@ -41,55 +56,48 @@ class TestVamfm:
     def test_gamma_one_identity(self):
         x = sloped_fields([1.0, 3.0])
         z = np.random.default_rng(0).standard_normal((4, 16, 16))
-        tx, tz = regularize.vamfm_targets(x, z, 1.0)
-        np.testing.assert_array_equal(tx, x)
-        np.testing.assert_array_equal(tz, z)
+        np.testing.assert_array_equal(targets(x, Strategy.VAMFM, 1.0), x)
+        np.testing.assert_array_equal(masked_latent(z, Strategy.VAMFM, 1.0), z)
 
     def test_energy_alignment_across_slopes(self):
         x = sloped_fields([1.0, 3.5], seed=5)
-        z = np.zeros((2, 16, 16))
-        z[0, 0, 0] = 1.0
-        tx, _ = regularize.vamfm_targets(x, z, 0.5)
-        plan = regularize.vamfm_plan(x, 0.5)
+        tx = targets(x, Strategy.VAMFM, 0.5)
+        cutoffs = [vamfm_cutoff(x[v], 0.5) for v in range(2)]
         fracs, masses = [], []
         for v in range(2):
             total = np.abs(spectral.fft2(x[v]).coeffs).sum()
             kept = np.abs(spectral.fft2(tx[v]).coeffs).sum()
             fracs.append(kept / total)
-            masses.append(shell_mass_at(x[v], plan.input_cutoffs[v]))
+            masses.append(shell_mass_at(x[v], cutoffs[v]))
+            np.testing.assert_array_equal(tx[v], spectral.lowpass(x[v], cutoffs[v]))
         for frac, mass in zip(fracs, masses):
             assert 0.5 - 1e-6 <= frac <= 0.5 + mass + 1e-6
-        assert abs(plan.input_cutoffs[0] - plan.input_cutoffs[1]) > 0.05
+        assert abs(cutoffs[0] - cutoffs[1]) > 0.05
 
     def test_zero_latent_stays_zero(self):
-        x = sloped_fields([2.0])
         z = np.zeros((3, 16, 16))
-        _, tz = regularize.vamfm_targets(x, z, 0.5)
-        np.testing.assert_array_equal(tz, 0.0)
+        np.testing.assert_array_equal(masked_latent(z, Strategy.VAMFM, 0.5), 0.0)
 
     def test_tiny_latent_rejected(self):
-        x = sloped_fields([2.0])
         with pytest.raises(DomainError):
-            regularize.vamfm_targets(x, np.zeros((2, 1, 1)), 0.5)
+            masked_latent(np.zeros((2, 1, 1)), Strategy.VAMFM, 0.5)
 
 
 class TestFfm:
     def test_gamma_one_identity(self):
         x = sloped_fields([1.0])
         z = np.random.default_rng(0).standard_normal((2, 8, 8))
-        tx, tz = regularize.ffm_targets(x, z, 1.0)
-        np.testing.assert_array_equal(tx, x)
-        np.testing.assert_array_equal(tz, z)
+        np.testing.assert_array_equal(targets(x, Strategy.FFM, 1.0), x)
+        np.testing.assert_array_equal(masked_latent(z, Strategy.FFM, 1.0), z)
 
     def test_input_cutoff_pairing(self):
         x = sloped_fields([1.0, 2.0, 3.0])
-        plan = regularize.ffm_plan(x, 0.25)
-        np.testing.assert_array_equal(plan.input_cutoffs, 0.05)
+        np.testing.assert_array_equal(targets(x, Strategy.FFM, 0.25), spectral.lowpass(x, 0.05))
         assert regularize.FFM_INPUT_CUTOFFS == {0.25: 0.05, 0.5: 0.10, 0.75: 0.20, 1.0: 1.0}
 
     def test_heterogeneous_retention(self):
         x = sloped_fields([1.0, 3.5], seed=7)
-        tx, _ = regularize.ffm_targets(x, np.zeros((1, 8, 8)), 0.25)
+        tx = targets(x, Strategy.FFM, 0.25)
         fracs = []
         for v in range(2):
             total = np.abs(spectral.fft2(x[v]).coeffs).sum()
@@ -99,9 +107,8 @@ class TestFfm:
     def test_alignment_beats_ffm_in_range(self):
         slopes = np.linspace(1.0, 3.5, 8)
         x = sloped_fields(list(slopes), seed=9)
-        z = np.zeros((1, 8, 8))
-        vam, _ = regularize.vamfm_targets(x, z, 0.5)
-        ffm, _ = regularize.ffm_targets(x, z, 0.5)
+        vam = targets(x, Strategy.VAMFM, 0.5)
+        ffm = targets(x, Strategy.FFM, 0.5)
 
         def fracs(tx):
             out = []
@@ -117,8 +124,8 @@ class TestFfm:
         x = sloped_fields([1.5, 2.5], seed=11)
         z = np.random.default_rng(0).standard_normal((2, 16, 16))
         for gamma in (0.25, 0.5, 0.75):
-            for fn in (regularize.vamfm_targets, regularize.ffm_targets):
-                tx, tz = fn(x, z, gamma)
+            for strategy in (Strategy.VAMFM, Strategy.FFM):
+                tx, tz = targets(x, strategy, gamma), masked_latent(z, strategy, gamma)
                 for v in range(2):
                     assert (
                         np.abs(spectral.fft2(tx[v]).coeffs).sum()
@@ -135,26 +142,25 @@ class TestSe:
     def test_factor_one_identity(self):
         x = sloped_fields([2.0])
         z = np.random.default_rng(0).standard_normal((2, 8, 8))
-        tx, tz = regularize.se_targets(x, z, 1)
-        np.testing.assert_array_equal(tx, x)
-        np.testing.assert_array_equal(tz, z)
+        np.testing.assert_array_equal(targets(x, Strategy.SE, 1.0, 1), x)
+        np.testing.assert_array_equal(masked_latent(z, Strategy.SE, 1.0, 1), z)
 
     def test_constant_field_stays_constant(self):
         x = np.full((1, 16, 16), 2.5)
         z = np.full((1, 8, 8), -1.0)
-        tx, tz = regularize.se_targets(x, z, 2)
-        np.testing.assert_allclose(tx, 2.5)
-        np.testing.assert_allclose(tz, -1.0)
+        np.testing.assert_allclose(targets(x, Strategy.SE, 1.0, 2), 2.5)
+        np.testing.assert_allclose(masked_latent(z, Strategy.SE, 1.0, 2), -1.0)
 
     def test_checkerboard_cancels(self):
         x = np.indices((4, 4)).sum(axis=0) % 2 * 2.0 - 1.0
-        tx, _ = regularize.se_targets(x[None], np.zeros((1, 4, 4)), 2)
-        np.testing.assert_allclose(tx, 0.0)
+        np.testing.assert_allclose(targets(x[None], Strategy.SE, 1.0, 2), 0.0)
 
     def test_bad_factor(self):
         x = sloped_fields([2.0])
         with pytest.raises(DomainError):
-            regularize.se_targets(x, np.zeros((1, 8, 8)), 3)
+            targets(x, Strategy.SE, 1.0, 3)
+        with pytest.raises(DomainError):
+            masked_latent(np.zeros((1, 8, 8)), Strategy.SE, 1.0, 3)
 
     def test_non_dividing_factor(self):
         with pytest.raises(DomainError):
@@ -164,10 +170,10 @@ class TestSe:
 def test_targets_deterministic():
     x = sloped_fields([1.0, 2.0], seed=13)
     z = np.random.default_rng(1).standard_normal((2, 16, 16))
-    a = regularize.vamfm_targets(x, z, 0.5)
-    b = regularize.vamfm_targets(x, z, 0.5)
-    np.testing.assert_array_equal(a[0], b[0])
-    np.testing.assert_array_equal(a[1], b[1])
+    np.testing.assert_array_equal(targets(x, Strategy.VAMFM, 0.5), targets(x, Strategy.VAMFM, 0.5))
+    np.testing.assert_array_equal(
+        masked_latent(z, Strategy.VAMFM, 0.5), masked_latent(z, Strategy.VAMFM, 0.5)
+    )
 
 
 def test_strategy_enum_round_trip():

@@ -45,7 +45,8 @@ class TestFft2:
         rng = np.random.default_rng(1)
         for h, w in [(8, 8), (12, 20), (9, 7), (16, 30)]:
             x = rng.standard_normal((h, w))
-            np.testing.assert_allclose(spectral.ifft2(spectral.fft2(x)), x, rtol=1e-5, atol=1e-8)
+            back = np.fft.ifft2(spectral.fft2(x).coeffs).real
+            np.testing.assert_allclose(back, x, rtol=1e-5, atol=1e-8)
 
     def test_parseval(self):
         rng = np.random.default_rng(2)
@@ -164,7 +165,8 @@ class TestLowpass:
         x = np.fft.ifft2(amp * (rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64)))).real
         prof = spectral.radial_profile(spectral.fft2(x))
         cut = spectral.cutoff_for_ratio(prof, 0.75)
-        frac = spectral.retained_energy(x, cut)
+        kept = np.abs(np.fft.fft2(spectral.lowpass(x, cut))).sum()
+        frac = kept / np.abs(spectral.fft2(x).coeffs).sum()
         idx = int(np.searchsorted(prof.radii, cut))
         shell_mass = prof.cumulative[idx] - (prof.cumulative[idx - 1] if idx else 0.0)
         assert 0.75 - 1e-9 <= frac <= 0.75 + shell_mass + 1e-9
@@ -181,6 +183,34 @@ class TestLowpass:
         lhs = spectral.lowpass(2.0 * a + 3.0 * b, 0.5)
         rhs = 2.0 * spectral.lowpass(a, 0.5) + 3.0 * spectral.lowpass(b, 0.5)
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_per_plane_radii_match_scalar_calls(self, dtype):
+        rng = np.random.default_rng(10)
+        x = rng.standard_normal((2, 3, 16, 24)).astype(dtype)
+        radii = rng.uniform(0.05, 1.4, size=(2, 3))
+        out = spectral.lowpass(x, radii)
+        for i in range(2):
+            for c in range(3):
+                np.testing.assert_array_equal(out[i, c], spectral.lowpass(x[i, c], radii[i, c]))
+
+    def test_float32_in_float32_out(self):
+        x = np.random.default_rng(11).standard_normal((4, 16, 16))
+        out = spectral.lowpass(x.astype(np.float32), 0.5)
+        assert out.dtype == np.float32
+        np.testing.assert_allclose(out, spectral.lowpass(x, 0.5), atol=1e-5)
+        assert spectral.lowpass(x, 0.5).dtype == np.float64
+
+    def test_negative_radius_rejected(self):
+        x = np.zeros((2, 8, 8))
+        with pytest.raises(DomainError):
+            spectral.lowpass(x, -0.1)
+        with pytest.raises(DomainError):
+            spectral.lowpass(x, np.array([0.5, -1e-9]))
+
+    def test_radius_shape_must_match_planes(self):
+        with pytest.raises(DomainError):
+            spectral.lowpass(np.zeros((2, 3, 8, 8)), np.full(3, 0.5))
 
 
 class TestBandEnergy:
@@ -218,13 +248,3 @@ class TestBandEnergy:
         x = np.random.default_rng(seed).standard_normal((12, 18))
         out = spectral.band_energy(x, [0.0, 0.5, 1.0, spectral.R_CORNER])
         assert out.sum() == pytest.approx(1.0, abs=1e-9)
-
-
-def test_profile_csv(tmp_path):
-    x = np.random.default_rng(0).standard_normal((16, 16))
-    prof = spectral.radial_profile(spectral.fft2(x))
-    path = tmp_path / "prof.csv"
-    spectral.profile_to_csv(prof, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "radius,amplitude,cumulative"
-    assert len(lines) == 1 + len(prof.radii)
