@@ -536,23 +536,24 @@ def share_blas_threads(n: int):
 def _corr(x, w, strides):
     """Valid cross-correlation via im2col GEMM.
 
-    x: (B, C, *spatial), w: (O, C, *kernel); strides aligned with spatial axes.
-    Returns (out (B, O, *out_spatial), cols) with cols kept for the weight
-    gradient.
+    Callers pass channels-first: x (B, C, *spatial), w (O, C, *kernel);
+    strides aligned with spatial axes. Returns (out (B, O, *out_spatial),
+    cols), cols kept for the weight gradient. Each row of cols is one window
+    ordered (*kernel, C): gathered from a channels-last copy of x, every row
+    copies contiguous runs of kw*C elements.
     """
     nsp = w.ndim - 2
     ksz = w.shape[2:]
-    win = sliding_window_view(x, ksz, axis=tuple(range(2, 2 + nsp)))
-    slicer = (slice(None), slice(None)) + tuple(slice(None, None, s) for s in strides)
-    win = win[slicer]
-    out_spatial = win.shape[2 : 2 + nsp]
-    b, c = x.shape[0], x.shape[1]
-    # (B, *out_spatial, C, *kernel) -> GEMM rows
-    order = (0,) + tuple(range(2, 2 + nsp)) + (1,) + tuple(range(2 + nsp, 2 + 2 * nsp))
-    cols = np.ascontiguousarray(win.transpose(order)).reshape(
-        b * int(np.prod(out_spatial)), c * int(np.prod(ksz))
+    xl = np.ascontiguousarray(np.moveaxis(x, 1, -1))
+    win = sliding_window_view(xl, ksz, axis=tuple(range(1, 1 + nsp)))
+    win = win[(slice(None),) + tuple(slice(None, None, s) for s in strides)]
+    out_spatial = win.shape[1 : 1 + nsp]
+    b = x.shape[0]
+    # (B, *out_spatial, C, *kernel) -> (B, *out_spatial, *kernel, C) -> GEMM rows
+    cols = np.ascontiguousarray(np.moveaxis(win, 1 + nsp, -1)).reshape(
+        b * int(np.prod(out_spatial)), -1
     )
-    wmat = w.reshape(w.shape[0], -1)
+    wmat = np.moveaxis(w, 1, -1).reshape(w.shape[0], -1)
     out = cols @ wmat.T
     out = out.reshape((b,) + tuple(out_spatial) + (w.shape[0],))
     out = np.moveaxis(out, -1, 1)
@@ -572,7 +573,7 @@ def _corr_input_grad(go, w, strides, padded_spatial):
     gd = np.pad(gd, pad)
     # Correlate with the kernel flipped in space and transposed in channels.
     w_rot = np.flip(w, axis=tuple(range(2, 2 + nsp))).swapaxes(0, 1)
-    gx, _ = _corr(gd, np.ascontiguousarray(w_rot), (1,) * nsp)
+    gx, _ = _corr(gd, w_rot, (1,) * nsp)
     return gx
 
 
@@ -593,7 +594,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1) -> Te
 
     def backward(go):
         go_mat = np.moveaxis(go, 1, -1).reshape(-1, o)
-        gw = (go_mat.T @ cols).reshape(w.data.shape)
+        gw = np.moveaxis((go_mat.T @ cols).reshape(o, kh, kw, c), -1, 1)
         gxp = _corr_input_grad(go, w.data, (stride, stride), padded_spatial)
         gx = _unpad_spatial(gxp, h, wd, pads)
         if b is None:
@@ -636,7 +637,7 @@ def conv3d(
 
     def backward(go):
         go_mat = np.moveaxis(go, 1, -1).reshape(-1, o)
-        gw = (go_mat.T @ cols).reshape(w.data.shape)
+        gw = np.moveaxis((go_mat.T @ cols).reshape(o, kt, kh, kw, c), -1, 1)
         gxp = _corr_input_grad(go, w.data, (stride_t, stride_hw, stride_hw), padded_spatial)
         gx = _unpad_spatial(gxp, h, wd, pads)
         if pad_t:

@@ -100,6 +100,17 @@ DEFAULT_CONFIG = {
 }
 
 
+# Allowed values of the keys that name a choice (or, for a list, each entry).
+CHOICES = {
+    "vae.regularizer": tuple(s.value for s in Strategy),
+    "diffusion.cond_mode": forecast.COND_MODES,
+    "ablate.strategies": tuple(s.value for s in Strategy),
+    "ablate.conds": forecast.COND_MODES,
+}
+# Integer keys that may be 0; every other integer key is a count or a size.
+ZERO_OK = ("iters", "seed", "rank_seed")
+
+
 def _check_section(defaults, given, path):
     if not isinstance(given, dict):
         raise ConfigError(f"section {path or '<root>'} must be an object")
@@ -119,21 +130,34 @@ def _check_section(defaults, given, path):
             if not isinstance(gval, bool):
                 raise ConfigError(f"{here} must be a boolean")
             merged[key] = gval
-        elif isinstance(dval, (int, float)) and not isinstance(dval, bool):
+        elif isinstance(dval, int):
+            if isinstance(gval, bool) or not isinstance(gval, int):
+                raise ConfigError(f"{here} must be an integer, got {gval!r}")
+            low = 0 if key in ZERO_OK else 1
+            if gval < low:
+                raise ConfigError(f"{here} must be at least {low}, got {gval}")
+            merged[key] = gval
+        elif isinstance(dval, float):
             if isinstance(gval, bool) or not isinstance(gval, (int, float)):
-                # sigma_data accepts "auto" as well as numbers.
-                if here == "diffusion.sigma_data" and gval == "auto":
-                    merged[key] = gval
-                    continue
                 raise ConfigError(f"{here} must be a number")
+            merged[key] = gval
+        elif here == "diffusion.sigma_data":
+            # "auto" (estimated from the latents) or a positive number.
+            number = isinstance(gval, (int, float)) and not isinstance(gval, bool)
+            if gval != "auto" and not (number and np.isfinite(gval) and gval > 0):
+                raise ConfigError(f'{here} must be "auto" or a positive number, got {gval!r}')
             merged[key] = gval
         elif isinstance(dval, str):
             if not isinstance(gval, str):
                 raise ConfigError(f"{here} must be a string")
+            if here in CHOICES and gval not in CHOICES[here]:
+                raise ConfigError(f"{here} must be one of {CHOICES[here]}, got {gval!r}")
             merged[key] = gval
         elif isinstance(dval, list):
             if not isinstance(gval, list):
                 raise ConfigError(f"{here} must be a list")
+            if here in CHOICES and any(v not in CHOICES[here] for v in gval):
+                raise ConfigError(f"{here} entries must be in {CHOICES[here]}, got {gval!r}")
             merged[key] = copy.deepcopy(gval)
         else:
             merged[key] = gval
@@ -372,7 +396,8 @@ def cmd_diagnose(cfg, args):
     bundle, fmodels = _rebuild_models(cfg, args, seed)
     k = cfg["mae"]["k"]
     vae = fmodels.vae
-    z_all = pipeline.residual_latents(vae, bundle)
+    resid_std = pipeline.standardized_residual_frames(bundle)
+    z_all = pipeline.residual_latents(vae, resid_std)
     z_bar_all = pipeline.conditioning_latents(
         fmodels.cond_mode,
         fmodels.mae if fmodels.cond_mode == "3dmae" else fmodels.frame_ae,
@@ -394,7 +419,6 @@ def cmd_diagnose(cfg, args):
         gen.append(edm.sample_deterministic(denoise, (1,) + z_all.shape[1:], rng, fmodels.edm_config)[0])
     gen = np.stack(gen)
     enc = z_all[targets[:n]]
-    resid_std = pipeline.standardized_residual_frames(bundle)
     reference = resid_std[targets[:n]]
     report = verify.diffusability_report(
         enc,

@@ -157,9 +157,8 @@ def _chunked(fn, data, chunk=8):
     return np.concatenate(outs, axis=0)
 
 
-def residual_latents(vae: models.Vae, bundle: DatasetBundle) -> np.ndarray:
-    """Posterior-mean latents of every standardized training residual."""
-    resid_std = standardized_residual_frames(bundle)
+def residual_latents(vae: models.Vae, resid_std: np.ndarray) -> np.ndarray:
+    """Posterior-mean latents of ``standardized_residual_frames(bundle)``."""
     return _chunked(vae.encode_mean, resid_std)
 
 
@@ -204,7 +203,8 @@ def train_denoiser(
 ):
     """Train the conditional denoiser on residual latents; returns (net, edm_cfg)."""
     k = cfg["k"]
-    z_all = residual_latents(vae, bundle)  # index t: residual of step t -> t+1
+    # index t: residual of step t -> t+1
+    z_all = residual_latents(vae, standardized_residual_frames(bundle))
     z_bar_all = conditioning_latents(cond_mode, cond_encoder, bundle, k)
     targets = np.arange(k, bundle.train.data.shape[0] - 1)
 

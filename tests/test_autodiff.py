@@ -184,6 +184,94 @@ class TestShapeOps:
         np.testing.assert_allclose(back.data, x.data, atol=1e-12)
 
 
+def reference_conv(x, w, strides, pad_t=0):
+    """Direct cross-correlation in float64: zero-pad T (causal) and H, wrap W.
+
+    x: (B, C, *spatial), w: (O, C, *kernel), spatial (H, W) or (T, H, W).
+    Sums kernel offsets one at a time with einsum over channels only.
+    """
+    x = np.asarray(x, np.float64)
+    w = np.asarray(w, np.float64)
+    *_, kh, kw = w.shape
+    lead = [(0, 0)] * (x.ndim - 4) if pad_t == 0 else [(pad_t, 0)]
+    x = np.pad(x, [(0, 0), (0, 0)] + lead + [((kh - 1) // 2, kh // 2), (0, 0)])
+    wd = x.shape[-1]
+    x = np.take(x, np.arange(-((kw - 1) // 2), wd + kw // 2) % wd, axis=-1)
+    ksz = w.shape[2:]
+    out_sz = [(n - k) // s + 1 for n, k, s in zip(x.shape[2:], ksz, strides)]
+    out = np.zeros((x.shape[0], w.shape[0], *out_sz))
+    for off in np.ndindex(*ksz):
+        win = x[(slice(None), slice(None)) + tuple(
+            slice(d, d + s * (n - 1) + 1, s) for d, s, n in zip(off, strides, out_sz)
+        )]
+        out += np.einsum("bc...,oc->bo...", win, w[(slice(None), slice(None)) + off])
+    return out
+
+
+class TestConvValues:
+    """conv2d/conv3d forward against the direct reference, not only its own gradient."""
+
+    TOL = {np.float32: 2e-5, np.float64: 1e-12}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_conv2d(self, dtype, stride):
+        rng = np.random.default_rng(stride)
+        x = rng.standard_normal((2, 3, 6, 8)).astype(dtype)
+        w = rng.standard_normal((4, 3, 1, 3)).astype(dtype)
+        out = ad.conv2d(ad.constant(x), ad.constant(w), stride=stride).data
+        assert out.dtype == dtype
+        ref = reference_conv(x, w, (stride, stride))
+        np.testing.assert_allclose(out, ref, rtol=0, atol=self.TOL[dtype] * np.abs(ref).max())
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("stride_t,stride_hw,pad_t", [(1, 1, 0), (2, 2, 1), (2, 1, 0), (1, 2, 1)])
+    def test_conv3d(self, dtype, stride_t, stride_hw, pad_t):
+        rng = np.random.default_rng(10 * stride_t + stride_hw + pad_t)
+        x = rng.standard_normal((2, 3, 5, 6, 8)).astype(dtype)
+        w = rng.standard_normal((4, 3, 2, 3, 1)).astype(dtype)
+        out = ad.conv3d(
+            ad.constant(x), ad.constant(w), stride_t=stride_t, stride_hw=stride_hw, pad_t=pad_t
+        ).data
+        assert out.dtype == dtype
+        ref = reference_conv(x, w, (stride_t, stride_hw, stride_hw), pad_t=pad_t)
+        np.testing.assert_allclose(out, ref, rtol=0, atol=self.TOL[dtype] * np.abs(ref).max())
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_grads_asymmetric_kernel(self, seed):
+        # C != O and kt != kh != kw, so a transposed kernel or channel axis fails.
+        rng = np.random.default_rng(seed)
+        x = random_param(rng, (2, 2, 4, 5, 6))
+        w = random_param(rng, (3, 2, 2, 3, 4), scale=0.5)
+        b = random_param(rng, (3,))
+
+        def loss():
+            out = ad.conv3d(x, w, b, stride_t=2, stride_hw=2, pad_t=1)
+            return ad.weighted_mse(out, np.zeros(out.data.shape))
+
+        check_grads(loss, [x, w, b])
+
+    @pytest.mark.parametrize(
+        "xshape,wshape,strides",
+        [((2, 3, 7, 8), (4, 3, 1, 3), (2, 2)), ((2, 3, 5, 6, 8), (4, 3, 2, 3, 1), (2, 1, 2))],
+    )
+    def test_corr_tracer_contract(self, xshape, wshape, strides):
+        # perfbench's conv_gflop and im2col_mb accounting reads _corr's
+        # arguments as x (B, C, *spatial), w (O, C, *kernel) and prices one
+        # cols row per output point, C * prod(kernel) wide.
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal(xshape).astype(np.float32)
+        w = rng.standard_normal(wshape).astype(np.float32)
+        out, cols = ad._corr(x, w, strides)
+        out_spatial = tuple(
+            (n - k) // s + 1 for n, k, s in zip(xshape[2:], wshape[2:], strides)
+        )
+        assert out.shape == (xshape[0], wshape[0], *out_spatial)
+        assert out.flags.c_contiguous
+        assert cols.shape == (xshape[0] * np.prod(out_spatial), xshape[1] * np.prod(wshape[2:]))
+        assert cols.dtype == x.dtype
+
+
 class TestConv2d:
     def test_identity_kernel(self):
         x = ad.constant(np.random.default_rng(0).standard_normal((1, 1, 6, 6)))

@@ -121,6 +121,46 @@ def test_unreadable_config_exits_2(tmp_path, content, message, caplog):
     assert message in caplog.text and str(path) in caplog.text
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("forecast", "members", 2.5),
+        ("vae", "batch", 1.5),
+        ("vae", "regularizer", "bogus"),
+        ("vae", "iters", -1),
+        ("vae", "batch", 0),
+        ("sampler", "steps", 2.5),
+        ("forecast", "members", 0),
+        ("forecast", "t_lead", 0),
+        ("diffusion", "cond_mode", "bogus"),
+        ("diffusion", "blocks", True),
+        ("diffusion", "sigma_data", -0.5),
+        ("diffusion", "sigma_data", "bogus"),
+        ("ablate", "strategies", ["se", "bogus"]),
+        ("ablate", "conds", ["2d", "bogus"]),
+    ],
+)
+@pytest.mark.parametrize("dry_run", [True, False])
+def test_bad_config_value_exits_2(tmp_path, section, key, value, dry_run, caplog):
+    cfg = {name: dict(entries) for name, entries in TINY.items()}
+    cfg.setdefault(section, {})[key] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    flags = ["--dry-run"] if dry_run else []
+    with caplog.at_level(logging.ERROR, logger="nimbus"):
+        argv = ["gen-data", "--config", str(path), "--out", str(tmp_path / "out"), *flags]
+        assert cli.main(argv) == 2
+    assert f"configuration error: {section}.{key} " in caplog.text
+    assert not (tmp_path / "out").exists()
+
+
+def test_numeric_sigma_data_accepted(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"diffusion": {"sigma_data": 0.5}, "vae": {"iters": 0}}))
+    cfg = cli.load_config(str(path))
+    assert cfg["diffusion"]["sigma_data"] == 0.5 and cfg["vae"]["iters"] == 0
+
+
 def test_evaluate_missing_member_exits_2(trained, tmp_path, caplog):
     out, config, _ = trained
     shutil.copy(out / "dataset.pyld", tmp_path)
@@ -155,17 +195,23 @@ def test_ablate_rows_do_not_depend_on_workers(trained):
 def test_stages_standardize_states_once(trained, tmp_path, monkeypatch):
     out, config, _ = trained
     shutil.copytree(out, tmp_path, dirs_exist_ok=True)
-    counts = {}
-    state_frames = pipeline.standardized_state_frames
+    counts = {"standardized_state_frames": {}, "standardized_residual_frames": {}}
 
-    def counting(bundle):
-        counts[stage] = counts.get(stage, 0) + 1
-        return state_frames(bundle)
+    def counting(name):
+        frames = getattr(pipeline, name)
 
-    monkeypatch.setattr(pipeline, "standardized_state_frames", counting)
+        def counted(bundle):
+            counts[name][stage] = counts[name].get(stage, 0) + 1
+            return frames(bundle)
+
+        return counted
+
+    for name in counts:
+        monkeypatch.setattr(pipeline, name, counting(name))
     for stage in ("train-diffusion", "diagnose"):
         assert cli.main([stage, "--config", str(config), "--out", str(tmp_path)]) == 0
-    assert counts == {"train-diffusion": 1, "diagnose": 1}
+    for name in counts:
+        assert counts[name] == {"train-diffusion": 1, "diagnose": 1}, name
 
 
 def test_non_utf8_variable_name_exits_3(trained, tmp_path, caplog):
