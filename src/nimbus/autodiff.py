@@ -438,15 +438,29 @@ def weighted_mse(pred: Tensor, target, weights=None) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _pad_spatial(x, kh, kw):
+def _pad_spatial(x, kh, kw, pad_t=0):
+    """Pad x (B, C, [T,] H, W) for a same-size conv in one channels-last copy.
+
+    H gets zeros, W wraps around, and a 5D input gets ``pad_t`` causal zero
+    frames before T. The result is the channels-first view of one
+    C-contiguous (B, *padded, C) buffer, so ``_corr``'s channels-last copy
+    of it is free.
+    """
     pt, pb = (kh - 1) // 2, kh - 1 - (kh - 1) // 2
     pl, pr = (kw - 1) // 2, kw - 1 - (kw - 1) // 2
-    if pt or pb:
-        padding = [(0, 0)] * (x.ndim - 2) + [(pt, pb), (0, 0)]
-        x = np.pad(x, padding)
-    if pl or pr:
-        x = np.concatenate([x[..., -pl:], x, x[..., :pr]], axis=-1) if pl else np.concatenate([x, x[..., :pr]], axis=-1)
-    return x, (pt, pb, pl, pr)
+    b, c, *t, h, w = x.shape  # t is [T] for a 5D input, [] for 4D
+    buf = np.empty((b, *(n + pad_t for n in t), pt + h + pb, pl + w + pr, c), x.dtype)
+    if t:
+        buf[:, :pad_t] = 0
+    buf[..., :pt, :, :] = 0
+    buf[..., pt + h :, :, :] = 0
+    inner = tuple(slice(pad_t, None) for _ in t) + (slice(pt, pt + h), slice(pl, pl + w))
+    buf[(slice(None),) + inner] = np.moveaxis(x, 1, -1)
+    if pl:
+        buf[..., :pl, :] = buf[..., w : w + pl, :]
+    if pr:
+        buf[..., pl + w :, :] = buf[..., pl : pl + pr, :]
+    return np.moveaxis(buf, -1, 1), (pt, pb, pl, pr)
 
 
 def _unpad_spatial(gp, h, w, pads):
@@ -458,19 +472,6 @@ def _unpad_spatial(gp, h, w, pads):
         out[..., w - pl :] += g[..., :pl]
     if pr:
         out[..., :pr] += g[..., pl + w :]
-    return out
-
-
-def _dilate(go, strides):
-    """Insert stride-1 zeros between gradient entries along trailing axes."""
-    if all(s == 1 for s in strides):
-        return go
-    lead = go.shape[: go.ndim - len(strides)]
-    tail = go.shape[go.ndim - len(strides) :]
-    new_tail = tuple((n - 1) * s + 1 for n, s in zip(tail, strides))
-    out = np.zeros(lead + new_tail, dtype=go.dtype)
-    idx = (Ellipsis,) + tuple(slice(None, None, s) for s in strides)
-    out[idx] = go
     return out
 
 
@@ -561,19 +562,22 @@ def _corr(x, w, strides):
 
 
 def _corr_input_grad(go, w, strides, padded_spatial):
-    """Gradient of a valid strided correlation w.r.t. its (padded) input."""
+    """Gradient of a valid strided correlation w.r.t. its (padded) input.
+
+    The gradient, spread out by the strides and zero-padded by kernel - 1 on
+    each side, is written once into a channels-last zero buffer and
+    correlated with the kernel flipped in space and transposed in channels.
+    """
     nsp = w.ndim - 2
     ksz = w.shape[2:]
-    gd = _dilate(go, strides)
-    pad = [(0, 0), (0, 0)]
-    for ax in range(nsp):
-        left = ksz[ax] - 1
-        right = ksz[ax] - 1 + (padded_spatial[ax] - (gd.shape[2 + ax] + ksz[ax] - 1))
-        pad.append((left, right))
-    gd = np.pad(gd, pad)
-    # Correlate with the kernel flipped in space and transposed in channels.
+    full = tuple(p + k - 1 for p, k in zip(padded_spatial, ksz))
+    gd = np.zeros((go.shape[0],) + full + (go.shape[1],), go.dtype)
+    spread = tuple(
+        slice(k - 1, k + (n - 1) * s, s) for k, n, s in zip(ksz, go.shape[2:], strides)
+    )
+    gd[(slice(None),) + spread] = np.moveaxis(go, 1, -1)
     w_rot = np.flip(w, axis=tuple(range(2, 2 + nsp))).swapaxes(0, 1)
-    gx, _ = _corr(gd, w_rot, (1,) * nsp)
+    gx, _ = _corr(np.moveaxis(gd, -1, 1), w_rot, (1,) * nsp)
     return gx
 
 
@@ -595,8 +599,10 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1) -> Te
     def backward(go):
         go_mat = np.moveaxis(go, 1, -1).reshape(-1, o)
         gw = np.moveaxis((go_mat.T @ cols).reshape(o, kh, kw, c), -1, 1)
-        gxp = _corr_input_grad(go, w.data, (stride, stride), padded_spatial)
-        gx = _unpad_spatial(gxp, h, wd, pads)
+        gx = None
+        if x.requires_grad:
+            gxp = _corr_input_grad(go, w.data, (stride, stride), padded_spatial)
+            gx = _unpad_spatial(gxp, h, wd, pads)
         if b is None:
             return gx, gw
         return gx, gw, go.sum(axis=(0, 2, 3))
@@ -625,10 +631,7 @@ def conv3d(
         raise DomainError(f"kernel expects {c} input channels, got {x.data.shape[1]}")
     if t + pad_t < kt:
         raise DomainError(f"temporal length {t} too short for kernel {kt}")
-    xd = x.data
-    if pad_t:
-        xd = np.pad(xd, ((0, 0), (0, 0), (pad_t, 0), (0, 0), (0, 0)))
-    xp, pads = _pad_spatial(xd, kh, kw)
+    xp, pads = _pad_spatial(x.data, kh, kw, pad_t)
     out, cols = _corr(xp, w.data, (stride_t, stride_hw, stride_hw))
     if b is not None:
         out = out + b.data[None, :, None, None, None]
@@ -638,10 +641,10 @@ def conv3d(
     def backward(go):
         go_mat = np.moveaxis(go, 1, -1).reshape(-1, o)
         gw = np.moveaxis((go_mat.T @ cols).reshape(o, kt, kh, kw, c), -1, 1)
-        gxp = _corr_input_grad(go, w.data, (stride_t, stride_hw, stride_hw), padded_spatial)
-        gx = _unpad_spatial(gxp, h, wd, pads)
-        if pad_t:
-            gx = gx[:, :, pad_t:]
+        gx = None
+        if x.requires_grad:
+            gxp = _corr_input_grad(go, w.data, (stride_t, stride_hw, stride_hw), padded_spatial)
+            gx = _unpad_spatial(gxp, h, wd, pads)[:, :, pad_t:]
         if b is None:
             return gx, gw
         return gx, gw, go.sum(axis=(0, 2, 3, 4))

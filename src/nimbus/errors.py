@@ -10,13 +10,14 @@ class ConfigError(ValueError):
 
 
 class FormatError(ValueError):
-    """A binary file does not match its declared format.
+    """A file does not match its declared format.
 
-    Carries the byte offset at which decoding failed.
+    Carries the byte offset at which decoding failed, or None when the fault
+    is not at one place in the file.
     """
 
-    def __init__(self, message, offset):
-        super().__init__(f"{message} (byte offset {offset})")
+    def __init__(self, message, offset=None):
+        super().__init__(message if offset is None else f"{message} (byte offset {offset})")
         self.offset = offset
 
 

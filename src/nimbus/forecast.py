@@ -22,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import edm, grid
-from .errors import ConfigError, DomainError, RolloutError
+from .errors import ConfigError, DomainError, FormatError, RolloutError
 from .models import FrameAe, Mae, Vae
 
 COND_MODES = ("3dmae", "2d", "none")
@@ -219,18 +219,37 @@ def _forecast_file(out_dir, name):
 
 
 def read_forecast(out_dir) -> EnsembleForecast:
-    with open(_forecast_file(out_dir, "manifest.json")) as fh:
-        manifest = json.load(fh)
-    members = manifest["members"]
-    batches = [
-        grid.read_fields(_forecast_file(out_dir, f"member_{m:03d}.pyld"))
-        for m in range(members)
-    ]
-    fields = np.stack([b.data for b in batches])
+    """The ensemble ``write_forecast`` wrote; a malformed one is a FormatError."""
+    path = _forecast_file(out_dir, "manifest.json")
+    try:
+        with open(path) as fh:
+            manifest = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError on non-UTF-8 bytes
+        raise FormatError(f"{path} is not valid JSON: {exc}") from exc
+    members = manifest.get("members") if isinstance(manifest, dict) else None
+    if isinstance(members, bool) or not isinstance(members, int) or members < 1:
+        raise FormatError(f"{path}: members must be an integer >= 1, got {members!r}")
+    seeds = manifest.get("member_seeds")
+    if not isinstance(seeds, list) or len(seeds) != members:
+        raise FormatError(
+            f"{path}: member_seeds must be a list of {members} entries, got {seeds!r}"
+        )
+    batches = []
+    for m in range(members):
+        member_path = _forecast_file(out_dir, f"member_{m:03d}.pyld")
+        try:
+            batches.append(grid.read_fields(member_path))
+        except FormatError as exc:
+            raise FormatError(f"{member_path}: {exc}") from exc
+        if batches[m].data.shape != batches[0].data.shape:
+            raise FormatError(
+                f"{member_path} has shape {batches[m].data.shape}, "
+                f"member_000.pyld {batches[0].data.shape}"
+            )
     first = batches[0]
     return EnsembleForecast(
-        fields=fields,
-        member_seeds=manifest["member_seeds"],
+        fields=np.stack([b.data for b in batches]),
+        member_seeds=seeds,
         lat=first.lat,
         lon=first.lon,
         specs=first.specs,

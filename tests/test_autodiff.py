@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from nimbus import autodiff as ad
+from nimbus import models
 from nimbus.errors import DomainError, FormatError
 
 N_SEEDS = 20
@@ -270,6 +271,89 @@ class TestConvValues:
         assert out.flags.c_contiguous
         assert cols.shape == (xshape[0] * np.prod(out_spatial), xshape[1] * np.prod(wshape[2:]))
         assert cols.dtype == x.dtype
+
+
+class TestPadding:
+    """Conv inputs are padded in one channels-last copy; constant inputs get no gradient."""
+
+    @staticmethod
+    def reference_pad(x, kh, kw, pad_t):
+        lead = [(pad_t, 0)] * (x.ndim - 4)
+        x = np.pad(x, [(0, 0), (0, 0)] + lead + [((kh - 1) // 2, kh // 2), (0, 0)])
+        return np.pad(x, [(0, 0)] * (x.ndim - 1) + [((kw - 1) // 2, kw // 2)], mode="wrap")
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "shape,pad_t", [((2, 3, 6, 8), 0), ((2, 3, 4, 6, 8), 0), ((2, 3, 4, 6, 8), 1)]
+    )
+    @pytest.mark.parametrize("kh", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kw", [1, 2, 3, 4])
+    def test_pad_spatial_matches_np_pad(self, dtype, shape, pad_t, kh, kw):
+        x = np.random.default_rng(kh * 10 + kw).standard_normal(shape).astype(dtype)
+        xp, pads = ad._pad_spatial(x, kh, kw, pad_t)
+        assert xp.dtype == dtype
+        np.testing.assert_array_equal(xp, self.reference_pad(x, kh, kw, pad_t))
+        assert np.moveaxis(xp, 1, -1).flags.c_contiguous
+        assert pads == ((kh - 1) // 2, kh // 2, (kw - 1) // 2, kw // 2)
+
+    def test_convs_pass_corr_the_padded_shape(self, monkeypatch):
+        seen = []
+        corr = ad._corr
+
+        def recording(x, w, strides):
+            seen.append(x.shape)
+            return corr(x, w, strides)
+
+        monkeypatch.setattr(ad, "_corr", recording)
+        x2 = ad.constant(np.ones((2, 3, 6, 8), np.float32))
+        ad.conv2d(x2, ad.constant(np.ones((4, 3, 3, 4), np.float32)))
+        x3 = ad.constant(np.ones((2, 3, 5, 6, 8), np.float32))
+        ad.conv3d(x3, ad.constant(np.ones((4, 3, 2, 3, 3), np.float32)), pad_t=1)
+        assert seen == [(2, 3, 6 + 2, 8 + 3), (2, 3, 5 + 1, 6 + 2, 8 + 2)]
+
+    @staticmethod
+    def mae():
+        cfg = models.MaeConfig(
+            latent_channels=3, channels=(4, 6), spatial_strides=(2, 2), decoder_channels=6, k=4
+        )
+        return models.Mae(2, cfg, np.random.default_rng(0))
+
+    def test_first_conv_input_gradient_not_formed(self, monkeypatch):
+        mae = self.mae()
+        window = np.random.default_rng(1).standard_normal((2, 2, 5, 8, 8)).astype(np.float32)
+        counts = {"corr": 0, "input_grad": 0}
+        corr, input_grad = ad._corr, ad._corr_input_grad
+
+        def counting_corr(*args):
+            counts["corr"] += 1
+            return corr(*args)
+
+        def counting_input_grad(*args):
+            counts["input_grad"] += 1
+            return input_grad(*args)
+
+        monkeypatch.setattr(ad, "_corr", counting_corr)
+        loss = models.mae_loss(mae, window)
+        convs = counts["corr"]
+        monkeypatch.setattr(ad, "_corr", corr)
+        monkeypatch.setattr(ad, "_corr_input_grad", counting_input_grad)
+        loss.backward()
+        assert convs > 1
+        assert counts["input_grad"] == convs - 1
+
+    def test_param_gradients_do_not_depend_on_input_grad(self):
+        window = np.random.default_rng(2).standard_normal((2, 2, 5, 8, 8)).astype(np.float32)
+        grads = []
+        for make in (ad.constant, ad.param):
+            mae = self.mae()
+            x = make(window)
+            recon = mae.decode(mae.encode(x, mask_last=True))
+            ad.weighted_mse(recon, window).backward()
+            assert (x.grad is not None) == x.requires_grad
+            grads.append({k: p.grad for k, p in mae.params.items()})
+        assert grads[0].keys() == grads[1].keys()
+        for key in grads[0]:
+            np.testing.assert_array_equal(grads[0][key], grads[1][key], err_msg=key)
 
 
 class TestConv2d:

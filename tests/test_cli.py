@@ -138,6 +138,16 @@ def test_unreadable_config_exits_2(tmp_path, content, message, caplog):
         ("diffusion", "sigma_data", "bogus"),
         ("ablate", "strategies", ["se", "bogus"]),
         ("ablate", "conds", ["2d", "bogus"]),
+        ("sampler", "rho", 0),
+        ("sampler", "sigma_min", -1),
+        ("sampler", "sigma_min", 0),
+        ("sampler", "sigma_max", 0.001),
+        ("sampler", "s_noise", float("inf")),
+        ("vae", "lr", float("nan")),
+        ("data", "h", 18),
+        ("data", "w", 30),
+        ("verify", "bands", [0.5, 0.2]),
+        ("verify", "bands", [0.0, 0.5, 1.0]),
     ],
 )
 @pytest.mark.parametrize("dry_run", [True, False])
@@ -173,6 +183,52 @@ def test_evaluate_missing_member_exits_2(trained, tmp_path, caplog):
     with caplog.at_level(logging.ERROR, logger="nimbus"):
         assert cli.main(["evaluate", "--config", str(config), "--out", str(tmp_path)]) == 2
     assert "member_001.pyld" in caplog.text
+
+
+def _manifest(text):
+    return lambda fc: (fc / "manifest.json").write_text(text)
+
+
+def _truncate_member(fc):
+    blob = (fc / "member_001.pyld").read_bytes()
+    (fc / "member_001.pyld").write_bytes(blob[:-5])
+
+
+def _reshape_member(fc):
+    batch = grid.read_fields(fc / "member_001.pyld")
+    grid.write_fields(dataclasses.replace(batch, data=batch.data[:1]), fc / "member_001.pyld")
+
+
+@pytest.mark.parametrize(
+    "damage, culprit",
+    [
+        (_manifest("{not json"), "manifest.json"),
+        (_manifest('{"member_seeds": []}'), "manifest.json"),
+        (_manifest('{"members": "2"}'), "manifest.json"),
+        (_manifest('{"members": 0}'), "manifest.json"),
+        (_manifest("[2]"), "manifest.json"),
+        (_manifest('{"members": 2, "member_seeds": [[0, 0]]}'), "manifest.json"),
+        (_truncate_member, "member_001.pyld"),
+        (_reshape_member, "member_001.pyld"),
+    ],
+    ids=[
+        "not-json", "no-members", "members-str", "members-0", "not-object", "seeds-short",
+        "truncated-member", "member-shape",
+    ],
+)
+def test_evaluate_malformed_forecast_exits_3(trained, tmp_path, damage, culprit, caplog):
+    out, config, _ = trained
+    shutil.copy(out / "dataset.pyld", tmp_path)
+    data = grid.read_fields(tmp_path / "dataset.pyld")
+    ens = forecast.EnsembleForecast(
+        np.stack([data.data[-2:]] * 2), [[0, 0], [0, 1]], data.lat, data.lon, data.specs
+    )
+    forecast.write_forecast(ens, tmp_path / "forecast")
+    damage(tmp_path / "forecast")
+    with caplog.at_level(logging.ERROR, logger="nimbus"):
+        assert cli.main(["evaluate", "--config", str(config), "--out", str(tmp_path)]) == 3
+    assert "numeric failure: " in caplog.text
+    assert str(tmp_path / "forecast" / culprit) in caplog.text
 
 
 def test_ablate_rows_do_not_depend_on_workers(trained):

@@ -175,6 +175,35 @@ class TestSamplers:
         ratio = samples.var(axis=0, ddof=1) / cov
         assert np.abs(ratio - 1.0).max() < 0.10
 
+    def test_cli_default_schedule(self):
+        # The product default: 18 Heun steps (35 denoiser calls) from
+        # sigma_max = 20, on the benchmark's oracle draw over 40 seeds (4 dims,
+        # mu ~ N(0, 1), cov ~ U(0.05, 1), 20000 samples). Tolerances: the
+        # variance ratio within 0.11 of 1 (the worst seed reads 0.099); the
+        # mean within 5 standard errors plus (|mu| / sigma_max + 0.01) sqrt(cov),
+        # since the N(0, sigma_max^2) start ignores mu.
+        from nimbus import cli
+
+        s = cli.DEFAULT_CONFIG["sampler"]
+        cfg = edm.EdmConfig(
+            sigma_data=1.0, sigma_min=s["sigma_min"], sigma_max=s["sigma_max"],
+            rho=s["rho"], steps=s["steps"],
+        )
+        n = 20000
+        for seed in range(40):
+            rng = np.random.default_rng([seed, 23])
+            mu = rng.normal(0.0, 1.0, size=4)
+            cov = rng.uniform(0.05, 1.0, size=4)
+            oracle = edm.analytic_gaussian_denoiser(mu, cov)
+            calls = []
+            x = edm.sample_deterministic(
+                lambda z, sigma: calls.append(sigma) or oracle(z, sigma), (n, 4), rng, cfg
+            )
+            assert len(calls) == 35
+            assert np.abs(x.var(axis=0, ddof=1) / cov - 1).max() <= 0.11, seed
+            mean_tol = 5 * np.sqrt(cov / n) + (np.abs(mu) / cfg.sigma_max + 0.01) * np.sqrt(cov)
+            assert np.all(np.abs(x.mean(axis=0) - mu) <= mean_tol), seed
+
     def test_one_step_finite(self):
         _, _, denoise = self.gaussian_problem()
         cfg = default_cfg(steps=1)
