@@ -824,13 +824,11 @@ def load_params(path) -> dict[str, np.ndarray]:
 def assign_params(params: dict[str, Tensor], arrays: dict[str, np.ndarray]) -> None:
     missing = set(params) - set(arrays)
     if missing:
-        raise FormatError(f"checkpoint missing tensors: {sorted(missing)}", 0)
+        raise FormatError(f"checkpoint missing tensors: {sorted(missing)}")
     extra = set(arrays) - set(params)
     if extra:
-        raise FormatError(f"checkpoint has tensors the model lacks: {sorted(extra)}", 0)
+        raise FormatError(f"checkpoint has tensors the model lacks: {sorted(extra)}")
     for k, p in params.items():
         if arrays[k].shape != p.data.shape:
-            raise FormatError(
-                f"tensor {k}: shape {arrays[k].shape} != expected {p.data.shape}", 0
-            )
+            raise FormatError(f"tensor {k}: shape {arrays[k].shape} != expected {p.data.shape}")
         p.data = arrays[k].astype(p.data.dtype)

@@ -23,6 +23,7 @@ import sys
 
 import numpy as np
 
+from . import autodiff as ad
 from . import __version__, edm, forecast, grid, pipeline, spectral, svgplot, verify
 from .errors import ConfigError, DomainError, FormatError, RolloutError
 from .regularize import Strategy
@@ -105,12 +106,14 @@ DEFAULT_CONFIG = {
 
 
 # Allowed values of the keys that name a choice (or, for a list, each entry).
+# No command trains the 2D frame encoder alone: only `ablate` conditions on it.
 CHOICES = {
     "vae.regularizer": tuple(s.value for s in Strategy),
-    "diffusion.cond_mode": forecast.COND_MODES,
+    "diffusion.cond_mode": ("3dmae", "none"),
     "ablate.strategies": tuple(s.value for s in Strategy),
-    "ablate.conds": forecast.COND_MODES,
+    "ablate.conds": pipeline.COND_MODES,
 }
+HINTS = {"diffusion.cond_mode": "; the 2d frame encoder runs only in `nimbus ablate` (ablate.conds)"}
 # Integer keys that may be 0; every other integer key is a count or a size.
 ZERO_OK = ("iters", "seed", "rank_seed")
 # Float keys that must be > 0 (every float must be finite).
@@ -157,15 +160,16 @@ def _check_section(defaults, given, path):
             merged[key] = gval
         elif here == "diffusion.sigma_data":
             # "auto" (estimated from the latents) or a positive number.
-            number = isinstance(gval, (int, float)) and not isinstance(gval, bool)
-            if gval != "auto" and not (number and np.isfinite(gval) and gval > 0):
+            if gval != "auto" and not _positive(gval):
                 raise ConfigError(f'{here} must be "auto" or a positive number, got {gval!r}')
             merged[key] = gval
         elif isinstance(dval, str):
             if not isinstance(gval, str):
                 raise ConfigError(f"{here} must be a string")
             if here in CHOICES and gval not in CHOICES[here]:
-                raise ConfigError(f"{here} must be one of {CHOICES[here]}, got {gval!r}")
+                raise ConfigError(
+                    f"{here} must be one of {CHOICES[here]}, got {gval!r}{HINTS.get(here, '')}"
+                )
             merged[key] = gval
         elif isinstance(dval, list):
             if not isinstance(gval, list):
@@ -183,6 +187,12 @@ def _check_section(defaults, given, path):
             f"got {merged['sigma_max']!r}"
         )
     return merged
+
+
+def _positive(value) -> bool:
+    """A finite number > 0; a JSON boolean is not a number."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return number and bool(np.isfinite(value)) and value > 0
 
 
 def _check_bands(here, bands):
@@ -247,13 +257,14 @@ def _load_bundle(cfg, args) -> pipeline.DatasetBundle:
         raise ConfigError(
             f"missing dataset at {path}; run `nimbus gen-data --out {args.out}` first"
         )
-    batch = grid.read_fields(path)
+    try:
+        batch = grid.read_fields(path)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     return pipeline.split_dataset(batch, cfg["forecast"]["train_frames"], cfg["mae"]["k"])
 
 
 def _save_model(params, out_dir, name):
-    from . import autodiff as ad
-
     path = os.path.join(out_dir, name)
     ad.save_params(params, path)
     return path
@@ -264,6 +275,37 @@ def _require_checkpoint(out_dir, name):
     if not os.path.exists(path):
         raise ConfigError(f"missing checkpoint: expected {path}")
     return path
+
+
+def _load(model, out_dir, name):
+    """``model`` with the parameters of checkpoint ``name``; a bad file is a FormatError naming it."""
+    path = _require_checkpoint(out_dir, name)
+    try:
+        ad.assign_params(model.params, ad.load_params(path))
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+    return model
+
+
+def _encoder(cfg, args, bundle, seed):
+    """The conditioning encoder from its checkpoint; None for cond_mode "none"."""
+    if cfg["diffusion"]["cond_mode"] == "none":
+        return None
+    return _load(pipeline.build_mae(bundle, cfg["mae"], seed), args.out, "mae.pypt")
+
+
+def _sigma_data(out_dir):
+    """sigma_data from edm_config.json: a finite number > 0, else a FormatError naming the file."""
+    path = _require_checkpoint(out_dir, "edm_config.json")
+    try:
+        with open(path) as fh:
+            saved = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError on non-UTF-8 bytes
+        raise FormatError(f"{path} is not valid JSON: {exc}") from exc
+    sigma = saved.get("sigma_data") if isinstance(saved, dict) else None
+    if not _positive(sigma):
+        raise FormatError(f"{path}: sigma_data must be a finite number > 0, got {sigma!r}")
+    return float(sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -304,68 +346,26 @@ def cmd_train_mae(cfg, args):
     log.info("saved 3D-MAE checkpoint")
 
 
-def _load_autoencoders(cfg, args, bundle, seed):
-    """The VAE and the conditioning encoder, rebuilt from their checkpoints.
-
-    Returns (vae, cond_mode, encoder); the encoder is None for cond_mode "none".
-    """
-    from . import autodiff as ad
-
-    vae = pipeline.build_vae(bundle, cfg["vae"], seed)
-    ad.assign_params(vae.params, ad.load_params(_require_checkpoint(args.out, "vae.pypt")))
-    cond_mode = cfg["diffusion"]["cond_mode"]
-    enc = None
-    if cond_mode == "3dmae":
-        enc = pipeline.build_mae(bundle, cfg["mae"], seed)
-        ad.assign_params(enc.params, ad.load_params(_require_checkpoint(args.out, "mae.pypt")))
-    elif cond_mode == "2d":
-        enc = pipeline.build_frame_ae(bundle, cfg["frame_ae"], seed)
-        ad.assign_params(enc.params, ad.load_params(_require_checkpoint(args.out, "frame_ae.pypt")))
-    return vae, cond_mode, enc
-
-
 def cmd_train_diffusion(cfg, args):
     bundle = _load_bundle(cfg, args)
     seed = args.seed or 0
-    vae, cond_mode, enc = _load_autoencoders(cfg, args, bundle, seed)
-    dcfg = dict(cfg["diffusion"])
-    dcfg["k"] = cfg["mae"]["k"]
-    net, edm_cfg = pipeline.train_denoiser(
-        bundle, dcfg, cfg["sampler"], vae, cond_mode, enc, seed
-    )
+    vae = _load(pipeline.build_vae(bundle, cfg["vae"], seed), args.out, "vae.pypt")
+    encoder = _encoder(cfg, args, bundle, seed)
+    net, edm_cfg = pipeline.train_denoiser(bundle, cfg, vae, encoder, seed)
     _save_model(net.params, args.out, "denoiser.pypt")
     with open(os.path.join(args.out, "edm_config.json"), "w") as fh:
         json.dump({"sigma_data": edm_cfg.sigma_data}, fh)
-    log.info("saved denoiser checkpoint (cond=%s)", cond_mode)
+    log.info("saved denoiser checkpoint (cond=%s)", cfg["diffusion"]["cond_mode"])
 
 
 def _rebuild_models(cfg, args, seed):
-    from . import autodiff as ad
-
     bundle = _load_bundle(cfg, args)
-    vae, cond_mode, enc = _load_autoencoders(cfg, args, bundle, seed)
-    net_cfg = edm.DenoiserConfig(
-        latent_channels=cfg["vae"]["latent_channels"],
-        hidden=cfg["diffusion"]["hidden"],
-        blocks=cfg["diffusion"]["blocks"],
-        t_frames=3 + cfg["mae"]["k"] // 2,
-        emb_dim=cfg["diffusion"]["emb_dim"],
-    )
-    net = edm.Denoiser(net_cfg, np.random.default_rng(0))
-    ad.assign_params(net.params, ad.load_params(_require_checkpoint(args.out, "denoiser.pypt")))
-    with open(_require_checkpoint(args.out, "edm_config.json")) as fh:
-        sigma_data = json.load(fh)["sigma_data"]
-    s = cfg["sampler"]
-    edm_cfg = edm.EdmConfig(
-        sigma_data=sigma_data,
-        sigma_min=s["sigma_min"],
-        sigma_max=s["sigma_max"],
-        rho=s["rho"],
-        steps=s["steps"],
-        churn=edm.ChurnConfig(s["s_churn"], s["s_min"], s["s_max"], s["s_noise"]),
-    )
-    return bundle, pipeline.build_models(
-        vae, net, edm_cfg, bundle, cfg["mae"]["k"], cond_mode, enc
+    vae = _load(pipeline.build_vae(bundle, cfg["vae"], seed), args.out, "vae.pypt")
+    encoder = _encoder(cfg, args, bundle, seed)
+    net = _load(pipeline.build_denoiser(cfg, seed), args.out, "denoiser.pypt")
+    edm_cfg = pipeline.edm_config(cfg["sampler"], _sigma_data(args.out))
+    return bundle, forecast.ForecastModels(
+        vae, net, edm_cfg, bundle.state_specs, bundle.resid_specs, cfg["mae"]["k"], encoder
     )
 
 
@@ -435,24 +435,16 @@ def cmd_diagnose(cfg, args):
     vae = fmodels.vae
     resid_std = pipeline.standardized_residual_frames(bundle)
     z_all = pipeline.residual_latents(vae, resid_std)
-    z_bar_all = pipeline.conditioning_latents(
-        fmodels.cond_mode,
-        fmodels.mae if fmodels.cond_mode == "3dmae" else fmodels.frame_ae,
-        bundle,
-        k,
-    )
+    z_bar_all = pipeline.conditioning_latents(fmodels.encoder, bundle, z_all, k)
     targets = np.arange(k, bundle.train.data.shape[0] - 1)
     n = min(64, len(targets))
     rng = np.random.default_rng(seed)
     gen = []
     for i in range(n):
         t = targets[i]
-        z_bar = (
-            z_bar_all[i][None]
-            if z_bar_all is not None
-            else np.zeros((1,) + z_all.shape[1:2] + (1 + k // 2,) + z_all.shape[-2:], np.float32)
+        denoise = edm.make_denoise_fn(
+            fmodels.denoiser, z_bar_all[i : i + 1], z_all[t - 1][None], fmodels.edm_config
         )
-        denoise = edm.make_denoise_fn(fmodels.denoiser, z_bar, z_all[t - 1][None], fmodels.edm_config)
         gen.append(edm.sample_deterministic(denoise, (1,) + z_all.shape[1:], rng, fmodels.edm_config)[0])
     gen = np.stack(gen)
     enc = z_all[targets[:n]]
@@ -512,8 +504,7 @@ def cmd_ablate(cfg, args):
             fh, fieldnames=["seed", "cond", "strategy", "rmse_first", "ssr_first", "crps_first"]
         )
         writer.writeheader()
-        for row in rows:
-            writer.writerow({k: row[k] for k in writer.fieldnames})
+        writer.writerows(rows)
     log.info("wrote %s (%d cells)", path, len(rows))
 
 

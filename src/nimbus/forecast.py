@@ -25,12 +25,13 @@ from . import edm, grid
 from .errors import ConfigError, DomainError, FormatError, RolloutError
 from .models import FrameAe, Mae, Vae
 
-COND_MODES = ("3dmae", "2d", "none")
-
-
 @dataclass
 class ForecastModels:
-    """Frozen model bundle plus the normalization statistics it was trained with."""
+    """Frozen model bundle plus the normalization statistics it was trained with.
+
+    ``encoder`` encodes the conditioning window: a 3D-MAE, a frame AE, or
+    None for zero conditioning.
+    """
 
     vae: Vae
     denoiser: edm.Denoiser
@@ -38,17 +39,7 @@ class ForecastModels:
     state_specs: tuple
     resid_specs: tuple
     k: int
-    cond_mode: str = "3dmae"
-    mae: Mae | None = None
-    frame_ae: FrameAe | None = None
-
-    def __post_init__(self):
-        if self.cond_mode not in COND_MODES:
-            raise DomainError(f"cond_mode must be one of {COND_MODES}")
-        if self.cond_mode == "3dmae" and self.mae is None:
-            raise DomainError("cond_mode '3dmae' requires a trained Mae")
-        if self.cond_mode == "2d" and self.frame_ae is None:
-            raise DomainError("cond_mode '2d' requires a trained FrameAe")
+    encoder: Mae | FrameAe | None
 
 
 @dataclass
@@ -69,24 +60,25 @@ def init_member_state(models: ForecastModels, init_window: np.ndarray) -> Member
     return MemberState(states=init_window.astype(np.float32), z_prev=z_prev)
 
 
-def conditioning_latent(models: ForecastModels, state: MemberState, streaming: bool = False):
-    """z_bar for the target time: masked window ending one step ahead."""
-    k = models.k
-    states_std = grid.standardize_array(state.states, models.state_specs)
-    if models.cond_mode == "none":
-        dummy = models.vae.latent_channels
-        h, w = state.z_prev.shape[-2:]
-        return np.zeros((1, dummy, 1 + k // 2, h, w), dtype=np.float32)
-    if models.cond_mode == "2d":
-        n = 1 + k // 2
-        frames = states_std[-n:]
-        z = models.frame_ae.encode_array(frames)
-        return np.ascontiguousarray(z.swapaxes(0, 1))[None]
-    # 3D-MAE: window (X_{t-k+1..t}, masked future frame).
-    future = np.zeros_like(states_std[:1])
-    window = np.concatenate([states_std[1:], future], axis=0)
-    window = np.ascontiguousarray(window.transpose(1, 0, 2, 3))[None]
-    return models.mae.encode_array(window, mask_last=True, streaming=streaming)
+def conditioning_latents(
+    encoder: Mae | FrameAe | None, recent: np.ndarray, z_prev: np.ndarray, streaming: bool = False
+) -> np.ndarray:
+    """z_bar for the step after ``recent``, (B, k, V, H, W) standardized states.
+
+    A 3D-MAE encodes the k states followed by the masked future frame, a
+    frame AE encodes the last 1 + k//2 states one by one, and no encoder
+    gives zeros shaped like the residual latents ``z_prev`` (B, C, h, w).
+    """
+    b, k = recent.shape[:2]
+    n = 1 + k // 2
+    if encoder is None:
+        return np.zeros((b, z_prev.shape[1], n) + z_prev.shape[2:], dtype=np.float32)
+    if isinstance(encoder, FrameAe):
+        z = encoder.encode_array(recent[:, -n:].reshape((b * n,) + recent.shape[2:]))
+        return np.ascontiguousarray(z.reshape((b, n) + z.shape[1:]).swapaxes(1, 2))
+    window = np.concatenate([recent, np.zeros_like(recent[:, :1])], axis=1)
+    window = np.ascontiguousarray(window.transpose(0, 2, 1, 3, 4))
+    return encoder.encode_array(window, mask_last=True, streaming=streaming)
 
 
 def step(
@@ -97,7 +89,8 @@ def step(
     streaming: bool = False,
 ) -> MemberState:
     """Advance one lead time; returns the new member state."""
-    z_bar = conditioning_latent(models, state, streaming=streaming)
+    recent = grid.standardize_array(state.states[1:], models.state_specs)[None]
+    z_bar = conditioning_latents(models.encoder, recent, state.z_prev[None], streaming)
     denoise = edm.make_denoise_fn(
         models.denoiser, z_bar, state.z_prev[None], models.edm_config
     )

@@ -10,9 +10,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
 from . import edm, forecast, grid, models, verify
 from .errors import ConfigError
 from .regularize import Strategy
+
+# Conditioning encoders the ablation compares: 3D-MAE, frame AE, none.
+COND_MODES = ("3dmae", "2d", "none")
 
 
 @dataclass
@@ -122,6 +126,38 @@ def build_frame_ae(bundle: DatasetBundle, cfg: dict, seed: int) -> models.FrameA
     )
 
 
+def build_denoiser(config: dict, seed: int) -> edm.Denoiser:
+    """The untrained denoiser that ``train_denoiser`` starts from, for the same seed."""
+    d = config["diffusion"]
+    return edm.Denoiser(
+        edm.DenoiserConfig(
+            latent_channels=config["vae"]["latent_channels"],
+            hidden=d["hidden"],
+            blocks=d["blocks"],
+            t_frames=3 + config["mae"]["k"] // 2,
+            emb_dim=d["emb_dim"],
+        ),
+        np.random.default_rng([seed, 404]),
+    )
+
+
+def edm_config(sampler: dict, sigma_data: float) -> edm.EdmConfig:
+    """The sampler section of a config, with the data's sigma_data."""
+    return edm.EdmConfig(
+        sigma_data=sigma_data,
+        sigma_min=sampler["sigma_min"],
+        sigma_max=sampler["sigma_max"],
+        rho=sampler["rho"],
+        steps=sampler["steps"],
+        churn=edm.ChurnConfig(
+            s_churn=sampler["s_churn"],
+            s_min=sampler["s_min"],
+            s_max=sampler["s_max"],
+            s_noise=sampler["s_noise"],
+        ),
+    )
+
+
 def train_vae(bundle: DatasetBundle, cfg: dict, strategy: Strategy, seed: int) -> models.Vae:
     vae = build_vae(bundle, cfg, seed)
     tc = models.TrainConfig(
@@ -162,125 +198,52 @@ def residual_latents(vae: models.Vae, resid_std: np.ndarray) -> np.ndarray:
     return _chunked(vae.encode_mean, resid_std)
 
 
-def conditioning_latents(
-    cond_mode: str, encoder, bundle: DatasetBundle, k: int
-) -> np.ndarray | None:
+def conditioning_latents(encoder, bundle: DatasetBundle, z_all: np.ndarray, k: int) -> np.ndarray:
     """z_bar for every trainable target step t in [k, T-2].
 
-    Index i of the output conditions the step t = k + i (predicting frame
-    t+1 of the training sequence).
+    Row i conditions the step t = k + i (predicting frame t+1 of the
+    training sequence) with the call ``forecast.step`` makes for a member
+    whose last k+1 states are frames t-k..t; ``z_all`` are the residual
+    latents.
     """
     states_std = standardized_state_frames(bundle)
-    t_total = states_std.shape[0]
-    targets = range(k, t_total - 1)
-    if cond_mode == "none":
-        return None
-    if cond_mode == "2d":
-        n = 1 + k // 2
-        frames = np.stack([states_std[t - n + 1 : t + 1] for t in targets])
-        b, nf, v, h, w = frames.shape
-        flat = frames.reshape(b * nf, v, h, w)
-        z = _chunked(encoder.encode_array, flat, chunk=16)
-        z = z.reshape(b, nf, z.shape[1], z.shape[2], z.shape[3])
-        return np.ascontiguousarray(z.transpose(0, 2, 1, 3, 4))
-    windows = []
-    for t in targets:
-        win = states_std[t - k + 1 : t + 1]
-        win = np.concatenate([win, np.zeros_like(win[:1])], axis=0)
-        windows.append(win.transpose(1, 0, 2, 3))
-    windows = np.ascontiguousarray(np.stack(windows))
-    return _chunked(lambda b: encoder.encode_array(b, mask_last=True), windows, chunk=4)
+    targets = np.arange(k, states_std.shape[0] - 1)
+
+    def encode(ts):
+        recent = np.stack([states_std[t - k + 1 : t + 1] for t in ts])
+        return forecast.conditioning_latents(encoder, recent, z_all[ts - 1])
+
+    return _chunked(encode, targets, chunk=4)
 
 
-def train_denoiser(
-    bundle: DatasetBundle,
-    cfg: dict,
-    sampler_cfg: dict,
-    vae: models.Vae,
-    cond_mode: str,
-    cond_encoder,
-    seed: int,
-):
+def train_denoiser(bundle: DatasetBundle, config: dict, vae: models.Vae, encoder, seed: int):
     """Train the conditional denoiser on residual latents; returns (net, edm_cfg)."""
-    k = cfg["k"]
+    cfg = config["diffusion"]
+    k = config["mae"]["k"]
     # index t: residual of step t -> t+1
     z_all = residual_latents(vae, standardized_residual_frames(bundle))
-    z_bar_all = conditioning_latents(cond_mode, cond_encoder, bundle, k)
+    z_bar_all = conditioning_latents(encoder, bundle, z_all, k)
     targets = np.arange(k, bundle.train.data.shape[0] - 1)
-
-    cz = vae.latent_channels
-    hh, ww = z_all.shape[-2:]
-    t_frames = 3 + k // 2
     if cfg["sigma_data"] == "auto":
         sigma_data = max(edm.estimate_sigma_data(z_all), 1e-3)
     else:
         sigma_data = float(cfg["sigma_data"])
-    edm_cfg = edm.EdmConfig(
-        sigma_data=sigma_data,
-        sigma_min=sampler_cfg["sigma_min"],
-        sigma_max=sampler_cfg["sigma_max"],
-        rho=sampler_cfg["rho"],
-        steps=sampler_cfg["steps"],
-        churn=edm.ChurnConfig(
-            s_churn=sampler_cfg["s_churn"],
-            s_min=sampler_cfg["s_min"],
-            s_max=sampler_cfg["s_max"],
-            s_noise=sampler_cfg["s_noise"],
-        ),
-    )
-    rng = np.random.default_rng([seed, 404])
-    net = edm.Denoiser(
-        edm.DenoiserConfig(
-            latent_channels=cz,
-            hidden=cfg["hidden"],
-            blocks=cfg["blocks"],
-            t_frames=t_frames,
-            emb_dim=cfg["emb_dim"],
-        ),
-        rng,
-    )
-    from . import autodiff as ad
-
+    edm_cfg = edm_config(config["sampler"], sigma_data)
+    net = build_denoiser(config, seed)
     opt = ad.AdamW(net.params, lr=cfg["lr"], betas=(0.9, 0.95))
     train_rng = np.random.default_rng([seed, 505])
     batch = cfg["batch"]
     for _ in range(cfg["iters"]):
         pick = train_rng.integers(0, len(targets), size=batch)
         ts = targets[pick]
-        z_clean = z_all[ts]
-        z_prev = z_all[ts - 1]
-        if z_bar_all is None:
-            z_bar = np.zeros((batch, cz, 1 + k // 2, hh, ww), dtype=np.float32)
-        else:
-            z_bar = z_bar_all[pick]
         sigma = edm.sample_sigma(train_rng, edm_cfg, size=batch)
-        loss = edm.diffusion_loss(net, z_clean, z_bar, z_prev, sigma, train_rng, edm_cfg)
+        loss = edm.diffusion_loss(
+            net, z_all[ts], z_bar_all[pick], z_all[ts - 1], sigma, train_rng, edm_cfg
+        )
         opt.zero_grad()
         loss.backward()
         opt.step()
     return net, edm_cfg
-
-
-def build_models(
-    vae: models.Vae,
-    net: edm.Denoiser,
-    edm_cfg: edm.EdmConfig,
-    bundle: DatasetBundle,
-    k: int,
-    cond_mode: str,
-    cond_encoder=None,
-) -> forecast.ForecastModels:
-    return forecast.ForecastModels(
-        vae=vae,
-        denoiser=net,
-        edm_config=edm_cfg,
-        state_specs=bundle.state_specs,
-        resid_specs=bundle.resid_specs,
-        k=k,
-        cond_mode=cond_mode,
-        mae=cond_encoder if cond_mode == "3dmae" else None,
-        frame_ae=cond_encoder if cond_mode == "2d" else None,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +259,6 @@ def run_cell(
     seed: int,
     members: int,
     t_lead: int,
-    stochastic: bool = False,
     cache: dict | None = None,
     workers: int = 1,
 ):
@@ -305,38 +267,32 @@ def run_cell(
     ``cache`` shares trained VAEs/encoders across cells of the same seed.
     """
     cache = cache if cache is not None else {}
-    k = config["mae"]["k"]
 
-    vae_key = ("vae", strategy.value, seed)
-    if vae_key not in cache:
-        cache[vae_key] = train_vae(bundle, config["vae"], strategy, seed)
-    vae = cache[vae_key]
+    def cached(key, train):
+        if key not in cache:
+            cache[key] = train()
+        return cache[key]
 
+    vae = cached(
+        ("vae", strategy.value, seed), lambda: train_vae(bundle, config["vae"], strategy, seed)
+    )
     enc = None
     if cond_mode == "3dmae":
-        key = ("mae", seed)
-        if key not in cache:
-            cache[key] = train_mae(bundle, config["mae"], seed)
-        enc = cache[key]
+        enc = cached(("mae", seed), lambda: train_mae(bundle, config["mae"], seed))
     elif cond_mode == "2d":
-        key = ("frame_ae", seed)
-        if key not in cache:
-            cache[key] = train_frame_ae(bundle, config["frame_ae"], seed)
-        enc = cache[key]
+        enc = cached(("frame_ae", seed), lambda: train_frame_ae(bundle, config["frame_ae"], seed))
 
-    dcfg = dict(config["diffusion"])
-    dcfg["k"] = k
-    net, edm_cfg = train_denoiser(
-        bundle, dcfg, config["sampler"], vae, cond_mode, enc, seed
+    net, edm_cfg = train_denoiser(bundle, config, vae, enc, seed)
+    fmodels = forecast.ForecastModels(
+        vae, net, edm_cfg, bundle.state_specs, bundle.resid_specs, config["mae"]["k"], enc
     )
-    fmodels = build_models(vae, net, edm_cfg, bundle, k, cond_mode, enc)
     ens = forecast.rollout(
         fmodels,
         bundle.init_window,
         members=members,
         t_lead=t_lead,
         base_seed=seed,
-        stochastic=stochastic,
+        stochastic=config["sampler"]["stochastic"],
         workers=workers,
     )
     truth = bundle.truth[:t_lead]
@@ -367,8 +323,6 @@ def run_cell(
         "rmse_first": rmse_first,
         "ssr_first": ssr_first,
         "crps_first": crps_first,
-        "ensemble": ens,
-        "models": fmodels,
     }
 
 
@@ -388,18 +342,17 @@ def ablate(
         cache: dict = {}
         for cond in conds:
             for strat in strategies:
-                res = run_cell(
-                    bundle,
-                    config,
-                    cond,
-                    Strategy(strat),
-                    seed,
-                    members,
-                    t_lead,
-                    cache=cache,
-                    workers=workers,
-                )
                 rows.append(
-                    {k: res[k] for k in ("cond", "strategy", "seed", "rmse_first", "ssr_first", "crps_first")}
+                    run_cell(
+                        bundle,
+                        config,
+                        cond,
+                        Strategy(strat),
+                        seed,
+                        members,
+                        t_lead,
+                        cache=cache,
+                        workers=workers,
+                    )
                 )
     return rows

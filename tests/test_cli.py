@@ -90,12 +90,93 @@ def test_rebuild_loads_checkpoints_without_standardizing(trained, monkeypatch):
     monkeypatch.setattr(pipeline, "standardized_state_frames", forbidden)
     cfg = cli.load_config(str(config))
     _, fmodels = cli._rebuild_models(cfg, argparse.Namespace(out=str(out)), 0)
-    rebuilt = {"vae.pypt": fmodels.vae, "mae.pypt": fmodels.mae, "denoiser.pypt": fmodels.denoiser}
+    rebuilt = {"vae.pypt": fmodels.vae, "mae.pypt": fmodels.encoder, "denoiser.pypt": fmodels.denoiser}
     for name, model in rebuilt.items():
         saved = ad.load_params(out / name)
         assert set(saved) == set(model.params)
         for key, arr in saved.items():
             np.testing.assert_array_equal(model.params[key].data, arr)
+
+
+def test_cond_mode_2d_points_to_ablate(tmp_path, caplog):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"diffusion": {"cond_mode": "2d"}, "ablate": {"conds": ["2d"]}}))
+    with caplog.at_level(logging.ERROR, logger="nimbus"):
+        assert cli.main(["forecast", "--config", str(path), "--dry-run"]) == 2
+    assert "nimbus ablate" in caplog.text
+    path.write_text(json.dumps({"ablate": {"conds": ["2d"]}}))
+    assert cli.main(["ablate", "--config", str(path), "--dry-run"]) == 0
+
+
+def _truncate(name):
+    def damage(out, cfg):
+        blob = (out / name).read_bytes()
+        (out / name).write_bytes(blob[:-5])
+
+    return damage
+
+
+def _other_hidden(out, cfg):
+    wider = {**cfg, "diffusion": {**cfg["diffusion"], "hidden": cfg["diffusion"]["hidden"] + 2}}
+    ad.save_params(pipeline.build_denoiser(wider, 0).params, out / "denoiser.pypt")
+
+
+@pytest.mark.parametrize(
+    "damage, culprit, message",
+    [
+        (_truncate("vae.pypt"), "vae.pypt", "truncated tensor"),
+        (_truncate("mae.pypt"), "mae.pypt", "truncated tensor"),
+        (_other_hidden, "denoiser.pypt", "tensor proj.w: shape"),
+    ],
+    ids=["truncated-vae", "truncated-mae", "denoiser-shape"],
+)
+def test_bad_checkpoint_exits_3_naming_file(trained, tmp_path, damage, culprit, message, caplog):
+    out, config, _ = trained
+    shutil.copytree(out, tmp_path, dirs_exist_ok=True)
+    damage(tmp_path, cli.load_config(str(config)))
+    with caplog.at_level(logging.ERROR, logger="nimbus"):
+        assert cli.main(["forecast", "--config", str(config), "--out", str(tmp_path)]) == 3
+    assert f"numeric failure: {tmp_path / culprit}: {message}" in caplog.text
+    if culprit == "denoiser.pypt":
+        assert "byte offset" not in caplog.text
+
+
+@pytest.mark.parametrize(
+    "content",
+    ["{not json", "[0.5]", "{}", '{"sigma_data": "x"}', '{"sigma_data": -1}', '{"sigma_data": NaN}'],
+    ids=["not-json", "not-object", "no-sigma", "sigma-str", "sigma-negative", "sigma-nan"],
+)
+@pytest.mark.parametrize("command", ["forecast", "diagnose"])
+def test_malformed_edm_config_exits_3(trained, tmp_path, content, command, caplog):
+    out, config, _ = trained
+    shutil.copytree(out, tmp_path, dirs_exist_ok=True)
+    (tmp_path / "edm_config.json").write_text(content)
+    with caplog.at_level(logging.ERROR, logger="nimbus"):
+        assert cli.main([command, "--config", str(config), "--out", str(tmp_path)]) == 3
+    assert f"numeric failure: {tmp_path / 'edm_config.json'}" in caplog.text
+
+
+@pytest.mark.parametrize("stochastic", [True, False])
+def test_ablate_honours_stochastic_sampler(trained, tmp_path, stochastic, monkeypatch):
+    out, _, _ = trained
+    shutil.copy(out / "dataset.pyld", tmp_path)
+    cfg = {
+        **TINY,
+        "sampler": {**TINY["sampler"], "stochastic": stochastic},
+        "ablate": {"conds": ["none"], "strategies": ["none"], "replicates": 1, "members": 2},
+    }
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg))
+    seen = []
+    rollout = forecast.rollout
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs["stochastic"])
+        return rollout(*args, **kwargs)
+
+    monkeypatch.setattr(forecast, "rollout", recording)
+    assert cli.main(["ablate", "--config", str(config), "--out", str(tmp_path)]) == 0
+    assert seen == [stochastic]
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
@@ -148,6 +229,7 @@ def test_unreadable_config_exits_2(tmp_path, content, message, caplog):
         ("data", "w", 30),
         ("verify", "bands", [0.5, 0.2]),
         ("verify", "bands", [0.0, 0.5, 1.0]),
+        ("diffusion", "cond_mode", "2d"),
     ],
 )
 @pytest.mark.parametrize("dry_run", [True, False])
@@ -277,6 +359,7 @@ def test_non_utf8_variable_name_exits_3(trained, tmp_path, caplog):
     with caplog.at_level(logging.ERROR, logger="nimbus"):
         assert cli.main(["train-vae", "--config", str(config), "--out", str(tmp_path)]) == 3
     assert "variable name is not valid UTF-8" in caplog.text
+    assert str(tmp_path / "dataset.pyld") in caplog.text
 
 
 def test_evaluate_plots_escape_variable_names(trained, tmp_path):

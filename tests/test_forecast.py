@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -35,8 +37,14 @@ def tiny():
     net.params["headout.w"].data = (
         0.1 * rng.standard_normal(net.params["headout.w"].data.shape)
     ).astype(np.float32)
-    fmodels = pipeline.build_models(
-        vae, net, edm.EdmConfig(sigma_data=0.5, steps=4), bundle, K, "3dmae", mae
+    fmodels = forecast.ForecastModels(
+        vae=vae,
+        denoiser=net,
+        edm_config=edm.EdmConfig(sigma_data=0.5, steps=4),
+        state_specs=bundle.state_specs,
+        resid_specs=bundle.resid_specs,
+        k=K,
+        encoder=mae,
     )
     return fmodels, bundle
 
@@ -167,3 +175,59 @@ def test_lone_member_keeps_blas_threads(tiny, monkeypatch):
     seen = blas_threads_seen(monkeypatch)
     run(tiny, members=1, t_lead=1, workers=2)
     assert seen and set(seen) == {before}
+
+
+@pytest.mark.parametrize("encoder", ["mae", "frame_ae", "none"])
+def test_training_and_rollout_condition_alike(tiny, encoder, monkeypatch):
+    """Row i of the training z_bar is what a member at train frame t = k + i samples with.
+
+    Both paths hand the encoder the same windows, bit for bit. Training
+    encodes them 4 at a time and the rollout one at a time; OpenBLAS may
+    pick another GEMM kernel for another row count, so encoded z_bar agree
+    to float32 rounding, and the zeros of no encoder bit for bit.
+    """
+    fmodels, bundle = tiny
+    enc = {
+        "mae": fmodels.encoder,
+        "frame_ae": models.FrameAe(3, CZ, np.random.default_rng(1), base=4),
+        "none": None,
+    }[encoder]
+    fmodels = dataclasses.replace(fmodels, encoder=enc)
+    inputs = {"train": [], "rollout": []}
+    phase = ["train"]
+    if enc is not None:
+        encode = enc.encode_array
+
+        def recording_encode(x, *args, **kwargs):
+            inputs[phase[0]].append(x.copy())
+            return encode(x, *args, **kwargs)
+
+        monkeypatch.setattr(enc, "encode_array", recording_encode)
+    z_all = pipeline.residual_latents(fmodels.vae, pipeline.standardized_residual_frames(bundle))
+    z_bar_all = pipeline.conditioning_latents(enc, bundle, z_all, K)
+    assert z_bar_all.shape[0] == bundle.train.data.shape[0] - 1 - K
+
+    seen = []
+    make = edm.make_denoise_fn
+
+    def recording_make(net, z_bar, *args, **kwargs):
+        seen.append(z_bar.copy())
+        return make(net, z_bar, *args, **kwargs)
+
+    monkeypatch.setattr(edm, "make_denoise_fn", recording_make)
+    phase[0] = "rollout"
+    for i in range(z_bar_all.shape[0]):
+        t = K + i
+        state = forecast.init_member_state(fmodels, bundle.train.data[t - K : t + 1])
+        forecast.step(fmodels, state, np.random.default_rng(0))
+        z_bar = seen[-1]
+        assert z_bar.dtype == z_bar_all.dtype and z_bar.shape == (1,) + z_bar_all.shape[1:]
+        if enc is None:
+            assert z_bar.tobytes() == z_bar_all[i].tobytes(), f"row {i}"
+        else:
+            np.testing.assert_allclose(z_bar[0], z_bar_all[i], rtol=1e-5, atol=1e-6)
+
+    train, rollout = inputs["train"], inputs["rollout"]
+    assert len(rollout) == (0 if enc is None else z_bar_all.shape[0])
+    if enc is not None:
+        assert np.concatenate(rollout).tobytes() == np.concatenate(train).tobytes()
