@@ -1,22 +1,20 @@
-"""Causal 3D convolution stacks with stage-windowed streaming.
+"""Causal 3D convolution stacks: the 3D-MAE encoder.
 
-A sequence of k+1 frames is zero-padded with three prepended frames; stages
-s = 1..1+k/2 each see the 4-frame window [2s-2 : 2s+1] of the padded
-sequence. Temporal mixing uses kernel extent 2: one initial stride-1 layer,
-then exactly one intermediate layer with temporal stride 2; deeper layers are
-frame-local (temporal extent 1). The encoder therefore emits one latent frame
-per stage, and a per-layer cache of the previous stage's trailing activations
-makes streaming arithmetic match the monolithic pass frame-for-frame.
+A window of k+1 frames is zero-padded with three prepended frames. Temporal
+mixing uses kernel extent 2: one initial stride-1 layer, then exactly one
+layer with temporal stride 2; deeper layers are frame-local (temporal extent
+1). The stack therefore emits 1 + k/2 latent frames, and latent frame j sees
+only padded frames up to 2j+3, so no frame reads a later one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .errors import DomainError, StateError
+from .errors import DomainError
 
 
 def check_window_length(t: int) -> int:
@@ -78,7 +76,7 @@ class CausalStack:
         return self.specs[-1].out_channels
 
     def layer(self, i: int):
-        return self.params[f"c3d{i}.w"], self.params.get(f"c3d{i}.b")
+        return self.params[f"c3d{i}.w"], self.params[f"c3d{i}.b"]
 
 
 def build_stack(
@@ -87,7 +85,6 @@ def build_stack(
     channels=(24, 32),
     latent_channels: int = 16,
     spatial_strides=(2, 2),
-    use_bias: bool = True,
 ) -> CausalStack:
     """Minimal stack: [kt=2 st=1, kt=2 st_t=2, ...kt=1..., 1x1 head].
 
@@ -121,122 +118,20 @@ def build_stack(
         fan_in = cin * sp.kt * sp.k_hw * sp.k_hw
         w = rng.standard_normal((sp.out_channels, cin, sp.kt, sp.k_hw, sp.k_hw))
         params[f"c3d{i}.w"] = ad.param(w * np.sqrt(2.0 / fan_in))
-        if use_bias:
-            params[f"c3d{i}.b"] = ad.param(np.zeros(sp.out_channels))
+        params[f"c3d{i}.b"] = ad.param(np.zeros(sp.out_channels))
         cin = sp.out_channels
     return CausalStack(params=params, specs=specs, in_channels=in_channels)
 
 
-def _apply_layer(stack: CausalStack, i: int, h: ad.Tensor) -> ad.Tensor:
-    sp = stack.specs[i]
-    w, b = stack.layer(i)
-    h = ad.conv3d(h, w, b, stride_t=sp.stride_t, stride_hw=sp.stride_hw)
-    if sp.activation:
-        h = ad.silu(h)
-    return h
-
-
 def encode_full(x: ad.Tensor, stack: CausalStack, mask_last: bool = True) -> ad.Tensor:
-    """Monolithic causal encoding of a k+1-frame window.
-
-    Output temporal length is 1 + k/2.
-    """
+    """Causal encoding of a k+1-frame window; output temporal length is 1 + k/2."""
     k = check_window_length(x.data.shape[2])
     h = pad_and_mask(x, mask_last)
-    for i in range(len(stack.specs)):
-        h = _apply_layer(stack, i, h)
+    for i, sp in enumerate(stack.specs):
+        w, b = stack.layer(i)
+        h = ad.conv3d(h, w, b, stride_t=sp.stride_t, stride_hw=sp.stride_hw)
+        if sp.activation:
+            h = ad.silu(h)
     if h.data.shape[2] != 1 + k // 2:
-        raise StateError(
-            f"stack produced {h.data.shape[2]} frames, expected {1 + k // 2}"
-        )
+        raise DomainError(f"stack produced {h.data.shape[2]} frames, expected {1 + k // 2}")
     return h
-
-
-# ---------------------------------------------------------------------------
-# Streaming path (inference only, no graph)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class CacheState:
-    """Per-layer trailing activations carried between stages."""
-
-    input_tail: np.ndarray | None = None
-    pending: list[np.ndarray | None] = field(default_factory=list)
-    stage: int = 0
-
-
-def init_cache(stack: CausalStack) -> CacheState:
-    return CacheState(input_tail=None, pending=[None] * len(stack.specs), stage=0)
-
-
-@ad.no_grad()
-def stream_step(stack: CausalStack, pair: np.ndarray, cache: CacheState):
-    """Consume the next two padded frames; emit one latent frame.
-
-    ``pair`` has shape (B, C, 2, H, W). The first call (stage 1) must pass
-    the pair (0, X_0) implied by the three-frame zero pad; the two remaining
-    zero frames are the initial input cache.
-    """
-    if pair.ndim != 5 or pair.shape[2] != 2:
-        raise StateError(f"stream_step expects a (B,C,2,H,W) pair, got {pair.shape}")
-    if cache.input_tail is None:
-        if cache.stage != 0:
-            raise StateError("cache stage counter out of sync with empty cache")
-        cache.input_tail = np.zeros_like(pair)
-        cache.pending = [None] * len(stack.specs)
-    if cache.input_tail.shape != pair.shape:
-        raise StateError(
-            f"cache shape {cache.input_tail.shape} drifted from input {pair.shape}"
-        )
-    cache.stage += 1
-
-    # Temporal layer 0 over the 4-frame window [c_{s-1}, pair].
-    window = np.concatenate([cache.input_tail, pair], axis=2)
-    cache.input_tail = pair.copy()
-    out0 = _apply_layer(stack, 0, ad.constant(window)).data
-    # Stage 1 contributes three new frames to the layer-0 stream; later
-    # stages recompute the overlap frame, which is dropped.
-    chunk = out0 if cache.stage == 1 else out0[:, :, 1:]
-
-    # Strided temporal layer: consume the stream in strict pairs.
-    stream = chunk if cache.pending[1] is None else np.concatenate(
-        [cache.pending[1], chunk], axis=2
-    )
-    n_pairs = stream.shape[2] // 2
-    if n_pairs == 0:
-        raise StateError("strided layer starved: no full pair available")
-    h = _apply_layer(stack, 1, ad.constant(stream[:, :, : 2 * n_pairs]))
-    leftover = stream[:, :, 2 * n_pairs :]
-    cache.pending[1] = leftover.copy() if leftover.shape[2] else None
-
-    # Frame-local layers.
-    for i in range(2, len(stack.specs)):
-        h = _apply_layer(stack, i, h)
-    return h.data, cache
-
-
-def stream_pairs(x: np.ndarray, mask_last: bool = True):
-    """Split a (B, C, k+1, H, W) window into the stage input pairs.
-
-    The first pair is (0, X_0); the last pair ends with the (optionally
-    masked) final frame.
-    """
-    k = check_window_length(x.shape[2])
-    b, c, _, h, w = x.shape
-    padded = np.concatenate([np.zeros((b, c, 1, h, w), dtype=x.dtype), x], axis=2)
-    if mask_last:
-        padded = padded.copy()
-        padded[:, :, -1] = 0.0
-    return [padded[:, :, 2 * s : 2 * s + 2] for s in range(1 + k // 2)]
-
-
-def encode_streaming(x: np.ndarray, stack: CausalStack, mask_last: bool = True) -> np.ndarray:
-    """Stage-by-stage encoding; concatenation of emitted latent frames."""
-    cache = init_cache(stack)
-    outs = []
-    for pair in stream_pairs(x, mask_last):
-        z, cache = stream_step(stack, pair, cache)
-        outs.append(z)
-    return np.concatenate(outs, axis=2)
-

@@ -93,7 +93,8 @@ DEFAULT_CONFIG = {
         "rho": 7.0,
         "stochastic": False,
     },
-    "forecast": {"members": 8, "t_lead": 20, "train_frames": 72, "streaming": False},
+    # data.t 96 - train_frames 72 - a (k + 1)-frame init window leaves 19 truth frames.
+    "forecast": {"members": 8, "t_lead": 19, "train_frames": 72},
     "verify": {"rank_seed": 0, "bands": [0.0, 0.2, 0.5, 0.8, spectral.R_CORNER]},
     "ablate": {
         "conds": ["none", "2d", "3dmae"],
@@ -313,12 +314,19 @@ def _sigma_data(out_dir):
 # ---------------------------------------------------------------------------
 
 
+def _seed(cfg, args) -> int:
+    """--seed if given, else data.seed for gen-data and 0 for every other command."""
+    if args.seed is not None:
+        return args.seed
+    return cfg["data"]["seed"] if args.command == "gen-data" else 0
+
+
 def cmd_gen_data(cfg, args):
     d = cfg["data"]
     slopes = d["slopes"] if d["slopes"] else None
     adv = [tuple(a) for a in d["advection"]] if d["advection"] else None
     batch = grid.gen_synthetic(
-        seed=d["seed"] if args.seed is None else args.seed,
+        seed=_seed(cfg, args),
         h=d["h"],
         w=d["w"],
         v=d["v"],
@@ -380,7 +388,6 @@ def cmd_forecast(cfg, args):
         t_lead=f["t_lead"],
         base_seed=seed,
         stochastic=cfg["sampler"]["stochastic"],
-        streaming=f["streaming"],
         workers=args.workers,
     )
     fc_dir = os.path.join(args.out, "forecast")
@@ -395,6 +402,11 @@ def cmd_evaluate(cfg, args):
         raise ConfigError(f"missing forecast directory {fc_dir}; run `nimbus forecast` first")
     ens = forecast.read_forecast(fc_dir)
     t_lead = ens.lead_times
+    if t_lead > bundle.truth.shape[0]:
+        raise ConfigError(
+            f"forecast has {t_lead} leads but the dataset holds only {bundle.truth.shape[0]} "
+            "truth frames after the init window; lower forecast.t_lead"
+        )
     truth = bundle.truth[:t_lead]
     report = verify.evaluate_ensemble(
         ens.fields,
@@ -553,7 +565,7 @@ def main(argv=None) -> int:
             return 0
         _ensure_out(args)
         COMMANDS[args.command](cfg, args)
-        write_manifest(args.out, cfg, args.seed or 0, {"command": args.command})
+        write_manifest(args.out, cfg, _seed(cfg, args), {"command": args.command})
         return 0
     except ConfigError as exc:
         log.error("configuration error: %s", exc)

@@ -21,10 +21,6 @@ class FormatError(ValueError):
         self.offset = offset
 
 
-class StateError(RuntimeError):
-    """Streaming state was used inconsistently (e.g. cache shape drift)."""
-
-
 class RolloutError(RuntimeError):
     """An autoregressive rollout hit non-finite values.
 

@@ -61,7 +61,7 @@ def init_member_state(models: ForecastModels, init_window: np.ndarray) -> Member
 
 
 def conditioning_latents(
-    encoder: Mae | FrameAe | None, recent: np.ndarray, z_prev: np.ndarray, streaming: bool = False
+    encoder: Mae | FrameAe | None, recent: np.ndarray, z_prev: np.ndarray
 ) -> np.ndarray:
     """z_bar for the step after ``recent``, (B, k, V, H, W) standardized states.
 
@@ -78,7 +78,7 @@ def conditioning_latents(
         return np.ascontiguousarray(z.reshape((b, n) + z.shape[1:]).swapaxes(1, 2))
     window = np.concatenate([recent, np.zeros_like(recent[:, :1])], axis=1)
     window = np.ascontiguousarray(window.transpose(0, 2, 1, 3, 4))
-    return encoder.encode_array(window, mask_last=True, streaming=streaming)
+    return encoder.encode_array(window)
 
 
 def step(
@@ -86,11 +86,10 @@ def step(
     state: MemberState,
     rng: np.random.Generator,
     stochastic: bool = False,
-    streaming: bool = False,
 ) -> MemberState:
     """Advance one lead time; returns the new member state."""
     recent = grid.standardize_array(state.states[1:], models.state_specs)[None]
-    z_bar = conditioning_latents(models.encoder, recent, state.z_prev[None], streaming)
+    z_bar = conditioning_latents(models.encoder, recent, state.z_prev[None])
     denoise = edm.make_denoise_fn(
         models.denoiser, z_bar, state.z_prev[None], models.edm_config
     )
@@ -129,13 +128,13 @@ class EnsembleForecast:
         return self.fields.shape[1]
 
 
-def _run_member(models, init_window, t_lead, base_seed, m, stochastic, streaming):
+def _run_member(models, init_window, t_lead, base_seed, m, stochastic):
     rng = np.random.default_rng([int(base_seed), int(m)])
     state = init_member_state(models, init_window)
     frames = np.empty((t_lead,) + init_window.shape[1:], dtype=np.float32)
     try:
         for t in range(t_lead):
-            state = step(models, state, rng, stochastic=stochastic, streaming=streaming)
+            state = step(models, state, rng, stochastic=stochastic)
             frames[t] = state.states[-1]
     except RolloutError as exc:
         raise RolloutError(exc.message, exc.step, member=m) from exc
@@ -149,7 +148,6 @@ def rollout(
     t_lead: int,
     base_seed: int = 0,
     stochastic: bool = False,
-    streaming: bool = False,
     workers: int = 1,
 ) -> EnsembleForecast:
     """M-member forecast; member m is reproducible from (base_seed, m) alone."""
@@ -166,16 +164,14 @@ def rollout(
         # A lone thread keeps every BLAS thread: the serial path is faster with them.
         with ad.share_blas_threads(threads), ThreadPoolExecutor(max_workers=threads) as pool:
             futures = {
-                m: pool.submit(
-                    _run_member, models, init, t_lead, base_seed, m, stochastic, streaming
-                )
+                m: pool.submit(_run_member, models, init, t_lead, base_seed, m, stochastic)
                 for m in range(members)
             }
             for m, fut in futures.items():
                 out[m] = fut.result()
     else:
         for m in range(members):
-            out[m] = _run_member(models, init, t_lead, base_seed, m, stochastic, streaming)
+            out[m] = _run_member(models, init, t_lead, base_seed, m, stochastic)
     return EnsembleForecast(
         fields=out,
         member_seeds=[[int(base_seed), m] for m in range(members)],

@@ -290,7 +290,7 @@ def read_fields(path) -> FieldBatch:
     t, v, h, w = struct.unpack("<4I", cur.take(16, "header"))
     if t * v * h * w > _MAX_ELEMENTS or min(t, v, h, w) == 0:
         raise FormatError(f"unreasonable dimensions (T={t}, V={v}, H={h}, W={w})", 8)
-    specs = []
+    records = []
     for _ in range(v):
         (nlen,) = struct.unpack("<H", cur.take(2, "truncated header (variable record)"))
         offset = cur.pos
@@ -298,22 +298,20 @@ def read_fields(path) -> FieldBatch:
             name = cur.take(nlen, "truncated header (variable name)").decode("utf-8")
         except UnicodeDecodeError:
             raise FormatError("variable name is not valid UTF-8", offset) from None
-        mean, std, lw, level = struct.unpack(
-            "<4d", cur.take(32, "truncated header (variable stats)")
-        )
-        specs.append(
-            VariableSpec(
-                name=name,
-                mean=mean,
-                std=std,
-                loss_weight=lw,
-                level=None if math.isnan(level) else level,
-            )
-        )
+        stats = struct.unpack("<4d", cur.take(32, "truncated header (variable stats)"))
+        records.append((name, *stats))
     lat = np.frombuffer(cur.take(8 * h, "latitude axis"), dtype="<f8")
     lon = np.frombuffer(cur.take(8 * w, "longitude axis"), dtype="<f8")
     payload = cur.take(4 * t * v * h * w, "payload")
     if cur.pos != len(buf):
         raise FormatError(f"{len(buf) - cur.pos} trailing bytes after payload", cur.pos)
     data = np.frombuffer(payload, dtype="<f4").reshape(t, v, h, w)
-    return FieldBatch(data=data, lat=lat, lon=lon, specs=tuple(specs))
+    # Header values or a payload that the data model rejects are a bad file.
+    try:
+        specs = tuple(
+            VariableSpec(name, mean, std, lw, None if math.isnan(level) else level)
+            for name, mean, std, lw, level in records
+        )
+        return FieldBatch(data=data, lat=lat, lon=lon, specs=specs)
+    except (ConfigError, DomainError) as exc:
+        raise FormatError(str(exc)) from exc

@@ -236,10 +236,9 @@ class Mae:
         return causal3d.encode_full(x, self.stack, mask_last=mask_last)
 
     @ad.no_grad()
-    def encode_array(self, x: np.ndarray, mask_last: bool = True, streaming: bool = False):
-        if streaming:
-            return causal3d.encode_streaming(x, self.stack, mask_last=mask_last)
-        return self.encode(ad.constant(x), mask_last=mask_last).data
+    def encode_array(self, x: np.ndarray) -> np.ndarray:
+        """Graph-free encoding of a window, last frame masked."""
+        return self.encode(ad.constant(x)).data
 
     def decode(self, z: ad.Tensor) -> ad.Tensor:
         """Latent frames -> (B, V, k+1, H, W) reconstruction.

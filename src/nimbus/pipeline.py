@@ -35,6 +35,12 @@ class DatasetBundle:
 
 def split_dataset(batch: grid.FieldBatch, train_frames: int, k: int) -> DatasetBundle:
     """Leading frames train; the next k+1 initialize; the rest verify."""
+    if train_frames < k + 2:
+        # The first training target follows a window of k+1 frames.
+        raise ConfigError(
+            f"forecast.train_frames must be at least k + 2 = {k + 2} for one training "
+            f"target, got {train_frames}"
+        )
     t = batch.data.shape[0]
     need = train_frames + (k + 1) + 1
     if t < need:

@@ -57,15 +57,10 @@ def fft2(x) -> Spectrum2D:
     return Spectrum2D(coeffs=np.fft.fft2(x), h=x.shape[0], w=x.shape[1])
 
 
-def shell_count(h: int, w: int) -> int:
-    """One shell per integer radius of the finer axis."""
-    return max(h, w) // 2
-
-
-def radial_profile(s: Spectrum2D, bins: int | None = None) -> SpectralProfile:
+def radial_profile(s: Spectrum2D) -> SpectralProfile:
     """Shell-average |F| over circular frequency shells and accumulate energy."""
     r = normalized_radius(s.h, s.w)
-    b = bins if bins is not None else shell_count(s.h, s.w)
+    b = max(s.h, s.w) // 2  # one shell per integer radius of the finer axis
     r_max = float(r.max())
     width = r_max / b
     idx = np.minimum((r / width).astype(np.intp), b - 1)

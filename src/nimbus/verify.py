@@ -82,9 +82,7 @@ def crps_field(forecast: np.ndarray, truth: np.ndarray, weights=None, fair=True)
     return _wmean(fn(forecast, truth), weights)
 
 
-def spread_skill_ratio(
-    forecast: np.ndarray, truth: np.ndarray, weights=None, small_ensemble_correction=True
-) -> float:
+def spread_skill_ratio(forecast: np.ndarray, truth: np.ndarray, weights=None) -> float:
     """sqrt((M+1)/M * mean ensemble variance) / RMSE of the ensemble mean.
 
     The variance is taken over the member deviations from member 0, which
@@ -98,8 +96,7 @@ def spread_skill_ratio(
     if m < 2:
         raise DomainError("SSR requires at least 2 members")
     var = (forecast - forecast[0]).var(axis=0, ddof=1)
-    factor = (m + 1) / m if small_ensemble_correction else 1.0
-    spread = np.sqrt(factor * _wmean(var, weights))
+    spread = np.sqrt((m + 1) / m * _wmean(var, weights))
     rmse = rmse_ensemble_mean(forecast, truth, weights)
     if rmse == 0.0:
         return 0.0 if spread == 0.0 else float("inf")

@@ -4,6 +4,7 @@ import json
 import logging
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -246,6 +247,50 @@ def test_bad_config_value_exits_2(tmp_path, section, key, value, dry_run, caplog
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("section, key, value", [("forecast", "streaming", False)])
+def test_unknown_config_key_exits_2(tmp_path, section, key, value, caplog):
+    cfg = {name: dict(entries) for name, entries in TINY.items()}
+    cfg.setdefault(section, {})[key] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    with caplog.at_level(logging.ERROR, logger="nimbus"):
+        assert cli.main(["forecast", "--config", str(path), "--dry-run"]) == 2
+    assert f"unknown config keys under {section}: ['{key}']" in caplog.text
+
+
+def test_gen_data_manifest_records_config_seed(tmp_path):
+    cfg = {"data": {**TINY["data"], "seed": 5}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["gen-data", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "manifest.json").read_text())["seed"] == 5
+    d = cli.load_config(str(path))["data"]
+    expected = grid.gen_synthetic(
+        seed=5, h=d["h"], w=d["w"], v=d["v"], t=d["t"], forcing=d["forcing"]
+    )
+    np.testing.assert_array_equal(grid.read_fields(tmp_path / "dataset.pyld").data, expected.data)
+
+
+def test_too_few_train_frames_exits_2(trained, tmp_path, caplog):
+    # cond_mode none trains no 3D-MAE, so only split_dataset can catch k + 1 training frames.
+    out, _, _ = trained
+    shutil.copy(out / "dataset.pyld", tmp_path)
+    cfg = {**TINY, "diffusion": {**TINY["diffusion"], "cond_mode": "none"}}
+    cfg["forecast"] = {**TINY["forecast"], "train_frames": 5}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    with caplog.at_level(logging.ERROR, logger="nimbus"):
+        assert cli.main(["train-diffusion", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "configuration error: forecast.train_frames must be at least k + 2 = 6" in caplog.text
+
+
+def test_default_config_verifies_every_lead():
+    cfg = cli.load_config()
+    batch = grid.gen_synthetic(seed=0, h=8, w=8, v=1, t=cfg["data"]["t"])
+    bundle = pipeline.split_dataset(batch, cfg["forecast"]["train_frames"], cfg["mae"]["k"])
+    assert bundle.truth.shape[0] >= cfg["forecast"]["t_lead"]
+
+
 def test_numeric_sigma_data_accepted(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"diffusion": {"sigma_data": 0.5}, "vae": {"iters": 0}}))
@@ -311,6 +356,52 @@ def test_evaluate_malformed_forecast_exits_3(trained, tmp_path, damage, culprit,
         assert cli.main(["evaluate", "--config", str(config), "--out", str(tmp_path)]) == 3
     assert "numeric failure: " in caplog.text
     assert str(tmp_path / "forecast" / culprit) in caplog.text
+
+
+def _dataset_and_forecast(out, tmp_path, leads=2):
+    """Copy the run's dataset to tmp_path with a 2-member forecast of its last ``leads`` frames."""
+    shutil.copy(out / "dataset.pyld", tmp_path)
+    data = grid.read_fields(tmp_path / "dataset.pyld")
+    ens = forecast.EnsembleForecast(
+        np.stack([data.data[-leads:]] * 2), [[0, 0], [0, 1]], data.lat, data.lon, data.specs
+    )
+    forecast.write_forecast(ens, tmp_path / "forecast")
+
+
+def test_evaluate_more_leads_than_truth_exits_2(trained, tmp_path, caplog):
+    out, config, _ = trained
+    n_truth = TINY["data"]["t"] - TINY["forecast"]["train_frames"] - 5
+    _dataset_and_forecast(out, tmp_path, leads=n_truth + 1)
+    with caplog.at_level(logging.ERROR, logger="nimbus"):
+        assert cli.main(["evaluate", "--config", str(config), "--out", str(tmp_path)]) == 2
+    assert f"forecast has {n_truth + 1} leads" in caplog.text
+    assert f"only {n_truth} truth frames" in caplog.text
+
+
+def _zero_std(blob):
+    # var0's std follows the 24-byte header, the u16 name length, "var0" and its mean.
+    return blob[:38] + struct.pack("<d", 0.0) + blob[46:]
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (_zero_std, "variable 'var0': std must be > 0"),
+        (lambda blob: blob.replace(b"var1", b"var0", 1), "variable names must be unique"),
+        (lambda blob: blob[:-4] + struct.pack("<f", np.nan), "field data contains non-finite"),
+    ],
+    ids=["std-0", "duplicate-name", "nan-payload"],
+)
+@pytest.mark.parametrize("target", ["dataset", "member"])
+def test_corrupt_field_file_exits_3_naming_it(trained, tmp_path, damage, message, target, caplog):
+    out, config, _ = trained
+    _dataset_and_forecast(out, tmp_path)
+    culprit = tmp_path / ("dataset.pyld" if target == "dataset" else "forecast/member_001.pyld")
+    culprit.write_bytes(damage(culprit.read_bytes()))
+    command = "train-vae" if target == "dataset" else "evaluate"
+    with caplog.at_level(logging.ERROR, logger="nimbus"):
+        assert cli.main([command, "--config", str(config), "--out", str(tmp_path)]) == 3
+    assert f"numeric failure: {culprit}: {message}" in caplog.text
 
 
 def test_ablate_rows_do_not_depend_on_workers(trained):

@@ -86,19 +86,6 @@ def test_inference_is_float32_and_graph_free(tiny, monkeypatch):
     assert set(corr_inputs) == {(f32, f32, False)}
 
 
-def test_streaming_rollout_is_graph_free(tiny, monkeypatch):
-    modes = []
-    conv3d = ad.conv3d
-
-    def recording_conv3d(*args, **kwargs):
-        modes.append(ad.grad_enabled())
-        return conv3d(*args, **kwargs)
-
-    monkeypatch.setattr(ad, "conv3d", recording_conv3d)
-    run(tiny, members=1, t_lead=1, streaming=True)
-    assert modes and not any(modes)
-
-
 def test_workers_bit_identical(tiny):
     one = run(tiny, members=3, t_lead=2, workers=1)
     two = run(tiny, members=3, t_lead=2, workers=2)

@@ -144,8 +144,8 @@ class TestMae:
         x = np.random.default_rng(2).standard_normal((1, 2, 5, 8, 8)).astype(np.float32)
         x2 = x.copy()
         x2[:, :, -1] = np.random.default_rng(3).standard_normal(x2[:, :, -1].shape)
-        z1 = mae.encode_array(x, mask_last=True)
-        z2 = mae.encode_array(x2, mask_last=True)
+        z1 = mae.encode_array(x)
+        z2 = mae.encode_array(x2)
         np.testing.assert_array_equal(z1, z2)
 
     def test_mask_gradient_only_through_target(self):
@@ -208,7 +208,7 @@ class TestTraining:
             mae = TestMae().make(seed=seed)
             cfg = models.TrainConfig(iters=60, batch=2, lr=3e-3, seed=seed)
             models.train_mae(mae, seq, cfg, warmup_frac=0.25)
-            z = mae.encode_array(frames, mask_last=True)
+            z = mae.encode_array(frames)
             recon = mae.decode(ad.constant(z)).data
             err_last = float(np.mean((recon[:, :, -1] - frames[:, :, -1]) ** 2))
             err_first = float(np.mean((recon[:, :, 0] - frames[:, :, 0]) ** 2))

@@ -143,10 +143,15 @@ class TestSsr:
         assert verify.spread_skill_ratio(members, truth) < 0.6
 
     def test_correction_toggle(self):
+        # The small-ensemble correction scales the plain spread / RMSE by sqrt((M+1)/M).
         members, truth = calibrated_cases(2_000, 4, seed=6)
-        with_c = verify.spread_skill_ratio(members, truth, small_ensemble_correction=True)
-        without = verify.spread_skill_ratio(members, truth, small_ensemble_correction=False)
-        assert with_c > without
+        m = members.shape[0]
+        plain = np.sqrt(members.var(axis=0, ddof=1).mean()) / np.sqrt(
+            np.square(members.mean(axis=0) - truth).mean()
+        )
+        ssr = verify.spread_skill_ratio(members, truth)
+        np.testing.assert_allclose(ssr, np.sqrt((m + 1) / m) * plain, rtol=1e-12)
+        assert ssr > plain
 
 
 class TestRankHistogram:
