@@ -342,21 +342,21 @@ def cmd_gen_data(cfg, args):
 def cmd_train_vae(cfg, args):
     bundle = _load_bundle(cfg, args)
     strategy = Strategy(cfg["vae"]["regularizer"])
-    vae = pipeline.train_vae(bundle, cfg["vae"], strategy, args.seed or 0)
+    vae = pipeline.train_vae(bundle, cfg["vae"], strategy, _seed(cfg, args))
     _save_model(vae.params, args.out, "vae.pypt")
     log.info("saved VAE checkpoint (strategy=%s)", strategy.value)
 
 
 def cmd_train_mae(cfg, args):
     bundle = _load_bundle(cfg, args)
-    mae = pipeline.train_mae(bundle, cfg["mae"], args.seed or 0)
+    mae = pipeline.train_mae(bundle, cfg["mae"], _seed(cfg, args))
     _save_model(mae.params, args.out, "mae.pypt")
     log.info("saved 3D-MAE checkpoint")
 
 
 def cmd_train_diffusion(cfg, args):
     bundle = _load_bundle(cfg, args)
-    seed = args.seed or 0
+    seed = _seed(cfg, args)
     vae = _load(pipeline.build_vae(bundle, cfg["vae"], seed), args.out, "vae.pypt")
     encoder = _encoder(cfg, args, bundle, seed)
     net, edm_cfg = pipeline.train_denoiser(bundle, cfg, vae, encoder, seed)
@@ -378,7 +378,7 @@ def _rebuild_models(cfg, args, seed):
 
 
 def cmd_forecast(cfg, args):
-    seed = args.seed or 0
+    seed = _seed(cfg, args)
     bundle, fmodels = _rebuild_models(cfg, args, seed)
     f = cfg["forecast"]
     ens = forecast.rollout(
@@ -395,27 +395,23 @@ def cmd_forecast(cfg, args):
     log.info("wrote %d members x %d leads to %s", ens.members, ens.lead_times, fc_dir)
 
 
+def _check_leads(bundle, t_lead, section):
+    """Scoring ``t_lead`` leads needs as many truth frames; else a ConfigError naming ``section``."""
+    if t_lead > bundle.truth.shape[0]:
+        raise ConfigError(
+            f"{section} has {t_lead} leads but the dataset holds only {bundle.truth.shape[0]} "
+            f"truth frames after the init window; lower {section}.t_lead"
+        )
+
+
 def cmd_evaluate(cfg, args):
     bundle = _load_bundle(cfg, args)
     fc_dir = os.path.join(args.out, "forecast")
     if not os.path.isdir(fc_dir):
         raise ConfigError(f"missing forecast directory {fc_dir}; run `nimbus forecast` first")
     ens = forecast.read_forecast(fc_dir)
-    t_lead = ens.lead_times
-    if t_lead > bundle.truth.shape[0]:
-        raise ConfigError(
-            f"forecast has {t_lead} leads but the dataset holds only {bundle.truth.shape[0]} "
-            "truth frames after the init window; lower forecast.t_lead"
-        )
-    truth = bundle.truth[:t_lead]
-    report = verify.evaluate_ensemble(
-        ens.fields,
-        truth,
-        variables=[s.name for s in bundle.full.specs],
-        lead_hours=[6 * (i + 1) for i in range(t_lead)],
-        lat_weights=bundle.lat_w,
-        rank_seed=cfg["verify"]["rank_seed"],
-    )
+    _check_leads(bundle, ens.lead_times, "forecast")
+    report = pipeline.score_ensemble(bundle, ens.fields, cfg["verify"]["rank_seed"])
     report.to_csv(os.path.join(args.out, "metrics.csv"))
     report.to_json(os.path.join(args.out, "metrics.json"))
     rmse = report.scores["rmse_mean"]
@@ -441,7 +437,7 @@ def cmd_evaluate(cfg, args):
 
 
 def cmd_diagnose(cfg, args):
-    seed = args.seed or 0
+    seed = _seed(cfg, args)
     bundle, fmodels = _rebuild_models(cfg, args, seed)
     k = cfg["mae"]["k"]
     vae = fmodels.vae
@@ -497,9 +493,15 @@ def cmd_diagnose(cfg, args):
 
 
 def cmd_ablate(cfg, args):
+    """ablation.csv: one row per (seed, cond, strategy, variable, lead_hours, metric).
+
+    Each cell's rows are the metrics.csv rows of ``nimbus evaluate`` for its
+    ensemble, in the dataset's raw units: comparing variables needs their std.
+    """
     bundle = _load_bundle(cfg, args)
     a = cfg["ablate"]
-    seeds = [(args.seed or 0) + r for r in range(a["replicates"])]
+    _check_leads(bundle, a["t_lead"], "ablate")
+    seeds = [_seed(cfg, args) + r for r in range(a["replicates"])]
     rows = pipeline.ablate(
         bundle,
         cfg,
@@ -512,12 +514,10 @@ def cmd_ablate(cfg, args):
     )
     path = os.path.join(args.out, "ablation.csv")
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(
-            fh, fieldnames=["seed", "cond", "strategy", "rmse_first", "ssr_first", "crps_first"]
-        )
-        writer.writeheader()
-        writer.writerows(rows)
-    log.info("wrote %s (%d cells)", path, len(rows))
+        writer = csv.writer(fh)
+        writer.writerow(["seed", "cond", "strategy", "variable", "lead_hours", "metric", "value"])
+        writer.writerows((*row[:-1], f"{row[-1]:.8g}") for row in rows)
+    log.info("wrote %s (%d rows)", path, len(rows))
 
 
 COMMANDS = {

@@ -327,12 +327,12 @@ def frame_ae_loss(ae: FrameAe, batch: np.ndarray, lat_w=None, var_w=None):
 
 @dataclass
 class TrainConfig:
-    iters: int = 200
-    batch: int = 4
-    lr: float = 1e-3
-    betas: tuple = (0.9, 0.95)
-    weight_decay: float = 0.0
-    seed: int = 0
+    """One training loop's length, batch, learning rate and seed; AdamW keeps its defaults."""
+
+    iters: int
+    batch: int
+    lr: float
+    seed: int
 
 
 def train_vae(
@@ -352,7 +352,7 @@ def train_vae(
     rng_batch = np.random.default_rng([cfg.seed, 0])
     rng_gamma = np.random.default_rng([cfg.seed, 1])
     rng_eps = np.random.default_rng([cfg.seed, 2])
-    opt = ad.AdamW(vae.params, lr=cfg.lr, betas=cfg.betas, weight_decay=cfg.weight_decay)
+    opt = ad.AdamW(vae.params, lr=cfg.lr)
     n = resid_std.shape[0]
     losses = []
     for _ in range(cfg.iters):
@@ -385,7 +385,7 @@ def train_mae(
     ``states_std`` is the standardized state sequence (T, V, H, W).
     """
     rng = np.random.default_rng(cfg.seed)
-    opt = ad.AdamW(mae.params, lr=cfg.lr, betas=cfg.betas, weight_decay=cfg.weight_decay)
+    opt = ad.AdamW(mae.params, lr=cfg.lr)
     k = mae.cfg.k
     t_max = states_std.shape[0] - (k + 1)
     if t_max < 1:
@@ -408,7 +408,7 @@ def train_frame_ae(
     ae: FrameAe, states_std: np.ndarray, cfg: TrainConfig, lat_w=None, var_w=None
 ) -> list[float]:
     rng = np.random.default_rng(cfg.seed)
-    opt = ad.AdamW(ae.params, lr=cfg.lr, betas=cfg.betas, weight_decay=cfg.weight_decay)
+    opt = ad.AdamW(ae.params, lr=cfg.lr)
     n = states_std.shape[0]
     losses = []
     for _ in range(cfg.iters):

@@ -1,4 +1,4 @@
-"""End-to-end glue: dataset prep, model training from config, ablation grid.
+"""End-to-end glue: dataset prep, model training from config, scoring, ablation grid.
 
 The CLI subcommands and the acceptance suite both drive these entry points,
 so every artifact is reproducible from (config, seed) alone.
@@ -236,7 +236,7 @@ def train_denoiser(bundle: DatasetBundle, config: dict, vae: models.Vae, encoder
         sigma_data = float(cfg["sigma_data"])
     edm_cfg = edm_config(config["sampler"], sigma_data)
     net = build_denoiser(config, seed)
-    opt = ad.AdamW(net.params, lr=cfg["lr"], betas=(0.9, 0.95))
+    opt = ad.AdamW(net.params, lr=cfg["lr"])
     train_rng = np.random.default_rng([seed, 505])
     batch = cfg["batch"]
     for _ in range(cfg["iters"]):
@@ -253,8 +253,27 @@ def train_denoiser(bundle: DatasetBundle, config: dict, vae: models.Vae, encoder
 
 
 # ---------------------------------------------------------------------------
-# Ablation harness
+# Scoring and the ablation harness
 # ---------------------------------------------------------------------------
+
+
+def score_ensemble(
+    bundle: DatasetBundle, fields: np.ndarray, rank_seed: int
+) -> verify.MetricReport:
+    """Score (M, T, V, H, W) forecast fields against the first T truth frames.
+
+    Scores are per variable and per lead (6 h apart) in the dataset's raw
+    units; ``nimbus evaluate`` and every ``nimbus ablate`` cell score here.
+    """
+    t_lead = fields.shape[1]
+    return verify.evaluate_ensemble(
+        fields,
+        bundle.truth[:t_lead],
+        variables=[s.name for s in bundle.full.specs],
+        lead_hours=[6 * (i + 1) for i in range(t_lead)],
+        lat_weights=bundle.lat_w,
+        rank_seed=rank_seed,
+    )
 
 
 def run_cell(
@@ -270,7 +289,11 @@ def run_cell(
 ):
     """Train one (conditioning, regularizer) cell and score its forecast.
 
-    ``cache`` shares trained VAEs/encoders across cells of the same seed.
+    Returns one (seed, cond, strategy, variable, lead_hours, metric, value)
+    row per row of ``score_ensemble``'s report: the rows ``nimbus evaluate``
+    writes to metrics.csv, for every lead, in the dataset's raw units, so
+    comparing variables needs their std. ``cache`` shares trained
+    VAEs/encoders across cells of the same seed.
     """
     cache = cache if cache is not None else {}
 
@@ -301,35 +324,8 @@ def run_cell(
         stochastic=config["sampler"]["stochastic"],
         workers=workers,
     )
-    truth = bundle.truth[:t_lead]
-    # Score in standardized units so variables aggregate comparably.
-    f_std = np.stack(
-        [grid.standardize_array(ens.fields[m], bundle.state_specs) for m in range(members)]
-    )
-    y_std = grid.standardize_array(truth, bundle.state_specs)
-    w = bundle.lat_w[:, None]
-    vv = truth.shape[1]
-    rmse_first = float(
-        np.mean(
-            [verify.rmse_ensemble_mean(f_std[:, 0, v], y_std[0, v], w) for v in range(vv)]
-        )
-    )
-    ssr_first = float(
-        np.mean(
-            [verify.spread_skill_ratio(f_std[:, 0, v], y_std[0, v], w) for v in range(vv)]
-        )
-    )
-    crps_first = float(
-        np.mean([verify.crps_field(f_std[:, 0, v], y_std[0, v], w) for v in range(vv)])
-    )
-    return {
-        "cond": cond_mode,
-        "strategy": strategy.value,
-        "seed": seed,
-        "rmse_first": rmse_first,
-        "ssr_first": ssr_first,
-        "crps_first": crps_first,
-    }
+    report = score_ensemble(bundle, ens.fields, config["verify"]["rank_seed"])
+    return [(seed, cond_mode, strategy.value, *row) for row in report.to_rows()]
 
 
 def ablate(
@@ -342,23 +338,16 @@ def ablate(
     t_lead: int,
     workers: int = 1,
 ):
-    """Grid of (conditioning, regularizer) cells over replicate seeds."""
+    """Grid of (conditioning, regularizer) cells over replicate seeds.
+
+    Returns every cell's ``run_cell`` rows: (seed, cond, strategy, variable,
+    lead_hours, metric, value), values in the dataset's raw units.
+    """
     rows = []
     for seed in seeds:
         cache: dict = {}
         for cond in conds:
             for strat in strategies:
-                rows.append(
-                    run_cell(
-                        bundle,
-                        config,
-                        cond,
-                        Strategy(strat),
-                        seed,
-                        members,
-                        t_lead,
-                        cache=cache,
-                        workers=workers,
-                    )
-                )
+                cell = (bundle, config, cond, Strategy(strat), seed, members, t_lead)
+                rows.extend(run_cell(*cell, cache=cache, workers=workers))
     return rows

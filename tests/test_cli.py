@@ -1,4 +1,5 @@
 import argparse
+import csv
 import dataclasses
 import json
 import logging
@@ -24,6 +25,8 @@ TINY = {
     "sampler": {"steps": 3},
     "forecast": {"members": 2, "t_lead": 2, "train_frames": 24},
 }
+# The metrics.csv rows of every (variable, lead), in MetricReport order.
+METRICS = ("rmse_mean", "crps_fair", "crps_empirical", "ssr")
 
 
 @pytest.fixture(scope="module")
@@ -417,8 +420,104 @@ def test_ablate_rows_do_not_depend_on_workers(trained):
         )
         for workers in (1, 2)
     ]
-    assert len(rows[0]) == 1
+    # One row per (variable, lead, metric) of the one cell.
+    assert len(rows[0]) == TINY["data"]["v"] * a["t_lead"] * len(METRICS)
     assert rows[0] == rows[1]
+
+
+def _csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def _ablate_config(tmp_path, out, **ablate):
+    """TINY with an ``ablate`` section, beside a copy of the run's dataset."""
+    shutil.copy(out / "dataset.pyld", tmp_path)
+    cfg = {**TINY, "ablate": {"conds": ["none"], "strategies": ["none"], "replicates": 1, **ablate}}
+    # The frame AE's latents condition the denoiser beside the VAE's 4 channels.
+    cfg["frame_ae"] = {"iters": 2, "batch": 1, "base_channels": 4, "latent_channels": 4}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg))
+    return config
+
+
+@pytest.mark.parametrize("members", [1, 2])
+def test_ablate_cell_rows_equal_evaluate_metrics(trained, tmp_path, members, monkeypatch):
+    out, _, _ = trained
+    config = _ablate_config(tmp_path, out, members=members, t_lead=2)
+    ensembles = []
+    rollout = forecast.rollout
+
+    def recording(*args, **kwargs):
+        ensembles.append(rollout(*args, **kwargs))
+        return ensembles[-1]
+
+    monkeypatch.setattr(forecast, "rollout", recording)
+    assert cli.main(["ablate", "--config", str(config), "--out", str(tmp_path)]) == 0
+    ablation = _csv_rows(tmp_path / "ablation.csv")
+    assert ablation[0] == ["seed", "cond", "strategy", "variable", "lead_hours", "metric", "value"]
+    assert {tuple(row[:3]) for row in ablation[1:]} == {("0", "none", "none")}
+
+    scored = tmp_path / "evaluate"
+    scored.mkdir()
+    shutil.copy(out / "dataset.pyld", scored)
+    (ens,) = ensembles
+    forecast.write_forecast(ens, scored / "forecast")
+    assert cli.main(["evaluate", "--config", str(config), "--out", str(scored)]) == 0
+    metrics = _csv_rows(scored / "metrics.csv")
+    assert len(metrics) == 1 + TINY["data"]["v"] * 2 * len(METRICS)
+    assert [row[3:] for row in ablation] == metrics
+
+
+def test_ablate_t_lead_beyond_truth_exits_2_before_training(trained, tmp_path, monkeypatch, caplog):
+    out, _, _ = trained
+    n_truth = TINY["data"]["t"] - TINY["forecast"]["train_frames"] - 5
+    config = _ablate_config(tmp_path, out, t_lead=n_truth + 1)
+    calls = []
+    vae_loss = models.vae_loss
+    monkeypatch.setattr(models, "vae_loss", lambda *a, **k: calls.append(1) or vae_loss(*a, **k))
+    with caplog.at_level(logging.ERROR, logger="nimbus"):
+        assert cli.main(["ablate", "--config", str(config), "--out", str(tmp_path)]) == 2
+    assert f"ablate has {n_truth + 1} leads" in caplog.text
+    assert f"only {n_truth} truth frames" in caplog.text
+    assert "lower ablate.t_lead" in caplog.text
+    assert calls == []
+
+
+def test_ablate_scores_every_conditioning_and_trains_each_model_once_per_seed(
+    trained, tmp_path, monkeypatch
+):
+    out, _, _ = trained
+    conds = ["none", "2d", "3dmae"]
+    config = _ablate_config(tmp_path, out, conds=conds, replicates=2, members=2, t_lead=2)
+    trains = {name: [] for name in ("train_vae", "train_mae", "train_frame_ae")}
+
+    def counting(name):
+        train = getattr(pipeline, name)
+
+        def counted(*args):
+            trains[name].append(args[-1])  # the seed
+            return train(*args)
+
+        return counted
+
+    for name in trains:
+        monkeypatch.setattr(pipeline, name, counting(name))
+    assert cli.main(["ablate", "--config", str(config), "--out", str(tmp_path)]) == 0
+    assert trains == {name: [0, 1] for name in trains}
+    keys = {
+        (f"var{v}", str(lead), metric)
+        for v in range(TINY["data"]["v"])
+        for lead in (6, 12)
+        for metric in METRICS
+    }
+    cells = {}
+    for seed, cond, strategy, *row in _csv_rows(tmp_path / "ablation.csv")[1:]:
+        assert np.isfinite(float(row[-1]))
+        cells.setdefault((seed, cond, strategy), []).append(tuple(row[:-1]))
+    assert sorted(cells) == sorted((str(s), c, "none") for s in (0, 1) for c in conds)
+    for cell, rows in cells.items():
+        assert sorted(rows) == sorted(keys), cell
 
 
 def test_stages_standardize_states_once(trained, tmp_path, monkeypatch):
