@@ -7,12 +7,19 @@ circularly (periodic longitude) and the second-to-last with zeros (bounded
 latitude); the temporal axis of conv3d is left un-padded unless an explicit
 causal left-pad is requested.
 
+Every convolution runs through one kernel, ``_corr``. It builds no im2col
+matrix: it gathers windows over the trailing spatial axes only (W for
+conv2d, H and W for conv3d) and runs one GEMM per tap of the leading axis
+(H for conv2d, T for conv3d) on a row-shifted view of those windows. The
+weight gradient reuses the same windows, and the input gradient is a
+stride-1 ``_corr`` with the flipped kernel.
+
 Values default to float32; reductions accumulate in float64. Tests flip the
 default to float64 (``use_dtype``) for finite-difference gradient checks.
 
 Inference runs inside ``no_grad()``: an operation there returns a tensor with
 no parents and no backward closure, so nothing the backward pass would need
-(im2col matrices, activations) outlives the operation. The switch is
+(conv windows, activations) outlives the operation. The switch is
 per-thread, so one thread may sample while another trains. Leaf tensors are
 still checked for non-finite values.
 """
@@ -262,7 +269,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     parents = (x, w) if b is None else (x, w, b)
 
     def backward(go):
-        gx = go @ w.data.T
+        gx = go @ w.data.T if x.requires_grad else None
         gw = x.data.T @ go
         if b is None:
             return gx, gw
@@ -443,8 +450,8 @@ def _pad_spatial(x, kh, kw, pad_t=0):
 
     H gets zeros, W wraps around, and a 5D input gets ``pad_t`` causal zero
     frames before T. The result is the channels-first view of one
-    C-contiguous (B, *padded, C) buffer, so ``_corr``'s channels-last copy
-    of it is free.
+    C-contiguous (B, *padded, C) buffer, so ``_corr`` reads it
+    channels-last without a copy.
     """
     pt, pb = (kh - 1) // 2, kh - 1 - (kh - 1) // 2
     pl, pr = (kw - 1) // 2, kw - 1 - (kw - 1) // 2
@@ -535,30 +542,63 @@ def share_blas_threads(n: int):
 
 
 def _corr(x, w, strides):
-    """Valid cross-correlation via im2col GEMM.
+    """Valid cross-correlation: one GEMM per tap of the leading spatial axis.
 
     Callers pass channels-first: x (B, C, *spatial), w (O, C, *kernel);
-    strides aligned with spatial axes. Returns (out (B, O, *out_spatial),
-    cols), cols kept for the weight gradient. Each row of cols is one window
-    ordered (*kernel, C): gathered from a channels-last copy of x, every row
-    copies contiguous runs of kw*C elements.
+    strides aligned with spatial axes. The leading spatial axis is H for
+    conv2d and T for conv3d; the trailing ones are W, or H and W.
+
+    Windows are gathered over the trailing axes only, from a channels-last
+    view of x, into a (B, N, R, K) array in ``np.result_type(x, w)``: N
+    leading-axis rows, R output points per row, and each window ordered
+    (*kernel[1:], C), K = C * prod(kernel[1:]) wide. Only the
+    N = s * (n_out - 1) + k rows the output reads are kept. Tap d of the
+    leading kernel axis reads rows d, d + s, ... of the windows; at stride 1
+    that is one contiguous block per batch element, so its GEMM copies
+    nothing. The k GEMMs sum into one output buffer.
+
+    Returns (out (B, O, *out_spatial), windows); the windows are kept for
+    the weight gradient (``_corr_wgrad``). They are about 1/k of the full
+    im2col matrix, which would hold every window of every tap.
     """
-    nsp = w.ndim - 2
-    ksz = w.shape[2:]
-    xl = np.ascontiguousarray(np.moveaxis(x, 1, -1))
-    win = sliding_window_view(xl, ksz, axis=tuple(range(1, 1 + nsp)))
-    win = win[(slice(None),) + tuple(slice(None, None, s) for s in strides)]
-    out_spatial = win.shape[1 : 1 + nsp]
-    b = x.shape[0]
-    # (B, *out_spatial, C, *kernel) -> (B, *out_spatial, *kernel, C) -> GEMM rows
-    cols = np.ascontiguousarray(np.moveaxis(win, 1 + nsp, -1)).reshape(
-        b * int(np.prod(out_spatial)), -1
-    )
-    wmat = np.moveaxis(w, 1, -1).reshape(w.shape[0], -1)
-    out = cols @ wmat.T
-    out = out.reshape((b,) + tuple(out_spatial) + (w.shape[0],))
-    out = np.moveaxis(out, -1, 1)
-    return np.ascontiguousarray(out), cols
+    b, k, s = x.shape[0], w.shape[2], strides[0]
+    n_out = (x.shape[2] - k) // s + 1
+    rows = s * (n_out - 1) + k
+    xl = np.moveaxis(x[:, :, :rows], 1, -1)
+    win = sliding_window_view(xl, w.shape[3:], axis=tuple(range(2, xl.ndim - 1)))
+    win = win[(slice(None), slice(None)) + tuple(slice(None, None, st) for st in strides[1:])]
+    out_rest = win.shape[2 : xl.ndim - 1]
+    # (B, N, *out_rest, C, *kernel[1:]) -> (B, N, *out_rest, *kernel[1:], C)
+    win = np.ascontiguousarray(np.moveaxis(win, xl.ndim - 1, -1), dtype=np.result_type(x, w))
+    windows = win.reshape(b, rows, int(np.prod(out_rest)), -1)
+    wmat = np.moveaxis(w, 1, -1).reshape(w.shape[0], k, windows.shape[-1])
+    out = _tap(windows, 0, s, n_out) @ wmat[:, 0].T
+    for d in range(1, k):
+        out += _tap(windows, d, s, n_out) @ wmat[:, d].T
+    out = out.reshape((b, n_out) + out_rest + (w.shape[0],))
+    return np.ascontiguousarray(np.moveaxis(out, -1, 1)), windows
+
+
+def _tap(windows, d, s, n_out):
+    """GEMM rows of leading tap d: (B, n_out * R, K), a view when s == 1."""
+    b, _, r, width = windows.shape
+    return windows[:, d : d + s * (n_out - 1) + 1 : s].reshape(b, n_out * r, width)
+
+
+def _corr_wgrad(go, windows, w_shape):
+    """Weight gradient of ``_corr`` from its saved windows, one GEMM per leading tap.
+
+    go is (B, O, *out_spatial). The leading stride is read back from the
+    windows, which hold exactly s * (n_out - 1) + k rows. Each batch
+    element's GEMM is summed over the batch.
+    """
+    b, o, n_out = go.shape[:3]
+    k = w_shape[2]
+    s = (windows.shape[1] - k) // (n_out - 1) if n_out > 1 else 1
+    g = go.reshape(b, o, -1)
+    gw = np.stack([(g @ _tap(windows, d, s, n_out)).sum(axis=0) for d in range(k)], axis=1)
+    # (O, k, K) -> (O, *kernel, C) -> (O, C, *kernel)
+    return np.moveaxis(gw.reshape((o,) + tuple(w_shape[2:]) + (w_shape[1],)), -1, 1)
 
 
 def _corr_input_grad(go, w, strides, padded_spatial):
@@ -586,19 +626,18 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1) -> Te
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise DomainError("conv2d expects x (B,C,H,W) and w (O,C,kh,kw)")
     _, _, h, wd = x.data.shape
-    o, c, kh, kw = w.data.shape
+    _, c, kh, kw = w.data.shape
     if c != x.data.shape[1]:
         raise DomainError(f"kernel expects {c} input channels, got {x.data.shape[1]}")
     xp, pads = _pad_spatial(x.data, kh, kw)
-    out, cols = _corr(xp, w.data, (stride, stride))
+    out, windows = _corr(xp, w.data, (stride, stride))
     if b is not None:
         out = out + b.data[None, :, None, None]
     parents = (x, w) if b is None else (x, w, b)
     padded_spatial = xp.shape[2:]
 
     def backward(go):
-        go_mat = np.moveaxis(go, 1, -1).reshape(-1, o)
-        gw = np.moveaxis((go_mat.T @ cols).reshape(o, kh, kw, c), -1, 1)
+        gw = _corr_wgrad(go, windows, w.data.shape)
         gx = None
         if x.requires_grad:
             gxp = _corr_input_grad(go, w.data, (stride, stride), padded_spatial)
@@ -626,21 +665,20 @@ def conv3d(
     if x.data.ndim != 5 or w.data.ndim != 5:
         raise DomainError("conv3d expects x (B,C,T,H,W) and w (O,C,kt,kh,kw)")
     _, _, t, h, wd = x.data.shape
-    o, c, kt, kh, kw = w.data.shape
+    _, c, kt, kh, kw = w.data.shape
     if c != x.data.shape[1]:
         raise DomainError(f"kernel expects {c} input channels, got {x.data.shape[1]}")
     if t + pad_t < kt:
         raise DomainError(f"temporal length {t} too short for kernel {kt}")
     xp, pads = _pad_spatial(x.data, kh, kw, pad_t)
-    out, cols = _corr(xp, w.data, (stride_t, stride_hw, stride_hw))
+    out, windows = _corr(xp, w.data, (stride_t, stride_hw, stride_hw))
     if b is not None:
         out = out + b.data[None, :, None, None, None]
     parents = (x, w) if b is None else (x, w, b)
     padded_spatial = xp.shape[2:]
 
     def backward(go):
-        go_mat = np.moveaxis(go, 1, -1).reshape(-1, o)
-        gw = np.moveaxis((go_mat.T @ cols).reshape(o, kt, kh, kw, c), -1, 1)
+        gw = _corr_wgrad(go, windows, w.data.shape)
         gx = None
         if x.requires_grad:
             gxp = _corr_input_grad(go, w.data, (stride_t, stride_hw, stride_hw), padded_spatial)

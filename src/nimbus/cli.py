@@ -115,6 +115,9 @@ CHOICES = {
     "ablate.conds": pipeline.COND_MODES,
 }
 HINTS = {"diffusion.cond_mode": "; the 2d frame encoder runs only in `nimbus ablate` (ablate.conds)"}
+# The config section of each conditioning encoder. The denoiser stacks its
+# latents with the VAE's, so both must have the same channel count.
+ENCODER_SECTIONS = {"3dmae": "mae", "2d": "frame_ae"}
 # Integer keys that may be 0; every other integer key is a count or a size.
 ZERO_OK = ("iters", "seed", "rank_seed")
 # Float keys that must be > 0 (every float must be finite).
@@ -288,8 +291,21 @@ def _load(model, out_dir, name):
     return model
 
 
+def _check_encoder_channels(cfg, conds, key):
+    """Raise a ConfigError naming both keys unless each encoder in ``conds`` has vae.latent_channels."""
+    want = cfg["vae"]["latent_channels"]
+    for cond in conds:
+        section = ENCODER_SECTIONS.get(cond)
+        if section and cfg[section]["latent_channels"] != want:
+            raise ConfigError(
+                f"{section}.latent_channels is {cfg[section]['latent_channels']} but "
+                f"vae.latent_channels is {want}; {key} {cond!r} needs them equal"
+            )
+
+
 def _encoder(cfg, args, bundle, seed):
     """The conditioning encoder from its checkpoint; None for cond_mode "none"."""
+    _check_encoder_channels(cfg, [cfg["diffusion"]["cond_mode"]], "diffusion.cond_mode")
     if cfg["diffusion"]["cond_mode"] == "none":
         return None
     return _load(pipeline.build_mae(bundle, cfg["mae"], seed), args.out, "mae.pypt")
@@ -501,6 +517,7 @@ def cmd_ablate(cfg, args):
     bundle = _load_bundle(cfg, args)
     a = cfg["ablate"]
     _check_leads(bundle, a["t_lead"], "ablate")
+    _check_encoder_channels(cfg, a["conds"], "ablate.conds")
     seeds = [_seed(cfg, args) + r for r in range(a["replicates"])]
     rows = pipeline.ablate(
         bundle,

@@ -79,6 +79,20 @@ class TestLinear:
         b = random_param(rng, (4,))
         check_grads(lambda: ad.sum_all(ad.silu(ad.linear(x, w, b))), [x, w, b])
 
+    def test_input_gradient_formed_only_when_needed(self):
+        data = np.random.default_rng(0).standard_normal((5, 3))
+        grads = []
+        for make in (ad.constant, ad.param):
+            rng = np.random.default_rng(1)
+            w, b = random_param(rng, (3, 4)), random_param(rng, (4,))
+            out = ad.linear(make(data), w, b)
+            gx, _, _ = out._backward(np.ones(out.shape))
+            assert (gx is None) == (make is ad.constant)
+            ad.sum_all(ad.silu(out)).backward()
+            grads.append((w.grad, b.grad))
+        for constant_grad, param_grad in zip(*grads):
+            np.testing.assert_array_equal(constant_grad, param_grad)
+
 
 class TestNorms:
     def test_rmsnorm_unit_vector_identity(self):
@@ -238,6 +252,57 @@ class TestConvValues:
         ref = reference_conv(x, w, (stride_t, stride_hw, stride_hw), pad_t=pad_t)
         np.testing.assert_allclose(out, ref, rtol=0, atol=self.TOL[dtype] * np.abs(ref).max())
 
+    # Every kernel the models run, with multi-tap leading axes and kw > 1.
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kernel,stride", [((3, 3), 1), ((3, 3), 2), ((1, 1), 1)])
+    def test_conv2d_model_kernels(self, dtype, kernel, stride):
+        rng = np.random.default_rng(stride)
+        x = rng.standard_normal((2, 3, 6, 8)).astype(dtype)
+        w = rng.standard_normal((4, 3, *kernel)).astype(dtype)
+        out = ad.conv2d(ad.constant(x), ad.constant(w), stride=stride).data
+        assert out.dtype == dtype
+        ref = reference_conv(x, w, (stride, stride))
+        np.testing.assert_allclose(out, ref, rtol=0, atol=self.TOL[dtype] * np.abs(ref).max())
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "kernel,stride_t,stride_hw,pad_t",
+        [
+            ((2, 3, 3), 1, 2, 0),  # 3D-MAE c3d0
+            ((2, 3, 3), 2, 2, 0),  # 3D-MAE c3d1
+            ((2, 3, 3), 1, 1, 1),  # denoiser blocks
+            ((5, 1, 1), 1, 1, 0),  # denoiser head collapse
+            ((1, 1, 1), 1, 1, 0),  # projections
+        ],
+    )
+    def test_conv3d_model_kernels(self, dtype, kernel, stride_t, stride_hw, pad_t):
+        rng = np.random.default_rng(stride_t + stride_hw + pad_t)
+        x = rng.standard_normal((2, 3, 5, 6, 8)).astype(dtype)
+        w = rng.standard_normal((4, 3, *kernel)).astype(dtype)
+        out = ad.conv3d(
+            ad.constant(x), ad.constant(w), stride_t=stride_t, stride_hw=stride_hw, pad_t=pad_t
+        ).data
+        assert out.dtype == dtype
+        ref = reference_conv(x, w, (stride_t, stride_hw, stride_hw), pad_t=pad_t)
+        np.testing.assert_allclose(out, ref, rtol=0, atol=self.TOL[dtype] * np.abs(ref).max())
+
+    def test_saved_windows_are_smaller_than_im2col(self, monkeypatch):
+        saved = []
+        corr = ad._corr
+
+        def recording(x, w, strides):
+            out, windows = corr(x, w, strides)
+            saved.append(windows)
+            return out, windows
+
+        monkeypatch.setattr(ad, "_corr", recording)
+        b, c, h, wd = 1, 4, 64, 128
+        x = ad.constant(np.ones((b, c, h, wd), np.float32))
+        ad.conv2d(x, ad.param(np.ones((c, c, 3, 3), np.float32)))
+        (windows,) = saved
+        im2col_bytes = b * h * wd * c * 9 * windows.itemsize
+        assert windows.nbytes <= 0.4 * im2col_bytes
+
     @pytest.mark.parametrize("seed", range(5))
     def test_grads_asymmetric_kernel(self, seed):
         # C != O and kt != kh != kw, so a transposed kernel or channel axis fails.
@@ -259,18 +324,22 @@ class TestConvValues:
     def test_corr_tracer_contract(self, xshape, wshape, strides):
         # perfbench's conv_gflop and im2col_mb accounting reads _corr's
         # arguments as x (B, C, *spatial), w (O, C, *kernel) and prices one
-        # cols row per output point, C * prod(kernel) wide.
+        # cols row per output point, C * prod(kernel) wide. The kernel itself
+        # keeps (B, leading rows, trailing output points, C * prod(kernel[1:])).
         rng = np.random.default_rng(0)
         x = rng.standard_normal(xshape).astype(np.float32)
         w = rng.standard_normal(wshape).astype(np.float32)
-        out, cols = ad._corr(x, w, strides)
+        out, windows = ad._corr(x, w, strides)
         out_spatial = tuple(
             (n - k) // s + 1 for n, k, s in zip(xshape[2:], wshape[2:], strides)
         )
         assert out.shape == (xshape[0], wshape[0], *out_spatial)
         assert out.flags.c_contiguous
-        assert cols.shape == (xshape[0] * np.prod(out_spatial), xshape[1] * np.prod(wshape[2:]))
-        assert cols.dtype == x.dtype
+        lead_rows = strides[0] * (out_spatial[0] - 1) + wshape[2]
+        assert windows.shape == (
+            xshape[0], lead_rows, np.prod(out_spatial[1:]), xshape[1] * np.prod(wshape[3:])
+        )
+        assert windows.dtype == x.dtype
 
 
 class TestPadding:

@@ -484,6 +484,39 @@ def test_ablate_t_lead_beyond_truth_exits_2_before_training(trained, tmp_path, m
     assert calls == []
 
 
+def test_ablate_encoder_channel_mismatch_exits_2_before_training(
+    trained, tmp_path, monkeypatch, caplog
+):
+    # TINY leaves frame_ae.latent_channels at its default 16 against vae's 4.
+    out, _, _ = trained
+    shutil.copy(out / "dataset.pyld", tmp_path)
+    cfg = {**TINY, "ablate": {"conds": ["2d"], "strategies": ["none"], "replicates": 1}}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg))
+    calls = []
+    vae_loss = models.vae_loss
+    monkeypatch.setattr(models, "vae_loss", lambda *a, **k: calls.append(1) or vae_loss(*a, **k))
+    with caplog.at_level(logging.ERROR, logger="nimbus"):
+        assert cli.main(["ablate", "--config", str(config), "--out", str(tmp_path)]) == 2
+    assert "frame_ae.latent_channels is 16 but vae.latent_channels is 4" in caplog.text
+    assert "ablate.conds '2d'" in caplog.text
+    assert calls == []
+
+
+def test_train_diffusion_encoder_channel_mismatch_exits_2(trained, tmp_path, caplog):
+    out, _, _ = trained
+    for name in ("dataset.pyld", "vae.pypt", "mae.pypt"):
+        shutil.copy(out / name, tmp_path)
+    cfg = {**TINY, "mae": {**TINY["mae"], "latent_channels": 6}}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg))
+    with caplog.at_level(logging.ERROR, logger="nimbus"):
+        assert cli.main(["train-diffusion", "--config", str(config), "--out", str(tmp_path)]) == 2
+    assert "mae.latent_channels is 6 but vae.latent_channels is 4" in caplog.text
+    assert "diffusion.cond_mode '3dmae'" in caplog.text
+    assert not (tmp_path / "denoiser.pypt").exists()
+
+
 def test_ablate_scores_every_conditioning_and_trains_each_model_once_per_seed(
     trained, tmp_path, monkeypatch
 ):
