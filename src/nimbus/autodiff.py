@@ -22,6 +22,13 @@ no parents and no backward closure, so nothing the backward pass would need
 (conv windows, activations) outlives the operation. The switch is
 per-thread, so one thread may sample while another trains. Leaf tensors are
 still checked for non-finite values.
+
+Training runs one graph per sample on a thread pool (``thread_map``). Each
+sample's ``backward()`` runs inside ``grad_sink()``, which sends the
+gradients of the shared leaves (the parameters) to a per-thread dict
+instead of ``.grad``; ``mean_grad_step`` sums those dicts in sample order
+and takes one optimizer step, so the result does not depend on the
+thread count.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ import ctypes
 import os
 import struct
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 import numpy as np
@@ -83,6 +91,24 @@ def no_grad():
         _GRAD_MODE.enabled = prev
 
 
+@contextlib.contextmanager
+def grad_sink():
+    """Send this thread's leaf gradients to a fresh dict instead of ``.grad``.
+
+    Inside the block, ``backward()`` adds the gradient of each leaf (a
+    tensor with no parents: a parameter or an input) into the yielded
+    ``{leaf: array}`` dict and leaves ``leaf.grad`` untouched. Threads that
+    share parameters can then run backward at once: every other node
+    belongs to one thread's graph. The previous sink is restored on exit.
+    """
+    prev = getattr(_GRAD_MODE, "sink", None)
+    _GRAD_MODE.sink = sink = {}
+    try:
+        yield sink
+    finally:
+        _GRAD_MODE.sink = prev
+
+
 class Tensor:
     """A numpy array with an optional gradient and a backward closure."""
 
@@ -115,6 +141,12 @@ class Tensor:
         self.grad = None
 
     def backward(self):
+        """Back-propagate from this scalar into the leaves of its graph.
+
+        Leaf gradients add into ``.grad``, or into the thread's
+        ``grad_sink()`` dict inside one; every other node's gradient is
+        dropped once its backward closure has used it.
+        """
         if self.data.size != 1:
             raise DomainError("backward() requires a scalar loss")
         if not np.isfinite(self.data).all():
@@ -134,17 +166,25 @@ class Tensor:
             for p in node._parents:
                 if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
-        self.grad = np.ones_like(self.data)
+        grads = {self: np.ones_like(self.data)}  # this pass's gradients, by node
+        sink = getattr(_GRAD_MODE, "sink", None)
         for node in reversed(topo):
-            if node._backward is None or node.grad is None:
+            go = grads.pop(node, None)
+            if go is None:
                 continue
-            grads = node._backward(node.grad)
-            for parent, g in zip(node._parents, grads):
+            if not node._parents:
+                if sink is None:
+                    node.grad = go if node.grad is None else node.grad + go
+                else:
+                    sink[node] = sink[node] + go if node in sink else go
+                continue
+            for parent, g in zip(node._parents, node._backward(go)):
                 if g is None or not parent.requires_grad:
                     continue
-                if parent.grad is None:
-                    parent.grad = np.zeros_like(parent.data)
-                parent.grad += g
+                if parent in grads:
+                    grads[parent] += g
+                else:
+                    grads[parent] = g.astype(parent.data.dtype)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, grad={self.requires_grad})"
@@ -528,7 +568,9 @@ def share_blas_threads(n: int):
     previous counts on exit, also when the body raises. The count is
     process-wide (even OpenBLAS's "local" setter changes it for every
     thread), so enter this once around a pool of n threads, never inside
-    them. With no OpenBLAS loaded it changes nothing.
+    them: ``thread_map`` does, for the rollout's ensemble members, the
+    trainers' per-sample shards and the latent precompute's chunks. With no
+    OpenBLAS loaded it changes nothing.
     """
     libs = _loaded_openblas()
     prev = [get() for _, get, _ in libs]
@@ -539,6 +581,22 @@ def share_blas_threads(n: int):
     finally:
         for (_, _, set_), count in zip(libs, prev):
             set_(count)
+
+
+def thread_map(fn, items, workers: int) -> list:
+    """``[fn(item) for item in items]`` on min(workers, len(items)) threads.
+
+    Results come back in item order, and the first item's exception (in
+    item order) is raised. With more than one thread, the BLAS threads are
+    divided among them (``share_blas_threads``); a lone thread runs in the
+    caller and keeps every BLAS thread, the faster serial path.
+    """
+    items = list(items)
+    n = min(workers, len(items))
+    if n <= 1:
+        return [fn(item) for item in items]
+    with share_blas_threads(n), ThreadPoolExecutor(max_workers=n) as pool:
+        return list(pool.map(fn, items))
 
 
 def _corr(x, w, strides):
@@ -786,6 +844,33 @@ class AdamW:
                 self.eps,
                 self.weight_decay,
             )
+
+
+def mean_grad_step(opt: AdamW, loss_of: Callable[[int], Tensor], n: int, workers: int) -> float:
+    """One ``opt`` step on the mean of the losses ``loss_of(0) ... loss_of(n - 1)``.
+
+    Each loss is built and back-propagated on a ``thread_map`` thread inside
+    ``grad_sink()``. The per-sample gradients are then summed in sample
+    order on the calling thread and divided by n. For a loss that is a mean
+    over samples with nothing coupling them, that is the full-batch
+    gradient, and it is the same at any ``workers``. Returns the mean loss.
+    """
+
+    def shard(b):
+        with grad_sink() as sink:
+            loss = loss_of(b)
+            loss.backward()
+        return float(loss.data), sink
+
+    results = thread_map(shard, range(n), workers)
+    for p in opt.params.values():
+        total = None
+        for _, sink in results:
+            if p in sink:
+                total = sink[p] if total is None else total + sink[p]
+        p.grad = None if total is None else total / n
+    opt.step()
+    return sum(loss for loss, _ in results) / n
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Causal 3D convolution stacks: the 3D-MAE encoder.
 
-A window of k+1 frames is zero-padded with three prepended frames. Temporal
-mixing uses kernel extent 2: one initial stride-1 layer, then exactly one
-layer with temporal stride 2; deeper layers are frame-local (temporal extent
-1). The stack therefore emits 1 + k/2 latent frames, and latent frame j sees
-only padded frames up to 2j+3, so no frame reads a later one.
+A window of k+1 frames is zero-padded with three prepended frames, so the
+padded sequence holds frames 0 ... k+3. Temporal mixing uses kernel extent
+2: one initial stride-1 layer, then exactly one layer with temporal stride
+2; deeper layers are frame-local (temporal extent 1). The stack therefore
+emits 1 + k/2 latent frames, and latent frame j reads padded frames
+2j ... 2j+2 only, so no frame reads a later one. Latent frame 0 reads only
+the three zero frames, and the window's last frame (padded frame k+3) is
+never read.
 """
 
 from __future__ import annotations

@@ -5,8 +5,11 @@ manifest (config hash, seed, versions) into the output directory, and exit
 with 0 on success, 2 on configuration errors, 3 on numeric failures.
 NIMBUS_LOG controls log verbosity.
 
-``forecast`` and ``ablate`` run ensemble members on --workers threads; the
-BLAS threads are divided among those threads while members run.
+--workers threads run the ensemble members (``forecast``, ``ablate``), the
+training samples (``train-*``, ``ablate``) and the latent precompute
+(``train-diffusion``, ``diagnose``); the BLAS threads are divided among
+them while they run. The default is the number of CPUs this process may
+run on, and no output depends on it.
 """
 
 from __future__ import annotations
@@ -358,14 +361,14 @@ def cmd_gen_data(cfg, args):
 def cmd_train_vae(cfg, args):
     bundle = _load_bundle(cfg, args)
     strategy = Strategy(cfg["vae"]["regularizer"])
-    vae = pipeline.train_vae(bundle, cfg["vae"], strategy, _seed(cfg, args))
+    vae = pipeline.train_vae(bundle, cfg["vae"], strategy, _seed(cfg, args), args.workers)
     _save_model(vae.params, args.out, "vae.pypt")
     log.info("saved VAE checkpoint (strategy=%s)", strategy.value)
 
 
 def cmd_train_mae(cfg, args):
     bundle = _load_bundle(cfg, args)
-    mae = pipeline.train_mae(bundle, cfg["mae"], _seed(cfg, args))
+    mae = pipeline.train_mae(bundle, cfg["mae"], _seed(cfg, args), args.workers)
     _save_model(mae.params, args.out, "mae.pypt")
     log.info("saved 3D-MAE checkpoint")
 
@@ -375,7 +378,7 @@ def cmd_train_diffusion(cfg, args):
     seed = _seed(cfg, args)
     vae = _load(pipeline.build_vae(bundle, cfg["vae"], seed), args.out, "vae.pypt")
     encoder = _encoder(cfg, args, bundle, seed)
-    net, edm_cfg = pipeline.train_denoiser(bundle, cfg, vae, encoder, seed)
+    net, edm_cfg = pipeline.train_denoiser(bundle, cfg, vae, encoder, seed, args.workers)
     _save_model(net.params, args.out, "denoiser.pypt")
     with open(os.path.join(args.out, "edm_config.json"), "w") as fh:
         json.dump({"sigma_data": edm_cfg.sigma_data}, fh)
@@ -458,8 +461,8 @@ def cmd_diagnose(cfg, args):
     k = cfg["mae"]["k"]
     vae = fmodels.vae
     resid_std = pipeline.standardized_residual_frames(bundle)
-    z_all = pipeline.residual_latents(vae, resid_std)
-    z_bar_all = pipeline.conditioning_latents(fmodels.encoder, bundle, z_all, k)
+    z_all = pipeline.residual_latents(vae, resid_std, args.workers)
+    z_bar_all = pipeline.conditioning_latents(fmodels.encoder, bundle, z_all, k, args.workers)
     targets = np.arange(k, bundle.train.data.shape[0] - 1)
     n = min(64, len(targets))
     rng = np.random.default_rng(seed)
@@ -549,6 +552,13 @@ COMMANDS = {
 }
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity set where the OS reports one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="nimbus", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -560,8 +570,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--workers",
             type=int,
-            default=1,
-            help="threads for ensemble members (forecast, ablate); BLAS threads are divided among them",
+            default=_cpu_count(),
+            help="threads for ensemble members, training samples and the latent precompute; "
+            "BLAS threads are divided among them (default: the CPUs this process may use; "
+            "outputs do not depend on it)",
         )
         p.add_argument("--dry-run", action="store_true")
     return parser

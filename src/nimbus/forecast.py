@@ -6,16 +6,16 @@ independent of scheduling. One step encodes the conditioning window (final
 frame masked), samples a residual latent with the EDM sampler, decodes it,
 and integrates X_{t+1} = X_t + dX.
 
-With ``workers`` > 1, members run on that many threads, and the BLAS
-threads are divided among them for the rollout, so member threads and
-BLAS threads do not compete for the same cores.
+With ``workers`` > 1, members run on that many threads
+(``autodiff.thread_map``), and the BLAS threads are divided among them for
+the rollout, so member threads and BLAS threads do not compete for the same
+cores.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,19 +159,11 @@ def rollout(
         raise DomainError("members and t_lead must be >= 1")
     init = np.asarray(init_window.data, dtype=np.float32)
     out = np.empty((members, t_lead) + init.shape[1:], dtype=np.float32)
-    threads = min(workers, members)
-    if threads > 1:
-        # A lone thread keeps every BLAS thread: the serial path is faster with them.
-        with ad.share_blas_threads(threads), ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {
-                m: pool.submit(_run_member, models, init, t_lead, base_seed, m, stochastic)
-                for m in range(members)
-            }
-            for m, fut in futures.items():
-                out[m] = fut.result()
-    else:
-        for m in range(members):
-            out[m] = _run_member(models, init, t_lead, base_seed, m, stochastic)
+
+    def member(m):
+        out[m] = _run_member(models, init, t_lead, base_seed, m, stochastic)
+
+    ad.thread_map(member, range(members), workers)
     return EnsembleForecast(
         fields=out,
         member_seeds=[[int(base_seed), m] for m in range(members)],

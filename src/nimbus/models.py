@@ -9,6 +9,7 @@ A frame-wise 2D autoencoder provides the conditioning baseline for ablations.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,11 +134,8 @@ def build_targets(batch: np.ndarray, strategy: Strategy, gamma: float, se_factor
     if strategy == Strategy.VAMFM:
         # Each plane keeps the fraction gamma of its own spectral energy.
         planes = batch.astype(np.float64)
-        radii = [
-            [spectral.cutoff_for_ratio(spectral.radial_profile(spectral.fft2(p)), gamma) for p in s]
-            for s in planes
-        ]
-        return spectral.lowpass(planes, np.array(radii)).astype(batch.dtype)
+        radii = spectral.cutoff_for_ratio(spectral.radial_profile(spectral.fft2(planes)), gamma)
+        return spectral.lowpass(planes, radii).astype(batch.dtype)
     if strategy == Strategy.FFM:
         return spectral.lowpass(batch, regularize.FFM_INPUT_CUTOFFS[gamma]).astype(batch.dtype)
     raise ConfigError(f"unknown strategy {strategy}")
@@ -240,29 +238,31 @@ class Mae:
         """Graph-free encoding of a window, last frame masked."""
         return self.encode(ad.constant(x)).data
 
-    def decode(self, z: ad.Tensor) -> ad.Tensor:
-        """Latent frames -> (B, V, k+1, H, W) reconstruction.
-
-        Latent frame 0 maps to the first input frame, frame j >= 1 to the
-        input pair (2j-1, 2j); temporal nearest upsampling then dropping the
-        first duplicate realigns the axes.
-        """
-        b, cz, tm, hh, ww = z.data.shape
-        t_out = 2 * tm - 1
-        h = ad.repeat_axis(z, 2, axis=2)
-        h = ad.narrow(h, 2, 1, t_out)
-        # Fold time into the batch for frame-wise 2D decoding.
-        h = ad.transpose(h, (0, 2, 1, 3, 4))
-        h = ad.reshape(h, (b * t_out, cz, hh, ww))
+    def decode_frames(self, z: ad.Tensor) -> ad.Tensor:
+        """Frame-wise 2D decoder: (N, Cz, h, w) latent frames -> (N, V, H, W)."""
         p = self.params
-        h = ad.silu(ad.conv2d(h, p["d0.w"], p["d0.b"]))
+        h = ad.silu(ad.conv2d(z, p["d0.w"], p["d0.b"]))
         h = ad.upsample2d(h)
         h = ad.silu(ad.conv2d(h, p["d1.w"], p["d1.b"]))
         h = ad.upsample2d(h)
         h = ad.silu(ad.conv2d(h, p["d2.w"], p["d2.b"]))
-        h = ad.conv2d(h, p["dh.w"], p["dh.b"])
-        h = ad.reshape(h, (b, t_out, self.v, h.data.shape[-2], h.data.shape[-1]))
-        return ad.transpose(h, (0, 2, 1, 3, 4))
+        return ad.conv2d(h, p["dh.w"], p["dh.b"])
+
+    def decode(self, z: ad.Tensor) -> ad.Tensor:
+        """Latent frames -> (B, V, k+1, H, W) reconstruction.
+
+        Latent frame 0 maps to the first input frame, frame j >= 1 to the
+        input pair (2j-1, 2j). Each of the 1 + k/2 latent frames is decoded
+        once; temporal nearest upsampling of the decoded frames, then
+        dropping the first duplicate, realigns the axes.
+        """
+        b, cz, tm, hh, ww = z.data.shape
+        # Fold time into the batch for frame-wise 2D decoding.
+        h = ad.reshape(ad.transpose(z, (0, 2, 1, 3, 4)), (b * tm, cz, hh, ww))
+        h = self.decode_frames(h)
+        h = ad.reshape(h, (b, tm, self.v, h.data.shape[-2], h.data.shape[-1]))
+        h = ad.transpose(h, (0, 2, 1, 3, 4))
+        return ad.narrow(ad.repeat_axis(h, 2, axis=2), 2, 1, 2 * tm - 1)
 
 
 def mae_loss(mae: Mae, window: np.ndarray, lat_w=None, var_w=None, mask_last: bool = True):
@@ -335,6 +335,22 @@ class TrainConfig:
     seed: int
 
 
+def normal_streams(rng: np.random.Generator, n: int, shape) -> list[np.random.Generator]:
+    """One Generator per sample of the batch draw ``rng.standard_normal((n, *shape[1:]))``.
+
+    ``shape`` is one sample's shape, (1, ...). Generator b is a copy of
+    ``rng`` at the start of sample b's slice of that draw, so its
+    ``standard_normal(shape)`` is that slice exactly; ``rng`` is left where
+    the batch draw would leave it. Standard normals come out of a Generator
+    in the same sequence whether drawn as one array or as consecutive slices.
+    """
+    streams = []
+    for _ in range(n):
+        streams.append(copy.deepcopy(rng))
+        rng.standard_normal(shape)
+    return streams
+
+
 def train_vae(
     vae: Vae,
     resid_std: np.ndarray,
@@ -342,18 +358,22 @@ def train_vae(
     strategy: Strategy,
     lat_w=None,
     var_w=None,
+    workers: int = 1,
 ) -> list[float]:
     """Train on standardized residual frames (N, V, H, W); returns loss curve.
 
     Batch sampling, the masking schedule, and reparameterization noise use
     separate seeded streams, so a gamma=1-only schedule reproduces the NONE
-    trace exactly.
+    trace exactly. Each sample's loss and backward pass run on one of
+    ``workers`` threads (``ad.mean_grad_step``); the result does not
+    depend on ``workers``.
     """
     rng_batch = np.random.default_rng([cfg.seed, 0])
     rng_gamma = np.random.default_rng([cfg.seed, 1])
     rng_eps = np.random.default_rng([cfg.seed, 2])
     opt = ad.AdamW(vae.params, lr=cfg.lr)
-    n = resid_std.shape[0]
+    n, _, h, w = resid_std.shape
+    latent = (1, vae.latent_channels, h // 4, w // 4)  # the encoder downsamples 4x
     losses = []
     for _ in range(cfg.iters):
         idx = rng_batch.integers(0, n, size=cfg.batch)
@@ -364,11 +384,13 @@ def train_vae(
             gamma, factor = 1.0, 1
         else:
             gamma, factor = regularize.sample_gamma(rng_gamma), 1
-        loss, _ = vae_loss(vae, batch, strategy, gamma, rng_eps, lat_w, var_w, factor)
-        opt.zero_grad()
-        loss.backward()
-        opt.step()
-        losses.append(float(loss.data))
+        eps = normal_streams(rng_eps, cfg.batch, latent)
+
+        def loss_of(b):
+            sample = batch[b : b + 1]
+            return vae_loss(vae, sample, strategy, gamma, eps[b], lat_w, var_w, factor)[0]
+
+        losses.append(ad.mean_grad_step(opt, loss_of, cfg.batch, workers))
     return losses
 
 
@@ -379,10 +401,12 @@ def train_mae(
     lat_w=None,
     var_w=None,
     warmup_frac: float = 0.25,
+    workers: int = 1,
 ) -> list[float]:
     """Two-phase curriculum: unmasked reconstruction, then final-frame masking.
 
-    ``states_std`` is the standardized state sequence (T, V, H, W).
+    ``states_std`` is the standardized state sequence (T, V, H, W). Samples
+    run on ``workers`` threads, as in ``train_vae``.
     """
     rng = np.random.default_rng(cfg.seed)
     opt = ad.AdamW(mae.params, lr=cfg.lr)
@@ -394,18 +418,26 @@ def train_mae(
     losses = []
     for it in range(cfg.iters):
         starts = rng.integers(0, t_max + 1, size=cfg.batch)
-        window = np.stack([states_std[s : s + k + 1] for s in starts])
-        window = np.ascontiguousarray(window.swapaxes(1, 2))  # (B, V, k+1, H, W)
-        loss = mae_loss(mae, window, lat_w, var_w, mask_last=it >= warmup)
-        opt.zero_grad()
-        loss.backward()
-        opt.step()
-        losses.append(float(loss.data))
+        # One (1, V, k+1, H, W) window per sample.
+        windows = [
+            np.ascontiguousarray(states_std[None, s : s + k + 1].swapaxes(1, 2)) for s in starts
+        ]
+        mask_last = it >= warmup
+
+        def loss_of(b):
+            return mae_loss(mae, windows[b], lat_w, var_w, mask_last=mask_last)
+
+        losses.append(ad.mean_grad_step(opt, loss_of, cfg.batch, workers))
     return losses
 
 
 def train_frame_ae(
-    ae: FrameAe, states_std: np.ndarray, cfg: TrainConfig, lat_w=None, var_w=None
+    ae: FrameAe,
+    states_std: np.ndarray,
+    cfg: TrainConfig,
+    lat_w=None,
+    var_w=None,
+    workers: int = 1,
 ) -> list[float]:
     rng = np.random.default_rng(cfg.seed)
     opt = ad.AdamW(ae.params, lr=cfg.lr)
@@ -413,9 +445,9 @@ def train_frame_ae(
     losses = []
     for _ in range(cfg.iters):
         idx = rng.integers(0, n, size=cfg.batch)
-        loss = frame_ae_loss(ae, states_std[idx], lat_w, var_w)
-        opt.zero_grad()
-        loss.backward()
-        opt.step()
-        losses.append(float(loss.data))
+
+        def loss_of(b):
+            return frame_ae_loss(ae, states_std[idx[b : b + 1]], lat_w, var_w)
+
+        losses.append(ad.mean_grad_step(opt, loss_of, cfg.batch, workers))
     return losses

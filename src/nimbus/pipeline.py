@@ -164,47 +164,56 @@ def edm_config(sampler: dict, sigma_data: float) -> edm.EdmConfig:
     )
 
 
-def train_vae(bundle: DatasetBundle, cfg: dict, strategy: Strategy, seed: int) -> models.Vae:
+def train_vae(
+    bundle: DatasetBundle, cfg: dict, strategy: Strategy, seed: int, workers: int = 1
+) -> models.Vae:
     vae = build_vae(bundle, cfg, seed)
     tc = models.TrainConfig(
         iters=cfg["iters"], batch=cfg["batch"], lr=cfg["lr"], seed=seed * 7919 + 11
     )
     resid_std = standardized_residual_frames(bundle)
-    models.train_vae(vae, resid_std, tc, strategy, bundle.lat_w, bundle.var_w)
+    models.train_vae(vae, resid_std, tc, strategy, bundle.lat_w, bundle.var_w, workers)
     return vae
 
 
-def train_mae(bundle: DatasetBundle, cfg: dict, seed: int) -> models.Mae:
+def train_mae(bundle: DatasetBundle, cfg: dict, seed: int, workers: int = 1) -> models.Mae:
     mae = build_mae(bundle, cfg, seed)
     tc = models.TrainConfig(
         iters=cfg["iters"], batch=cfg["batch"], lr=cfg["lr"], seed=seed * 7919 + 22
     )
     states_std = standardized_state_frames(bundle)
-    models.train_mae(mae, states_std, tc, bundle.lat_w, bundle.var_w, cfg["warmup_frac"])
+    models.train_mae(
+        mae, states_std, tc, bundle.lat_w, bundle.var_w, cfg["warmup_frac"], workers
+    )
     return mae
 
 
-def train_frame_ae(bundle: DatasetBundle, cfg: dict, seed: int) -> models.FrameAe:
+def train_frame_ae(
+    bundle: DatasetBundle, cfg: dict, seed: int, workers: int = 1
+) -> models.FrameAe:
     ae = build_frame_ae(bundle, cfg, seed)
     tc = models.TrainConfig(
         iters=cfg["iters"], batch=cfg["batch"], lr=cfg["lr"], seed=seed * 7919 + 33
     )
     states_std = standardized_state_frames(bundle)
-    models.train_frame_ae(ae, states_std, tc, bundle.lat_w, bundle.var_w)
+    models.train_frame_ae(ae, states_std, tc, bundle.lat_w, bundle.var_w, workers)
     return ae
 
 
-def _chunked(fn, data, chunk=8):
-    outs = [fn(data[i : i + chunk]) for i in range(0, data.shape[0], chunk)]
-    return np.concatenate(outs, axis=0)
+def _chunked(fn, data, chunk, workers):
+    """``fn`` of consecutive ``chunk``-row slices of ``data``, on ``workers`` threads, joined."""
+    slices = [data[i : i + chunk] for i in range(0, data.shape[0], chunk)]
+    return np.concatenate(ad.thread_map(fn, slices, workers), axis=0)
 
 
-def residual_latents(vae: models.Vae, resid_std: np.ndarray) -> np.ndarray:
+def residual_latents(vae: models.Vae, resid_std: np.ndarray, workers: int = 1) -> np.ndarray:
     """Posterior-mean latents of ``standardized_residual_frames(bundle)``."""
-    return _chunked(vae.encode_mean, resid_std)
+    return _chunked(vae.encode_mean, resid_std, 8, workers)
 
 
-def conditioning_latents(encoder, bundle: DatasetBundle, z_all: np.ndarray, k: int) -> np.ndarray:
+def conditioning_latents(
+    encoder, bundle: DatasetBundle, z_all: np.ndarray, k: int, workers: int = 1
+) -> np.ndarray:
     """z_bar for every trainable target step t in [k, T-2].
 
     Row i conditions the step t = k + i (predicting frame t+1 of the
@@ -219,16 +228,22 @@ def conditioning_latents(encoder, bundle: DatasetBundle, z_all: np.ndarray, k: i
         recent = np.stack([states_std[t - k + 1 : t + 1] for t in ts])
         return forecast.conditioning_latents(encoder, recent, z_all[ts - 1])
 
-    return _chunked(encode, targets, chunk=4)
+    return _chunked(encode, targets, 4, workers)
 
 
-def train_denoiser(bundle: DatasetBundle, config: dict, vae: models.Vae, encoder, seed: int):
-    """Train the conditional denoiser on residual latents; returns (net, edm_cfg)."""
+def train_denoiser(
+    bundle: DatasetBundle, config: dict, vae: models.Vae, encoder, seed: int, workers: int = 1
+):
+    """Train the conditional denoiser on residual latents; returns (net, edm_cfg).
+
+    The latent precompute and each sample's loss and backward pass run on
+    ``workers`` threads; the result does not depend on ``workers``.
+    """
     cfg = config["diffusion"]
     k = config["mae"]["k"]
     # index t: residual of step t -> t+1
-    z_all = residual_latents(vae, standardized_residual_frames(bundle))
-    z_bar_all = conditioning_latents(encoder, bundle, z_all, k)
+    z_all = residual_latents(vae, standardized_residual_frames(bundle), workers)
+    z_bar_all = conditioning_latents(encoder, bundle, z_all, k, workers)
     targets = np.arange(k, bundle.train.data.shape[0] - 1)
     if cfg["sigma_data"] == "auto":
         sigma_data = max(edm.estimate_sigma_data(z_all), 1e-3)
@@ -243,12 +258,15 @@ def train_denoiser(bundle: DatasetBundle, config: dict, vae: models.Vae, encoder
         pick = train_rng.integers(0, len(targets), size=batch)
         ts = targets[pick]
         sigma = edm.sample_sigma(train_rng, edm_cfg, size=batch)
-        loss = edm.diffusion_loss(
-            net, z_all[ts], z_bar_all[pick], z_all[ts - 1], sigma, train_rng, edm_cfg
-        )
-        opt.zero_grad()
-        loss.backward()
-        opt.step()
+        eps = models.normal_streams(train_rng, batch, (1,) + z_all.shape[1:])
+
+        def loss_of(b):
+            i, t = pick[b : b + 1], ts[b : b + 1]
+            return edm.diffusion_loss(
+                net, z_all[t], z_bar_all[i], z_all[t - 1], sigma[b : b + 1], eps[b], edm_cfg
+            )
+
+        ad.mean_grad_step(opt, loss_of, batch, workers)
     return net, edm_cfg
 
 
@@ -303,15 +321,19 @@ def run_cell(
         return cache[key]
 
     vae = cached(
-        ("vae", strategy.value, seed), lambda: train_vae(bundle, config["vae"], strategy, seed)
+        ("vae", strategy.value, seed),
+        lambda: train_vae(bundle, config["vae"], strategy, seed, workers=workers),
     )
     enc = None
     if cond_mode == "3dmae":
-        enc = cached(("mae", seed), lambda: train_mae(bundle, config["mae"], seed))
+        enc = cached(("mae", seed), lambda: train_mae(bundle, config["mae"], seed, workers=workers))
     elif cond_mode == "2d":
-        enc = cached(("frame_ae", seed), lambda: train_frame_ae(bundle, config["frame_ae"], seed))
+        enc = cached(
+            ("frame_ae", seed),
+            lambda: train_frame_ae(bundle, config["frame_ae"], seed, workers=workers),
+        )
 
-    net, edm_cfg = train_denoiser(bundle, config, vae, enc, seed)
+    net, edm_cfg = train_denoiser(bundle, config, vae, enc, seed, workers=workers)
     fmodels = forecast.ForecastModels(
         vae, net, edm_cfg, bundle.state_specs, bundle.resid_specs, config["mae"]["k"], enc
     )

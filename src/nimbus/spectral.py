@@ -26,7 +26,10 @@ def normalized_radius(h: int, w: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Spectrum2D:
-    """Full (unshifted) complex 2D spectrum of a real field."""
+    """Full (unshifted) complex 2D spectra of real fields, one per (H, W) plane.
+
+    ``coeffs`` is (..., H, W): any leading axes index planes.
+    """
 
     coeffs: np.ndarray
     h: int
@@ -35,59 +38,72 @@ class Spectrum2D:
 
 @dataclass(frozen=True)
 class SpectralProfile:
-    """Shell-averaged amplitude A(r) and cumulative energy E(r).
+    """Shell-averaged amplitude A(r) and cumulative energy E(r) of each plane.
 
     ``radii`` are the upper edges of the equal-width shells; a coefficient
-    belongs to shell j when edge_j <= r < edge_{j+1}. ``degenerate`` marks an
-    all-zero spectrum, for which E is defined as identically 1.
+    belongs to shell j when edge_j <= r < edge_{j+1}. ``amplitude`` and
+    ``cumulative`` are (..., shells), one row per plane. ``degenerate``
+    (shaped like the leading plane axes) marks an all-zero spectrum, for
+    which E is defined as identically 1.
     """
 
     radii: np.ndarray
     amplitude: np.ndarray
     cumulative: np.ndarray
-    degenerate: bool = False
+    degenerate: np.ndarray
 
 
 def fft2(x) -> Spectrum2D:
+    """Spectrum of each (H, W) plane of a real field (..., H, W)."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 2 or x.shape[1] < 2:
-        raise DomainError(f"fft2 expects a 2D field of size >= 2x2, got {x.shape}")
+    if x.ndim < 2 or x.shape[-2] < 2 or x.shape[-1] < 2:
+        raise DomainError(f"fft2 expects (..., H, W) planes of size >= 2x2, got {x.shape}")
     if not np.all(np.isfinite(x)):
         raise DomainError("fft2 input contains non-finite values")
-    return Spectrum2D(coeffs=np.fft.fft2(x), h=x.shape[0], w=x.shape[1])
+    return Spectrum2D(coeffs=np.fft.fft2(x, axes=(-2, -1)), h=x.shape[-2], w=x.shape[-1])
 
 
 def radial_profile(s: Spectrum2D) -> SpectralProfile:
-    """Shell-average |F| over circular frequency shells and accumulate energy."""
+    """Shell-average |F| over circular frequency shells and accumulate energy, per plane."""
     r = normalized_radius(s.h, s.w)
     b = max(s.h, s.w) // 2  # one shell per integer radius of the finer axis
     r_max = float(r.max())
     width = r_max / b
-    idx = np.minimum((r / width).astype(np.intp), b - 1)
-    mag = np.abs(s.coeffs)
+    idx = np.minimum((r / width).astype(np.intp), b - 1).ravel()
+    lead = s.coeffs.shape[:-2]
+    mag = np.abs(s.coeffs).reshape(-1, idx.size)
+    planes = mag.shape[0]
 
-    flat_idx = idx.ravel()
-    totals = np.bincount(flat_idx, weights=mag.ravel(), minlength=b)
-    counts = np.bincount(flat_idx, minlength=b)
-    amplitude = np.divide(totals, counts, out=np.zeros(b), where=counts > 0)
+    # Plane p's coefficients fall in bins p*b ... p*b + b - 1, in the same
+    # order as a bincount of that plane alone.
+    bins = (idx[None, :] + b * np.arange(planes)[:, None]).ravel()
+    totals = np.bincount(bins, weights=mag.ravel(), minlength=planes * b).reshape(planes, b)
+    counts = np.bincount(idx, minlength=b)
+    amplitude = np.divide(totals, counts, out=np.zeros((planes, b)), where=counts > 0)
 
-    grand = totals.sum()
-    radii = width * np.arange(1, b + 1)
-    if grand <= 0.0:
-        return SpectralProfile(
-            radii=radii, amplitude=amplitude, cumulative=np.ones(b), degenerate=True
-        )
-    cumulative = np.cumsum(totals) / grand
-    return SpectralProfile(radii=radii, amplitude=amplitude, cumulative=cumulative)
+    grand = totals.sum(axis=1)
+    degenerate = grand <= 0.0
+    cumulative = np.ones((planes, b))
+    live = ~degenerate
+    cumulative[live] = np.cumsum(totals[live], axis=1) / grand[live, None]
+    return SpectralProfile(
+        radii=width * np.arange(1, b + 1),
+        amplitude=amplitude.reshape(lead + (b,)),
+        cumulative=cumulative.reshape(lead + (b,)),
+        degenerate=degenerate.reshape(lead),
+    )
 
 
-def cutoff_for_ratio(p: SpectralProfile, gamma: float) -> float:
-    """Smallest shell radius whose cumulative energy reaches gamma."""
+def cutoff_for_ratio(p: SpectralProfile, gamma: float):
+    """Smallest shell radius whose cumulative energy reaches gamma, per plane.
+
+    A float for one plane, else an array shaped like the leading plane axes.
+    """
     if not (0.0 < gamma <= 1.0):
         raise DomainError(f"gamma must be in (0, 1], got {gamma}")
-    idx = int(np.searchsorted(p.cumulative, gamma, side="left"))
-    idx = min(idx, len(p.radii) - 1)
-    return float(p.radii[idx])
+    # E is non-decreasing, so the shells below gamma precede the first that reaches it.
+    idx = np.minimum(np.count_nonzero(p.cumulative < gamma, axis=-1), len(p.radii) - 1)
+    return p.radii[idx]
 
 
 def lowpass(x, r_cut) -> np.ndarray:

@@ -640,6 +640,98 @@ class TestNoGrad:
         assert seen["enabled"] is True and seen["parents"] == 1 and seen["inner"] is False
 
 
+class TestGradSink:
+    def test_leaf_gradients_go_to_the_sink(self):
+        p, loss = small_conv_net(np.random.default_rng(3))
+        loss().backward()
+        expect = {k: t.grad for k, t in p.items()}
+        for t in p.values():
+            t.grad = None
+        with ad.grad_sink() as sink:
+            loss().backward()
+        assert all(t.grad is None for t in p.values())
+        for k, t in p.items():
+            np.testing.assert_array_equal(sink[t], expect[k])
+
+    def test_concurrent_backward_leaves_shared_grad_untouched(self):
+        import threading
+
+        p, loss = small_conv_net(np.random.default_rng(4))
+        loss().backward()
+        expect = {k: t.grad for k, t in p.items()}
+        for t in p.values():
+            t.grad = None
+        both_built = threading.Barrier(2)
+
+        def shard(_):
+            with ad.grad_sink() as sink:
+                out = loss()
+                both_built.wait(timeout=10)
+                out.backward()
+            return sink
+
+        sinks = ad.thread_map(shard, range(2), workers=2)
+        assert all(t.grad is None for t in p.values())
+        for sink in sinks:
+            for k, t in p.items():
+                np.testing.assert_array_equal(sink[t], expect[k])
+
+    def test_mean_grad_step_does_not_depend_on_workers(self):
+        import sys
+
+        rng = np.random.default_rng(5)
+        params = {"w": random_param(rng, (3, 2, 3, 3), 0.5), "g": random_param(rng, (3,))}
+        xs = rng.standard_normal((8, 1, 2, 5, 6))
+
+        def loss_of(b):
+            h = ad.silu(ad.conv2d(ad.constant(xs[b]), params["w"]))
+            return ad.mean_all(ad.square(ad.rmsnorm(h, params["g"], axis=1)))
+
+        def step_grads(workers):
+            opt = ad.AdamW(params)
+            seen = {}
+            opt.step = lambda: seen.update({k: p.grad for k, p in params.items()})
+            loss = ad.mean_grad_step(opt, loss_of, len(xs), workers)
+            return loss, seen
+
+        serial_loss, serial = step_grads(1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            # Four threads, switching between them as often as possible.
+            runs = [step_grads(4) for _ in range(3)]
+        finally:
+            sys.setswitchinterval(interval)
+        for loss, grads in runs:
+            assert loss == serial_loss
+            for k in params:
+                np.testing.assert_array_equal(grads[k], serial[k])
+
+    def test_nested_sink_restores_the_outer_one(self):
+        x = ad.param(np.array([1.0, 2.0]))
+        with ad.grad_sink() as outer:
+            with ad.grad_sink() as inner:
+                ad.sum_all(ad.square(x)).backward()
+            ad.sum_all(x).backward()
+        np.testing.assert_array_equal(inner[x], [2.0, 4.0])
+        np.testing.assert_array_equal(outer[x], [1.0, 1.0])
+        assert x.grad is None
+
+
+class TestThreadMap:
+    def test_results_in_item_order(self):
+        assert ad.thread_map(lambda i: i * i, range(7), workers=3) == [i * i for i in range(7)]
+
+    def test_first_failing_item_raises(self):
+        def fail_from_two(i):
+            if i >= 2:
+                raise DomainError(f"item {i}")
+            return i
+
+        with pytest.raises(DomainError, match="item 2"):
+            ad.thread_map(fail_from_two, range(5), workers=2)
+
+
 class TestAdamW:
     def test_zero_grad_zero_decay_no_change(self):
         p = ad.param(np.array([1.0, 2.0]))

@@ -8,6 +8,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import threading
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -31,15 +32,20 @@ METRICS = ("rmse_mean", "crps_fair", "crps_empirical", "ssr")
 
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
-    """A tiny pipeline through train-diffusion, counting VAE loss evaluations."""
+    """A tiny pipeline through train-diffusion, counting VAE loss evaluations.
+
+    Training samples run on worker threads, so the counter takes a lock.
+    """
     out = tmp_path_factory.mktemp("run")
     config = out / "config.json"
     config.write_text(json.dumps(TINY))
     counts = {}
+    lock = threading.Lock()
     vae_loss = models.vae_loss
 
     def counting(*args, **kwargs):
-        counts[stage] = counts.get(stage, 0) + 1
+        with lock:
+            counts[stage] = counts.get(stage, 0) + 1
         return vae_loss(*args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -51,8 +57,24 @@ def trained(tmp_path_factory):
 
 def test_train_diffusion_runs_no_vae_iterations(trained):
     out, _, counts = trained
-    assert counts == {"train-vae": TINY["vae"]["iters"]}
+    # One vae_loss call per sample of every iteration, none in train-diffusion.
+    assert counts == {"train-vae": TINY["vae"]["iters"] * TINY["vae"]["batch"]}
     assert (out / "denoiser.pypt").stat().st_size > 0
+
+
+def test_training_checkpoints_do_not_depend_on_workers(trained, tmp_path):
+    out, config, _ = trained
+    for workers in ("1", "2"):
+        run = tmp_path / f"workers{workers}"
+        run.mkdir()
+        shutil.copy(out / "dataset.pyld", run)
+        for stage in ("train-vae", "train-mae", "train-diffusion"):
+            argv = [stage, "--config", str(config), "--out", str(run), "--workers", workers]
+            assert cli.main(argv) == 0
+    for name in ("vae.pypt", "mae.pypt", "denoiser.pypt", "edm_config.json"):
+        assert (tmp_path / "workers1" / name).read_bytes() == (
+            tmp_path / "workers2" / name
+        ).read_bytes(), name
 
 
 def test_forecast_writes_every_member(trained):
@@ -528,9 +550,9 @@ def test_ablate_scores_every_conditioning_and_trains_each_model_once_per_seed(
     def counting(name):
         train = getattr(pipeline, name)
 
-        def counted(*args):
-            trains[name].append(args[-1])  # the seed
-            return train(*args)
+        def counted(*args, **kwargs):
+            trains[name].append(args[-1])  # the seed; workers is passed by keyword
+            return train(*args, **kwargs)
 
         return counted
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nimbus import autodiff as ad
-from nimbus import grid, models, spectral
+from nimbus import edm, grid, models, spectral
 from nimbus.errors import ConfigError
 from nimbus.regularize import Strategy
 
@@ -148,6 +148,18 @@ class TestMae:
         z2 = mae.encode_array(x2)
         np.testing.assert_array_equal(z1, z2)
 
+    @pytest.mark.parametrize("k", [2, 4, 6])
+    def test_decode_equals_repeat_then_decode(self, k):
+        mae = self.make(k=k, seed=k)
+        z = np.random.default_rng(k).standard_normal((2, 3, 1 + k // 2, 2, 2)).astype(np.float32)
+        # Latent frames repeated to the k + 1 output frames, each then decoded.
+        rep = np.repeat(z, 2, axis=2)[:, :, 1:]
+        b, cz, t, hh, ww = rep.shape
+        flat = np.ascontiguousarray(rep.transpose(0, 2, 1, 3, 4)).reshape(b * t, cz, hh, ww)
+        frames = mae.decode_frames(ad.constant(flat)).data
+        expect = frames.reshape((b, t) + frames.shape[1:]).transpose(0, 2, 1, 3, 4)
+        assert np.array_equal(mae.decode(ad.constant(z)).data, expect)
+
     def test_mask_gradient_only_through_target(self):
         mae = self.make(seed=3)
         x = np.random.default_rng(4).standard_normal((1, 2, 5, 8, 8)).astype(np.float32)
@@ -215,3 +227,94 @@ class TestTraining:
             if err_last < err_first:
                 wins += 1
         assert wins >= 2
+
+
+class TestPerSampleShards:
+    """``ad.mean_grad_step`` over one-sample losses gives the full-batch gradient."""
+
+    @staticmethod
+    def sharded(params, loss_of, n):
+        opt = ad.AdamW(params)
+        seen = {}
+        opt.step = lambda: seen.update({k: p.grad for k, p in params.items()})
+        ad.mean_grad_step(opt, loss_of, n, workers=2)
+        return seen
+
+    @staticmethod
+    def full(params, loss):
+        for p in params.values():
+            p.grad = None
+        loss.backward()
+        return {k: p.grad for k, p in params.items()}
+
+    @staticmethod
+    def assert_same(full, sharded):
+        assert full.keys() == sharded.keys()
+        for k in full:
+            np.testing.assert_allclose(sharded[k], full[k], rtol=1e-9, atol=1e-14, err_msg=k)
+
+    @pytest.mark.parametrize(
+        "strategy,gamma,factor", [(Strategy.VAMFM, 0.6, 1), (Strategy.SE, 1.0, 2)]
+    )
+    def test_vae_loss(self, strategy, gamma, factor):
+        with ad.use_dtype(np.float64):
+            vae = make_vae(seed=21)
+            x = resid_batch(b=3, seed=22).astype(np.float64)
+            lat_w = grid.lat_weights(np.linspace(-60, 60, 16)).w
+            var_w = np.array([1.0, 0.5, 2.0])
+            args = (strategy, gamma)
+            weights = (lat_w, var_w, factor)
+            loss, _ = models.vae_loss(vae, x, *args, np.random.default_rng(3), *weights)
+            full = self.full(vae.params, loss)
+            eps = models.normal_streams(np.random.default_rng(3), 3, (1, 4, 4, 4))
+            sharded = self.sharded(
+                vae.params,
+                lambda b: models.vae_loss(vae, x[b : b + 1], *args, eps[b], *weights)[0],
+                3,
+            )
+        self.assert_same(full, sharded)
+
+    def test_mae_loss(self):
+        with ad.use_dtype(np.float64):
+            mae = TestMae().make(seed=23)
+            x = np.random.default_rng(24).standard_normal((3, 2, 5, 8, 8))
+            lat_w = grid.lat_weights(np.linspace(-60, 60, 8)).w
+            full = self.full(mae.params, models.mae_loss(mae, x, lat_w))
+            sharded = self.sharded(
+                mae.params, lambda b: models.mae_loss(mae, x[b : b + 1], lat_w), 3
+            )
+        self.assert_same(full, sharded)
+
+    def test_diffusion_loss(self):
+        with ad.use_dtype(np.float64):
+            rng = np.random.default_rng(25)
+            cfg = edm.EdmConfig(sigma_data=0.7)
+            net = edm.Denoiser(
+                edm.DenoiserConfig(latent_channels=2, hidden=3, blocks=1, t_frames=4, emb_dim=3),
+                rng,
+            )
+            net.params["headout.w"].data = rng.standard_normal((2, 3, 1, 1)) * 0.3
+            z = rng.standard_normal((3, 2, 4, 4))
+            z_bar = rng.standard_normal((3, 2, 2, 4, 4))
+            z_prev = rng.standard_normal((3, 2, 4, 4))
+            sigma = np.array([0.2, 1.1, 4.0])
+            loss = edm.diffusion_loss(net, z, z_bar, z_prev, sigma, np.random.default_rng(5), cfg)
+            full = self.full(net.params, loss)
+            eps = models.normal_streams(np.random.default_rng(5), 3, (1, 2, 4, 4))
+
+            def loss_of(b):
+                s = slice(b, b + 1)
+                return edm.diffusion_loss(net, z[s], z_bar[s], z_prev[s], sigma[s], eps[b], cfg)
+
+            sharded = self.sharded(net.params, loss_of, 3)
+        self.assert_same(full, sharded)
+
+    def test_normal_streams_reproduce_the_batch_draw(self):
+        shape = (1, 3, 4, 5)
+        ref = np.random.default_rng(9)
+        batch = ref.standard_normal((4, 3, 4, 5))
+        rng = np.random.default_rng(9)
+        streams = models.normal_streams(rng, 4, shape)
+        drawn = np.concatenate([s.standard_normal(shape) for s in streams])
+        np.testing.assert_array_equal(drawn, batch)
+        assert rng.bit_generator.state == ref.bit_generator.state

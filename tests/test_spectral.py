@@ -139,6 +139,20 @@ class TestCutoff:
         cuts = [spectral.cutoff_for_ratio(prof, g) for g in (0.1, 0.25, 0.5, 0.75, 1.0)]
         assert all(a <= b for a, b in zip(cuts, cuts[1:]))
 
+    def test_planes_match_the_per_plane_loop(self):
+        x = np.random.default_rng(7).standard_normal((2, 3, 16, 32))
+        x[1, 2] = 0.0  # one all-zero (degenerate) plane
+        prof = spectral.radial_profile(spectral.fft2(x))
+        radii = spectral.cutoff_for_ratio(prof, 0.6)
+        assert radii.shape == (2, 3)
+        for i in range(2):
+            for v in range(3):
+                one = spectral.radial_profile(spectral.fft2(x[i, v]))
+                assert radii[i, v] == spectral.cutoff_for_ratio(one, 0.6)
+                np.testing.assert_array_equal(prof.amplitude[i, v], one.amplitude)
+                np.testing.assert_array_equal(prof.cumulative[i, v], one.cumulative)
+                assert prof.degenerate[i, v] == one.degenerate == ((i, v) == (1, 2))
+
     def test_gamma_domain(self):
         prof = spectral.radial_profile(spectral.fft2(np.ones((8, 8))))
         with pytest.raises(DomainError):
