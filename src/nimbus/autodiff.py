@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import os
 import struct
 import threading
@@ -530,18 +531,21 @@ _OPENBLAS_THREAD_FUNCS = (
 )
 
 
+@functools.cache
 def _loaded_openblas():
     """(path, get, set) thread-count functions of each OpenBLAS loaded here.
 
-    Libraries are found by file name in /proc/self/maps. Without that file
-    (not Linux), nothing is returned; a BLAS exporting none of the names
-    above (MKL, Accelerate, another OpenBLAS build) is skipped.
+    Libraries are found by file name in /proc/self/maps, once per process:
+    an OpenBLAS loaded after the first call is not managed, which changes
+    its thread count, never a result. Without that file (not Linux),
+    nothing is returned; a BLAS exporting none of the names above (MKL,
+    Accelerate, another OpenBLAS build) is skipped.
     """
     try:
         with open("/proc/self/maps") as fh:
             paths = {line.split(None, 5)[-1].strip() for line in fh if "openblas" in line}
     except OSError:
-        return []
+        return ()
     found = []
     for path in sorted(paths):
         if "openblas" not in os.path.basename(path):
@@ -557,7 +561,7 @@ def _loaded_openblas():
                 getter.argtypes, getter.restype = [], ctypes.c_int
                 found.append((path, getter, setter))
                 break
-    return found
+    return tuple(found)
 
 
 @contextlib.contextmanager

@@ -21,6 +21,7 @@ import datetime
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 
@@ -62,7 +63,6 @@ DEFAULT_CONFIG = {
         "iters": 160,
         "batch": 2,
         "lr": 1.5e-3,
-        "warmup_frac": 0.25,
     },
     "frame_ae": {
         "latent_channels": 16,
@@ -188,6 +188,8 @@ def _check_section(defaults, given, path):
             merged[key] = copy.deepcopy(gval)
         else:
             merged[key] = gval
+    if path == "mae":
+        _check_mae_layers(merged["channels"], merged["spatial_strides"])
     if path == "sampler" and not merged["sigma_max"] > merged["sigma_min"]:
         raise ConfigError(
             f"sampler.sigma_max must exceed sampler.sigma_min ({merged['sigma_min']!r}), "
@@ -200,6 +202,25 @@ def _positive(value) -> bool:
     """A finite number > 0; a JSON boolean is not a number."""
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     return number and bool(np.isfinite(value)) and value > 0
+
+
+def _check_mae_layers(channels, strides):
+    """One spatial stride per 3D-MAE layer, two layers at least, 4x downsampling in all.
+
+    The two leading layers are the temporal ones, and the denoiser stacks the
+    MAE's latents with the VAE's H/4 x W/4 latents (the MAE decoder upsamples 4x).
+    """
+    for key, values in (("mae.channels", channels), ("mae.spatial_strides", strides)):
+        if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in values):
+            raise ConfigError(f"{key} entries must be integers >= 1, got {values!r}")
+    if len(channels) < 2:
+        raise ConfigError(f"mae.channels needs at least 2 entries, got {channels!r}")
+    if len(strides) != len(channels):
+        raise ConfigError(
+            f"mae.spatial_strides needs one entry per mae.channels entry, got {strides!r}"
+        )
+    if math.prod(strides) != 4:
+        raise ConfigError(f"mae.spatial_strides must multiply to 4, got {strides!r}")
 
 
 def _check_bands(here, bands):

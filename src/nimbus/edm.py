@@ -34,6 +34,9 @@ class ChurnConfig:
     s_noise: float = 1.1
 
 
+# The defaults are the EDM paper's values (Karras et al. 2022), kept on
+# purpose: perfbench/stage.py builds EdmConfig(sigma_data=...) and relies on
+# them. The product's sampler defaults are cli.DEFAULT_CONFIG["sampler"].
 @dataclass
 class EdmConfig:
     sigma_data: float = 0.5

@@ -65,9 +65,10 @@ def conditioning_latents(
 ) -> np.ndarray:
     """z_bar for the step after ``recent``, (B, k, V, H, W) standardized states.
 
-    A 3D-MAE encodes the k states followed by the masked future frame, a
-    frame AE encodes the last 1 + k//2 states one by one, and no encoder
-    gives zeros shaped like the residual latents ``z_prev`` (B, C, h, w).
+    A 3D-MAE encodes the k states and a zero frame that fills the window's
+    last slot, which its encoder never reads; a frame AE encodes the last
+    1 + k//2 states one by one, and no encoder gives zeros shaped like the
+    residual latents ``z_prev`` (B, C, h, w).
     """
     b, k = recent.shape[:2]
     n = 1 + k // 2

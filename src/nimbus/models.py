@@ -2,30 +2,32 @@
 
 The VAE works on standardized residual fields (one frame at a time) and
 carries the spectral-regularization hooks. The 3D-MAE works on standardized
-raw states: its causal encoder must predict evolution, so the final frame of
-every training window is masked and the decoder reconstructs all k+1 frames.
+raw states: its causal encoder must predict evolution, so it never reads the
+final frame of a window, and the decoder reconstructs all k+1 frames.
 A frame-wise 2D autoencoder provides the conditioning baseline for ablations.
 """
 
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from . import causal3d, regularize, spectral
-from .errors import ConfigError
+from . import regularize, spectral
+from .errors import ConfigError, DomainError
 from .regularize import Strategy
 
 SE_FACTORS = (1, 2, 4)
 
 
-def _conv_w(rng, o, c, kh, kw=None):
-    kw = kh if kw is None else kw
-    fan_in = c * kh * kw
-    return ad.param(rng.standard_normal((o, c, kh, kw)) * np.sqrt(2.0 / fan_in))
+def _conv_w(rng, o, c, *kernel):
+    """He-normal (O, C, *kernel) weights; one size means a square 2D kernel."""
+    kernel = kernel * 2 if len(kernel) == 1 else kernel
+    fan_in = c * math.prod(kernel)
+    return ad.param(rng.standard_normal((o, c, *kernel)) * np.sqrt(2.0 / fan_in))
 
 
 def _zeros(o):
@@ -133,9 +135,9 @@ def build_targets(batch: np.ndarray, strategy: Strategy, gamma: float, se_factor
         return batch
     if strategy == Strategy.VAMFM:
         # Each plane keeps the fraction gamma of its own spectral energy.
-        planes = batch.astype(np.float64)
-        radii = spectral.cutoff_for_ratio(spectral.radial_profile(spectral.fft2(planes)), gamma)
-        return spectral.lowpass(planes, radii).astype(batch.dtype)
+        spectrum = spectral.fft2(batch)
+        radii = spectral.cutoff_for_ratio(spectral.radial_profile(spectrum), gamma)
+        return spectral.lowpass_spectrum(spectrum, radii).astype(batch.dtype)
     if strategy == Strategy.FFM:
         return spectral.lowpass(batch, regularize.FFM_INPUT_CUTOFFS[gamma]).astype(batch.dtype)
     raise ConfigError(f"unknown strategy {strategy}")
@@ -205,20 +207,29 @@ class MaeConfig:
 
 
 class Mae:
-    """Causal 3D encoder plus a non-causal frame-wise decoder, no KL."""
+    """Causal 3D encoder plus a non-causal frame-wise decoder, no KL.
+
+    The encoder reads a window of k+1 frames behind three causal zero frames,
+    so the padded sequence holds frames 0 ... k+3. Layer 0 (temporal extent
+    2, stride 1) and layer 1 (extent 2, temporal stride 2) mix time; the
+    layers after them and the 1x1x1 head are frame-local. It emits 1 + k/2
+    latent frames, and latent frame j reads padded frames 2j ... 2j+2 only,
+    so no frame reads a later one. Latent frame 0 reads only the zero frames,
+    and the window's last frame (padded frame k+3) is never read.
+    """
 
     def __init__(self, v: int, cfg: MaeConfig, rng: np.random.Generator):
         self.v = v
         self.cfg = cfg
-        self.stack = causal3d.build_stack(
-            rng,
-            in_channels=v,
-            channels=cfg.channels,
-            latent_channels=cfg.latent_channels,
-            spatial_strides=cfg.spatial_strides,
-        )
         cz, cd = cfg.latent_channels, cfg.decoder_channels
-        p = dict(self.stack.params)
+        p = {}
+        # c3d0 ... c3d{n-1} have 3x3 spatial kernels and temporal extent 2 for
+        # the first two, 1 after; c3d{n} is the 1x1x1 head.
+        cin, n = v, len(cfg.channels)
+        for i, cout in enumerate([*cfg.channels, cz]):
+            kt, k_hw = (2 if i < 2 else 1), (3 if i < n else 1)
+            p[f"c3d{i}.w"], p[f"c3d{i}.b"] = _conv_w(rng, cout, cin, kt, k_hw, k_hw), _zeros(cout)
+            cin = cout
         p["d0.w"], p["d0.b"] = _conv_w(rng, cd, cz, 1), _zeros(cd)
         p["d1.w"], p["d1.b"] = _conv_w(rng, cd, cd, 3), _zeros(cd)
         p["d2.w"], p["d2.b"] = _conv_w(rng, cd, cd, 3), _zeros(cd)
@@ -229,13 +240,25 @@ class Mae:
     def latent_channels(self) -> int:
         return self.cfg.latent_channels
 
-    def encode(self, x: ad.Tensor, mask_last: bool = True) -> ad.Tensor:
+    def encode(self, x: ad.Tensor) -> ad.Tensor:
         """(B, V, k+1, H, W) window -> (B, Cz, 1+k/2, h, w) latent."""
-        return causal3d.encode_full(x, self.stack, mask_last=mask_last)
+        k, p = self.cfg.k, self.params
+        if x.data.ndim != 5 or x.data.shape[2] != k + 1:
+            raise DomainError(f"window must be (B, V, k+1 = {k + 1}, H, W), got {x.data.shape}")
+        h = x
+        for i, s in enumerate(self.cfg.spatial_strides):
+            # Layer 0 reads the three causal zero frames; layer 1 strides time by 2.
+            stride_t, pad_t = (1, 3) if i == 0 else (2, 0) if i == 1 else (1, 0)
+            h = ad.silu(ad.conv3d(h, p[f"c3d{i}.w"], p[f"c3d{i}.b"], stride_t, s, pad_t))
+        n = len(self.cfg.spatial_strides)
+        h = ad.conv3d(h, p[f"c3d{n}.w"], p[f"c3d{n}.b"])
+        if h.data.shape[2] != 1 + k // 2:
+            raise DomainError(f"encoder produced {h.data.shape[2]} frames, expected {1 + k // 2}")
+        return h
 
     @ad.no_grad()
     def encode_array(self, x: np.ndarray) -> np.ndarray:
-        """Graph-free encoding of a window, last frame masked."""
+        """Graph-free encoding of a (B, V, k+1, H, W) window."""
         return self.encode(ad.constant(x)).data
 
     def decode_frames(self, z: ad.Tensor) -> ad.Tensor:
@@ -265,10 +288,13 @@ class Mae:
         return ad.narrow(ad.repeat_axis(h, 2, axis=2), 2, 1, 2 * tm - 1)
 
 
-def mae_loss(mae: Mae, window: np.ndarray, lat_w=None, var_w=None, mask_last: bool = True):
-    """Masked reconstruction of all k+1 frames of a (B, V, k+1, H, W) window."""
+def mae_loss(mae: Mae, window: np.ndarray, lat_w=None, var_w=None):
+    """Reconstruction of all k+1 frames of a (B, V, k+1, H, W) window.
+
+    The encoder never reads the last frame, so the decoder must predict it.
+    """
     b, v, t, h, w = window.shape
-    z = mae.encode(ad.constant(window), mask_last=mask_last)
+    z = mae.encode(ad.constant(window))
     recon = mae.decode(z)
     weights = combined_weights(lat_w, var_w, v, h)[:, None, :, :]
     return ad.weighted_mse(recon, window, weights)
@@ -400,10 +426,9 @@ def train_mae(
     cfg: TrainConfig,
     lat_w=None,
     var_w=None,
-    warmup_frac: float = 0.25,
     workers: int = 1,
 ) -> list[float]:
-    """Two-phase curriculum: unmasked reconstruction, then final-frame masking.
+    """Train on (k+1)-frame windows of the sequence; returns the loss curve.
 
     ``states_std`` is the standardized state sequence (T, V, H, W). Samples
     run on ``workers`` threads, as in ``train_vae``.
@@ -414,18 +439,16 @@ def train_mae(
     t_max = states_std.shape[0] - (k + 1)
     if t_max < 1:
         raise ConfigError(f"need at least {k + 2} frames to train the 3D-MAE")
-    warmup = int(cfg.iters * warmup_frac)
     losses = []
-    for it in range(cfg.iters):
+    for _ in range(cfg.iters):
         starts = rng.integers(0, t_max + 1, size=cfg.batch)
         # One (1, V, k+1, H, W) window per sample.
         windows = [
             np.ascontiguousarray(states_std[None, s : s + k + 1].swapaxes(1, 2)) for s in starts
         ]
-        mask_last = it >= warmup
 
         def loss_of(b):
-            return mae_loss(mae, windows[b], lat_w, var_w, mask_last=mask_last)
+            return mae_loss(mae, windows[b], lat_w, var_w)
 
         losses.append(ad.mean_grad_step(opt, loss_of, cfg.batch, workers))
     return losses

@@ -182,9 +182,7 @@ def train_mae(bundle: DatasetBundle, cfg: dict, seed: int, workers: int = 1) -> 
         iters=cfg["iters"], batch=cfg["batch"], lr=cfg["lr"], seed=seed * 7919 + 22
     )
     states_std = standardized_state_frames(bundle)
-    models.train_mae(
-        mae, states_std, tc, bundle.lat_w, bundle.var_w, cfg["warmup_frac"], workers
-    )
+    models.train_mae(mae, states_std, tc, bundle.lat_w, bundle.var_w, workers)
     return mae
 
 

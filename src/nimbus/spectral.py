@@ -123,9 +123,17 @@ def lowpass(x, r_cut) -> np.ndarray:
         raise DomainError(f"r_cut shape {r.shape} is neither scalar nor {x.shape[:-2]}")
     if np.any(r < 0.0):
         raise DomainError(f"r_cut must be non-negative, got {r_cut}")
-    mask = normalized_radius(x.shape[-2], x.shape[-1]) < r[..., None, None]
-    coeffs = np.fft.fft2(x, axes=(-2, -1)) * mask
-    return np.fft.ifft2(coeffs, axes=(-2, -1)).real
+    return lowpass_spectrum(Spectrum2D(np.fft.fft2(x, axes=(-2, -1)), *x.shape[-2:]), r)
+
+
+def lowpass_spectrum(s: Spectrum2D, r_cut) -> np.ndarray:
+    """The real planes of ``s`` with every coefficient of radius >= r_cut zeroed.
+
+    ``r_cut`` is a radius, or one per plane, as in :func:`lowpass`, which
+    transforms its input and calls this.
+    """
+    mask = normalized_radius(s.h, s.w) < np.asarray(r_cut, dtype=np.float64)[..., None, None]
+    return np.fft.ifft2(s.coeffs * mask, axes=(-2, -1)).real
 
 
 def band_energy(x, band_edges) -> np.ndarray:

@@ -134,13 +134,12 @@ def rank_histogram(forecasts: np.ndarray, truths: np.ndarray, rng=None):
 
 @dataclass
 class MetricReport:
-    """Per-(variable, lead) scores plus histogram and band-energy tables."""
+    """Per-(variable, lead) scores plus the rank histogram's counts."""
 
     variables: list
     lead_hours: list
     scores: dict = field(default_factory=dict)  # metric -> (V, L) array
     rank_counts: np.ndarray | None = None
-    band_tables: dict = field(default_factory=dict)
 
     def to_rows(self):
         rows = []
@@ -165,10 +164,6 @@ class MetricReport:
         }
         if self.rank_counts is not None:
             doc["rank_counts"] = np.asarray(self.rank_counts).tolist()
-        if self.band_tables:
-            doc["band_tables"] = {
-                k: np.asarray(v).tolist() for k, v in self.band_tables.items()
-            }
         with open(path, "w") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
 

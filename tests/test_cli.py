@@ -256,6 +256,13 @@ def test_unreadable_config_exits_2(tmp_path, content, message, caplog):
         ("verify", "bands", [0.5, 0.2]),
         ("verify", "bands", [0.0, 0.5, 1.0]),
         ("diffusion", "cond_mode", "2d"),
+        ("mae", "channels", ["a", "b"]),
+        ("mae", "channels", [0, 8]),
+        ("mae", "channels", [6]),
+        ("mae", "spatial_strides", [2, 2, 1]),
+        ("mae", "spatial_strides", [3, 2]),
+        ("mae", "spatial_strides", [1, 1]),
+        ("mae", "spatial_strides", [2.0, 2]),
     ],
 )
 @pytest.mark.parametrize("dry_run", [True, False])
@@ -272,7 +279,9 @@ def test_bad_config_value_exits_2(tmp_path, section, key, value, dry_run, caplog
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("section, key, value", [("forecast", "streaming", False)])
+@pytest.mark.parametrize(
+    "section, key, value", [("forecast", "streaming", False), ("mae", "warmup_frac", 0.25)]
+)
 def test_unknown_config_key_exits_2(tmp_path, section, key, value, caplog):
     cfg = {name: dict(entries) for name, entries in TINY.items()}
     cfg.setdefault(section, {})[key] = value

@@ -164,12 +164,12 @@ class TestMae:
         mae = self.make(seed=3)
         x = np.random.default_rng(4).standard_normal((1, 2, 5, 8, 8)).astype(np.float32)
         xt = ad.param(x)
-        z = mae.encode(xt, mask_last=True)
+        z = mae.encode(xt)
         recon = mae.decode(z)
         loss = ad.weighted_mse(recon, x, None)
         loss.backward()
         # Gradient w.r.t. the window through the encoder input never touches
-        # the final frame (it was replaced by zeros before the first conv).
+        # the final frame: no encoder output that a later layer keeps reads it.
         np.testing.assert_array_equal(xt.grad[:, :, -1], 0.0)
 
 
@@ -219,7 +219,7 @@ class TestTraining:
             seq = np.repeat(base[0].transpose(1, 0, 2, 3), 8, axis=0).astype(np.float32)
             mae = TestMae().make(seed=seed)
             cfg = models.TrainConfig(iters=60, batch=2, lr=3e-3, seed=seed)
-            models.train_mae(mae, seq, cfg, warmup_frac=0.25)
+            models.train_mae(mae, seq, cfg)
             z = mae.encode_array(frames)
             recon = mae.decode(ad.constant(z)).data
             err_last = float(np.mean((recon[:, :, -1] - frames[:, :, -1]) ** 2))
