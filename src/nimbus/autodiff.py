@@ -14,8 +14,9 @@ conv2d, H and W for conv3d) and runs one GEMM per tap of the leading axis
 weight gradient reuses the same windows, and the input gradient is a
 stride-1 ``_corr`` with the flipped kernel.
 
-Values default to float32; reductions accumulate in float64. Tests flip the
-default to float64 (``use_dtype``) for finite-difference gradient checks.
+Parameters are float32. Other values keep the float32 or float64 dtype they
+arrive in (any other dtype becomes float32), and reductions accumulate in
+float64.
 
 Inference runs inside ``no_grad()``: an operation there returns a tensor with
 no parents and no backward closure, so nothing the backward pass would need
@@ -36,6 +37,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import math
 import os
 import struct
 import threading
@@ -49,26 +51,6 @@ from . import spectral
 from .errors import DomainError, FormatError
 
 MAGIC_PARAMS = b"PYPT0001"
-
-_DEFAULT_DTYPE = np.float32
-
-
-def set_default_dtype(dtype) -> None:
-    global _DEFAULT_DTYPE
-    if dtype not in (np.float32, np.float64):
-        raise DomainError("default dtype must be float32 or float64")
-    _DEFAULT_DTYPE = dtype
-
-
-@contextlib.contextmanager
-def use_dtype(dtype):
-    prev = _DEFAULT_DTYPE
-    set_default_dtype(dtype)
-    try:
-        yield
-    finally:
-        set_default_dtype(prev)
-
 
 _GRAD_MODE = threading.local()
 
@@ -118,7 +100,7 @@ class Tensor:
     def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
         arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
-            arr = arr.astype(_DEFAULT_DTYPE)
+            arr = arr.astype(np.float32)
         if not _parents:
             if not np.all(np.isfinite(arr)):
                 raise DomainError("non-finite values may not enter the graph")
@@ -137,9 +119,6 @@ class Tensor:
     @property
     def dtype(self):
         return self.data.dtype
-
-    def zero_grad(self):
-        self.grad = None
 
     def backward(self):
         """Back-propagate from this scalar into the leaves of its graph.
@@ -196,8 +175,14 @@ def constant(data) -> Tensor:
 
 
 def param(data) -> Tensor:
-    arr = np.asarray(data, dtype=_DEFAULT_DTYPE)
-    return Tensor(arr, requires_grad=True)
+    return Tensor(np.asarray(data, dtype=np.float32), requires_grad=True)
+
+
+def conv_weight(rng: np.random.Generator, o: int, c: int, *kernel) -> Tensor:
+    """He-normal (O, C, *kernel) conv weights; one size means a square 2D kernel."""
+    kernel = kernel * 2 if len(kernel) == 1 else kernel
+    fan_in = c * math.prod(kernel)
+    return param(rng.standard_normal((o, c, *kernel)) * np.sqrt(2.0 / fan_in))
 
 
 def _as_tensor(x) -> Tensor:
@@ -301,22 +286,14 @@ def silu(x: Tensor) -> Tensor:
     return Tensor(out_data, x.requires_grad, (x,), backward)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """y = x @ w (+ b) for x of shape (N, in), w of shape (in, out)."""
-    out_data = x.data @ w.data
-    if b is not None:
-        out_data = out_data + b.data
-
-    parents = (x, w) if b is None else (x, w, b)
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """y = x @ w + b for x of shape (N, in), w of shape (in, out)."""
 
     def backward(go):
         gx = go @ w.data.T if x.requires_grad else None
-        gw = x.data.T @ go
-        if b is None:
-            return gx, gw
-        return gx, gw, go.sum(axis=0)
+        return gx, x.data.T @ go, go.sum(axis=0)
 
-    return Tensor(out_data, _requires(*parents), parents, backward)
+    return Tensor(x.data @ w.data + b.data, _requires(x, w, b), (x, w, b), backward)
 
 
 def rmsnorm(x: Tensor, gain: Tensor, axis: int = 1, eps: float = 1e-6) -> Tensor:
@@ -368,18 +345,6 @@ def reshape(x: Tensor, shape) -> Tensor:
     return Tensor(x.data.reshape(shape), x.requires_grad, (x,), backward)
 
 
-def concat(tensors, axis: int) -> Tensor:
-    tensors = [_as_tensor(t) for t in tensors]
-    sizes = [t.data.shape[axis] for t in tensors]
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    splits = np.cumsum(sizes)[:-1]
-
-    def backward(go):
-        return tuple(np.split(go, splits, axis=axis))
-
-    return Tensor(out_data, _requires(*tensors), tuple(tensors), backward)
-
-
 def transpose(x: Tensor, axes) -> Tensor:
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
@@ -423,15 +388,6 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def sum_all(x: Tensor) -> Tensor:
-    out_data = np.array(np.sum(x.data, dtype=np.float64), dtype=x.data.dtype)
-
-    def backward(go):
-        return (np.broadcast_to(go, x.data.shape).astype(x.data.dtype),)
-
-    return Tensor(out_data, x.requires_grad, (x,), backward)
-
-
 def mean_all(x: Tensor) -> Tensor:
     n = x.data.size
     out_data = np.array(np.sum(x.data, dtype=np.float64) / n, dtype=x.data.dtype)
@@ -442,25 +398,12 @@ def mean_all(x: Tensor) -> Tensor:
     return Tensor(out_data, x.requires_grad, (x,), backward)
 
 
-def weighted_mse(pred: Tensor, target, weights=None) -> Tensor:
+def weighted_mse(pred: Tensor, target, weights) -> Tensor:
     """sum(w * (pred - target)^2) / sum(w); target and weights carry no grad."""
     target = np.asarray(target, dtype=pred.data.dtype)
     if target.shape != pred.data.shape:
         raise DomainError(f"target shape {target.shape} != pred shape {pred.data.shape}")
     diff = pred.data - target
-    if weights is None:
-        wsum = float(diff.size)
-        loss = np.sum(np.square(diff), dtype=np.float64) / wsum
-
-        def backward(go):
-            return (go * (2.0 / wsum) * diff, None)
-
-        return Tensor(
-            np.array(loss, dtype=pred.data.dtype),
-            pred.requires_grad,
-            (pred, constant(target)),
-            backward,
-        )
     w = np.asarray(weights, dtype=np.float64)
     wb = np.broadcast_to(w, pred.data.shape)
     wsum = float(np.sum(wb, dtype=np.float64))
@@ -683,41 +626,37 @@ def _corr_input_grad(go, w, strides, padded_spatial):
     return gx
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1) -> Tensor:
-    """Cross-correlation with same-size spatial padding (zero-H, circular-W)."""
-    if x.data.ndim != 4 or w.data.ndim != 4:
-        raise DomainError("conv2d expects x (B,C,H,W) and w (O,C,kh,kw)")
-    _, _, h, wd = x.data.shape
-    _, c, kh, kw = w.data.shape
+def _conv(x: Tensor, w: Tensor, b: Tensor, strides, pad_t=0) -> Tensor:
+    """The body of conv2d and conv3d: pad, ``_corr``, add the bias; its backward."""
+    *_, h, wd = x.data.shape
+    c, *_, kh, kw = w.data.shape[1:]
     if c != x.data.shape[1]:
         raise DomainError(f"kernel expects {c} input channels, got {x.data.shape[1]}")
-    xp, pads = _pad_spatial(x.data, kh, kw)
-    out, windows = _corr(xp, w.data, (stride, stride))
-    if b is not None:
-        out = out + b.data[None, :, None, None]
-    parents = (x, w) if b is None else (x, w, b)
-    padded_spatial = xp.shape[2:]
+    xp, pads = _pad_spatial(x.data, kh, kw, pad_t)
+    out, windows = _corr(xp, w.data, strides)
+    out = out + b.data.reshape((-1,) + (1,) * (out.ndim - 2))
+    padded_spatial = xp.shape[2:]  # the closure must not keep xp alive
 
     def backward(go):
         gw = _corr_wgrad(go, windows, w.data.shape)
         gx = None
         if x.requires_grad:
-            gxp = _corr_input_grad(go, w.data, (stride, stride), padded_spatial)
-            gx = _unpad_spatial(gxp, h, wd, pads)
-        if b is None:
-            return gx, gw
-        return gx, gw, go.sum(axis=(0, 2, 3))
+            gxp = _corr_input_grad(go, w.data, strides, padded_spatial)
+            gx = _unpad_spatial(gxp, h, wd, pads)[:, :, pad_t:]
+        return gx, gw, go.sum(axis=(0, *range(2, go.ndim)))
 
-    return Tensor(out, _requires(*parents), parents, backward)
+    return Tensor(out, _requires(x, w, b), (x, w, b), backward)
+
+
+def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
+    """Cross-correlation with same-size spatial padding (zero-H, circular-W)."""
+    if x.data.ndim != 4 or w.data.ndim != 4:
+        raise DomainError("conv2d expects x (B,C,H,W) and w (O,C,kh,kw)")
+    return _conv(x, w, b, (stride, stride))
 
 
 def conv3d(
-    x: Tensor,
-    w: Tensor,
-    b: Tensor | None = None,
-    stride_t: int = 1,
-    stride_hw: int = 1,
-    pad_t: int = 0,
+    x: Tensor, w: Tensor, b: Tensor, stride_t: int = 1, stride_hw: int = 1, pad_t: int = 0
 ) -> Tensor:
     """3D cross-correlation over (T, H, W).
 
@@ -726,30 +665,10 @@ def conv3d(
     """
     if x.data.ndim != 5 or w.data.ndim != 5:
         raise DomainError("conv3d expects x (B,C,T,H,W) and w (O,C,kt,kh,kw)")
-    _, _, t, h, wd = x.data.shape
-    _, c, kt, kh, kw = w.data.shape
-    if c != x.data.shape[1]:
-        raise DomainError(f"kernel expects {c} input channels, got {x.data.shape[1]}")
+    t, kt = x.data.shape[2], w.data.shape[2]
     if t + pad_t < kt:
         raise DomainError(f"temporal length {t} too short for kernel {kt}")
-    xp, pads = _pad_spatial(x.data, kh, kw, pad_t)
-    out, windows = _corr(xp, w.data, (stride_t, stride_hw, stride_hw))
-    if b is not None:
-        out = out + b.data[None, :, None, None, None]
-    parents = (x, w) if b is None else (x, w, b)
-    padded_spatial = xp.shape[2:]
-
-    def backward(go):
-        gw = _corr_wgrad(go, windows, w.data.shape)
-        gx = None
-        if x.requires_grad:
-            gxp = _corr_input_grad(go, w.data, (stride_t, stride_hw, stride_hw), padded_spatial)
-            gx = _unpad_spatial(gxp, h, wd, pads)[:, :, pad_t:]
-        if b is None:
-            return gx, gw
-        return gx, gw, go.sum(axis=(0, 2, 3, 4))
-
-    return Tensor(out, _requires(*parents), parents, backward)
+    return _conv(x, w, b, (stride_t, stride_hw, stride_hw), pad_t)
 
 
 # ---------------------------------------------------------------------------
@@ -827,10 +746,6 @@ class AdamW:
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
 
-    def zero_grad(self):
-        for p in self.params.values():
-            p.grad = None
-
     def step(self):
         self.t += 1
         for k, p in self.params.items():
@@ -875,27 +790,6 @@ def mean_grad_step(opt: AdamW, loss_of: Callable[[int], Tensor], n: int, workers
         p.grad = None if total is None else total / n
     opt.step()
     return sum(loss for loss, _ in results) / n
-
-
-# ---------------------------------------------------------------------------
-# Finite differences (test oracle)
-# ---------------------------------------------------------------------------
-
-
-def numeric_gradient(f: Callable[[], Tensor], x: Tensor, eps: float = 1e-3) -> np.ndarray:
-    """Central-difference gradient of scalar f() w.r.t. every element of x."""
-    g = np.zeros_like(x.data, dtype=np.float64)
-    flat = x.data.reshape(-1)
-    gf = g.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        hi = float(f().data)
-        flat[i] = orig - eps
-        lo = float(f().data)
-        flat[i] = orig
-        gf[i] = (hi - lo) / (2.0 * eps)
-    return g
 
 
 # ---------------------------------------------------------------------------

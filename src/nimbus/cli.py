@@ -123,9 +123,11 @@ HINTS = {"diffusion.cond_mode": "; the 2d frame encoder runs only in `nimbus abl
 ENCODER_SECTIONS = {"3dmae": "mae", "2d": "frame_ae"}
 # Integer keys that may be 0; every other integer key is a count or a size.
 ZERO_OK = ("iters", "seed", "rank_seed")
-# Float keys that must be > 0 (every float must be finite).
+# Float keys that must be > 0, and >= 0 (every float must be finite).
 POSITIVE = ("sigma_min", "rho", "lr")
-# Grid sizes the VAE's two stride-2 stages must divide.
+NON_NEGATIVE = ("beta",)
+# Grid sizes: at least the generator's 8, and multiples of 4 for the VAE's
+# two stride-2 stages.
 GRID_KEYS = ("data.h", "data.w")
 
 
@@ -151,7 +153,7 @@ def _check_section(defaults, given, path):
         elif isinstance(dval, int):
             if isinstance(gval, bool) or not isinstance(gval, int):
                 raise ConfigError(f"{here} must be an integer, got {gval!r}")
-            low = 0 if key in ZERO_OK else 1
+            low = 0 if key in ZERO_OK else 8 if here in GRID_KEYS else 1
             if gval < low:
                 raise ConfigError(f"{here} must be at least {low}, got {gval}")
             if here in GRID_KEYS and gval % 4:
@@ -164,6 +166,8 @@ def _check_section(defaults, given, path):
                 raise ConfigError(f"{here} must be finite, got {gval!r}")
             if key in POSITIVE and gval <= 0:
                 raise ConfigError(f"{here} must be positive, got {gval!r}")
+            if key in NON_NEGATIVE and gval < 0:
+                raise ConfigError(f"{here} must be at least 0, got {gval!r}")
             merged[key] = gval
         elif here == "diffusion.sigma_data":
             # "auto" (estimated from the latents) or a positive number.
@@ -188,7 +192,11 @@ def _check_section(defaults, given, path):
             merged[key] = copy.deepcopy(gval)
         else:
             merged[key] = gval
+    if path == "data":
+        _check_generator(merged)
     if path == "mae":
+        if merged["k"] % 2:
+            raise ConfigError(f"mae.k must be even, got {merged['k']}")
         _check_mae_layers(merged["channels"], merged["spatial_strides"])
     if path == "sampler" and not merged["sigma_max"] > merged["sigma_min"]:
         raise ConfigError(
@@ -198,10 +206,34 @@ def _check_section(defaults, given, path):
     return merged
 
 
-def _positive(value) -> bool:
-    """A finite number > 0; a JSON boolean is not a number."""
+def _number(value) -> bool:
+    """A finite number; a JSON boolean is not a number."""
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    return number and bool(np.isfinite(value)) and value > 0
+    return number and bool(np.isfinite(value))
+
+
+def _positive(value) -> bool:
+    """A finite number > 0."""
+    return _number(value) and value > 0
+
+
+def _integer(value) -> bool:
+    """A JSON integer; a boolean is not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_generator(data):
+    """data.slopes and data.advection: empty (the defaults) or one entry per variable."""
+    v, slopes, adv = data["v"], data["slopes"], data["advection"]
+    if slopes and (len(slopes) != v or not all(_number(s) for s in slopes)):
+        raise ConfigError(
+            f"data.slopes must be empty or data.v = {v} finite numbers, got {slopes!r}"
+        )
+    pairs = all(isinstance(a, list) and len(a) == 2 and all(map(_integer, a)) for a in adv)
+    if adv and (len(adv) != v or not pairs):
+        raise ConfigError(
+            f"data.advection must be empty or data.v = {v} integer [dy, dx] pairs, got {adv!r}"
+        )
 
 
 def _check_mae_layers(channels, strides):
@@ -211,7 +243,7 @@ def _check_mae_layers(channels, strides):
     MAE's latents with the VAE's H/4 x W/4 latents (the MAE decoder upsamples 4x).
     """
     for key, values in (("mae.channels", channels), ("mae.spatial_strides", strides)):
-        if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in values):
+        if not all(_integer(v) and v >= 1 for v in values):
             raise ConfigError(f"{key} entries must be integers >= 1, got {values!r}")
     if len(channels) < 2:
         raise ConfigError(f"mae.channels needs at least 2 entries, got {channels!r}")
@@ -465,14 +497,13 @@ def cmd_evaluate(cfg, args):
         xlabel="lead (h)",
         ylabel="rmse",
     )
-    if report.rank_counts is not None:
-        svgplot.bar_plot(
-            [str(i) for i in range(len(report.rank_counts))],
-            [int(c) for c in report.rank_counts],
-            os.path.join(args.out, "rank_histogram.svg"),
-            title="rank histogram",
-            ylabel="count",
-        )
+    svgplot.bar_plot(
+        [str(i) for i in range(len(report.rank_counts))],
+        [int(c) for c in report.rank_counts],
+        os.path.join(args.out, "rank_histogram.svg"),
+        title="rank histogram",
+        ylabel="count",
+    )
     log.info("wrote metrics.csv / metrics.json")
 
 
@@ -518,17 +549,16 @@ def cmd_diagnose(cfg, args):
         xlabel="normalized radius",
         ylabel="energy fraction",
     )
-    if "rmse_encoder" in report:
-        svgplot.line_plot(
-            {
-                "encoder": (report["mask_radii"], report["rmse_encoder"]),
-                "generated": (report["mask_radii"], report["rmse_generated"]),
-            },
-            os.path.join(args.out, "rmse_vs_mask.svg"),
-            title="decoded RMSE vs latent mask radius",
-            xlabel="mask radius",
-            ylabel="rmse",
-        )
+    svgplot.line_plot(
+        {
+            "encoder": (report["mask_radii"], report["rmse_encoder"]),
+            "generated": (report["mask_radii"], report["rmse_generated"]),
+        },
+        os.path.join(args.out, "rmse_vs_mask.svg"),
+        title="decoded RMSE vs latent mask radius",
+        xlabel="mask radius",
+        ylabel="rmse",
+    )
     log.info("wrote diffusability diagnostics")
 
 

@@ -135,10 +135,7 @@ class Denoiser:
         p = {}
 
         def conv3(name, o, ci, kt, khw):
-            fan = ci * kt * khw * khw
-            p[f"{name}.w"] = ad.param(
-                rng.standard_normal((o, ci, kt, khw, khw)) * np.sqrt(2.0 / fan)
-            )
+            p[f"{name}.w"] = ad.conv_weight(rng, o, ci, kt, khw, khw)
             p[f"{name}.b"] = ad.param(np.zeros(o))
 
         conv3("proj", d, c, 1, 1)

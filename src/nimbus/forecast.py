@@ -2,9 +2,9 @@
 
 Each member owns its last k+1 raw states, the previous residual latent, and
 an RNG stream derived from (base_seed, member index), so results are
-independent of scheduling. One step encodes the conditioning window (final
-frame masked), samples a residual latent with the EDM sampler, decodes it,
-and integrates X_{t+1} = X_t + dX.
+independent of scheduling. One step encodes the conditioning window (the
+encoder never reads its final frame), samples a residual latent with the EDM
+sampler, decodes it, and integrates X_{t+1} = X_t + dX.
 
 With ``workers`` > 1, members run on that many threads
 (``autodiff.thread_map``), and the BLAS threads are divided among them for

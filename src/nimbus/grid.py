@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,31 +85,17 @@ class FieldBatch:
         return self.data.shape
 
 
-class ResidualBatch(FieldBatch):
-    """One-step differences X_{t+1} - X_t; specs hold residual statistics."""
-
-
-@dataclass(frozen=True)
-class LatWeights:
-    """Area weights proportional to cos(latitude), normalized to mean 1."""
-
-    w: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        w = np.asarray(self.w, dtype=np.float64)
-        w.setflags(write=False)
-        object.__setattr__(self, "w", w)
-
-
-def lat_weights(lat) -> LatWeights:
-    """Cosine-of-latitude area weights with exact unit mean."""
+def lat_weights(lat) -> np.ndarray:
+    """Read-only cosine-of-latitude area weights with exact unit mean."""
     lat = np.asarray(lat, dtype=np.float64)
     if lat.size == 0:
         raise DomainError("latitude list must be non-empty")
     if np.any(np.abs(lat) > 90.0):
         raise DomainError("latitudes must lie in [-90, 90]")
     c = np.cos(np.deg2rad(lat))
-    return LatWeights(c / c.mean())
+    w = c / c.mean()
+    w.setflags(write=False)
+    return w
 
 
 def _spec_stats(a: np.ndarray, specs):
@@ -156,19 +142,6 @@ def residual_specs(x: FieldBatch) -> tuple[VariableSpec, ...]:
     return tuple(out)
 
 
-def residuals(x: FieldBatch, specs=None) -> ResidualBatch:
-    """Raw one-step differences with residual-statistics specs attached.
-
-    Entry ``t`` of the output equals ``X_{t+1} - X_t``; standardization is a
-    separate step (see :func:`standardize_array`).
-    """
-    if x.data.shape[0] < 2:
-        raise DomainError("residuals need T >= 2 time steps")
-    specs = tuple(specs) if specs is not None else residual_specs(x)
-    diff = x.data[1:] - x.data[:-1]
-    return ResidualBatch(data=diff, lat=x.lat, lon=x.lon, specs=specs)
-
-
 def default_grid(h: int, w: int):
     """Equiangular lat/lon vectors: lat cell centers, periodic lon."""
     lat = -90.0 + (np.arange(h) + 0.5) * (180.0 / h)
@@ -185,7 +158,6 @@ def gen_synthetic(
     spectral_slopes=None,
     advection=None,
     forcing: float = 0.1,
-    names=None,
 ) -> FieldBatch:
     """Synthetic multivariate dataset with per-variable spectral slopes.
 
@@ -232,11 +204,9 @@ def gen_synthetic(
                 cur = cur + forcing * grf(amp)
             data[i, j] = cur
 
-    if names is None:
-        names = [f"var{j}" for j in range(v)]
     specs = tuple(
         VariableSpec(
-            name=names[j],
+            name=f"var{j}",
             mean=float(data[:, j].mean()),
             std=max(float(data[:, j].std()), 1e-12),
         )

@@ -10,7 +10,6 @@ A frame-wise 2D autoencoder provides the conditioning baseline for ablations.
 from __future__ import annotations
 
 import copy
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,13 +20,6 @@ from .errors import ConfigError, DomainError
 from .regularize import Strategy
 
 SE_FACTORS = (1, 2, 4)
-
-
-def _conv_w(rng, o, c, *kernel):
-    """He-normal (O, C, *kernel) weights; one size means a square 2D kernel."""
-    kernel = kernel * 2 if len(kernel) == 1 else kernel
-    fan_in = c * math.prod(kernel)
-    return ad.param(rng.standard_normal((o, c, *kernel)) * np.sqrt(2.0 / fan_in))
 
 
 def _zeros(o):
@@ -54,17 +46,17 @@ class Vae:
         c1, c2, cz = cfg.base_channels, 2 * cfg.base_channels, cfg.latent_channels
         self.latent_channels = cz
         p = {}
-        p["enc0.w"], p["enc0.b"] = _conv_w(rng, c1, v, 3), _zeros(c1)
-        p["enc1.w"], p["enc1.b"] = _conv_w(rng, c2, c1, 3), _zeros(c2)
-        p["encr0.w"], p["encr0.b"] = _conv_w(rng, c2, c2, 3), _zeros(c2)
-        p["encr1.w"], p["encr1.b"] = _conv_w(rng, c2, c2, 3), _zeros(c2)
-        p["ench.w"], p["ench.b"] = _conv_w(rng, 2 * cz, c2, 1), _zeros(2 * cz)
-        p["dec0.w"], p["dec0.b"] = _conv_w(rng, c2, cz, 1), _zeros(c2)
-        p["decr0.w"], p["decr0.b"] = _conv_w(rng, c2, c2, 3), _zeros(c2)
-        p["decr1.w"], p["decr1.b"] = _conv_w(rng, c2, c2, 3), _zeros(c2)
-        p["dec1.w"], p["dec1.b"] = _conv_w(rng, c1, c2, 3), _zeros(c1)
-        p["dec2.w"], p["dec2.b"] = _conv_w(rng, c1, c1, 3), _zeros(c1)
-        p["dech.w"], p["dech.b"] = _conv_w(rng, v, c1, 3), _zeros(v)
+        p["enc0.w"], p["enc0.b"] = ad.conv_weight(rng, c1, v, 3), _zeros(c1)
+        p["enc1.w"], p["enc1.b"] = ad.conv_weight(rng, c2, c1, 3), _zeros(c2)
+        p["encr0.w"], p["encr0.b"] = ad.conv_weight(rng, c2, c2, 3), _zeros(c2)
+        p["encr1.w"], p["encr1.b"] = ad.conv_weight(rng, c2, c2, 3), _zeros(c2)
+        p["ench.w"], p["ench.b"] = ad.conv_weight(rng, 2 * cz, c2, 1), _zeros(2 * cz)
+        p["dec0.w"], p["dec0.b"] = ad.conv_weight(rng, c2, cz, 1), _zeros(c2)
+        p["decr0.w"], p["decr0.b"] = ad.conv_weight(rng, c2, c2, 3), _zeros(c2)
+        p["decr1.w"], p["decr1.b"] = ad.conv_weight(rng, c2, c2, 3), _zeros(c2)
+        p["dec1.w"], p["dec1.b"] = ad.conv_weight(rng, c1, c2, 3), _zeros(c1)
+        p["dec2.w"], p["dec2.b"] = ad.conv_weight(rng, c1, c1, 3), _zeros(c1)
+        p["dech.w"], p["dech.b"] = ad.conv_weight(rng, v, c1, 3), _zeros(v)
         self.params = p
 
     def _res(self, h, a, b):
@@ -228,12 +220,13 @@ class Mae:
         cin, n = v, len(cfg.channels)
         for i, cout in enumerate([*cfg.channels, cz]):
             kt, k_hw = (2 if i < 2 else 1), (3 if i < n else 1)
-            p[f"c3d{i}.w"], p[f"c3d{i}.b"] = _conv_w(rng, cout, cin, kt, k_hw, k_hw), _zeros(cout)
+            p[f"c3d{i}.w"] = ad.conv_weight(rng, cout, cin, kt, k_hw, k_hw)
+            p[f"c3d{i}.b"] = _zeros(cout)
             cin = cout
-        p["d0.w"], p["d0.b"] = _conv_w(rng, cd, cz, 1), _zeros(cd)
-        p["d1.w"], p["d1.b"] = _conv_w(rng, cd, cd, 3), _zeros(cd)
-        p["d2.w"], p["d2.b"] = _conv_w(rng, cd, cd, 3), _zeros(cd)
-        p["dh.w"], p["dh.b"] = _conv_w(rng, v, cd, 3), _zeros(v)
+        p["d0.w"], p["d0.b"] = ad.conv_weight(rng, cd, cz, 1), _zeros(cd)
+        p["d1.w"], p["d1.b"] = ad.conv_weight(rng, cd, cd, 3), _zeros(cd)
+        p["d2.w"], p["d2.b"] = ad.conv_weight(rng, cd, cd, 3), _zeros(cd)
+        p["dh.w"], p["dh.b"] = ad.conv_weight(rng, v, cd, 3), _zeros(v)
         self.params = p
 
     @property
@@ -313,12 +306,12 @@ class FrameAe:
         self.latent_channels = latent_channels
         c1, c2, cz = base, 2 * base, latent_channels
         p = {}
-        p["e0.w"], p["e0.b"] = _conv_w(rng, c1, v, 3), _zeros(c1)
-        p["e1.w"], p["e1.b"] = _conv_w(rng, c2, c1, 3), _zeros(c2)
-        p["eh.w"], p["eh.b"] = _conv_w(rng, cz, c2, 1), _zeros(cz)
-        p["d0.w"], p["d0.b"] = _conv_w(rng, c2, cz, 1), _zeros(c2)
-        p["d1.w"], p["d1.b"] = _conv_w(rng, c1, c2, 3), _zeros(c1)
-        p["dh.w"], p["dh.b"] = _conv_w(rng, v, c1, 3), _zeros(v)
+        p["e0.w"], p["e0.b"] = ad.conv_weight(rng, c1, v, 3), _zeros(c1)
+        p["e1.w"], p["e1.b"] = ad.conv_weight(rng, c2, c1, 3), _zeros(c2)
+        p["eh.w"], p["eh.b"] = ad.conv_weight(rng, cz, c2, 1), _zeros(cz)
+        p["d0.w"], p["d0.b"] = ad.conv_weight(rng, c2, cz, 1), _zeros(c2)
+        p["d1.w"], p["d1.b"] = ad.conv_weight(rng, c1, c2, 3), _zeros(c1)
+        p["dh.w"], p["dh.b"] = ad.conv_weight(rng, v, c1, 3), _zeros(v)
         self.params = p
 
     def encode(self, x: ad.Tensor) -> ad.Tensor:

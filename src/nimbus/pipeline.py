@@ -66,7 +66,7 @@ def split_dataset(batch: grid.FieldBatch, train_frames: int, k: int) -> DatasetB
         specs=state_specs,
     )
     truth = batch.data[train_frames + k + 1 :]
-    lat_w = grid.lat_weights(batch.lat).w
+    lat_w = grid.lat_weights(batch.lat)
     var_w = np.array([s.loss_weight for s in batch.specs])
     return DatasetBundle(
         full=batch,
@@ -81,8 +81,9 @@ def split_dataset(batch: grid.FieldBatch, train_frames: int, k: int) -> DatasetB
 
 
 def standardized_residual_frames(bundle: DatasetBundle) -> np.ndarray:
-    resid = grid.residuals(bundle.train, specs=bundle.resid_specs)
-    return grid.standardize_array(resid.data, bundle.resid_specs).astype(np.float32)
+    """Standardized one-step differences X_{t+1} - X_t of the train slice, float32."""
+    resid = np.diff(bundle.train.data, axis=0)
+    return grid.standardize_array(resid, bundle.resid_specs).astype(np.float32)
 
 
 def standardized_state_frames(bundle: DatasetBundle) -> np.ndarray:

@@ -2,14 +2,15 @@
 
 All metrics are computed grid-pointwise and aggregated with latitude weights;
 accumulations run in float64. CRPS defaults to the fair (unbiased) estimator;
-the empirical estimator is kept for oracle tests and the M = 1 edge case.
+the empirical estimator is reported beside it (``crps_empirical`` in
+metrics.csv) and is the only one defined for a single member.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import chdtrc
@@ -138,8 +139,8 @@ class MetricReport:
 
     variables: list
     lead_hours: list
-    scores: dict = field(default_factory=dict)  # metric -> (V, L) array
-    rank_counts: np.ndarray | None = None
+    scores: dict  # metric -> (V, L) array
+    rank_counts: np.ndarray
 
     def to_rows(self):
         rows = []
@@ -161,9 +162,8 @@ class MetricReport:
             "variables": list(self.variables),
             "lead_hours": list(self.lead_hours),
             "scores": {k: np.asarray(v).tolist() for k, v in self.scores.items()},
+            "rank_counts": np.asarray(self.rank_counts).tolist(),
         }
-        if self.rank_counts is not None:
-            doc["rank_counts"] = np.asarray(self.rank_counts).tolist()
         with open(path, "w") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
 
@@ -216,10 +216,7 @@ def evaluate_ensemble(
 # Diffusability diagnostics
 # ---------------------------------------------------------------------------
 
-DEFAULT_BANDS = (0.0, 0.2, 0.5, 0.8, spectral.R_CORNER)
-
-
-def latent_band_energy(latents: np.ndarray, bands=DEFAULT_BANDS) -> np.ndarray:
+def latent_band_energy(latents: np.ndarray, bands) -> np.ndarray:
     """Mean per-band normalized energy over samples and channels.
 
     latents: (N, C, h, w). Returns (num_bands,).
@@ -237,11 +234,11 @@ def latent_band_energy(latents: np.ndarray, bands=DEFAULT_BANDS) -> np.ndarray:
 def diffusability_report(
     encoder_latents: np.ndarray,
     generated_latents: np.ndarray,
-    bands=DEFAULT_BANDS,
-    mask_radii=(0.4, 0.8, 1.2, spectral.R_CORNER + 1e-9),
-    decoder=None,
-    reference=None,
+    bands,
+    decoder,
+    reference: np.ndarray,
     weights=None,
+    mask_radii=(0.4, 0.8, 1.2, spectral.R_CORNER + 1e-9),
 ) -> dict:
     """Band-energy tables for both latent families, plus an RMSE-vs-mask probe.
 
@@ -252,34 +249,28 @@ def diffusability_report(
     gen = np.asarray(generated_latents, dtype=np.float64)
     if enc.shape != gen.shape:
         raise DomainError("latent families must have matching shapes")
-    report = {
+    reference = np.asarray(reference, dtype=np.float64)
+    radii = list(mask_radii)
+    rmse = {"encoder": [], "generated": []}
+    for name, fam in (("encoder", enc), ("generated", gen)):
+        for r in radii:
+            decoded = decoder(spectral.lowpass(fam, r).astype(np.float32))
+            err2 = np.square(decoded.astype(np.float64) - reference)
+            rmse[name].append(float(np.sqrt(_wmean(err2, weights))))
+    return {
         "bands": list(bands),
         "encoder_band_energy": latent_band_energy(enc, bands),
         "generated_band_energy": latent_band_energy(gen, bands),
+        "mask_radii": radii,
+        "rmse_encoder": rmse["encoder"],
+        "rmse_generated": rmse["generated"],
     }
-    if decoder is not None and reference is not None:
-        reference = np.asarray(reference, dtype=np.float64)
-        radii = list(mask_radii)
-        rmse = {"encoder": [], "generated": []}
-        for name, fam in (("encoder", enc), ("generated", gen)):
-            for r in radii:
-                decoded = decoder(spectral.lowpass(fam, r).astype(np.float32))
-                err2 = np.square(decoded.astype(np.float64) - reference)
-                rmse[name].append(float(np.sqrt(_wmean(err2, weights))))
-        report["mask_radii"] = radii
-        report["rmse_encoder"] = rmse["encoder"]
-        report["rmse_generated"] = rmse["generated"]
-    return report
 
 
 def report_tables_to_csv(report: dict, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["table", "index", "value"])
-        for key in ("encoder_band_energy", "generated_band_energy"):
+        for key in ("encoder_band_energy", "generated_band_energy", "rmse_encoder", "rmse_generated"):
             for i, val in enumerate(report[key]):
                 writer.writerow([key, i, f"{val:.8g}"])
-        if "rmse_encoder" in report:
-            for key in ("rmse_encoder", "rmse_generated"):
-                for i, val in enumerate(report[key]):
-                    writer.writerow([key, i, f"{val:.8g}"])

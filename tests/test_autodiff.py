@@ -1,11 +1,12 @@
 """Gradient fidelity: every differentiable op against central finite differences.
 
-Checks run in float64 (production default is float32); the relative-error
-criterion is max|analytic - numeric| / max(1, max|numeric|) < 1e-4.
+Checks run on float64 tensors (parameters are float32 in production); the
+relative-error criterion is max|analytic - numeric| / max(1, max|numeric|) < 1e-4.
 """
 
 import numpy as np
 import pytest
+from gradcheck import numeric_gradient, param64, total
 
 from nimbus import autodiff as ad
 from nimbus import models
@@ -25,19 +26,19 @@ def check_grads(make_loss, tensors, eps=1e-3, tol=1e-4):
         t.grad = None
     loss.backward()
     for t in tensors:
-        num = ad.numeric_gradient(make_loss, t, eps=eps)
+        num = numeric_gradient(make_loss, t, eps=eps)
         assert t.grad is not None, "missing gradient"
         assert rel_err(t.grad, num) < tol
 
 
-@pytest.fixture(autouse=True)
-def float64_mode():
-    with ad.use_dtype(np.float64):
-        yield
-
-
 def random_param(rng, shape, scale=1.0):
-    return ad.param(rng.standard_normal(shape) * scale)
+    return param64(rng.standard_normal(shape) * scale)
+
+
+def zero_bias(w):
+    """A constant zero bias for kernel w (an array or a tensor), in its dtype."""
+    w = w.data if isinstance(w, ad.Tensor) else w
+    return ad.constant(np.zeros(w.shape[0], w.dtype))
 
 
 class TestElementwise:
@@ -48,24 +49,24 @@ class TestElementwise:
     def test_silu_grad(self, seed):
         rng = np.random.default_rng(seed)
         x = random_param(rng, (3, 4))
-        check_grads(lambda: ad.sum_all(ad.silu(x)), [x])
+        check_grads(lambda: total(ad.silu(x)), [x])
 
     @pytest.mark.parametrize("seed", range(N_SEEDS))
     def test_mul_add_broadcast_grad(self, seed):
         rng = np.random.default_rng(seed)
         a = random_param(rng, (2, 3, 4))
         b = random_param(rng, (3, 1))
-        check_grads(lambda: ad.sum_all(ad.mul(ad.add(a, b), b)), [a, b])
+        check_grads(lambda: total(ad.mul(ad.add(a, b), b)), [a, b])
 
     @pytest.mark.parametrize("seed", range(N_SEEDS))
     def test_exp_square_grad(self, seed):
         rng = np.random.default_rng(seed)
         x = random_param(rng, (4, 3), scale=0.5)
-        check_grads(lambda: ad.sum_all(ad.add(ad.exp(x), ad.square(x))), [x])
+        check_grads(lambda: total(ad.add(ad.exp(x), ad.square(x))), [x])
 
     def test_fanout_sums_gradients(self):
         x = ad.param(np.array([1.5, -0.5]))
-        loss = ad.sum_all(ad.add(ad.mul(x, x), ad.mul(x, x)))
+        loss = total(ad.add(ad.mul(x, x), ad.mul(x, x)))
         loss.backward()
         np.testing.assert_allclose(x.grad, 4.0 * x.data)
 
@@ -77,18 +78,18 @@ class TestLinear:
         x = random_param(rng, (5, 3))
         w = random_param(rng, (3, 4))
         b = random_param(rng, (4,))
-        check_grads(lambda: ad.sum_all(ad.silu(ad.linear(x, w, b))), [x, w, b])
+        check_grads(lambda: total(ad.silu(ad.linear(x, w, b))), [x, w, b])
 
     def test_input_gradient_formed_only_when_needed(self):
         data = np.random.default_rng(0).standard_normal((5, 3))
         grads = []
-        for make in (ad.constant, ad.param):
+        for make in (ad.constant, param64):
             rng = np.random.default_rng(1)
             w, b = random_param(rng, (3, 4)), random_param(rng, (4,))
             out = ad.linear(make(data), w, b)
             gx, _, _ = out._backward(np.ones(out.shape))
             assert (gx is None) == (make is ad.constant)
-            ad.sum_all(ad.silu(out)).backward()
+            total(ad.silu(out)).backward()
             grads.append((w.grad, b.grad))
         for constant_grad, param_grad in zip(*grads):
             np.testing.assert_array_equal(constant_grad, param_grad)
@@ -106,7 +107,7 @@ class TestNorms:
         rng = np.random.default_rng(seed)
         x = random_param(rng, (2, 5, 3))
         g = random_param(rng, (5,))
-        check_grads(lambda: ad.sum_all(ad.rmsnorm(x, g, axis=1)), [x, g], tol=2e-4)
+        check_grads(lambda: total(ad.rmsnorm(x, g, axis=1)), [x, g], tol=2e-4)
 
     def test_film_identity(self):
         x = ad.constant(np.random.default_rng(0).standard_normal((2, 3)))
@@ -119,13 +120,13 @@ class TestNorms:
         x = random_param(rng, (2, 4, 3))
         s = random_param(rng, (4, 1))
         t = random_param(rng, (4, 1))
-        check_grads(lambda: ad.sum_all(ad.film(x, s, t)), [x, s, t])
+        check_grads(lambda: total(ad.film(x, s, t)), [x, s, t])
 
 
 class TestLosses:
     def test_weighted_mse_zero_when_equal(self):
         x = ad.constant(np.ones((2, 3)))
-        assert ad.weighted_mse(x, np.ones((2, 3))).data == 0.0
+        assert ad.weighted_mse(x, np.ones((2, 3)), 1.0).data == 0.0
 
     def test_uniform_weights_plain_mse(self):
         rng = np.random.default_rng(0)
@@ -159,7 +160,7 @@ class TestLosses:
         rng = np.random.default_rng(seed)
         x = random_param(rng, (3, 4))
         check_grads(lambda: ad.mean_all(ad.square(x)), [x])
-        check_grads(lambda: ad.scale(ad.sum_all(x), 0.25), [x])
+        check_grads(lambda: ad.scale(total(x), 0.25), [x])
 
 
 class TestShapeOps:
@@ -170,10 +171,9 @@ class TestShapeOps:
         b = random_param(rng, (2, 2, 4))
 
         def loss():
-            cat = ad.concat([a, b], axis=1)
-            t = ad.transpose(cat, (1, 0, 2))
-            n = ad.narrow(t, 0, 1, 3)
-            return ad.sum_all(ad.square(ad.reshape(n, (3, 8))))
+            t = ad.transpose(a, (1, 0, 2))
+            n = ad.narrow(t, 0, 1, 2)
+            return total(ad.square(ad.reshape(ad.mul(n, b), (2, 8))))
 
         check_grads(loss, [a, b])
 
@@ -187,8 +187,8 @@ class TestShapeOps:
             rep = ad.repeat_axis(x, 3, axis=1)
             pooled = ad.avgpool2d(x, 2)
             return ad.add(
-                ad.sum_all(ad.square(up)),
-                ad.add(ad.sum_all(ad.square(rep)), ad.sum_all(ad.square(pooled))),
+                total(ad.square(up)),
+                ad.add(total(ad.square(rep)), total(ad.square(pooled))),
             )
 
         check_grads(loss, [x])
@@ -234,7 +234,7 @@ class TestConvValues:
         rng = np.random.default_rng(stride)
         x = rng.standard_normal((2, 3, 6, 8)).astype(dtype)
         w = rng.standard_normal((4, 3, 1, 3)).astype(dtype)
-        out = ad.conv2d(ad.constant(x), ad.constant(w), stride=stride).data
+        out = ad.conv2d(ad.constant(x), ad.constant(w), zero_bias(w), stride=stride).data
         assert out.dtype == dtype
         ref = reference_conv(x, w, (stride, stride))
         np.testing.assert_allclose(out, ref, rtol=0, atol=self.TOL[dtype] * np.abs(ref).max())
@@ -246,7 +246,7 @@ class TestConvValues:
         x = rng.standard_normal((2, 3, 5, 6, 8)).astype(dtype)
         w = rng.standard_normal((4, 3, 2, 3, 1)).astype(dtype)
         out = ad.conv3d(
-            ad.constant(x), ad.constant(w), stride_t=stride_t, stride_hw=stride_hw, pad_t=pad_t
+            ad.constant(x), ad.constant(w), zero_bias(w), stride_t, stride_hw, pad_t
         ).data
         assert out.dtype == dtype
         ref = reference_conv(x, w, (stride_t, stride_hw, stride_hw), pad_t=pad_t)
@@ -259,7 +259,7 @@ class TestConvValues:
         rng = np.random.default_rng(stride)
         x = rng.standard_normal((2, 3, 6, 8)).astype(dtype)
         w = rng.standard_normal((4, 3, *kernel)).astype(dtype)
-        out = ad.conv2d(ad.constant(x), ad.constant(w), stride=stride).data
+        out = ad.conv2d(ad.constant(x), ad.constant(w), zero_bias(w), stride=stride).data
         assert out.dtype == dtype
         ref = reference_conv(x, w, (stride, stride))
         np.testing.assert_allclose(out, ref, rtol=0, atol=self.TOL[dtype] * np.abs(ref).max())
@@ -280,7 +280,7 @@ class TestConvValues:
         x = rng.standard_normal((2, 3, 5, 6, 8)).astype(dtype)
         w = rng.standard_normal((4, 3, *kernel)).astype(dtype)
         out = ad.conv3d(
-            ad.constant(x), ad.constant(w), stride_t=stride_t, stride_hw=stride_hw, pad_t=pad_t
+            ad.constant(x), ad.constant(w), zero_bias(w), stride_t, stride_hw, pad_t
         ).data
         assert out.dtype == dtype
         ref = reference_conv(x, w, (stride_t, stride_hw, stride_hw), pad_t=pad_t)
@@ -298,7 +298,8 @@ class TestConvValues:
         monkeypatch.setattr(ad, "_corr", recording)
         b, c, h, wd = 1, 4, 64, 128
         x = ad.constant(np.ones((b, c, h, wd), np.float32))
-        ad.conv2d(x, ad.param(np.ones((c, c, 3, 3), np.float32)))
+        w = ad.param(np.ones((c, c, 3, 3), np.float32))
+        ad.conv2d(x, w, zero_bias(w))
         (windows,) = saved
         im2col_bytes = b * h * wd * c * 9 * windows.itemsize
         assert windows.nbytes <= 0.4 * im2col_bytes
@@ -313,7 +314,7 @@ class TestConvValues:
 
         def loss():
             out = ad.conv3d(x, w, b, stride_t=2, stride_hw=2, pad_t=1)
-            return ad.weighted_mse(out, np.zeros(out.data.shape))
+            return ad.weighted_mse(out, np.zeros(out.data.shape), 1.0)
 
         check_grads(loss, [x, w, b])
 
@@ -375,9 +376,11 @@ class TestPadding:
 
         monkeypatch.setattr(ad, "_corr", recording)
         x2 = ad.constant(np.ones((2, 3, 6, 8), np.float32))
-        ad.conv2d(x2, ad.constant(np.ones((4, 3, 3, 4), np.float32)))
+        w2 = np.ones((4, 3, 3, 4), np.float32)
+        ad.conv2d(x2, ad.constant(w2), zero_bias(w2))
         x3 = ad.constant(np.ones((2, 3, 5, 6, 8), np.float32))
-        ad.conv3d(x3, ad.constant(np.ones((4, 3, 2, 3, 3), np.float32)), pad_t=1)
+        w3 = np.ones((4, 3, 2, 3, 3), np.float32)
+        ad.conv3d(x3, ad.constant(w3), zero_bias(w3), pad_t=1)
         assert seen == [(2, 3, 6 + 2, 8 + 3), (2, 3, 5 + 1, 6 + 2, 8 + 2)]
 
     @staticmethod
@@ -417,7 +420,7 @@ class TestPadding:
             mae = self.mae()
             x = make(window)
             recon = mae.decode(mae.encode(x))
-            ad.weighted_mse(recon, window).backward()
+            ad.weighted_mse(recon, window, 1.0).backward()
             assert (x.grad is not None) == x.requires_grad
             grads.append({k: p.grad for k, p in mae.params.items()})
         assert grads[0].keys() == grads[1].keys()
@@ -429,16 +432,16 @@ class TestConv2d:
     def test_identity_kernel(self):
         x = ad.constant(np.random.default_rng(0).standard_normal((1, 1, 6, 6)))
         k = ad.constant(np.ones((1, 1, 1, 1)))
-        np.testing.assert_array_equal(ad.conv2d(x, k).data, x.data)
+        np.testing.assert_array_equal(ad.conv2d(x, k, zero_bias(k)).data, x.data)
 
     def test_constant_input_mean_kernel(self):
         x = ad.constant(np.full((1, 1, 6, 8), 2.0))
         # Longitude-mean kernel: periodic axis, exactly constant everywhere.
         k = ad.constant(np.full((1, 1, 1, 3), 1.0 / 3.0))
-        np.testing.assert_allclose(ad.conv2d(x, k).data, 2.0, rtol=1e-12)
+        np.testing.assert_allclose(ad.conv2d(x, k, zero_bias(k)).data, 2.0, rtol=1e-12)
         # 3x3 mean kernel: constant away from the zero-padded latitude edges.
         k9 = ad.constant(np.full((1, 1, 3, 3), 1.0 / 9.0))
-        out = ad.conv2d(x, k9).data[0, 0]
+        out = ad.conv2d(x, k9, zero_bias(k9)).data[0, 0]
         np.testing.assert_allclose(out[1:-1], 2.0, rtol=1e-12)
 
     def test_circular_longitude_zero_latitude(self):
@@ -446,13 +449,13 @@ class TestConv2d:
         # opposite latitude row.
         x = np.zeros((1, 1, 4, 6))
         x[0, 0, 1, 0] = 1.0
-        k = np.ones((1, 1, 3, 3))
-        out = ad.conv2d(ad.constant(x), ad.constant(k)).data[0, 0]
+        k = ad.constant(np.ones((1, 1, 3, 3)))
+        out = ad.conv2d(ad.constant(x), k, zero_bias(k)).data[0, 0]
         assert out[1, 5] == 1.0  # wrapped across longitude
         assert out[0, 0] == 1.0  # zero padding above top row contributes nothing
         x2 = np.zeros((1, 1, 4, 6))
         x2[0, 0, 0, 2] = 1.0
-        out2 = ad.conv2d(ad.constant(x2), ad.constant(k)).data[0, 0]
+        out2 = ad.conv2d(ad.constant(x2), k, zero_bias(k)).data[0, 0]
         assert out2[3, 2] == 0.0  # no latitude wrap
 
     @pytest.mark.parametrize("seed", range(N_SEEDS))
@@ -461,7 +464,9 @@ class TestConv2d:
         x = random_param(rng, (1, 2, 6, 6))
         w = random_param(rng, (3, 2, 3, 3), scale=0.5)
         b = random_param(rng, (3,))
-        check_grads(lambda: ad.weighted_mse(ad.conv2d(x, w, b), np.zeros((1, 3, 6, 6))), [x, w, b])
+        check_grads(
+            lambda: ad.weighted_mse(ad.conv2d(x, w, b), np.zeros((1, 3, 6, 6)), 1.0), [x, w, b]
+        )
 
     @pytest.mark.parametrize("seed", range(8))
     def test_grads_stride2(self, seed):
@@ -470,7 +475,7 @@ class TestConv2d:
         w = random_param(rng, (3, 2, 3, 3), scale=0.5)
         b = random_param(rng, (3,))
         check_grads(
-            lambda: ad.weighted_mse(ad.conv2d(x, w, b, stride=2), np.zeros((2, 3, 3, 4))),
+            lambda: ad.weighted_mse(ad.conv2d(x, w, b, stride=2), np.zeros((2, 3, 3, 4)), 1.0),
             [x, w, b],
         )
 
@@ -480,15 +485,15 @@ class TestConv3d:
         rng = np.random.default_rng(0)
         x = rng.standard_normal((1, 2, 4, 6, 6))
         w = rng.standard_normal((3, 2, 1, 3, 3))
-        out3 = ad.conv3d(ad.constant(x), ad.constant(w)).data
+        out3 = ad.conv3d(ad.constant(x), ad.constant(w), zero_bias(w)).data
         for t in range(4):
-            out2 = ad.conv2d(ad.constant(x[:, :, t]), ad.constant(w[:, :, 0])).data
+            out2 = ad.conv2d(ad.constant(x[:, :, t]), ad.constant(w[:, :, 0]), zero_bias(w)).data
             np.testing.assert_allclose(out3[:, :, t], out2, atol=1e-12)
 
     def test_temporal_stride_halves(self):
         x = ad.constant(np.zeros((1, 1, 8, 4, 4)))
         w = ad.constant(np.zeros((1, 1, 2, 3, 3)))
-        out = ad.conv3d(x, w, stride_t=2)
+        out = ad.conv3d(x, w, zero_bias(w), stride_t=2)
         assert out.data.shape[2] == 4  # floor((8 - 2) / 2) + 1
 
     @pytest.mark.parametrize("seed", range(N_SEEDS))
@@ -500,7 +505,7 @@ class TestConv3d:
 
         def loss():
             out = ad.conv3d(x, w, b, stride_t=2, stride_hw=2)
-            return ad.weighted_mse(out, np.zeros(out.data.shape))
+            return ad.weighted_mse(out, np.zeros(out.data.shape), 1.0)
 
         check_grads(loss, [x, w, b])
 
@@ -511,8 +516,8 @@ class TestConv3d:
         w = random_param(rng, (2, 2, 2, 1, 1), scale=0.5)
 
         def loss():
-            out = ad.conv3d(x, w, pad_t=1)
-            return ad.weighted_mse(out, np.zeros(out.data.shape))
+            out = ad.conv3d(x, w, zero_bias(w), pad_t=1)
+            return ad.weighted_mse(out, np.zeros(out.data.shape), 1.0)
 
         check_grads(loss, [x, w])
 
@@ -523,7 +528,7 @@ class TestSpectralOps:
         rng = np.random.default_rng(seed)
         x = random_param(rng, (1, 2, 8, 8))
         t = rng.standard_normal((1, 2, 8, 8))
-        check_grads(lambda: ad.weighted_mse(ad.lowpass2d(x, 0.6), t), [x])
+        check_grads(lambda: ad.weighted_mse(ad.lowpass2d(x, 0.6), t, 1.0), [x])
 
     def test_lowpass2d_matches_spectral(self):
         from nimbus import spectral
@@ -547,8 +552,8 @@ class TestGraph:
     def test_loss_invariant_under_graph_order(self):
         rng = np.random.default_rng(0)
         a, b, c = (ad.constant(rng.standard_normal((8, 8))) for _ in range(3))
-        l1 = ad.sum_all(ad.add(ad.add(a, b), c))
-        l2 = ad.sum_all(ad.add(a, ad.add(b, c)))
+        l1 = total(ad.add(ad.add(a, b), c))
+        l2 = total(ad.add(a, ad.add(b, c)))
         assert float(l1.data) == pytest.approx(float(l2.data), abs=1e-6)
 
 
@@ -565,8 +570,8 @@ def small_conv_net(rng):
     def loss():
         h = ad.silu(ad.conv2d(x2, p["w2"], p["b2"]))
         h = ad.reshape(h, (1, 3, 2, 5, 6))
-        h = ad.rmsnorm(ad.conv3d(h, p["w3"], pad_t=1), p["g"], axis=1)
-        return ad.sum_all(ad.square(h))
+        h = ad.rmsnorm(ad.conv3d(h, p["w3"], zero_bias(p["w3"]), pad_t=1), p["g"], axis=1)
+        return total(ad.square(h))
 
     return p, loss
 
@@ -684,7 +689,7 @@ class TestGradSink:
         xs = rng.standard_normal((8, 1, 2, 5, 6))
 
         def loss_of(b):
-            h = ad.silu(ad.conv2d(ad.constant(xs[b]), params["w"]))
+            h = ad.silu(ad.conv2d(ad.constant(xs[b]), params["w"], zero_bias(params["w"])))
             return ad.mean_all(ad.square(ad.rmsnorm(h, params["g"], axis=1)))
 
         def step_grads(workers):
@@ -711,8 +716,8 @@ class TestGradSink:
         x = ad.param(np.array([1.0, 2.0]))
         with ad.grad_sink() as outer:
             with ad.grad_sink() as inner:
-                ad.sum_all(ad.square(x)).backward()
-            ad.sum_all(x).backward()
+                total(ad.square(x)).backward()
+            total(x).backward()
         np.testing.assert_array_equal(inner[x], [2.0, 4.0])
         np.testing.assert_array_equal(outer[x], [1.0, 1.0])
         assert x.grad is None
@@ -753,11 +758,11 @@ class TestAdamW:
         p = ad.param(np.zeros(6))
         opt = ad.AdamW({"p": p}, lr=0.05)
         for _ in range(200):
-            loss = ad.weighted_mse(p, target)
-            opt.zero_grad()
+            loss = ad.weighted_mse(p, target, 1.0)
+            p.grad = None
             loss.backward()
             opt.step()
-        assert float(ad.weighted_mse(p, target).data) < 1e-4
+        assert float(ad.weighted_mse(p, target, 1.0).data) < 1e-4
 
     def test_decoupled_weight_decay(self):
         p = ad.param(np.array([10.0]))

@@ -2,16 +2,11 @@
 
 import numpy as np
 import pytest
+from gradcheck import param64, to_float64, total
 
 from nimbus import autodiff as ad
 from nimbus import models
 from nimbus.errors import ConfigError, DomainError
-
-
-@pytest.fixture(autouse=True)
-def float64_mode():
-    with ad.use_dtype(np.float64):
-        yield
 
 
 def small_mae(seed=0, v=2, cz=3, k=4, spatial_strides=(1, 1), channels=(4, 5)):
@@ -22,7 +17,9 @@ def small_mae(seed=0, v=2, cz=3, k=4, spatial_strides=(1, 1), channels=(4, 5)):
         decoder_channels=4,
         k=k,
     )
-    return models.Mae(v, cfg, np.random.default_rng(seed))
+    mae = models.Mae(v, cfg, np.random.default_rng(seed))
+    to_float64(mae.params)
+    return mae
 
 
 def window(seed=0, b=1, v=2, k=4, h=6, w=8):
@@ -69,8 +66,7 @@ class TestEncodeFull:
         strides_hw = (*mae.cfg.spatial_strides, 1)
         for i, (st, shw) in enumerate(zip(strides_t, strides_hw)):
             w, b = mae.params[f"c3d{i}.w"], mae.params[f"c3d{i}.b"]
-            out = ad.conv3d(ad.constant(h), ad.constant(w.data), None, stride_t=st, stride_hw=shw)
-            out = out.data + b.data[None, :, None, None, None]
+            out = ad.conv3d(ad.constant(h), w, b, stride_t=st, stride_hw=shw).data
             h = out / (1.0 + np.exp(-out)) if i < 2 else out
         np.testing.assert_allclose(got, h, atol=1e-5)
 
@@ -83,8 +79,8 @@ class TestEncodeFull:
 
     def test_mask_blocks_gradient(self):
         mae = small_mae(seed=5)
-        x = ad.param(window(seed=5))
-        ad.sum_all(ad.square(mae.encode(x))).backward()
+        x = param64(window(seed=5))
+        total(ad.square(mae.encode(x))).backward()
         np.testing.assert_array_equal(x.grad[:, :, -1], 0.0)
         assert np.abs(x.grad[:, :, :-1]).max() > 0
 

@@ -263,6 +263,15 @@ def test_unreadable_config_exits_2(tmp_path, content, message, caplog):
         ("mae", "spatial_strides", [3, 2]),
         ("mae", "spatial_strides", [1, 1]),
         ("mae", "spatial_strides", [2.0, 2]),
+        ("data", "advection", [[1]]),
+        ("data", "advection", [1, 2]),
+        ("data", "advection", [[0, 1], [1, 0]]),
+        ("data", "slopes", ["a"]),
+        ("data", "slopes", [1.0, 2.0]),
+        ("data", "h", 4),
+        ("data", "w", 4),
+        ("mae", "k", 3),
+        ("vae", "beta", -1.0),
     ],
 )
 @pytest.mark.parametrize("dry_run", [True, False])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from gradcheck import numeric_gradient, to_float64
 
 from nimbus import autodiff as ad
 from nimbus import edm
@@ -334,36 +335,36 @@ class TestDiffusionLoss:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_param_gradients_match_finite_differences(self, seed):
-        with ad.use_dtype(np.float64):
-            rng = np.random.default_rng(seed)
-            cfg = default_cfg()
-            net = edm.Denoiser(
-                edm.DenoiserConfig(latent_channels=2, hidden=3, blocks=1, t_frames=4, emb_dim=3),
-                rng,
+        rng = np.random.default_rng(seed)
+        cfg = default_cfg()
+        net = edm.Denoiser(
+            edm.DenoiserConfig(latent_channels=2, hidden=3, blocks=1, t_frames=4, emb_dim=3),
+            rng,
+        )
+        to_float64(net.params)
+        # Zero-init head blocks the default gradient path; give it signal.
+        net.params["headout.w"].data = rng.standard_normal(
+            net.params["headout.w"].data.shape
+        ) * 0.3
+        z_clean = rng.standard_normal((1, 2, 4, 4))
+        z_bar = rng.standard_normal((1, 2, 2, 4, 4))
+        z_prev = rng.standard_normal((1, 2, 4, 4))
+        sigma = np.array([0.8])
+
+        def loss_fn():
+            return edm.diffusion_loss(
+                net, z_clean, z_bar, z_prev, sigma, np.random.default_rng(42), cfg
             )
-            # Zero-init head blocks the default gradient path; give it signal.
-            net.params["headout.w"].data = rng.standard_normal(
-                net.params["headout.w"].data.shape
-            ) * 0.3
-            z_clean = rng.standard_normal((1, 2, 4, 4))
-            z_bar = rng.standard_normal((1, 2, 2, 4, 4))
-            z_prev = rng.standard_normal((1, 2, 4, 4))
-            sigma = np.array([0.8])
 
-            def loss_fn():
-                return edm.diffusion_loss(
-                    net, z_clean, z_bar, z_prev, sigma, np.random.default_rng(42), cfg
-                )
-
-            loss = loss_fn()
-            for p in net.params.values():
-                p.grad = None
-            loss.backward()
-            for name in ("blk0.conv.w", "proj.w", "blk0.film.w", "head.collapse.w"):
-                p = net.params[name]
-                num = ad.numeric_gradient(loss_fn, p, eps=1e-4)
-                scale = max(1.0, np.abs(num).max())
-                assert np.abs(p.grad - num).max() / scale < 1e-4
+        loss = loss_fn()
+        for p in net.params.values():
+            p.grad = None
+        loss.backward()
+        for name in ("blk0.conv.w", "proj.w", "blk0.film.w", "head.collapse.w"):
+            p = net.params[name]
+            num = numeric_gradient(loss_fn, p, eps=1e-4)
+            scale = max(1.0, np.abs(num).max())
+            assert np.abs(p.grad - num).max() / scale < 1e-4
 
     def test_denoiser_shapes(self):
         rng = np.random.default_rng(0)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nimbus import grid, spectral
+from nimbus import grid, pipeline, spectral
 from nimbus.errors import ConfigError, DomainError, FormatError
 
 
@@ -19,16 +19,23 @@ def make_batch(t=4, v=2, h=8, w=8, seed=0):
     return grid.FieldBatch(data=data, lat=lat, lon=lon, specs=specs)
 
 
+def residual_frames(b):
+    """The residual frames the VAE trains on, for train slice b, with unit statistics."""
+    unit = tuple(dataclasses.replace(s, mean=0.0, std=1.0) for s in b.specs)
+    bundle = pipeline.DatasetBundle(b, b, b, b.data, b.specs, unit, None, None)
+    return pipeline.standardized_residual_frames(bundle)
+
+
 class TestLatWeights:
     def test_single_row_is_one(self):
-        assert grid.lat_weights([0.0]).w == pytest.approx([1.0])
+        assert grid.lat_weights([0.0]) == pytest.approx([1.0])
 
     def test_symmetric_pair(self):
-        np.testing.assert_allclose(grid.lat_weights([60.0, -60.0]).w, [1.0, 1.0])
+        np.testing.assert_allclose(grid.lat_weights([60.0, -60.0]), [1.0, 1.0])
 
     def test_two_rows_derived(self):
         # cos(0)=1, cos(60)=0.5, mean 0.75
-        np.testing.assert_allclose(grid.lat_weights([0.0, 60.0]).w, [4 / 3, 2 / 3])
+        np.testing.assert_allclose(grid.lat_weights([0.0, 60.0]), [4 / 3, 2 / 3])
 
     def test_out_of_range_rejected(self):
         with pytest.raises(DomainError):
@@ -39,8 +46,9 @@ class TestLatWeights:
     )
     @settings(max_examples=50, deadline=None)
     def test_mean_exactly_one(self, lats):
-        w = grid.lat_weights(lats).w
+        w = grid.lat_weights(lats)
         assert abs(w.mean() - 1.0) < 1e-12
+        assert not w.flags.writeable
 
 
 class TestStandardize:
@@ -83,31 +91,31 @@ class TestResiduals:
     def test_constant_sequence_zero(self):
         b = make_batch()
         b = dataclasses.replace(b, data=np.ones_like(b.data))
-        r = grid.residuals(b, specs=b.specs)
-        assert np.all(r.data == 0)
+        assert np.all(residual_frames(b) == 0)
 
     def test_linear_ramp_gives_ones(self):
         b = make_batch(t=5)
         data = np.broadcast_to(
             np.arange(5, dtype=np.float32)[:, None, None, None], b.data.shape
         ).copy()
-        r = grid.residuals(dataclasses.replace(b, data=data), specs=b.specs)
-        np.testing.assert_array_equal(r.data, np.ones_like(r.data))
+        r = residual_frames(dataclasses.replace(b, data=data))
+        np.testing.assert_array_equal(r, np.ones_like(r))
 
     def test_matches_subtraction_oracle(self):
         b = make_batch(t=6, seed=9)
-        r = grid.residuals(b)
-        np.testing.assert_array_equal(r.data, b.data[1:] - b.data[:-1])
+        r = residual_frames(b)
+        assert r.dtype == np.float32
+        np.testing.assert_array_equal(r, b.data[1:] - b.data[:-1])
 
     def test_short_sequence_rejected(self):
         b = make_batch(t=1)
         with pytest.raises(DomainError):
-            grid.residuals(b)
+            grid.residual_specs(b)
 
     def test_cumulative_sum_reconstructs(self):
         b = make_batch(t=8, seed=4)
-        r = grid.residuals(b)
-        recon = b.data[0] + r.data.astype(np.float64).sum(axis=0)
+        r = residual_frames(b)
+        recon = b.data[0] + r.astype(np.float64).sum(axis=0)
         np.testing.assert_allclose(recon, b.data[-1], atol=1e-5)
 
     def test_residual_specs_use_residual_statistics(self):
@@ -187,7 +195,11 @@ class TestFieldFile:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_non_utf8_variable_name(self, tmp_path):
-        b = grid.gen_synthetic(seed=0, h=8, w=8, v=2, t=1, names=["ab", "cd"])
+        b = grid.gen_synthetic(seed=0, h=8, w=8, v=2, t=1)
+        names = ("ab", "cd")
+        b = dataclasses.replace(
+            b, specs=tuple(dataclasses.replace(s, name=n) for s, n in zip(b.specs, names))
+        )
         path = tmp_path / "x.pyld"
         grid.write_fields(b, path)
         path.write_bytes(path.read_bytes().replace(b"cd", b"\xc3\x28", 1))

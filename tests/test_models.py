@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from gradcheck import to_float64
 
 from nimbus import autodiff as ad
 from nimbus import edm, grid, models, spectral
@@ -132,7 +133,7 @@ class TestMae:
         for name in ("dh.w", "dh.b"):
             mae.params[name].data = np.zeros_like(mae.params[name].data)
         x = np.random.default_rng(1).standard_normal((1, 2, 5, 8, 8)).astype(np.float32)
-        lat_w = grid.lat_weights(np.linspace(-60, 60, 8)).w
+        lat_w = grid.lat_weights(np.linspace(-60, 60, 8))
         loss = models.mae_loss(mae, x, lat_w=lat_w)
         w = models.combined_weights(lat_w, None, 2, 8)[:, None, :, :]
         wb = np.broadcast_to(w, x.shape)
@@ -166,7 +167,7 @@ class TestMae:
         xt = ad.param(x)
         z = mae.encode(xt)
         recon = mae.decode(z)
-        loss = ad.weighted_mse(recon, x, None)
+        loss = ad.weighted_mse(recon, x, 1.0)
         loss.backward()
         # Gradient w.r.t. the window through the encoder input never touches
         # the final frame: no encoder output that a later layer keeps reads it.
@@ -257,56 +258,56 @@ class TestPerSampleShards:
         "strategy,gamma,factor", [(Strategy.VAMFM, 0.6, 1), (Strategy.SE, 1.0, 2)]
     )
     def test_vae_loss(self, strategy, gamma, factor):
-        with ad.use_dtype(np.float64):
-            vae = make_vae(seed=21)
-            x = resid_batch(b=3, seed=22).astype(np.float64)
-            lat_w = grid.lat_weights(np.linspace(-60, 60, 16)).w
-            var_w = np.array([1.0, 0.5, 2.0])
-            args = (strategy, gamma)
-            weights = (lat_w, var_w, factor)
-            loss, _ = models.vae_loss(vae, x, *args, np.random.default_rng(3), *weights)
-            full = self.full(vae.params, loss)
-            eps = models.normal_streams(np.random.default_rng(3), 3, (1, 4, 4, 4))
-            sharded = self.sharded(
-                vae.params,
-                lambda b: models.vae_loss(vae, x[b : b + 1], *args, eps[b], *weights)[0],
-                3,
-            )
+        vae = make_vae(seed=21)
+        to_float64(vae.params)
+        x = resid_batch(b=3, seed=22).astype(np.float64)
+        lat_w = grid.lat_weights(np.linspace(-60, 60, 16))
+        var_w = np.array([1.0, 0.5, 2.0])
+        args = (strategy, gamma)
+        weights = (lat_w, var_w, factor)
+        loss, _ = models.vae_loss(vae, x, *args, np.random.default_rng(3), *weights)
+        full = self.full(vae.params, loss)
+        eps = models.normal_streams(np.random.default_rng(3), 3, (1, 4, 4, 4))
+        sharded = self.sharded(
+            vae.params,
+            lambda b: models.vae_loss(vae, x[b : b + 1], *args, eps[b], *weights)[0],
+            3,
+        )
         self.assert_same(full, sharded)
 
     def test_mae_loss(self):
-        with ad.use_dtype(np.float64):
-            mae = TestMae().make(seed=23)
-            x = np.random.default_rng(24).standard_normal((3, 2, 5, 8, 8))
-            lat_w = grid.lat_weights(np.linspace(-60, 60, 8)).w
-            full = self.full(mae.params, models.mae_loss(mae, x, lat_w))
-            sharded = self.sharded(
-                mae.params, lambda b: models.mae_loss(mae, x[b : b + 1], lat_w), 3
-            )
+        mae = TestMae().make(seed=23)
+        to_float64(mae.params)
+        x = np.random.default_rng(24).standard_normal((3, 2, 5, 8, 8))
+        lat_w = grid.lat_weights(np.linspace(-60, 60, 8))
+        full = self.full(mae.params, models.mae_loss(mae, x, lat_w))
+        sharded = self.sharded(
+            mae.params, lambda b: models.mae_loss(mae, x[b : b + 1], lat_w), 3
+        )
         self.assert_same(full, sharded)
 
     def test_diffusion_loss(self):
-        with ad.use_dtype(np.float64):
-            rng = np.random.default_rng(25)
-            cfg = edm.EdmConfig(sigma_data=0.7)
-            net = edm.Denoiser(
-                edm.DenoiserConfig(latent_channels=2, hidden=3, blocks=1, t_frames=4, emb_dim=3),
-                rng,
-            )
-            net.params["headout.w"].data = rng.standard_normal((2, 3, 1, 1)) * 0.3
-            z = rng.standard_normal((3, 2, 4, 4))
-            z_bar = rng.standard_normal((3, 2, 2, 4, 4))
-            z_prev = rng.standard_normal((3, 2, 4, 4))
-            sigma = np.array([0.2, 1.1, 4.0])
-            loss = edm.diffusion_loss(net, z, z_bar, z_prev, sigma, np.random.default_rng(5), cfg)
-            full = self.full(net.params, loss)
-            eps = models.normal_streams(np.random.default_rng(5), 3, (1, 2, 4, 4))
+        rng = np.random.default_rng(25)
+        cfg = edm.EdmConfig(sigma_data=0.7)
+        net = edm.Denoiser(
+            edm.DenoiserConfig(latent_channels=2, hidden=3, blocks=1, t_frames=4, emb_dim=3),
+            rng,
+        )
+        to_float64(net.params)
+        net.params["headout.w"].data = rng.standard_normal((2, 3, 1, 1)) * 0.3
+        z = rng.standard_normal((3, 2, 4, 4))
+        z_bar = rng.standard_normal((3, 2, 2, 4, 4))
+        z_prev = rng.standard_normal((3, 2, 4, 4))
+        sigma = np.array([0.2, 1.1, 4.0])
+        loss = edm.diffusion_loss(net, z, z_bar, z_prev, sigma, np.random.default_rng(5), cfg)
+        full = self.full(net.params, loss)
+        eps = models.normal_streams(np.random.default_rng(5), 3, (1, 2, 4, 4))
 
-            def loss_of(b):
-                s = slice(b, b + 1)
-                return edm.diffusion_loss(net, z[s], z_bar[s], z_prev[s], sigma[s], eps[b], cfg)
+        def loss_of(b):
+            s = slice(b, b + 1)
+            return edm.diffusion_loss(net, z[s], z_bar[s], z_prev[s], sigma[s], eps[b], cfg)
 
-            sharded = self.sharded(net.params, loss_of, 3)
+        sharded = self.sharded(net.params, loss_of, 3)
         self.assert_same(full, sharded)
 
     def test_normal_streams_reproduce_the_batch_draw(self):

@@ -1,0 +1,71 @@
+"""Dataset preparation in ``pipeline``: the split, its statistics, the residual frames."""
+
+import numpy as np
+import pytest
+
+from nimbus import grid, pipeline
+from nimbus.errors import ConfigError
+
+TRAIN, K = 6, 2
+
+
+@pytest.fixture(scope="module")
+def batch():
+    # 6 train frames, a 3-frame init window and 3 truth frames.
+    return grid.gen_synthetic(seed=1, h=8, w=16, v=3, t=12)
+
+
+@pytest.fixture(scope="module")
+def bundle(batch):
+    return pipeline.split_dataset(batch, TRAIN, K)
+
+
+def test_slices(batch, bundle):
+    assert bundle.full is batch
+    np.testing.assert_array_equal(bundle.train.data, batch.data[:TRAIN])
+    np.testing.assert_array_equal(bundle.init_window.data, batch.data[TRAIN : TRAIN + K + 1])
+    np.testing.assert_array_equal(bundle.truth, batch.data[TRAIN + K + 1 :])
+    assert bundle.truth.shape[0] == 3
+    for part in (bundle.train, bundle.init_window):
+        np.testing.assert_array_equal(part.lat, batch.lat)
+        np.testing.assert_array_equal(part.lon, batch.lon)
+
+
+def test_state_specs_come_from_the_train_slice(batch, bundle):
+    train = batch.data[:TRAIN].astype(np.float64)
+    for i, spec in enumerate(bundle.state_specs):
+        assert spec.name == batch.specs[i].name
+        assert spec.mean == train[:, i].mean()
+        assert spec.std == train[:, i].std()
+        # The dataset's own specs describe every frame, not the train slice.
+        assert spec.mean != batch.specs[i].mean
+    assert bundle.init_window.specs == bundle.state_specs
+    assert bundle.resid_specs == grid.residual_specs(bundle.train)
+
+
+def test_weights(batch, bundle):
+    cos = np.cos(np.deg2rad(batch.lat))
+    np.testing.assert_array_equal(bundle.lat_w, cos / cos.mean())
+    np.testing.assert_array_equal(bundle.var_w, [s.loss_weight for s in batch.specs])
+
+
+def test_too_few_train_frames_rejected(batch):
+    with pytest.raises(ConfigError, match="forecast.train_frames must be at least k \\+ 2 = 4"):
+        pipeline.split_dataset(batch, K + 1, K)
+
+
+def test_too_short_dataset_rejected(batch):
+    with pytest.raises(ConfigError, match="dataset has 12 frames; need at least 13"):
+        pipeline.split_dataset(batch, TRAIN + 3, K)
+
+
+def test_standardized_residual_frames(bundle):
+    got = pipeline.standardized_residual_frames(bundle)
+    train = bundle.train.data
+    assert got.dtype == np.float32
+    assert got.shape == (TRAIN - 1,) + train.shape[1:]
+    for i, spec in enumerate(bundle.resid_specs):
+        diff = train[1:, i] - train[:-1, i]
+        expect = (diff - np.float32(spec.mean)) / np.float32(spec.std)
+        np.testing.assert_array_equal(got[:, i], expect)
+

@@ -248,14 +248,22 @@ class TestMetricReport:
             np.testing.assert_array_equal(report.scores[key], np.zeros((3, 2)))
 
 
+BANDS = (0.0, 0.2, 0.5, 0.8, spectral.R_CORNER)
+
+
+def identity(z):
+    return z
+
+
 class TestDiffusability:
     def test_identical_latents_identical_tables(self):
         rng = np.random.default_rng(0)
         lat = rng.standard_normal((6, 3, 8, 8))
-        report = verify.diffusability_report(lat, lat.copy())
+        report = verify.diffusability_report(lat, lat.copy(), BANDS, identity, lat)
         np.testing.assert_array_equal(
             report["encoder_band_energy"], report["generated_band_energy"]
         )
+        assert report["rmse_encoder"] == report["rmse_generated"]
 
     def test_no_masking_equals_baseline(self):
         rng = np.random.default_rng(1)
@@ -272,7 +280,7 @@ class TestDiffusability:
 
         full = spectral.R_CORNER + 1e-9
         report = verify.diffusability_report(
-            lat, gen, mask_radii=(0.5, full), decoder=decoder, reference=reference
+            lat, gen, BANDS, decoder, reference, mask_radii=(0.5, full)
         )
         base = np.sqrt(np.mean((decoder(lat) - reference) ** 2))
         assert report["rmse_encoder"][-1] == pytest.approx(base, rel=1e-6)
@@ -286,5 +294,5 @@ class TestDiffusability:
                 for n in range(8)
             ]
         )
-        report = verify.diffusability_report(enc, gen)
+        report = verify.diffusability_report(enc, gen, BANDS, identity, enc)
         assert report["generated_band_energy"][-1] <= report["encoder_band_energy"][-1]
