@@ -125,7 +125,7 @@ ENCODER_SECTIONS = {"3dmae": "mae", "2d": "frame_ae"}
 ZERO_OK = ("iters", "seed", "rank_seed")
 # Float keys that must be > 0, and >= 0 (every float must be finite).
 POSITIVE = ("sigma_min", "rho", "lr")
-NON_NEGATIVE = ("beta",)
+NON_NEGATIVE = ("beta", "forcing")
 # Grid sizes: at least the generator's 8, and multiples of 4 for the VAE's
 # two stride-2 stages.
 GRID_KEYS = ("data.h", "data.w")
@@ -639,6 +639,8 @@ def main(argv=None) -> int:
     try:
         if args.workers < 1:
             raise ConfigError(f"--workers must be at least 1, got {args.workers}")
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be at least 0, got {args.seed}")
         cfg = load_config(args.config)
         if args.dry_run:
             log.info("config ok (hash %s); dry run, no side effects", config_hash(cfg))

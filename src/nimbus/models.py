@@ -106,15 +106,15 @@ def kl_standard_normal(mu: ad.Tensor, logvar: ad.Tensor) -> ad.Tensor:
     return ad.scale(ad.mean_all(term), -0.5)
 
 
-def combined_weights(lat_w, var_w, v: int, h: int) -> np.ndarray:
-    """Broadcastable (V, H, 1) loss weights from latitude and variable parts."""
-    lw = np.ones(h) if lat_w is None else np.asarray(lat_w, dtype=np.float64)
-    vw = np.ones(v) if var_w is None else np.asarray(var_w, dtype=np.float64)
+def combined_weights(lat_w, var_w) -> np.ndarray:
+    """Broadcastable (V, H, 1) loss weights from latitude (H,) and variable (V,) parts."""
+    lw = np.asarray(lat_w, dtype=np.float64)
+    vw = np.asarray(var_w, dtype=np.float64)
     return vw[:, None, None] * lw[None, :, None]
 
 
 def _pool_lat(lat_w, factor: int):
-    if lat_w is None or factor == 1:
+    if factor == 1:
         return lat_w
     return np.asarray(lat_w, dtype=np.float64).reshape(-1, factor).mean(axis=1)
 
@@ -152,8 +152,8 @@ def vae_loss(
     strategy: Strategy,
     gamma: float,
     rng: np.random.Generator,
-    lat_w=None,
-    var_w=None,
+    lat_w,
+    var_w,
     se_factor: int = 1,
 ):
     """Regularized VAE objective on a (B, V, H, W) standardized batch.
@@ -161,7 +161,6 @@ def vae_loss(
     gamma = 1 (or strategy NONE) reduces exactly to the unmasked objective.
     Returns (loss tensor, scalar parts for logging).
     """
-    b, v, h, w = batch.shape
     x = ad.constant(batch)
     mu, logvar = vae.encode(x)
     z = reparameterize(mu, logvar, rng)
@@ -171,7 +170,7 @@ def vae_loss(
     recon = vae.decode(z_masked)
 
     factor = se_factor if strategy == Strategy.SE else 1
-    weights = combined_weights(_pool_lat(lat_w, factor), var_w, v, h // factor)
+    weights = combined_weights(_pool_lat(lat_w, factor), var_w)
     loss_rec = ad.weighted_mse(recon, target, weights)
     if vae.cfg.beta > 0:
         kl = kl_standard_normal(mu, logvar)
@@ -281,15 +280,14 @@ class Mae:
         return ad.narrow(ad.repeat_axis(h, 2, axis=2), 2, 1, 2 * tm - 1)
 
 
-def mae_loss(mae: Mae, window: np.ndarray, lat_w=None, var_w=None):
+def mae_loss(mae: Mae, window: np.ndarray, lat_w, var_w):
     """Reconstruction of all k+1 frames of a (B, V, k+1, H, W) window.
 
     The encoder never reads the last frame, so the decoder must predict it.
     """
-    b, v, t, h, w = window.shape
     z = mae.encode(ad.constant(window))
     recon = mae.decode(z)
-    weights = combined_weights(lat_w, var_w, v, h)[:, None, :, :]
+    weights = combined_weights(lat_w, var_w)[:, None, :, :]
     return ad.weighted_mse(recon, window, weights)
 
 
@@ -333,9 +331,9 @@ class FrameAe:
         return self.encode(ad.constant(x)).data
 
 
-def frame_ae_loss(ae: FrameAe, batch: np.ndarray, lat_w=None, var_w=None):
+def frame_ae_loss(ae: FrameAe, batch: np.ndarray, lat_w, var_w):
     recon = ae.decode(ae.encode(ad.constant(batch)))
-    weights = combined_weights(lat_w, var_w, batch.shape[1], batch.shape[2])
+    weights = combined_weights(lat_w, var_w)
     return ad.weighted_mse(recon, batch, weights)
 
 
@@ -375,8 +373,8 @@ def train_vae(
     resid_std: np.ndarray,
     cfg: TrainConfig,
     strategy: Strategy,
-    lat_w=None,
-    var_w=None,
+    lat_w,
+    var_w,
     workers: int = 1,
 ) -> list[float]:
     """Train on standardized residual frames (N, V, H, W); returns loss curve.
@@ -417,8 +415,8 @@ def train_mae(
     mae: Mae,
     states_std: np.ndarray,
     cfg: TrainConfig,
-    lat_w=None,
-    var_w=None,
+    lat_w,
+    var_w,
     workers: int = 1,
 ) -> list[float]:
     """Train on (k+1)-frame windows of the sequence; returns the loss curve.
@@ -451,8 +449,8 @@ def train_frame_ae(
     ae: FrameAe,
     states_std: np.ndarray,
     cfg: TrainConfig,
-    lat_w=None,
-    var_w=None,
+    lat_w,
+    var_w,
     workers: int = 1,
 ) -> list[float]:
     rng = np.random.default_rng(cfg.seed)

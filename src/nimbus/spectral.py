@@ -63,6 +63,15 @@ def fft2(x) -> Spectrum2D:
     return Spectrum2D(coeffs=np.fft.fft2(x, axes=(-2, -1)), h=x.shape[-2], w=x.shape[-1])
 
 
+def _bin_sums(mag: np.ndarray, idx: np.ndarray, nbins: int) -> np.ndarray:
+    """(planes, nbins) sums of each row of ``mag`` (planes, H*W) over the bins ``idx`` assigns."""
+    planes = mag.shape[0]
+    # Plane p's coefficients fall in bins p*nbins ... p*nbins + nbins - 1, in
+    # the same order as a bincount of that plane alone.
+    bins = (idx[None, :] + nbins * np.arange(planes)[:, None]).ravel()
+    return np.bincount(bins, weights=mag.ravel(), minlength=planes * nbins).reshape(planes, nbins)
+
+
 def radial_profile(s: Spectrum2D) -> SpectralProfile:
     """Shell-average |F| over circular frequency shells and accumulate energy, per plane."""
     r = normalized_radius(s.h, s.w)
@@ -73,11 +82,7 @@ def radial_profile(s: Spectrum2D) -> SpectralProfile:
     lead = s.coeffs.shape[:-2]
     mag = np.abs(s.coeffs).reshape(-1, idx.size)
     planes = mag.shape[0]
-
-    # Plane p's coefficients fall in bins p*b ... p*b + b - 1, in the same
-    # order as a bincount of that plane alone.
-    bins = (idx[None, :] + b * np.arange(planes)[:, None]).ravel()
-    totals = np.bincount(bins, weights=mag.ravel(), minlength=planes * b).reshape(planes, b)
+    totals = _bin_sums(mag, idx, b)
     counts = np.bincount(idx, minlength=b)
     amplitude = np.divide(totals, counts, out=np.zeros((planes, b)), where=counts > 0)
 
@@ -137,7 +142,11 @@ def lowpass_spectrum(s: Spectrum2D, r_cut) -> np.ndarray:
 
 
 def band_energy(x, band_edges) -> np.ndarray:
-    """Per-band fraction of total |F|; bands partition [0, max radius]."""
+    """Per-band fraction of total |F| of each (H, W) plane of x (..., H, W).
+
+    Bands partition [0, max radius]; the result is (..., bands). An all-zero
+    plane reads 1 in the first band and 0 in the others.
+    """
     edges = np.asarray(band_edges, dtype=np.float64)
     if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
         raise DomainError("band_edges must be an ascending list of at least 2 edges")
@@ -145,13 +154,13 @@ def band_energy(x, band_edges) -> np.ndarray:
     r = normalized_radius(s.h, s.w)
     if edges[0] > 0.0 or edges[-1] < r.max() - 1e-12:
         raise DomainError("band_edges must start at 0 and cover the maximum radius")
-    mag = np.abs(s.coeffs)
-    total = mag.sum()
+    nb = edges.size - 1
     # Last band is closed above so the corner coefficient is counted.
-    idx = np.minimum(np.searchsorted(edges, r.ravel(), side="right") - 1, edges.size - 2)
-    sums = np.bincount(idx, weights=mag.ravel(), minlength=edges.size - 1)
-    if total <= 0:
-        out = np.zeros(edges.size - 1)
-        out[0] = 1.0
-        return out
-    return sums / total
+    idx = np.minimum(np.searchsorted(edges, r.ravel(), side="right") - 1, nb - 1)
+    mag = np.abs(s.coeffs).reshape(-1, idx.size)
+    total = mag.sum(axis=1)
+    out = np.zeros((mag.shape[0], nb))
+    out[:, 0] = 1.0
+    live = total > 0
+    out[live] = _bin_sums(mag[live], idx, nb) / total[live, None]
+    return out.reshape(s.coeffs.shape[:-2] + (nb,))

@@ -1,9 +1,24 @@
 """Probabilistic forecast verification and latent-diffusability diagnostics.
 
-All metrics are computed grid-pointwise and aggregated with latitude weights;
-accumulations run in float64. CRPS defaults to the fair (unbiased) estimator;
-the empirical estimator is reported beside it (``crps_empirical`` in
-metrics.csv) and is the only one defined for a single member.
+``evaluate_ensemble`` scores an (M, T, V, H, W) ensemble against its truth
+one lead at a time, all variables at once, in float64. Each score is a
+latitude-weighted mean over a variable's (H, W) grid, so every metric is a
+(V, T) table:
+
+- ``rmse_mean``: RMSE of the ensemble mean. Its error is the mean of the
+  member errors, so members that all equal the truth score exactly 0.
+- ``crps_fair``: the fair (unbiased) CRPS, mean|x_i - y| minus
+  sum_{i,j}|x_i - x_j| / (2M(M-1)).
+- ``crps_empirical``: the empirical-CDF CRPS, the same with 2M^2 as divisor.
+  Both estimators share one sort along the member axis.
+- ``ssr``: spread over skill, sqrt((M+1)/M * mean member variance) over
+  ``rmse_mean``. The variance is taken over the deviations from member 0,
+  so identical members have exactly zero spread; zero spread scores 0.0,
+  and a nonzero spread with zero RMSE scores inf.
+
+With a single member the fair CRPS and SSR are undefined: ``crps_fair`` then
+holds the empirical CRPS (the absolute error) and ``ssr`` is NaN. The rank
+histogram counts where each grid point's truth falls among its members.
 """
 
 from __future__ import annotations
@@ -13,119 +28,47 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtrc
 
 from . import spectral
 from .errors import DomainError
 
 
-def _wmean(values: np.ndarray, weights) -> float:
-    v = np.asarray(values, dtype=np.float64)
-    if weights is None:
-        return float(v.mean())
-    w = np.broadcast_to(np.asarray(weights, dtype=np.float64), v.shape)
-    return float((w * v).sum() / w.sum())
+def _wmean(values: np.ndarray, weights) -> np.ndarray:
+    """Weighted mean of each values[i] over all its axes; weights broadcast to values[i]."""
+    w = np.broadcast_to(np.asarray(weights, dtype=np.float64), values.shape[1:])
+    return (w * values).reshape(len(values), -1).sum(axis=1) / w.sum()
 
 
-def rmse_ensemble_mean(forecast: np.ndarray, truth: np.ndarray, weights=None) -> float:
-    """Latitude-weighted RMSE of the ensemble mean.
+def crps_field(members: np.ndarray, errors: np.ndarray, weights) -> tuple:
+    """Weighted-mean fair and empirical CRPS of each variable of one lead.
 
-    forecast: (M, ...) members; truth: (...); weights broadcastable to truth.
-    The ensemble-mean error is the mean of the member errors, equal to
-    mean(forecast) - truth in exact arithmetic, so members that all equal the
-    truth score exactly 0 (the float mean of equal values need not equal them).
+    members: (M, V, H, W) in float64; errors: members minus the (V, H, W)
+    truth; weights broadcast to (H, W). Returns (fair, empirical), each (V,).
+    With M = 1 the fair estimator is undefined and ``fair`` is the empirical one.
     """
-    forecast = np.asarray(forecast, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.float64)
-    if forecast.shape[1:] != truth.shape:
-        raise DomainError(f"forecast {forecast.shape} does not align with truth {truth.shape}")
-    err2 = np.square((forecast - truth).mean(axis=0))
-    return float(np.sqrt(_wmean(err2, weights)))
-
-
-def _abs_gini(members: np.ndarray) -> np.ndarray:
-    """sum_{i != j} |x_i - x_j| along axis 0, via the sorted-order identity."""
     m = members.shape[0]
-    xs = np.sort(members, axis=0)
+    skill = np.abs(errors).mean(axis=0)
+    # sum_{i != j} |x_i - x_j| by the sorted-order identity.
     coef = (2.0 * np.arange(m) - (m - 1)).reshape((m,) + (1,) * (members.ndim - 1))
-    return 2.0 * np.sum(coef * xs, axis=0)
+    gini = 2.0 * np.sum(coef * np.sort(members, axis=0), axis=0)
+    empirical = _wmean(skill - gini / (2.0 * m * m), weights)
+    if m == 1:
+        return empirical, empirical
+    return _wmean(skill - gini / (2.0 * m * (m - 1)), weights), empirical
 
 
-def crps_fair(members: np.ndarray, y) -> np.ndarray | float:
-    """Fair (unbiased) ensemble CRPS, elementwise over trailing axes."""
-    members = np.asarray(members, dtype=np.float64)
-    m = members.shape[0]
-    if m < 2:
-        raise DomainError("fair CRPS requires at least 2 members")
-    y = np.asarray(y, dtype=np.float64)
-    term1 = np.mean(np.abs(members - y), axis=0)
-    term2 = _abs_gini(members) / (2.0 * m * (m - 1))
-    out = term1 - term2
-    return float(out) if out.ndim == 0 else out
+def rank_histogram(members: np.ndarray, truth: np.ndarray, rng) -> np.ndarray:
+    """Counts (M + 1,) of each truth's rank among its M members, ties randomized.
 
-
-def crps_empirical(members: np.ndarray, y) -> np.ndarray | float:
-    """Empirical-CDF CRPS (the 1/(2 M^2) estimator)."""
-    members = np.asarray(members, dtype=np.float64)
-    m = members.shape[0]
-    if m < 1:
-        raise DomainError("empirical CRPS requires at least 1 member")
-    y = np.asarray(y, dtype=np.float64)
-    term1 = np.mean(np.abs(members - y), axis=0)
-    term2 = _abs_gini(members) / (2.0 * m * m)
-    out = term1 - term2
-    return float(out) if out.ndim == 0 else out
-
-
-def crps_field(forecast: np.ndarray, truth: np.ndarray, weights=None, fair=True) -> float:
-    """Weighted-average CRPS over a grid; forecast (M, ...), truth (...)."""
-    fn = crps_fair if fair else crps_empirical
-    return _wmean(fn(forecast, truth), weights)
-
-
-def spread_skill_ratio(forecast: np.ndarray, truth: np.ndarray, weights=None) -> float:
-    """sqrt((M+1)/M * mean ensemble variance) / RMSE of the ensemble mean.
-
-    The variance is taken over the member deviations from member 0, which
-    leaves it unchanged in exact arithmetic but makes the spread of identical
-    members exactly 0. An ensemble with zero spread thus scores exactly 0.0,
-    whether or not it hits the truth (0/0 is reported as 0.0; a nonzero
-    spread with zero RMSE as inf).
+    members: (M, ...); truth: (...). A truth equal to k members takes one of
+    its k + 1 ranks at random, drawn from ``rng`` in the truth's C order.
     """
-    forecast = np.asarray(forecast, dtype=np.float64)
-    m = forecast.shape[0]
-    if m < 2:
-        raise DomainError("SSR requires at least 2 members")
-    var = (forecast - forecast[0]).var(axis=0, ddof=1)
-    spread = np.sqrt((m + 1) / m * _wmean(var, weights))
-    rmse = rmse_ensemble_mean(forecast, truth, weights)
-    if rmse == 0.0:
-        return 0.0 if spread == 0.0 else float("inf")
-    return float(spread / rmse)
-
-
-def rank_histogram(forecasts: np.ndarray, truths: np.ndarray, rng=None):
-    """Rank of each truth among its sorted members, ties randomized.
-
-    forecasts: (N, M) member values per case; truths: (N,).
-    Returns (counts[M+1], chi_square, p_value) with M degrees of freedom.
-    """
-    forecasts = np.asarray(forecasts, dtype=np.float64)
-    truths = np.asarray(truths, dtype=np.float64)
-    if forecasts.ndim != 2 or truths.shape != (forecasts.shape[0],):
-        raise DomainError("rank_histogram expects forecasts (N, M) and truths (N,)")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    n, m = forecasts.shape
-    below = (forecasts < truths[:, None]).sum(axis=1)
-    ties = (forecasts == truths[:, None]).sum(axis=1)
+    if members.shape[1:] != truth.shape:
+        raise DomainError(f"members {members.shape} do not align with truth {truth.shape}")
+    below = (members < truth).sum(axis=0)
+    ties = (members == truth).sum(axis=0)
     ranks = below + rng.integers(0, ties + 1)
-    counts = np.bincount(ranks, minlength=m + 1)
-    expected = n / (m + 1)
-    chi2 = float(((counts - expected) ** 2 / expected).sum())
-    # chdtrc is what scipy.stats.chi2.sf calls; scipy.stats takes ~1 s to import.
-    p = float(chdtrc(m, chi2))
-    return counts, chi2, p
+    return np.bincount(ranks.ravel(), minlength=members.shape[0] + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +116,8 @@ def evaluate_ensemble(
     truth_fields: np.ndarray,
     variables,
     lead_hours,
-    lat_weights=None,
-    rank_seed: int = 0,
+    lat_weights,
+    rank_seed: int,
 ) -> MetricReport:
     """Score an (M, T, V, H, W) ensemble against (T, V, H, W) truth."""
     mm, tt, vv, hh, ww = forecast_fields.shape
@@ -182,53 +125,29 @@ def evaluate_ensemble(
         raise DomainError(
             f"truth shape {truth_fields.shape} does not match forecast {forecast_fields.shape}"
         )
-    w = None if lat_weights is None else np.asarray(lat_weights)[:, None]
-    rmse = np.empty((vv, tt))
-    crps = np.empty((vv, tt))
-    crps_emp = np.empty((vv, tt))
-    ssr = np.empty((vv, tt))
-    for v in range(vv):
-        for t in range(tt):
-            f = forecast_fields[:, t, v]
-            y = truth_fields[t, v]
-            rmse[v, t] = rmse_ensemble_mean(f, y, w)
-            crps[v, t] = crps_field(f, y, w, fair=mm >= 2)
-            crps_emp[v, t] = crps_field(f, y, w, fair=False)
-            ssr[v, t] = spread_skill_ratio(f, y, w) if mm >= 2 else np.nan
-    rng = np.random.default_rng(rank_seed)
-    flat_f = forecast_fields.transpose(1, 2, 3, 4, 0).reshape(-1, mm)
-    flat_y = truth_fields.reshape(-1)
-    counts, _, _ = rank_histogram(flat_f, flat_y, rng)
+    w = np.asarray(lat_weights)[:, None]
+    scores = {k: np.empty((vv, tt)) for k in ("rmse_mean", "crps_fair", "crps_empirical", "ssr")}
+    for t in range(tt):
+        f = forecast_fields[:, t].astype(np.float64)
+        err = f - truth_fields[t].astype(np.float64)
+        rmse = np.sqrt(_wmean(np.square(err.mean(axis=0)), w))
+        scores["rmse_mean"][:, t] = rmse
+        scores["crps_fair"][:, t], scores["crps_empirical"][:, t] = crps_field(f, err, w)
+        if mm == 1:
+            scores["ssr"][:, t] = np.nan
+            continue
+        spread = np.sqrt((mm + 1) / mm * _wmean((f - f[0]).var(axis=0, ddof=1), w))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scores["ssr"][:, t] = np.where(spread == 0.0, 0.0, spread / rmse)
+    counts = rank_histogram(forecast_fields, truth_fields, np.random.default_rng(rank_seed))
     return MetricReport(
-        variables=list(variables),
-        lead_hours=list(lead_hours),
-        scores={
-            "rmse_mean": rmse,
-            "crps_fair": crps,
-            "crps_empirical": crps_emp,
-            "ssr": ssr,
-        },
-        rank_counts=counts,
+        variables=list(variables), lead_hours=list(lead_hours), scores=scores, rank_counts=counts
     )
 
 
 # ---------------------------------------------------------------------------
 # Diffusability diagnostics
 # ---------------------------------------------------------------------------
-
-def latent_band_energy(latents: np.ndarray, bands) -> np.ndarray:
-    """Mean per-band normalized energy over samples and channels.
-
-    latents: (N, C, h, w). Returns (num_bands,).
-    """
-    latents = np.asarray(latents, dtype=np.float64)
-    acc = np.zeros(len(bands) - 1)
-    count = 0
-    for n in range(latents.shape[0]):
-        for c in range(latents.shape[1]):
-            acc += spectral.band_energy(latents[n, c], bands)
-            count += 1
-    return acc / max(count, 1)
 
 
 def diffusability_report(
@@ -237,12 +156,13 @@ def diffusability_report(
     bands,
     decoder,
     reference: np.ndarray,
-    weights=None,
+    weights,
     mask_radii=(0.4, 0.8, 1.2, spectral.R_CORNER + 1e-9),
 ) -> dict:
     """Band-energy tables for both latent families, plus an RMSE-vs-mask probe.
 
-    The probe decodes each family after low-passing at every mask radius and
+    A family's band energy is the mean over its (N, C) latent planes. The
+    probe decodes each family after low-passing at every mask radius and
     scores the decoded fields against ``reference`` (same sample order).
     """
     enc = np.asarray(encoder_latents, dtype=np.float64)
@@ -256,11 +176,13 @@ def diffusability_report(
         for r in radii:
             decoded = decoder(spectral.lowpass(fam, r).astype(np.float32))
             err2 = np.square(decoded.astype(np.float64) - reference)
-            rmse[name].append(float(np.sqrt(_wmean(err2, weights))))
+            # One weighted mean over every sample and channel.
+            rmse[name].append(float(np.sqrt(_wmean(err2[None], weights)[0])))
+    nb = len(bands) - 1
     return {
         "bands": list(bands),
-        "encoder_band_energy": latent_band_energy(enc, bands),
-        "generated_band_energy": latent_band_energy(gen, bands),
+        "encoder_band_energy": spectral.band_energy(enc, bands).reshape(-1, nb).mean(axis=0),
+        "generated_band_energy": spectral.band_energy(gen, bands).reshape(-1, nb).mean(axis=0),
         "mask_radii": radii,
         "rmse_encoder": rmse["encoder"],
         "rmse_generated": rmse["generated"],

@@ -405,7 +405,7 @@ class TestPadding:
             return input_grad(*args)
 
         monkeypatch.setattr(ad, "_corr", counting_corr)
-        loss = models.mae_loss(mae, window)
+        loss = models.mae_loss(mae, window, np.ones(8), np.ones(2))
         convs = counts["corr"]
         monkeypatch.setattr(ad, "_corr", corr)
         monkeypatch.setattr(ad, "_corr_input_grad", counting_input_grad)

@@ -95,9 +95,9 @@ def test_non_finite_forecast_exits_3_naming_member(trained, monkeypatch, caplog)
     assert "member 0, forecast step 0" in caplog.text
 
 
-def test_import_does_not_load_scipy_stats():
+def test_import_loads_no_scipy_module():
     src = os.path.dirname(os.path.dirname(nimbus.__file__))
-    code = "import sys, nimbus.cli; print('scipy.stats' in sys.modules)"
+    code = "import sys, nimbus.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
     env = {**os.environ, "PYTHONPATH": src}
     res = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
@@ -213,6 +213,15 @@ def test_workers_below_one_exits_2(tmp_path, workers, caplog):
     assert f"--workers must be at least 1, got {workers}" in caplog.text
 
 
+@pytest.mark.parametrize("command", ["gen-data", "forecast"])
+def test_seed_below_zero_exits_2(tmp_path, command, caplog):
+    with caplog.at_level(logging.ERROR, logger="nimbus"):
+        argv = [command, "--out", str(tmp_path / "out"), "--seed", "-1"]
+        assert cli.main(argv) == 2
+    assert "--seed must be at least 0, got -1" in caplog.text
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "content, message",
     [(None, "cannot read config"), ('{"data": {"h": 16,', "is not valid JSON")],
@@ -272,6 +281,7 @@ def test_unreadable_config_exits_2(tmp_path, content, message, caplog):
         ("data", "w", 4),
         ("mae", "k", 3),
         ("vae", "beta", -1.0),
+        ("data", "forcing", -0.5),
     ],
 )
 @pytest.mark.parametrize("dry_run", [True, False])

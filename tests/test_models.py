@@ -19,6 +19,11 @@ def resid_batch(b=2, v=3, h=16, w=16, seed=0):
     return np.random.default_rng(seed).standard_normal((b, v, h, w)).astype(np.float32)
 
 
+def unit_weights(frames):
+    """Uniform (lat_w, var_w) for (N, V, H, W) frames."""
+    return np.ones(frames.shape[2]), np.ones(frames.shape[1])
+
+
 class TestVaeCore:
     def test_shape_roundtrip(self):
         vae = make_vae()
@@ -72,8 +77,8 @@ class TestVaeLoss:
         x = resid_batch(seed=1)
         rng_a = np.random.default_rng(7)
         rng_b = np.random.default_rng(7)
-        la, _ = models.vae_loss(vae, x, Strategy.VAMFM, 1.0, rng_a)
-        lb, _ = models.vae_loss(vae, x, Strategy.NONE, 1.0, rng_b)
+        la, _ = models.vae_loss(vae, x, Strategy.VAMFM, 1.0, rng_a, *unit_weights(x))
+        lb, _ = models.vae_loss(vae, x, Strategy.NONE, 1.0, rng_b, *unit_weights(x))
         assert float(la.data) == pytest.approx(float(lb.data), rel=1e-7)
 
     def test_beta_zero_none_matches_weighted_mse_oracle(self):
@@ -81,11 +86,11 @@ class TestVaeLoss:
         x = resid_batch(seed=2)
         rng = np.random.default_rng(3)
         eps_rng = np.random.default_rng(3)
-        loss, _ = models.vae_loss(vae, x, Strategy.NONE, 1.0, rng)
+        loss, _ = models.vae_loss(vae, x, Strategy.NONE, 1.0, rng, *unit_weights(x))
         mu, logvar = vae.encode(ad.constant(x))
         z = models.reparameterize(mu, logvar, eps_rng)
         recon = vae.decode(z)
-        w = models.combined_weights(None, None, x.shape[1], x.shape[2])
+        w = models.combined_weights(*unit_weights(x))
         ref = ad.weighted_mse(recon, x, w)
         assert float(loss.data) == pytest.approx(float(ref.data), rel=1e-7)
 
@@ -107,7 +112,7 @@ class TestVaeLoss:
         vae = make_vae(seed=5)
         x = resid_batch(seed=5, h=16, w=16)
         loss, parts = models.vae_loss(
-            vae, x, Strategy.SE, 1.0, np.random.default_rng(0), se_factor=2
+            vae, x, Strategy.SE, 1.0, np.random.default_rng(0), *unit_weights(x), se_factor=2
         )
         assert np.isfinite(float(loss.data))
 
@@ -134,8 +139,8 @@ class TestMae:
             mae.params[name].data = np.zeros_like(mae.params[name].data)
         x = np.random.default_rng(1).standard_normal((1, 2, 5, 8, 8)).astype(np.float32)
         lat_w = grid.lat_weights(np.linspace(-60, 60, 8))
-        loss = models.mae_loss(mae, x, lat_w=lat_w)
-        w = models.combined_weights(lat_w, None, 2, 8)[:, None, :, :]
+        loss = models.mae_loss(mae, x, lat_w, np.ones(2))
+        w = models.combined_weights(lat_w, np.ones(2))[:, None, :, :]
         wb = np.broadcast_to(w, x.shape)
         ref = (wb * x.astype(np.float64) ** 2).sum() / wb.sum()
         assert float(loss.data) == pytest.approx(ref, rel=1e-6)
@@ -179,7 +184,7 @@ class TestTraining:
         vae = make_vae(v=2, cz=3, base=4, seed=7)
         data = resid_batch(b=24, v=2, h=16, w=16, seed=8)
         cfg = models.TrainConfig(iters=50, batch=4, lr=2e-3, seed=0)
-        losses = models.train_vae(vae, data, cfg, Strategy.NONE)
+        losses = models.train_vae(vae, data, cfg, Strategy.NONE, *unit_weights(data))
         head = np.mean(losses[:8])
         tail = np.mean(losses[-8:])
         assert tail < head
@@ -190,7 +195,7 @@ class TestTraining:
         for _ in range(2):
             vae = make_vae(v=2, cz=3, base=4, seed=11)
             cfg = models.TrainConfig(iters=10, batch=2, lr=1e-3, seed=5)
-            models.train_vae(vae, data, cfg, Strategy.VAMFM)
+            models.train_vae(vae, data, cfg, Strategy.VAMFM, *unit_weights(data))
             path = tmp_path / f"ck{_}.pypt"
             ad.save_params(vae.params, path)
             outs.append(path.read_bytes())
@@ -203,10 +208,10 @@ class TestTraining:
         cfg = models.TrainConfig(iters=8, batch=2, lr=1e-3, seed=6)
         monkeypatch.setattr(m.regularize, "sample_gamma", lambda rng: 1.0)
         vae_a = make_vae(v=2, cz=3, base=4, seed=12)
-        la = models.train_vae(vae_a, data, cfg, Strategy.VAMFM)
+        la = models.train_vae(vae_a, data, cfg, Strategy.VAMFM, *unit_weights(data))
         monkeypatch.undo()
         vae_b = make_vae(v=2, cz=3, base=4, seed=12)
-        lb = models.train_vae(vae_b, data, cfg, Strategy.NONE)
+        lb = models.train_vae(vae_b, data, cfg, Strategy.NONE, *unit_weights(data))
         np.testing.assert_allclose(la, lb, rtol=1e-7)
 
     def test_mae_trains_constant_dynamics(self):
@@ -220,7 +225,7 @@ class TestTraining:
             seq = np.repeat(base[0].transpose(1, 0, 2, 3), 8, axis=0).astype(np.float32)
             mae = TestMae().make(seed=seed)
             cfg = models.TrainConfig(iters=60, batch=2, lr=3e-3, seed=seed)
-            models.train_mae(mae, seq, cfg)
+            models.train_mae(mae, seq, cfg, *unit_weights(seq))
             z = mae.encode_array(frames)
             recon = mae.decode(ad.constant(z)).data
             err_last = float(np.mean((recon[:, :, -1] - frames[:, :, -1]) ** 2))
@@ -280,9 +285,10 @@ class TestPerSampleShards:
         to_float64(mae.params)
         x = np.random.default_rng(24).standard_normal((3, 2, 5, 8, 8))
         lat_w = grid.lat_weights(np.linspace(-60, 60, 8))
-        full = self.full(mae.params, models.mae_loss(mae, x, lat_w))
+        var_w = np.array([1.0, 0.5])
+        full = self.full(mae.params, models.mae_loss(mae, x, lat_w, var_w))
         sharded = self.sharded(
-            mae.params, lambda b: models.mae_loss(mae, x[b : b + 1], lat_w), 3
+            mae.params, lambda b: models.mae_loss(mae, x[b : b + 1], lat_w, var_w), 3
         )
         self.assert_same(full, sharded)
 

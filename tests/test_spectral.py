@@ -256,6 +256,17 @@ class TestBandEnergy:
         np.testing.assert_allclose(out, ref, atol=1e-12)
         assert out.sum() == pytest.approx(1.0, abs=1e-9)
 
+    def test_stack_matches_planes(self):
+        x = np.random.default_rng(11).standard_normal((2, 3, 12, 16))
+        x[1, 2] = 0.0
+        edges = [0.0, 0.3, 0.9, spectral.R_CORNER]
+        out = spectral.band_energy(x, edges)
+        assert out.shape == (2, 3, 3)
+        for n in range(2):
+            for c in range(3):
+                np.testing.assert_array_equal(out[n, c], spectral.band_energy(x[n, c], edges))
+        np.testing.assert_array_equal(out[1, 2], [1.0, 0.0, 0.0])
+
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=25, deadline=None)
     def test_fractions_sum_to_one(self, seed):

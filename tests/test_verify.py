@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from scipy import stats
 
 from nimbus import spectral, verify
 from nimbus.errors import DomainError
+
+METRICS = ("rmse_mean", "crps_fair", "crps_empirical", "ssr")
 
 
 def crps_cdf_integral(members, y):
@@ -24,39 +27,127 @@ def crps_cdf_integral(members, y):
     return total
 
 
+def crps_point(members, y):
+    """(fair, empirical) CRPS of one grid point's members, through crps_field."""
+    f = np.asarray(members, dtype=np.float64).reshape(-1, 1, 1, 1)
+    fair, empirical = verify.crps_field(f, f - y, np.ones((1, 1)))
+    return float(fair[0]), float(empirical[0])
+
+
+def score_one(members, truth, lat_w=None):
+    """evaluate_ensemble's scores of one variable at one lead.
+
+    members: (M, ...) and truth (...), with at most two trailing axes, read
+    as (H, W) planes (a 1-D truth is one latitude row).
+    """
+    truth = np.atleast_2d(truth)
+    members = np.reshape(members, (-1, 1, 1) + truth.shape)
+    lat_w = np.ones(truth.shape[0]) if lat_w is None else lat_w
+    report = verify.evaluate_ensemble(members, truth[None, None], ["v"], [6], lat_w, rank_seed=0)
+    return {k: float(table[0, 0]) for k, table in report.scores.items()}
+
+
+def textbook_scores(members, truth, lat_w):
+    """The (V, T) score tables of (M, T, V, H, W) members, one (variable, lead) at a time."""
+    m, tt, vv, hh, ww = members.shape
+    x = members.astype(np.float64)
+    y = truth.astype(np.float64)
+    w = np.broadcast_to(np.asarray(lat_w, dtype=np.float64)[:, None], (hh, ww))
+
+    def wmean(a):
+        return (w * a).sum() / w.sum()
+
+    out = {k: np.empty((vv, tt)) for k in METRICS}
+    for v in range(vv):
+        for t in range(tt):
+            f, o = x[:, t, v], y[t, v]
+            rmse = np.sqrt(wmean((f.mean(axis=0) - o) ** 2))
+            skill = np.abs(f - o).mean(axis=0)
+            pairs = np.abs(f[:, None] - f[None, :]).sum(axis=(0, 1))
+            out["rmse_mean"][v, t] = rmse
+            out["crps_empirical"][v, t] = wmean(skill - pairs / (2 * m * m))
+            if m == 1:
+                out["crps_fair"][v, t] = out["crps_empirical"][v, t]
+                out["ssr"][v, t] = np.nan
+            else:
+                out["crps_fair"][v, t] = wmean(skill - pairs / (2 * m * (m - 1)))
+                out["ssr"][v, t] = np.sqrt((m + 1) / m * wmean(f.var(axis=0, ddof=1))) / rmse
+    return out
+
+
+def chi2_p(counts):
+    """The rank histogram's chi-square against flat and its p-value (M dof)."""
+    expected = counts.sum() / counts.size
+    chi2 = float(((counts - expected) ** 2 / expected).sum())
+    return chi2, float(stats.chi2.sf(chi2, counts.size - 1))
+
+
+class TestOracle:
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_evaluate_matches_textbook_loop(self, m, dtype, ties):
+        rng = np.random.default_rng(m)
+        members = rng.standard_normal((m, 3, 2, 6, 8))
+        truth = rng.standard_normal((3, 2, 6, 8))
+        if ties:
+            # Half-unit steps: members tie each other and the truth.
+            members, truth = np.round(2 * members) / 2, np.round(2 * truth) / 2
+        members, truth = members.astype(dtype), truth.astype(dtype)
+        lat_w = np.cos(np.linspace(-1.3, 1.3, 6)) + 0.1
+        report = verify.evaluate_ensemble(
+            members, truth, ["a", "b"], [6, 12, 18], lat_w, rank_seed=4
+        )
+        ref = textbook_scores(members, truth, lat_w)
+        for key in METRICS:
+            assert report.scores[key].shape == (2, 3)
+            np.testing.assert_allclose(report.scores[key], ref[key], rtol=1e-10, atol=1e-12)
+
+        # The (N, M) layout of each point's members, tie offsets drawn in the
+        # same point order, gives the same counts.
+        flat = members.reshape(m, -1).T
+        y = truth.reshape(-1)
+        below = (flat < y[:, None]).sum(axis=1)
+        tied = (flat == y[:, None]).sum(axis=1)
+        ranks = below + np.random.default_rng(4).integers(0, tied + 1)
+        np.testing.assert_array_equal(report.rank_counts, np.bincount(ranks, minlength=m + 1))
+        if not ties:
+            exact = [np.searchsorted(np.sort(flat[i]), y[i]) for i in range(y.size)]
+            np.testing.assert_array_equal(report.rank_counts, np.bincount(exact, minlength=m + 1))
+
+
 class TestCrps:
     def test_all_members_equal_truth(self):
-        members = np.full(5, 2.5)
-        assert verify.crps_fair(members, 2.5) == pytest.approx(0.0)
-        assert verify.crps_empirical(members, 2.5) == pytest.approx(0.0)
+        assert crps_point(np.full(5, 2.5), 2.5) == (0.0, 0.0)
 
     def test_two_member_hand_values(self):
-        members = np.array([0.0, 2.0])
-        assert verify.crps_fair(members, 1.0) == pytest.approx(0.0, abs=1e-12)
-        assert verify.crps_empirical(members, 1.0) == pytest.approx(0.5, abs=1e-12)
+        fair, empirical = crps_point([0.0, 2.0], 1.0)
+        assert fair == pytest.approx(0.0, abs=1e-12)
+        assert empirical == pytest.approx(0.5, abs=1e-12)
 
     def test_empirical_matches_cdf_integration(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
             members = rng.standard_normal(5) * (0.5 + rng.random())
             y = rng.standard_normal() * 2.0
-            got = verify.crps_empirical(members, y)
-            ref = crps_cdf_integral(members, y)
-            assert got == pytest.approx(ref, abs=1e-6)
+            assert crps_point(members, y)[1] == pytest.approx(crps_cdf_integral(members, y), abs=1e-6)
 
     def test_single_member_is_absolute_error(self):
-        assert verify.crps_empirical(np.array([3.0]), 1.0) == pytest.approx(2.0)
+        assert crps_point([3.0], 1.0) == (pytest.approx(2.0), pytest.approx(2.0))
 
     def test_fair_requires_two_members(self):
-        with pytest.raises(DomainError):
-            verify.crps_fair(np.array([1.0]), 0.0)
+        # With one member the fair estimator is undefined: crps_fair holds the
+        # empirical CRPS and SSR is NaN.
+        scores = score_one(np.array([[0.5, -1.0]]), np.array([0.0, 1.0]))
+        assert scores["crps_fair"] == scores["crps_empirical"] == pytest.approx(1.25)
+        assert np.isnan(scores["ssr"])
 
     def test_nonnegative_and_zero_iff_perfect(self):
         rng = np.random.default_rng(1)
         for _ in range(200):
             members = rng.standard_normal(rng.integers(2, 8))
             y = rng.standard_normal()
-            f, e = verify.crps_fair(members, y), verify.crps_empirical(members, y)
+            f, e = crps_point(members, y)
             assert f >= -1e-12 and e >= -1e-12
             if not np.allclose(members, y):
                 assert e > 0
@@ -64,49 +155,50 @@ class TestCrps:
     def test_permutation_invariance(self):
         rng = np.random.default_rng(2)
         members = rng.standard_normal(6)
-        y = 0.3
         perm = rng.permutation(6)
-        assert verify.crps_fair(members, y) == pytest.approx(
-            verify.crps_fair(members[perm], y)
-        )
-        assert verify.crps_empirical(members, y) == pytest.approx(
-            verify.crps_empirical(members[perm], y)
-        )
+        np.testing.assert_allclose(crps_point(members, 0.3), crps_point(members[perm], 0.3))
 
     def test_elementwise_over_grid(self):
+        # The field score is the weighted mean of the per-point scores.
         rng = np.random.default_rng(3)
         members = rng.standard_normal((4, 2, 3))
         y = rng.standard_normal((2, 3))
-        out = verify.crps_fair(members, y)
-        assert out.shape == (2, 3)
-        for i in range(2):
-            for j in range(3):
-                assert out[i, j] == pytest.approx(verify.crps_fair(members[:, i, j], y[i, j]))
+        lat_w = np.array([2.0, 1.0])
+        scores = score_one(members, y, lat_w)
+        points = np.array(
+            [[crps_point(members[:, i, j], y[i, j]) for j in range(3)] for i in range(2)]
+        )
+        w = np.repeat(lat_w[:, None], 3, axis=1)
+        for k, key in enumerate(("crps_fair", "crps_empirical")):
+            assert scores[key] == pytest.approx((w * points[..., k]).sum() / w.sum())
 
 
 class TestRmse:
     def test_perfect_forecast(self):
         truth = np.random.default_rng(0).standard_normal((4, 5))
         forecast = np.repeat(truth[None], 3, axis=0)
-        assert verify.rmse_ensemble_mean(forecast, truth) == 0.0
+        assert score_one(forecast, truth)["rmse_mean"] == 0.0
 
     def test_symmetric_members_cancel(self):
         truth = np.random.default_rng(1).standard_normal((4, 5))
         forecast = np.stack([truth + 1.0, truth - 1.0])
-        assert verify.rmse_ensemble_mean(forecast, truth) == pytest.approx(0.0, abs=1e-12)
+        assert score_one(forecast, truth)["rmse_mean"] == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_loop_2x3(self):
         rng = np.random.default_rng(2)
         forecast = rng.standard_normal((3, 2, 3))
         truth = rng.standard_normal((2, 3))
-        w = np.array([[2.0], [1.0]])
+        w = np.array([2.0, 1.0])
         mean = forecast.mean(axis=0)
-        num = sum(
-            w[i, 0] * (mean[i, j] - truth[i, j]) ** 2 for i in range(2) for j in range(3)
-        )
+        num = sum(w[i] * (mean[i, j] - truth[i, j]) ** 2 for i in range(2) for j in range(3))
         den = 3 * (2.0 + 1.0)
-        ref = np.sqrt(num / den)
-        assert verify.rmse_ensemble_mean(forecast, truth, w) == pytest.approx(ref)
+        assert score_one(forecast, truth, w)["rmse_mean"] == pytest.approx(np.sqrt(num / den))
+
+    def test_misaligned_truth_rejected(self):
+        with pytest.raises(DomainError):
+            verify.evaluate_ensemble(
+                np.zeros((2, 1, 1, 4, 4)), np.zeros((1, 1, 4, 5)), ["v"], [6], np.ones(4), 0
+            )
 
 
 def calibrated_cases(n, m, member_std=1.0, seed=0):
@@ -117,30 +209,32 @@ def calibrated_cases(n, m, member_std=1.0, seed=0):
     return members, truth
 
 
+def ssr(members, truth):
+    return score_one(members, truth)["ssr"]
+
+
 class TestSsr:
     def test_calibrated_ensemble_near_one(self):
-        members, truth = calibrated_cases(10_000, 16, seed=4)
-        ssr = verify.spread_skill_ratio(members, truth)
-        assert 0.95 <= ssr <= 1.05
+        assert 0.95 <= ssr(*calibrated_cases(10_000, 16, seed=4)) <= 1.05
 
     def test_zero_spread_nonzero_error(self):
-        truth = np.ones(100)
-        members = np.zeros((4, 100))
-        assert verify.spread_skill_ratio(members, truth) == 0.0
+        assert ssr(np.zeros((4, 100)), np.ones(100)) == 0.0
 
     def test_identical_members_equal_truth(self):
         truth = np.random.default_rng(10).standard_normal((4, 5))
-        members = np.repeat(truth[None], 3, axis=0)
-        assert verify.spread_skill_ratio(members, truth) == 0.0
+        assert ssr(np.repeat(truth[None], 3, axis=0), truth) == 0.0
 
     def test_identical_members_offset_from_truth(self):
         truth = np.random.default_rng(11).standard_normal((4, 5))
-        members = np.repeat(truth[None] + 0.3, 3, axis=0)
-        assert verify.spread_skill_ratio(members, truth) == 0.0
+        assert ssr(np.repeat(truth[None] + 0.3, 3, axis=0), truth) == 0.0
+
+    def test_spread_with_zero_error_is_inf(self):
+        # Whole numbers keep the member errors +-1 exact, so the mean error is 0.
+        truth = np.random.default_rng(12).integers(-5, 5, size=(4, 5)).astype(float)
+        assert ssr(np.stack([truth + 1.0, truth - 1.0]), truth) == np.inf
 
     def test_half_spread_underdispersed(self):
-        members, truth = calibrated_cases(10_000, 16, member_std=0.5, seed=5)
-        assert verify.spread_skill_ratio(members, truth) < 0.6
+        assert ssr(*calibrated_cases(10_000, 16, member_std=0.5, seed=5)) < 0.6
 
     def test_correction_toggle(self):
         # The small-ensemble correction scales the plain spread / RMSE by sqrt((M+1)/M).
@@ -149,54 +243,55 @@ class TestSsr:
         plain = np.sqrt(members.var(axis=0, ddof=1).mean()) / np.sqrt(
             np.square(members.mean(axis=0) - truth).mean()
         )
-        ssr = verify.spread_skill_ratio(members, truth)
-        np.testing.assert_allclose(ssr, np.sqrt((m + 1) / m) * plain, rtol=1e-12)
-        assert ssr > plain
+        got = ssr(members, truth)
+        np.testing.assert_allclose(got, np.sqrt((m + 1) / m) * plain, rtol=1e-12)
+        assert got > plain
 
 
 class TestRankHistogram:
     def test_truth_below_all_members(self):
-        forecasts = np.ones((50, 4))
-        truths = np.zeros(50)
-        counts, chi2, p = verify.rank_histogram(forecasts, truths)
+        counts = verify.rank_histogram(np.ones((4, 50)), np.zeros(50), np.random.default_rng(0))
         assert counts[0] == 50 and counts[1:].sum() == 0
-        assert p < 1e-6
+        assert chi2_p(counts)[1] < 1e-6
 
     def test_exchangeable_ensemble_flat(self):
         rng = np.random.default_rng(7)
         n, m = 10_000, 7
         center = rng.standard_normal(n)
-        forecasts = center[:, None] + rng.standard_normal((n, m))
-        truths = center + rng.standard_normal(n)
-        counts, chi2, p = verify.rank_histogram(forecasts, truths, np.random.default_rng(0))
+        members = center + rng.standard_normal((m, n))
+        truth = center + rng.standard_normal(n)
+        counts = verify.rank_histogram(members, truth, np.random.default_rng(0))
         assert counts.sum() == n
-        assert p > 0.01
+        assert chi2_p(counts)[1] > 0.01
 
     def test_underdispersed_u_shape(self):
         rng = np.random.default_rng(8)
         n, m = 10_000, 7
         center = rng.standard_normal(n)
-        forecasts = center[:, None] + 0.5 * rng.standard_normal((n, m))
-        truths = center + rng.standard_normal(n)
-        counts, _, p = verify.rank_histogram(forecasts, truths, np.random.default_rng(0))
+        members = center + 0.5 * rng.standard_normal((m, n))
+        truth = center + rng.standard_normal(n)
+        counts = verify.rank_histogram(members, truth, np.random.default_rng(0))
         end_share = (counts[0] + counts[-1]) / n
         assert end_share > 2 * (2 / (m + 1))
-        assert p < 0.01
+        assert chi2_p(counts)[1] < 0.01
 
     def test_counts_sum_under_ties(self):
         rng = np.random.default_rng(9)
-        forecasts = rng.integers(0, 3, size=(500, 6)).astype(float)
-        truths = rng.integers(0, 3, size=500).astype(float)
-        counts, _, _ = verify.rank_histogram(forecasts, truths, np.random.default_rng(1))
-        assert counts.sum() == 500
+        members = rng.integers(0, 3, size=(6, 20, 25)).astype(np.float32)
+        truth = rng.integers(0, 3, size=(20, 25)).astype(np.float32)
+        counts = verify.rank_histogram(members, truth, np.random.default_rng(1))
+        assert counts.shape == (7,) and counts.sum() == 500
 
     def test_tie_randomization_seeded(self):
-        forecasts = np.ones((100, 4))
-        truths = np.ones(100)
-        c1, _, _ = verify.rank_histogram(forecasts, truths, np.random.default_rng(3))
-        c2, _, _ = verify.rank_histogram(forecasts, truths, np.random.default_rng(3))
+        members, truth = np.ones((4, 100)), np.ones(100)
+        c1 = verify.rank_histogram(members, truth, np.random.default_rng(3))
+        c2 = verify.rank_histogram(members, truth, np.random.default_rng(3))
         np.testing.assert_array_equal(c1, c2)
         assert c1.sum() == 100 and c1[0] < 100  # ties spread across ranks
+
+    def test_misaligned_truth_rejected(self):
+        with pytest.raises(DomainError):
+            verify.rank_histogram(np.ones((4, 10)), np.ones(9), np.random.default_rng(0))
 
 
 class TestMetricReport:
@@ -206,7 +301,7 @@ class TestMetricReport:
         truth = rng.standard_normal((2, 3, 6, 8)).astype(np.float32)
         return verify.evaluate_ensemble(
             fields, truth, variables=["a", "b", "c"], lead_hours=[6, 12],
-            lat_weights=np.ones(6),
+            lat_weights=np.ones(6), rank_seed=0,
         )
 
     def test_report_shapes_and_finite(self):
@@ -226,14 +321,14 @@ class TestMetricReport:
         import json
 
         doc = json.loads((tmp_path / "m.json").read_text())
-        assert set(doc["scores"]) == {"rmse_mean", "crps_fair", "crps_empirical", "ssr"}
+        assert set(doc["scores"]) == set(METRICS)
 
     def test_member_permutation_invariance(self):
         rng = np.random.default_rng(1)
         fields = rng.standard_normal((5, 1, 1, 4, 4)).astype(np.float32)
         truth = rng.standard_normal((1, 1, 4, 4)).astype(np.float32)
-        a = verify.evaluate_ensemble(fields, truth, ["v"], [6])
-        b = verify.evaluate_ensemble(fields[::-1].copy(), truth, ["v"], [6])
+        a = verify.evaluate_ensemble(fields, truth, ["v"], [6], np.ones(4), 0)
+        b = verify.evaluate_ensemble(fields[::-1].copy(), truth, ["v"], [6], np.ones(4), 0)
         for key in a.scores:
             np.testing.assert_allclose(a.scores[key], b.scores[key], atol=1e-12)
 
@@ -242,9 +337,9 @@ class TestMetricReport:
         fields = np.repeat(truth[None], 3, axis=0)
         report = verify.evaluate_ensemble(
             fields, truth, variables=["a", "b", "c"], lead_hours=[6, 12],
-            lat_weights=np.cos(np.linspace(-1.2, 1.2, 6)),
+            lat_weights=np.cos(np.linspace(-1.2, 1.2, 6)), rank_seed=0,
         )
-        for key in ("rmse_mean", "crps_fair", "crps_empirical", "ssr"):
+        for key in METRICS:
             np.testing.assert_array_equal(report.scores[key], np.zeros((3, 2)))
 
 
@@ -255,11 +350,17 @@ def identity(z):
     return z
 
 
+def unit_weights(latents):
+    return np.ones((latents.shape[-2], 1))
+
+
 class TestDiffusability:
     def test_identical_latents_identical_tables(self):
         rng = np.random.default_rng(0)
         lat = rng.standard_normal((6, 3, 8, 8))
-        report = verify.diffusability_report(lat, lat.copy(), BANDS, identity, lat)
+        report = verify.diffusability_report(
+            lat, lat.copy(), BANDS, identity, lat, unit_weights(lat)
+        )
         np.testing.assert_array_equal(
             report["encoder_band_energy"], report["generated_band_energy"]
         )
@@ -280,7 +381,7 @@ class TestDiffusability:
 
         full = spectral.R_CORNER + 1e-9
         report = verify.diffusability_report(
-            lat, gen, BANDS, decoder, reference, mask_radii=(0.5, full)
+            lat, gen, BANDS, decoder, reference, unit_weights(reference), mask_radii=(0.5, full)
         )
         base = np.sqrt(np.mean((decoder(lat) - reference) ** 2))
         assert report["rmse_encoder"][-1] == pytest.approx(base, rel=1e-6)
@@ -294,5 +395,12 @@ class TestDiffusability:
                 for n in range(8)
             ]
         )
-        report = verify.diffusability_report(enc, gen, BANDS, identity, enc)
+        report = verify.diffusability_report(enc, gen, BANDS, identity, enc, unit_weights(enc))
         assert report["generated_band_energy"][-1] <= report["encoder_band_energy"][-1]
+
+    def test_band_energy_is_the_mean_over_planes(self):
+        rng = np.random.default_rng(3)
+        enc = rng.standard_normal((3, 2, 8, 8))
+        report = verify.diffusability_report(enc, enc, BANDS, identity, enc, unit_weights(enc))
+        planes = [spectral.band_energy(enc[n, c], BANDS) for n in range(3) for c in range(2)]
+        np.testing.assert_allclose(report["encoder_band_energy"], np.mean(planes, axis=0), rtol=1e-12)
