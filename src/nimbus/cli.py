@@ -482,6 +482,12 @@ def cmd_evaluate(cfg, args):
     if not os.path.isdir(fc_dir):
         raise ConfigError(f"missing forecast directory {fc_dir}; run `nimbus forecast` first")
     ens = forecast.read_forecast(fc_dir)
+    what = forecast.grid_mismatch(ens, bundle.full)
+    if what:
+        raise FormatError(
+            f"{os.path.join(fc_dir, 'member_000.pyld')}: {what} differ from the dataset's "
+            f"({_dataset_path(args)}); the forecast was made on another grid"
+        )
     _check_leads(bundle, ens.lead_times, "forecast")
     report = pipeline.score_ensemble(bundle, ens.fields, cfg["verify"]["rank_seed"])
     report.to_csv(os.path.join(args.out, "metrics.csv"))

@@ -200,8 +200,25 @@ def _forecast_file(out_dir, name):
     return path
 
 
+def grid_mismatch(a, b) -> str | None:
+    """Which of variable names, latitudes, longitudes differ between ``a`` and ``b``, or None.
+
+    ``a`` and ``b`` are field batches or ensembles: anything with specs, lat and lon.
+    """
+    if [s.name for s in a.specs] != [s.name for s in b.specs]:
+        return "variable names"
+    if not np.array_equal(a.lat, b.lat):
+        return "latitudes"
+    if not np.array_equal(a.lon, b.lon):
+        return "longitudes"
+    return None
+
+
 def read_forecast(out_dir) -> EnsembleForecast:
-    """The ensemble ``write_forecast`` wrote; a malformed one is a FormatError."""
+    """The ensemble ``write_forecast`` wrote; a malformed one is a FormatError.
+
+    Every member must share member 0's shape, variable names, lat and lon.
+    """
     path = _forecast_file(out_dir, "manifest.json")
     try:
         with open(path) as fh:
@@ -228,6 +245,9 @@ def read_forecast(out_dir) -> EnsembleForecast:
                 f"{member_path} has shape {batches[m].data.shape}, "
                 f"member_000.pyld {batches[0].data.shape}"
             )
+        what = grid_mismatch(batches[m], batches[0])
+        if what:
+            raise FormatError(f"{member_path}: {what} differ from member_000.pyld's")
     first = batches[0]
     return EnsembleForecast(
         fields=np.stack([b.data for b in batches]),

@@ -122,18 +122,20 @@ def residual_specs(x: FieldBatch) -> tuple[VariableSpec, ...]:
     """Per-variable statistics of the one-step differences of ``x``.
 
     The residual mean/std are computed from the data itself (not the state
-    climatology), which is what residual standardization must use.
+    climatology), which is what residual standardization must use. They are
+    taken in float64 one variable at a time, so the largest temporary is one
+    variable's (T-1, H, W) float64 difference stack, not the whole slice's.
     """
     if x.data.shape[0] < 2:
         raise DomainError("need at least two time steps for residual statistics")
-    diff = np.diff(x.data.astype(np.float64), axis=0)
     out = []
     for v, s in enumerate(x.specs):
-        std = float(diff[:, v].std())
+        diff = np.subtract(x.data[1:, v], x.data[:-1, v], dtype=np.float64)
+        std = float(diff.std())
         out.append(
             VariableSpec(
                 name=s.name,
-                mean=float(diff[:, v].mean()),
+                mean=float(diff.mean()),
                 std=max(std, 1e-12),
                 loss_weight=s.loss_weight,
                 level=s.level,
@@ -223,18 +225,15 @@ def gen_synthetic(
 
 def write_fields(x: FieldBatch, path) -> None:
     t, v, h, w = x.data.shape
-    parts = [MAGIC_FIELDS, struct.pack("<4I", t, v, h, w)]
-    for s in x.specs:
-        name = s.name.encode("utf-8")
-        parts.append(struct.pack("<H", len(name)))
-        parts.append(name)
-        level = math.nan if s.level is None else float(s.level)
-        parts.append(struct.pack("<4d", s.mean, s.std, s.loss_weight, level))
-    parts.append(np.ascontiguousarray(x.lat, dtype="<f8").tobytes())
-    parts.append(np.ascontiguousarray(x.lon, dtype="<f8").tobytes())
-    parts.append(np.ascontiguousarray(x.data, dtype="<f4").tobytes())
     with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
+        fh.write(MAGIC_FIELDS + struct.pack("<4I", t, v, h, w))
+        for s in x.specs:
+            name = s.name.encode("utf-8")
+            level = math.nan if s.level is None else float(s.level)
+            fh.write(struct.pack("<H", len(name)) + name)
+            fh.write(struct.pack("<4d", s.mean, s.std, s.loss_weight, level))
+        for arr, dtype in ((x.lat, "<f8"), (x.lon, "<f8"), (x.data, "<f4")):
+            fh.write(np.ascontiguousarray(arr, dtype=dtype))
 
 
 class _Cursor:
@@ -251,10 +250,15 @@ class _Cursor:
 
 
 def read_fields(path) -> FieldBatch:
+    """The batch ``write_fields`` wrote to ``path``; a malformed file is a FormatError.
+
+    The returned data, lat and lon are read-only views of the one buffer the
+    file was read into: the payload is never copied.
+    """
     with open(path, "rb") as fh:
-        buf = fh.read()
+        buf = memoryview(fh.read())
     cur = _Cursor(buf)
-    magic = cur.take(8, "magic")
+    magic = bytes(cur.take(8, "magic"))
     if magic != MAGIC_FIELDS:
         raise FormatError(f"bad magic {magic!r}, expected {MAGIC_FIELDS!r}", 0)
     t, v, h, w = struct.unpack("<4I", cur.take(16, "header"))
@@ -265,7 +269,7 @@ def read_fields(path) -> FieldBatch:
         (nlen,) = struct.unpack("<H", cur.take(2, "truncated header (variable record)"))
         offset = cur.pos
         try:
-            name = cur.take(nlen, "truncated header (variable name)").decode("utf-8")
+            name = bytes(cur.take(nlen, "truncated header (variable name)")).decode("utf-8")
         except UnicodeDecodeError:
             raise FormatError("variable name is not valid UTF-8", offset) from None
         stats = struct.unpack("<4d", cur.take(32, "truncated header (variable stats)"))

@@ -83,11 +83,12 @@ def split_dataset(batch: grid.FieldBatch, train_frames: int, k: int) -> DatasetB
 def standardized_residual_frames(bundle: DatasetBundle) -> np.ndarray:
     """Standardized one-step differences X_{t+1} - X_t of the train slice, float32."""
     resid = np.diff(bundle.train.data, axis=0)
-    return grid.standardize_array(resid, bundle.resid_specs).astype(np.float32)
+    return grid.standardize_array(resid, bundle.resid_specs)
 
 
 def standardized_state_frames(bundle: DatasetBundle) -> np.ndarray:
-    return grid.standardize_array(bundle.train.data, bundle.state_specs).astype(np.float32)
+    """Standardized states of the train slice, float32."""
+    return grid.standardize_array(bundle.train.data, bundle.state_specs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 import argparse
 import csv
 import dataclasses
+import hashlib
 import json
 import logging
+import math
 import os
 import shutil
 import struct
@@ -324,6 +326,34 @@ def test_gen_data_manifest_records_config_seed(tmp_path):
     np.testing.assert_array_equal(grid.read_fields(tmp_path / "dataset.pyld").data, expected.data)
 
 
+def _joined_pyld(x):
+    """The PYLD bytes of ``x`` as the writer once built them: tobytes() per part, one join."""
+    t, v, h, w = x.data.shape
+    parts = [grid.MAGIC_FIELDS, struct.pack("<4I", t, v, h, w)]
+    for s in x.specs:
+        name = s.name.encode("utf-8")
+        level = math.nan if s.level is None else float(s.level)
+        stats = struct.pack("<4d", s.mean, s.std, s.loss_weight, level)
+        parts += [struct.pack("<H", len(name)), name, stats]
+    for arr, dtype in ((x.lat, "<f8"), (x.lon, "<f8"), (x.data, "<f4")):
+        parts.append(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+    return b"".join(parts)
+
+
+def test_gen_data_writes_the_pinned_dataset(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(TINY))
+    argv = ["gen-data", "--config", str(config), "--out", str(tmp_path), "--seed", "7"]
+    assert cli.main(argv) == 0
+    d = TINY["data"]
+    blob = (tmp_path / "dataset.pyld").read_bytes()
+    assert blob == _joined_pyld(grid.gen_synthetic(seed=7, h=d["h"], w=d["w"], v=d["v"], t=d["t"]))
+    # The generator's own output: a change here changes every dataset `gen-data` makes.
+    assert hashlib.sha256(blob).hexdigest() == (
+        "557fdbb86925c915e81a307db8623581bb2a4c6ff3b1696e0d2f03a5baaf6704"
+    )
+
+
 def test_too_few_train_frames_exits_2(trained, tmp_path, caplog):
     # cond_mode none trains no 3D-MAE, so only split_dataset can catch k + 1 training frames.
     out, _, _ = trained
@@ -379,24 +409,61 @@ def _reshape_member(fc):
     grid.write_fields(dataclasses.replace(batch, data=batch.data[:1]), fc / "member_001.pyld")
 
 
+def _regrid(change, members):
+    """Rewrite the given members with ``change`` applied to their FieldBatch."""
+
+    def damage(fc):
+        for m in members:
+            path = fc / f"member_{m:03d}.pyld"
+            grid.write_fields(change(grid.read_fields(path)), path)
+
+    return damage
+
+
+def _rename(b):
+    specs = tuple(dataclasses.replace(s, name=s.name + "x") for s in b.specs)
+    return dataclasses.replace(b, specs=specs)
+
+
+def _flip_lat(b):
+    return dataclasses.replace(b, lat=b.lat[::-1])
+
+
+def _shift_lon(b):
+    return dataclasses.replace(b, lon=b.lon + 1.0)
+
+
 @pytest.mark.parametrize(
-    "damage, culprit",
+    "damage, culprit, message",
     [
-        (_manifest("{not json"), "manifest.json"),
-        (_manifest('{"member_seeds": []}'), "manifest.json"),
-        (_manifest('{"members": "2"}'), "manifest.json"),
-        (_manifest('{"members": 0}'), "manifest.json"),
-        (_manifest("[2]"), "manifest.json"),
-        (_manifest('{"members": 2, "member_seeds": [[0, 0]]}'), "manifest.json"),
-        (_truncate_member, "member_001.pyld"),
-        (_reshape_member, "member_001.pyld"),
+        (_manifest("{not json"), "manifest.json", "is not valid JSON"),
+        (_manifest('{"member_seeds": []}'), "manifest.json", "members must be an integer >= 1"),
+        (_manifest('{"members": "2"}'), "manifest.json", "members must be an integer >= 1"),
+        (_manifest('{"members": 0}'), "manifest.json", "members must be an integer >= 1"),
+        (_manifest("[2]"), "manifest.json", "members must be an integer >= 1"),
+        (
+            _manifest('{"members": 2, "member_seeds": [[0, 0]]}'),
+            "manifest.json",
+            "member_seeds must be a list of 2 entries",
+        ),
+        (_truncate_member, "member_001.pyld", "truncated payload"),
+        (_reshape_member, "member_001.pyld", "has shape"),
+        # One member on another grid than member 0.
+        (_regrid(_rename, [1]), "member_001.pyld", "variable names differ from member_000"),
+        (_regrid(_flip_lat, [1]), "member_001.pyld", "latitudes differ from member_000"),
+        (_regrid(_shift_lon, [1]), "member_001.pyld", "longitudes differ from member_000"),
+        # The whole ensemble on another grid than the dataset.
+        (_regrid(_rename, [0, 1]), "member_000.pyld", "variable names differ from the dataset's"),
+        (_regrid(_flip_lat, [0, 1]), "member_000.pyld", "latitudes differ from the dataset's"),
+        (_regrid(_shift_lon, [0, 1]), "member_000.pyld", "longitudes differ from the dataset's"),
     ],
     ids=[
         "not-json", "no-members", "members-str", "members-0", "not-object", "seeds-short",
-        "truncated-member", "member-shape",
+        "truncated-member", "member-shape", "member-names", "member-lat", "member-lon",
+        "ensemble-names", "ensemble-lat", "ensemble-lon",
     ],
 )
-def test_evaluate_malformed_forecast_exits_3(trained, tmp_path, damage, culprit, caplog):
+def test_evaluate_malformed_forecast_exits_3(trained, tmp_path, damage, culprit, message, caplog):
     out, config, _ = trained
     shutil.copy(out / "dataset.pyld", tmp_path)
     data = grid.read_fields(tmp_path / "dataset.pyld")
@@ -407,8 +474,9 @@ def test_evaluate_malformed_forecast_exits_3(trained, tmp_path, damage, culprit,
     damage(tmp_path / "forecast")
     with caplog.at_level(logging.ERROR, logger="nimbus"):
         assert cli.main(["evaluate", "--config", str(config), "--out", str(tmp_path)]) == 3
-    assert "numeric failure: " in caplog.text
-    assert str(tmp_path / "forecast" / culprit) in caplog.text
+    assert f"numeric failure: {tmp_path / 'forecast' / culprit}" in caplog.text
+    assert message in caplog.text
+    assert not (tmp_path / "metrics.csv").exists()
 
 
 def _dataset_and_forecast(out, tmp_path, leads=2):
