@@ -5,6 +5,12 @@ manifest (config hash, seed, versions) into the output directory, and exit
 with 0 on success, 2 on configuration errors, 3 on numeric failures.
 NIMBUS_LOG controls log verbosity.
 
+The --config file is a JSON object of sections (``data``, ``vae``, ``mae``,
+...), each an object of keys; a key left out takes its default. SCHEMA gives
+each section.key its default and its rule side by side, and the rules that
+tie keys together follow in ``_check_together``. An unknown key or a value
+that breaks a rule ends the command with exit 2 and a message naming the key.
+
 --workers threads run the ensemble members (``forecast``, ``ablate``), the
 training samples (``train-*``, ``ablate``) and the latent precompute
 (``train-diffusion``, ``diagnose``); the BLAS threads are divided among
@@ -24,6 +30,7 @@ import logging
 import math
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -34,241 +41,225 @@ from .regularize import Strategy
 
 log = logging.getLogger("nimbus")
 
-DEFAULT_CONFIG = {
+
+class Rule(NamedTuple):
+    """A value rule: ``ok(value)`` says whether a value passes; ``text`` says which values do."""
+
+    ok: Callable[[object], bool]
+    text: str
+
+
+def integer(low=-math.inf, multiple=1) -> Rule:
+    """An integer >= ``low`` that is a multiple of ``multiple``; a JSON boolean is not one."""
+
+    def ok(x):
+        return isinstance(x, int) and not isinstance(x, bool) and x >= low and x % multiple == 0
+
+    text = "an integer" + ("" if low == -math.inf else f" >= {low}")
+    return Rule(ok, text + (f" and a multiple of {multiple}" if multiple > 1 else ""))
+
+
+def number(low=-math.inf, above=False) -> Rule:
+    """A finite number >= ``low``, or > ``low`` if ``above``; a JSON boolean is not a number."""
+
+    def ok(x):
+        # Finite: a float holds it, so no NaN, no infinity and no integer too large to convert.
+        finite = isinstance(x, (int, float)) and abs(x) <= sys.float_info.max
+        return finite and not isinstance(x, bool) and (x > low if above else x >= low)
+
+    bound = "" if low == -math.inf else f" {'>' if above else '>='} {low}"
+    return Rule(ok, "a finite number" + bound)
+
+
+def choice(options, hint="") -> Rule:
+    """One of ``options``; ``hint`` follows them in the message."""
+    return Rule(lambda x: x in options, f"one of {options}{hint}")
+
+
+def either(*rules) -> Rule:
+    """What any of ``rules`` passes."""
+    return Rule(lambda x: any(r.ok(x) for r in rules), " or ".join(r.text for r in rules))
+
+
+def listof(rule, size=None) -> Rule:
+    """A list whose entries all pass ``rule``; of ``size`` entries if given."""
+
+    def ok(x):
+        return isinstance(x, list) and size in (None, len(x)) and all(map(rule.ok, x))
+
+    return Rule(ok, f"a list{'' if size is None else f' of {size}'} of entries each {rule.text}")
+
+
+BOOLEAN = Rule(lambda x: isinstance(x, bool), "a boolean")
+COUNT = integer(1)  # a count or a size
+NATURAL = integer(0)  # iterations and seeds may be 0
+POSITIVE = number(0, above=True)
+NON_NEGATIVE = number(0)
+FINITE = number()
+STRATEGY = choice(tuple(s.value for s in Strategy))
+# Grid sizes: at least the generator's 8, and multiples of 4 for the VAE's
+# two stride-2 stages.
+GRID = integer(8, multiple=4)
+
+# Each section.key: (default, rule). A value given in a config file must pass
+# its rule; _check_together then checks the rules that tie keys together.
+SCHEMA = {
     "data": {
-        "h": 64,
-        "w": 128,
-        "v": 8,
-        "t": 96,
-        "slopes": [],
-        "advection": [],
-        "forcing": 0.1,
-        "seed": 0,
+        "h": (64, GRID),
+        "w": (128, GRID),
+        "v": (8, COUNT),
+        "t": (96, COUNT),
+        # Empty (the generator's defaults) or one entry per variable.
+        "slopes": ([], listof(FINITE)),
+        "advection": ([], listof(listof(integer(), size=2))),
+        "forcing": (0.1, NON_NEGATIVE),
+        "seed": (0, NATURAL),
     },
     "vae": {
-        "latent_channels": 16,
-        "base_channels": 16,
-        "beta": 1e-5,
-        "iters": 240,
-        "batch": 4,
-        "lr": 1.5e-3,
-        "regularizer": "vamfm",
+        "latent_channels": (16, COUNT),
+        "base_channels": (16, COUNT),
+        "beta": (1e-5, NON_NEGATIVE),
+        "iters": (240, NATURAL),
+        "batch": (4, COUNT),
+        "lr": (1.5e-3, POSITIVE),
+        "regularizer": ("vamfm", STRATEGY),
     },
     "mae": {
-        "k": 4,
-        "latent_channels": 16,
-        "channels": [24, 32],
-        "spatial_strides": [2, 2],
-        "decoder_channels": 32,
-        "iters": 160,
-        "batch": 2,
-        "lr": 1.5e-3,
+        # Even: the 3D-MAE's temporal stride 2 maps k + 1 frames to 1 + k/2 latents.
+        "k": (4, integer(2, multiple=2)),
+        "latent_channels": (16, COUNT),
+        "channels": ([24, 32], listof(COUNT)),
+        "spatial_strides": ([2, 2], listof(COUNT)),
+        "decoder_channels": (32, COUNT),
+        "iters": (160, NATURAL),
+        "batch": (2, COUNT),
+        "lr": (1.5e-3, POSITIVE),
     },
     "frame_ae": {
-        "latent_channels": 16,
-        "base_channels": 16,
-        "iters": 160,
-        "batch": 6,
-        "lr": 1.5e-3,
+        "latent_channels": (16, COUNT),
+        "base_channels": (16, COUNT),
+        "iters": (160, NATURAL),
+        "batch": (6, COUNT),
+        "lr": (1.5e-3, POSITIVE),
     },
     "diffusion": {
-        "hidden": 32,
-        "blocks": 4,
-        "emb_dim": 16,
-        "iters": 320,
-        "batch": 4,
-        "lr": 2e-3,
-        "sigma_data": "auto",
-        "cond_mode": "3dmae",
+        "hidden": (32, COUNT),
+        "blocks": (4, COUNT),
+        "emb_dim": (16, COUNT),
+        "iters": (320, NATURAL),
+        "batch": (4, COUNT),
+        "lr": (2e-3, POSITIVE),
+        # "auto": estimated from the latents.
+        "sigma_data": ("auto", either(choice(("auto",)), POSITIVE)),
+        # No command trains the 2D frame encoder alone: only `ablate` conditions on it.
+        "cond_mode": (
+            "3dmae",
+            choice(
+                ("3dmae", "none"),
+                "; the 2d frame encoder runs only in `nimbus ablate` (ablate.conds)",
+            ),
+        ),
     },
     # 18 Heun steps (35 denoiser calls) from sigma_max = 20: the cheapest
     # cell of the (steps, sigma_max) skill sweep in CHANGES.md whose fair CRPS,
     # SSR and rank chi2 stay within seed noise of 25 steps from 80, and whose
     # analytic-oracle variance error stays within 0.11.
     "sampler": {
-        "steps": 18,
-        "s_churn": 2.5,
-        "s_min": 0.75,
-        "s_max": 68.0,
-        "s_noise": 1.1,
-        "sigma_min": 0.002,
-        "sigma_max": 20.0,
-        "rho": 7.0,
-        "stochastic": False,
+        "steps": (18, COUNT),
+        "s_churn": (2.5, FINITE),
+        "s_min": (0.75, FINITE),
+        "s_max": (68.0, FINITE),
+        "s_noise": (1.1, FINITE),
+        "sigma_min": (0.002, POSITIVE),
+        "sigma_max": (20.0, FINITE),
+        "rho": (7.0, POSITIVE),
+        "stochastic": (False, BOOLEAN),
     },
     # data.t 96 - train_frames 72 - a (k + 1)-frame init window leaves 19 truth frames.
-    "forecast": {"members": 8, "t_lead": 19, "train_frames": 72},
-    "verify": {"rank_seed": 0, "bands": [0.0, 0.2, 0.5, 0.8, spectral.R_CORNER]},
+    "forecast": {
+        "members": (8, COUNT),
+        "t_lead": (19, COUNT),
+        "train_frames": (72, COUNT),
+    },
+    "verify": {
+        "rank_seed": (0, NATURAL),
+        # Band edges ascend from 0 and reach the spectrum's corner radius; the
+        # last may be Infinity (a JSON extension that json.load reads).
+        "bands": (
+            [0.0, 0.2, 0.5, 0.8, spectral.R_CORNER],
+            listof(either(NON_NEGATIVE, choice((math.inf,)))),
+        ),
+    },
     "ablate": {
-        "conds": ["none", "2d", "3dmae"],
-        "strategies": ["none", "se", "ffm", "vamfm"],
-        "replicates": 3,
-        "members": 4,
-        "t_lead": 1,
+        "conds": (["none", "2d", "3dmae"], listof(choice(pipeline.COND_MODES))),
+        "strategies": (["none", "se", "ffm", "vamfm"], listof(STRATEGY)),
+        "replicates": (3, COUNT),
+        "members": (4, COUNT),
+        "t_lead": (1, COUNT),
     },
 }
-
-
-# Allowed values of the keys that name a choice (or, for a list, each entry).
-# No command trains the 2D frame encoder alone: only `ablate` conditions on it.
-CHOICES = {
-    "vae.regularizer": tuple(s.value for s in Strategy),
-    "diffusion.cond_mode": ("3dmae", "none"),
-    "ablate.strategies": tuple(s.value for s in Strategy),
-    "ablate.conds": pipeline.COND_MODES,
+DEFAULT_CONFIG = {
+    name: {key: default for key, (default, _) in keys.items()} for name, keys in SCHEMA.items()
 }
-HINTS = {"diffusion.cond_mode": "; the 2d frame encoder runs only in `nimbus ablate` (ablate.conds)"}
 # The config section of each conditioning encoder. The denoiser stacks its
 # latents with the VAE's, so both must have the same channel count.
 ENCODER_SECTIONS = {"3dmae": "mae", "2d": "frame_ae"}
-# Integer keys that may be 0; every other integer key is a count or a size.
-ZERO_OK = ("iters", "seed", "rank_seed")
-# Float keys that must be > 0, and >= 0 (every float must be finite).
-POSITIVE = ("sigma_min", "rho", "lr")
-NON_NEGATIVE = ("beta", "forcing")
-# Grid sizes: at least the generator's 8, and multiples of 4 for the VAE's
-# two stride-2 stages.
-GRID_KEYS = ("data.h", "data.w")
 
 
-def _check_section(defaults, given, path):
+def _object(given, known, where) -> dict:
+    """``given`` if it is an object with no key outside ``known``, else a ConfigError."""
     if not isinstance(given, dict):
-        raise ConfigError(f"section {path or '<root>'} must be an object")
-    unknown = set(given) - set(defaults)
+        raise ConfigError(f"section {where} must be an object")
+    unknown = set(given) - set(known)
     if unknown:
-        raise ConfigError(f"unknown config keys under {path or '<root>'}: {sorted(unknown)}")
-    merged = {}
-    for key, dval in defaults.items():
-        if key not in given:
-            merged[key] = copy.deepcopy(dval)
-            continue
-        gval = given[key]
-        here = f"{path}.{key}" if path else key
-        if isinstance(dval, dict):
-            merged[key] = _check_section(dval, gval, here)
-        elif isinstance(dval, bool):
-            if not isinstance(gval, bool):
-                raise ConfigError(f"{here} must be a boolean")
-            merged[key] = gval
-        elif isinstance(dval, int):
-            if isinstance(gval, bool) or not isinstance(gval, int):
-                raise ConfigError(f"{here} must be an integer, got {gval!r}")
-            low = 0 if key in ZERO_OK else 8 if here in GRID_KEYS else 1
-            if gval < low:
-                raise ConfigError(f"{here} must be at least {low}, got {gval}")
-            if here in GRID_KEYS and gval % 4:
-                raise ConfigError(f"{here} must be a multiple of 4, got {gval}")
-            merged[key] = gval
-        elif isinstance(dval, float):
-            if isinstance(gval, bool) or not isinstance(gval, (int, float)):
-                raise ConfigError(f"{here} must be a number")
-            if not np.isfinite(gval):
-                raise ConfigError(f"{here} must be finite, got {gval!r}")
-            if key in POSITIVE and gval <= 0:
-                raise ConfigError(f"{here} must be positive, got {gval!r}")
-            if key in NON_NEGATIVE and gval < 0:
-                raise ConfigError(f"{here} must be at least 0, got {gval!r}")
-            merged[key] = gval
-        elif here == "diffusion.sigma_data":
-            # "auto" (estimated from the latents) or a positive number.
-            if gval != "auto" and not _positive(gval):
-                raise ConfigError(f'{here} must be "auto" or a positive number, got {gval!r}')
-            merged[key] = gval
-        elif isinstance(dval, str):
-            if not isinstance(gval, str):
-                raise ConfigError(f"{here} must be a string")
-            if here in CHOICES and gval not in CHOICES[here]:
-                raise ConfigError(
-                    f"{here} must be one of {CHOICES[here]}, got {gval!r}{HINTS.get(here, '')}"
-                )
-            merged[key] = gval
-        elif isinstance(dval, list):
-            if not isinstance(gval, list):
-                raise ConfigError(f"{here} must be a list")
-            if here in CHOICES and any(v not in CHOICES[here] for v in gval):
-                raise ConfigError(f"{here} entries must be in {CHOICES[here]}, got {gval!r}")
-            if here == "verify.bands":
-                _check_bands(here, gval)
-            merged[key] = copy.deepcopy(gval)
-        else:
-            merged[key] = gval
-    if path == "data":
-        _check_generator(merged)
-    if path == "mae":
-        if merged["k"] % 2:
-            raise ConfigError(f"mae.k must be even, got {merged['k']}")
-        _check_mae_layers(merged["channels"], merged["spatial_strides"])
-    if path == "sampler" and not merged["sigma_max"] > merged["sigma_min"]:
-        raise ConfigError(
-            f"sampler.sigma_max must exceed sampler.sigma_min ({merged['sigma_min']!r}), "
-            f"got {merged['sigma_max']!r}"
-        )
-    return merged
+        raise ConfigError(f"unknown config keys under {where}: {sorted(unknown)}")
+    return given
 
 
-def _number(value) -> bool:
-    """A finite number; a JSON boolean is not a number."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    return number and bool(np.isfinite(value))
+def _check_config(given) -> dict:
+    """``given`` merged over the defaults, each given value checked by its SCHEMA rule."""
+    _object(given, SCHEMA, "<root>")
+    cfg = {}
+    for name, keys in SCHEMA.items():
+        section = _object(given.get(name, {}), keys, name)
+        cfg[name] = {}
+        for key, (default, rule) in keys.items():
+            value = section.get(key, default)
+            if key in section and not rule.ok(value):
+                raise ConfigError(f"{name}.{key} must be {rule.text}, got {value!r}")
+            cfg[name][key] = copy.deepcopy(value)
+    _check_together(cfg)
+    return cfg
 
 
-def _positive(value) -> bool:
-    """A finite number > 0."""
-    return _number(value) and value > 0
-
-
-def _integer(value) -> bool:
-    """A JSON integer; a boolean is not one."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _check_generator(data):
-    """data.slopes and data.advection: empty (the defaults) or one entry per variable."""
-    v, slopes, adv = data["v"], data["slopes"], data["advection"]
-    if slopes and (len(slopes) != v or not all(_number(s) for s in slopes)):
-        raise ConfigError(
-            f"data.slopes must be empty or data.v = {v} finite numbers, got {slopes!r}"
-        )
-    pairs = all(isinstance(a, list) and len(a) == 2 and all(map(_integer, a)) for a in adv)
-    if adv and (len(adv) != v or not pairs):
-        raise ConfigError(
-            f"data.advection must be empty or data.v = {v} integer [dy, dx] pairs, got {adv!r}"
-        )
-
-
-def _check_mae_layers(channels, strides):
-    """One spatial stride per 3D-MAE layer, two layers at least, 4x downsampling in all.
-
-    The two leading layers are the temporal ones, and the denoiser stacks the
-    MAE's latents with the VAE's H/4 x W/4 latents (the MAE decoder upsamples 4x).
-    """
-    for key, values in (("mae.channels", channels), ("mae.spatial_strides", strides)):
-        if not all(_integer(v) and v >= 1 for v in values):
-            raise ConfigError(f"{key} entries must be integers >= 1, got {values!r}")
-    if len(channels) < 2:
-        raise ConfigError(f"mae.channels needs at least 2 entries, got {channels!r}")
-    if len(strides) != len(channels):
-        raise ConfigError(
-            f"mae.spatial_strides needs one entry per mae.channels entry, got {strides!r}"
-        )
-    if math.prod(strides) != 4:
-        raise ConfigError(f"mae.spatial_strides must multiply to 4, got {strides!r}")
-
-
-def _check_bands(here, bands):
-    """Band edges ascend from 0 and reach the spectrum's corner radius."""
-    numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in bands)
-    if not (
-        numbers
-        and len(bands) >= 2
-        and bands[0] == 0
-        and all(a < b for a, b in zip(bands, bands[1:]))
-        and bands[-1] >= spectral.R_CORNER
+def _check_together(cfg) -> None:
+    """The rules that tie keys, or one list's entries, together; run once every key has passed."""
+    d, m, s, bands = cfg["data"], cfg["mae"], cfg["sampler"], cfg["verify"]["bands"]
+    # The 3D-MAE has one spatial stride per layer, two layers at least (the
+    # leading two are temporal) and 4x downsampling in all: the denoiser stacks
+    # its latents with the VAE's H/4 x W/4 ones.
+    v, layers, strides = d["v"], len(m["channels"]), m["spatial_strides"]
+    edges = len(bands) >= 2 and bands[0] == 0 and bands[-1] >= spectral.R_CORNER
+    edges = edges and all(a < b for a, b in zip(bands, bands[1:]))
+    for key, ok, want in (
+        ("data.slopes", len(d["slopes"]) in (0, v), f"empty or hold data.v = {v} entries"),
+        ("data.advection", len(d["advection"]) in (0, v), f"empty or hold data.v = {v} pairs"),
+        ("mae.channels", layers >= 2, "a list of 2 entries at least"),
+        ("mae.spatial_strides", len(strides) == layers, "as long as mae.channels"),
+        ("mae.spatial_strides", math.prod(strides) == 4, "entries whose product is 4"),
+        ("sampler.sigma_max", s["sigma_max"] > s["sigma_min"], f"> sigma_min = {s['sigma_min']!r}"),
+        ("verify.bands", edges, f"ascending from 0 to at least sqrt(2) = {spectral.R_CORNER!r}"),
     ):
+        if not ok:
+            section, name = key.split(".")
+            raise ConfigError(f"{key} must be {want}, got {cfg[section][name]!r}")
+    elements = d["t"] * d["v"] * d["h"] * d["w"]
+    if elements > grid.MAX_ELEMENTS:
         raise ConfigError(
-            f"{here} must ascend from 0 to at least sqrt(2) = {spectral.R_CORNER!r}, "
-            f"got {bands!r}"
+            f"data.t * data.v * data.h * data.w must be at most {grid.MAX_ELEMENTS}, the "
+            f"elements a dataset file may hold, got {elements}"
         )
+    pipeline.check_train_frames(cfg["forecast"]["train_frames"], m["k"])
 
 
 def load_config(path=None) -> dict:
@@ -282,7 +273,7 @@ def load_config(path=None) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc.strerror or exc}") from exc
     except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError on non-UTF-8 bytes
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    return _check_section(DEFAULT_CONFIG, given, "")
+    return _check_config(given)
 
 
 def config_hash(cfg: dict) -> str:
@@ -376,8 +367,8 @@ def _sigma_data(out_dir):
     except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError on non-UTF-8 bytes
         raise FormatError(f"{path} is not valid JSON: {exc}") from exc
     sigma = saved.get("sigma_data") if isinstance(saved, dict) else None
-    if not _positive(sigma):
-        raise FormatError(f"{path}: sigma_data must be a finite number > 0, got {sigma!r}")
+    if not POSITIVE.ok(sigma):
+        raise FormatError(f"{path}: sigma_data must be {POSITIVE.text}, got {sigma!r}")
     return float(sigma)
 
 
@@ -521,7 +512,7 @@ def cmd_diagnose(cfg, args):
     resid_std = pipeline.standardized_residual_frames(bundle)
     z_all = pipeline.residual_latents(vae, resid_std, args.workers)
     z_bar_all = pipeline.conditioning_latents(fmodels.encoder, bundle, z_all, k, args.workers)
-    targets = np.arange(k, bundle.train.data.shape[0] - 1)
+    targets = np.arange(k, bundle.train.shape[0] - 1)
     n = min(64, len(targets))
     rng = np.random.default_rng(seed)
     gen = []

@@ -16,9 +16,10 @@ from .errors import ConfigError, DomainError, FormatError
 
 MAGIC_FIELDS = b"PYLD0001"
 
-# Largest axis product accepted when reading files; guards against corrupted
-# headers allocating absurd arrays.
-_MAX_ELEMENTS = 1 << 31
+# Largest axis product of a dataset: read_fields refuses larger files, which
+# guards against corrupted headers allocating absurd arrays, and the config
+# refuses a larger data section.
+MAX_ELEMENTS = 1 << 31
 
 
 @dataclass(frozen=True)
@@ -118,19 +119,19 @@ def destandardize_array(a: np.ndarray, specs) -> np.ndarray:
     return a * std + mean
 
 
-def residual_specs(x: FieldBatch) -> tuple[VariableSpec, ...]:
-    """Per-variable statistics of the one-step differences of ``x``.
+def residual_specs(data: np.ndarray, specs) -> tuple[VariableSpec, ...]:
+    """Per-variable statistics of the one-step differences of (T, V, H, W) ``data``.
 
     The residual mean/std are computed from the data itself (not the state
     climatology), which is what residual standardization must use. They are
     taken in float64 one variable at a time, so the largest temporary is one
     variable's (T-1, H, W) float64 difference stack, not the whole slice's.
     """
-    if x.data.shape[0] < 2:
+    if data.shape[0] < 2:
         raise DomainError("need at least two time steps for residual statistics")
     out = []
-    for v, s in enumerate(x.specs):
-        diff = np.subtract(x.data[1:, v], x.data[:-1, v], dtype=np.float64)
+    for v, s in enumerate(specs):
+        diff = np.subtract(data[1:, v], data[:-1, v], dtype=np.float64)
         std = float(diff.std())
         out.append(
             VariableSpec(
@@ -262,7 +263,7 @@ def read_fields(path) -> FieldBatch:
     if magic != MAGIC_FIELDS:
         raise FormatError(f"bad magic {magic!r}, expected {MAGIC_FIELDS!r}", 0)
     t, v, h, w = struct.unpack("<4I", cur.take(16, "header"))
-    if t * v * h * w > _MAX_ELEMENTS or min(t, v, h, w) == 0:
+    if t * v * h * w > MAX_ELEMENTS or min(t, v, h, w) == 0:
         raise FormatError(f"unreasonable dimensions (T={t}, V={v}, H={h}, W={w})", 8)
     records = []
     for _ in range(v):

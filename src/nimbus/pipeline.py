@@ -24,7 +24,7 @@ class DatasetBundle:
     """Train slice, forecast init window, and verification truth."""
 
     full: grid.FieldBatch
-    train: grid.FieldBatch
+    train: np.ndarray  # (T_train, V, H, W), a read-only view of full.data
     init_window: grid.FieldBatch
     truth: np.ndarray  # (T_eval, V, H, W)
     state_specs: tuple
@@ -33,32 +33,34 @@ class DatasetBundle:
     var_w: np.ndarray
 
 
-def split_dataset(batch: grid.FieldBatch, train_frames: int, k: int) -> DatasetBundle:
-    """Leading frames train; the next k+1 initialize; the rest verify."""
+def check_train_frames(train_frames: int, k: int) -> None:
+    """The first training target follows a window of k+1 frames: a ConfigError unless one fits."""
     if train_frames < k + 2:
-        # The first training target follows a window of k+1 frames.
         raise ConfigError(
             f"forecast.train_frames must be at least k + 2 = {k + 2} for one training "
             f"target, got {train_frames}"
         )
+
+
+def split_dataset(batch: grid.FieldBatch, train_frames: int, k: int) -> DatasetBundle:
+    """Leading frames train; the next k+1 initialize; the rest verify."""
+    check_train_frames(train_frames, k)
     t = batch.data.shape[0]
     need = train_frames + (k + 1) + 1
     if t < need:
         raise ConfigError(f"dataset has {t} frames; need at least {need}")
-    train = grid.FieldBatch(
-        data=batch.data[:train_frames], lat=batch.lat, lon=batch.lon, specs=batch.specs
-    )
+    train = batch.data[:train_frames]
     state_specs = tuple(
         grid.VariableSpec(
             name=s.name,
-            mean=float(train.data[:, i].mean(dtype=np.float64)),
-            std=max(float(train.data[:, i].std(dtype=np.float64)), 1e-12),
+            mean=float(train[:, i].mean(dtype=np.float64)),
+            std=max(float(train[:, i].std(dtype=np.float64)), 1e-12),
             loss_weight=s.loss_weight,
             level=s.level,
         )
         for i, s in enumerate(batch.specs)
     )
-    resid_specs = grid.residual_specs(train)
+    resid_specs = grid.residual_specs(train, batch.specs)
     init = grid.FieldBatch(
         data=batch.data[train_frames : train_frames + k + 1],
         lat=batch.lat,
@@ -82,13 +84,13 @@ def split_dataset(batch: grid.FieldBatch, train_frames: int, k: int) -> DatasetB
 
 def standardized_residual_frames(bundle: DatasetBundle) -> np.ndarray:
     """Standardized one-step differences X_{t+1} - X_t of the train slice, float32."""
-    resid = np.diff(bundle.train.data, axis=0)
+    resid = np.diff(bundle.train, axis=0)
     return grid.standardize_array(resid, bundle.resid_specs)
 
 
 def standardized_state_frames(bundle: DatasetBundle) -> np.ndarray:
     """Standardized states of the train slice, float32."""
-    return grid.standardize_array(bundle.train.data, bundle.state_specs)
+    return grid.standardize_array(bundle.train, bundle.state_specs)
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +101,7 @@ def standardized_state_frames(bundle: DatasetBundle) -> np.ndarray:
 def build_vae(bundle: DatasetBundle, cfg: dict, seed: int) -> models.Vae:
     """The untrained VAE that ``train_vae`` starts from, for the same seed."""
     return models.Vae(
-        v=bundle.train.data.shape[1],
+        v=bundle.train.shape[1],
         cfg=models.VaeConfig(
             latent_channels=cfg["latent_channels"],
             base_channels=cfg["base_channels"],
@@ -112,7 +114,7 @@ def build_vae(bundle: DatasetBundle, cfg: dict, seed: int) -> models.Vae:
 def build_mae(bundle: DatasetBundle, cfg: dict, seed: int) -> models.Mae:
     """The untrained 3D-MAE that ``train_mae`` starts from, for the same seed."""
     return models.Mae(
-        v=bundle.train.data.shape[1],
+        v=bundle.train.shape[1],
         cfg=models.MaeConfig(
             latent_channels=cfg["latent_channels"],
             channels=tuple(cfg["channels"]),
@@ -127,7 +129,7 @@ def build_mae(bundle: DatasetBundle, cfg: dict, seed: int) -> models.Mae:
 def build_frame_ae(bundle: DatasetBundle, cfg: dict, seed: int) -> models.FrameAe:
     """The untrained frame AE that ``train_frame_ae`` starts from, for the same seed."""
     return models.FrameAe(
-        v=bundle.train.data.shape[1],
+        v=bundle.train.shape[1],
         latent_channels=cfg["latent_channels"],
         rng=np.random.default_rng([seed, 303]),
         base=cfg["base_channels"],
@@ -244,7 +246,7 @@ def train_denoiser(
     # index t: residual of step t -> t+1
     z_all = residual_latents(vae, standardized_residual_frames(bundle), workers)
     z_bar_all = conditioning_latents(encoder, bundle, z_all, k, workers)
-    targets = np.arange(k, bundle.train.data.shape[0] - 1)
+    targets = np.arange(k, bundle.train.shape[0] - 1)
     if cfg["sigma_data"] == "auto":
         sigma_data = max(edm.estimate_sigma_data(z_all), 1e-3)
     else:

@@ -19,6 +19,7 @@ import pytest
 import nimbus
 from nimbus import autodiff as ad
 from nimbus import cli, edm, forecast, grid, models, pipeline
+from nimbus.errors import ConfigError
 
 TINY = {
     "data": {"h": 16, "w": 32, "v": 3, "t": 40},
@@ -313,6 +314,65 @@ def test_unknown_config_key_exits_2(tmp_path, section, key, value, caplog):
     assert f"unknown config keys under {section}: ['{key}']" in caplog.text
 
 
+@pytest.mark.parametrize(
+    "section, key", [(name, key) for name, keys in cli.DEFAULT_CONFIG.items() for key in keys]
+)
+def test_object_value_exits_2_naming_key(tmp_path, section, key, caplog):
+    # No key accepts a JSON object, so every key's rule must refuse one.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({section: {key: {}}}))
+    with caplog.at_level(logging.ERROR, logger="nimbus"):
+        assert cli.main(["forecast", "--config", str(path), "--dry-run"]) == 2
+    assert f"configuration error: {section}.{key} " in caplog.text
+
+
+def test_config_hashes_are_pinned(tmp_path):
+    # Manifests and forecast directories record these hashes: a changed default
+    # or a change in how a config is merged over the defaults moves them.
+    assert cli.config_hash(cli.load_config()) == "a7e456f8e37be0fe"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(TINY))
+    assert cli.config_hash(cli.load_config(str(path))) == "e60455d30949eb77"
+
+
+@pytest.mark.parametrize(
+    "cfg, message",
+    [
+        (
+            {"forecast": {"train_frames": 4}, "mae": {"k": 4}},
+            "forecast.train_frames must be at least k + 2 = 6",
+        ),
+        (
+            {"data": {"h": 4096, "w": 8192}},
+            f"data.t * data.v * data.h * data.w must be at most {grid.MAX_ELEMENTS}",
+        ),
+    ],
+    ids=["train-frames", "elements"],
+)
+def test_dry_run_refuses_what_a_stage_would(tmp_path, cfg, message, caplog):
+    # split_dataset refuses the first after reading the dataset, and read_fields
+    # the second; gen-data would first try to allocate it, so this runs dry only.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    with caplog.at_level(logging.ERROR, logger="nimbus"):
+        argv = ["gen-data", "--config", str(path), "--out", str(tmp_path / "out"), "--dry-run"]
+        assert cli.main(argv) == 2
+    assert f"configuration error: {message}" in caplog.text
+
+
+def test_dataset_size_limit_is_read_fields_limit(tmp_path):
+    # t * v * h * w = MAX_ELEMENTS exactly passes, one more frame does not.
+    path = tmp_path / "config.json"
+    side = 1 << 14
+    for t, ok in ((grid.MAX_ELEMENTS // side**2, True), (grid.MAX_ELEMENTS // side**2 + 1, False)):
+        path.write_text(json.dumps({"data": {"t": t, "v": 1, "h": side, "w": side}}))
+        if ok:
+            cli.load_config(str(path))
+        else:
+            with pytest.raises(ConfigError, match="data.t \\* data.v"):
+                cli.load_config(str(path))
+
+
 def test_gen_data_manifest_records_config_seed(tmp_path):
     cfg = {"data": {**TINY["data"], "seed": 5}}
     path = tmp_path / "config.json"
@@ -355,7 +415,8 @@ def test_gen_data_writes_the_pinned_dataset(tmp_path):
 
 
 def test_too_few_train_frames_exits_2(trained, tmp_path, caplog):
-    # cond_mode none trains no 3D-MAE, so only split_dataset can catch k + 1 training frames.
+    # cond_mode none trains no 3D-MAE; the config check refuses k + 1 training
+    # frames before the dataset is read, with split_dataset's message.
     out, _, _ = trained
     shutil.copy(out / "dataset.pyld", tmp_path)
     cfg = {**TINY, "diffusion": {**TINY["diffusion"], "cond_mode": "none"}}

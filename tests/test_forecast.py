@@ -192,7 +192,7 @@ def test_training_and_rollout_condition_alike(tiny, encoder, monkeypatch):
         monkeypatch.setattr(enc, "encode_array", recording_encode)
     z_all = pipeline.residual_latents(fmodels.vae, pipeline.standardized_residual_frames(bundle))
     z_bar_all = pipeline.conditioning_latents(enc, bundle, z_all, K)
-    assert z_bar_all.shape[0] == bundle.train.data.shape[0] - 1 - K
+    assert z_bar_all.shape[0] == bundle.train.shape[0] - 1 - K
 
     seen = []
     make = edm.make_denoise_fn
@@ -205,7 +205,7 @@ def test_training_and_rollout_condition_alike(tiny, encoder, monkeypatch):
     phase[0] = "rollout"
     for i in range(z_bar_all.shape[0]):
         t = K + i
-        state = forecast.init_member_state(fmodels, bundle.train.data[t - K : t + 1])
+        state = forecast.init_member_state(fmodels, bundle.train[t - K : t + 1])
         forecast.step(fmodels, state, np.random.default_rng(0))
         z_bar = seen[-1]
         assert z_bar.dtype == z_bar_all.dtype and z_bar.shape == (1,) + z_bar_all.shape[1:]

@@ -23,7 +23,7 @@ def make_batch(t=4, v=2, h=8, w=8, seed=0):
 def residual_frames(b):
     """The residual frames the VAE trains on, for train slice b, with unit statistics."""
     unit = tuple(dataclasses.replace(s, mean=0.0, std=1.0) for s in b.specs)
-    bundle = pipeline.DatasetBundle(b, b, b, b.data, b.specs, unit, None, None)
+    bundle = pipeline.DatasetBundle(b, b.data, b, b.data, b.specs, unit, None, None)
     return pipeline.standardized_residual_frames(bundle)
 
 
@@ -111,7 +111,7 @@ class TestResiduals:
     def test_short_sequence_rejected(self):
         b = make_batch(t=1)
         with pytest.raises(DomainError):
-            grid.residual_specs(b)
+            grid.residual_specs(b.data, b.specs)
 
     def test_cumulative_sum_reconstructs(self):
         b = make_batch(t=8, seed=4)
@@ -121,7 +121,7 @@ class TestResiduals:
 
     def test_residual_specs_use_residual_statistics(self):
         b = make_batch(t=16, v=3, h=16, w=24, seed=5)
-        specs = grid.residual_specs(b)
+        specs = grid.residual_specs(b.data, b.specs)
         diff = np.diff(b.data.astype(np.float64), axis=0)
         for i, s in enumerate(specs):
             # The same float64 formula, but summed over a contiguous per-variable
@@ -289,8 +289,7 @@ class TestPeakAllocation:
         _, peak = peak_bytes(pipeline.split_dataset, b, train, k)
         # residual_specs holds one variable's float64 difference stack and the
         # centred copy that its std makes; the state std's centred copy is one
-        # frame larger; the train slice's finiteness mask (V bytes per point,
-        # V = 4) is half a stack. A float64 copy of the whole slice is 2V/3
-        # stacks on its own.
+        # frame larger. A float64 copy of the whole slice is 2V/3 stacks on its
+        # own (V = 4).
         stack = 8 * (train - 1) * 32 * 64
         assert peak <= 3 * stack

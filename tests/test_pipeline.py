@@ -22,13 +22,14 @@ def bundle(batch):
 
 def test_slices(batch, bundle):
     assert bundle.full is batch
-    np.testing.assert_array_equal(bundle.train.data, batch.data[:TRAIN])
+    np.testing.assert_array_equal(bundle.train, batch.data[:TRAIN])
     np.testing.assert_array_equal(bundle.init_window.data, batch.data[TRAIN : TRAIN + K + 1])
     np.testing.assert_array_equal(bundle.truth, batch.data[TRAIN + K + 1 :])
     assert bundle.truth.shape[0] == 3
-    for part in (bundle.train, bundle.init_window):
-        np.testing.assert_array_equal(part.lat, batch.lat)
-        np.testing.assert_array_equal(part.lon, batch.lon)
+    # The train slice is a read-only view of the dataset, not a copy.
+    assert np.shares_memory(bundle.train, batch.data) and not bundle.train.flags.writeable
+    np.testing.assert_array_equal(bundle.init_window.lat, batch.lat)
+    np.testing.assert_array_equal(bundle.init_window.lon, batch.lon)
 
 
 def test_state_specs_come_from_the_train_slice(batch, bundle):
@@ -40,7 +41,7 @@ def test_state_specs_come_from_the_train_slice(batch, bundle):
         # The dataset's own specs describe every frame, not the train slice.
         assert spec.mean != batch.specs[i].mean
     assert bundle.init_window.specs == bundle.state_specs
-    assert bundle.resid_specs == grid.residual_specs(bundle.train)
+    assert bundle.resid_specs == grid.residual_specs(bundle.train, batch.specs)
 
 
 def test_weights(batch, bundle):
@@ -61,7 +62,7 @@ def test_too_short_dataset_rejected(batch):
 
 def test_standardized_residual_frames(bundle):
     got = pipeline.standardized_residual_frames(bundle)
-    train = bundle.train.data
+    train = bundle.train
     assert got.dtype == np.float32
     assert got.shape == (TRAIN - 1,) + train.shape[1:]
     for i, spec in enumerate(bundle.resid_specs):
