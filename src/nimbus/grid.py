@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import spectral
 from .errors import ConfigError, DomainError, FormatError
 
 MAGIC_FIELDS = b"PYLD0001"
@@ -169,8 +170,6 @@ def gen_synthetic(
     advection plus small stochastic forcing with the same spectrum.
     Deterministic given ``seed``.
     """
-    from . import spectral
-
     if h < 8 or w < 8:
         raise DomainError("grid must be at least 8x8")
     slopes = np.asarray(

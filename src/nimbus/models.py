@@ -19,8 +19,6 @@ from . import regularize, spectral
 from .errors import ConfigError, DomainError
 from .regularize import Strategy
 
-SE_FACTORS = (1, 2, 4)
-
 
 def _zeros(o):
     return ad.param(np.zeros(o))
@@ -122,14 +120,13 @@ def _pool_lat(lat_w, factor: int):
 def build_targets(batch: np.ndarray, strategy: Strategy, gamma: float, se_factor: int = 1):
     """Reconstruction targets for a (B, V, H, W) batch under a strategy."""
     if strategy == Strategy.SE:
-        return regularize.box_downsample(batch, se_factor).astype(batch.dtype)
+        return ad.avgpool2d(ad.constant(batch.astype(np.float64)), se_factor).data.astype(batch.dtype)
     if strategy == Strategy.NONE or gamma == 1.0:
         return batch
     if strategy == Strategy.VAMFM:
         # Each plane keeps the fraction gamma of its own spectral energy.
-        spectrum = spectral.fft2(batch)
-        radii = spectral.cutoff_for_ratio(spectral.radial_profile(spectrum), gamma)
-        return spectral.lowpass_spectrum(spectrum, radii).astype(batch.dtype)
+        coeffs = np.fft.fft2(batch.astype(np.float64))
+        return spectral.lowpass_coeffs(coeffs, spectral.energy_cutoff(coeffs, gamma)).astype(batch.dtype)
     if strategy == Strategy.FFM:
         return spectral.lowpass(batch, regularize.FFM_INPUT_CUTOFFS[gamma]).astype(batch.dtype)
     raise ConfigError(f"unknown strategy {strategy}")
@@ -344,7 +341,7 @@ def frame_ae_loss(ae: FrameAe, batch: np.ndarray, lat_w, var_w):
 
 @dataclass
 class TrainConfig:
-    """One training loop's length, batch, learning rate and seed; AdamW keeps its defaults."""
+    """One training loop's length, batch, learning rate and seed; AdamW fixes the rest."""
 
     iters: int
     batch: int
@@ -395,12 +392,7 @@ def train_vae(
     for _ in range(cfg.iters):
         idx = rng_batch.integers(0, n, size=cfg.batch)
         batch = resid_std[idx]
-        if strategy == Strategy.SE:
-            gamma, factor = 1.0, int(rng_gamma.choice(SE_FACTORS))
-        elif strategy == Strategy.NONE:
-            gamma, factor = 1.0, 1
-        else:
-            gamma, factor = regularize.sample_gamma(rng_gamma), 1
+        gamma, factor = regularize.draw(strategy, rng_gamma)
         eps = normal_streams(rng_eps, cfg.batch, latent)
 
         def loss_of(b):

@@ -1,16 +1,18 @@
-"""Spectral-regularization schedule for the autoencoder.
+"""Spectral-regularization strategies of the autoencoder and their schedule.
 
-The strategies themselves are applied by ``models.build_targets`` (input
-side) and ``models.mask_latent`` (latent side); this module holds what they
-share:
+Each VAE training iteration draws one (gamma, se_factor) pair with
+:func:`draw`. ``models.build_targets`` then changes the reconstruction
+target (input side) and ``models.mask_latent`` the sampled latent before
+decoding (latent side):
 
-* ``Strategy``: VAMFM (per-variable input cutoffs, each plane keeping the
-  fraction gamma of its spectral energy; latent low-passed at radius gamma),
-  FFM (one fixed input cutoff per gamma, ``FFM_INPUT_CUTOFFS``, with the same
-  latent cutoff), SE (input and latent box-downsampled by an integer factor)
-  and NONE.
-* ``GAMMA_CHOICES`` and ``sample_gamma``: the masking schedule.
-* ``box_downsample``: the SE projection.
+* VAMFM: each (sample, variable) target plane keeps the fraction gamma of
+  its own |F| energy, cut at the first shell edge that reaches it
+  (``spectral.energy_cutoff``); the latent is low-passed at radius gamma.
+* FFM: every target plane is low-passed at the fixed radius
+  ``FFM_INPUT_CUTOFFS[gamma]``; the latent as in VAMFM.
+* SE: target and latent are box-averaged by ``se_factor``, drawn from
+  ``SE_FACTORS``; gamma stays 1.
+* NONE: target and latent pass unchanged.
 
 gamma = 1.0 always reduces to the unmasked (NONE) behavior exactly.
 """
@@ -21,9 +23,8 @@ import enum
 
 import numpy as np
 
-from .errors import DomainError
-
 GAMMA_CHOICES = (0.25, 0.5, 0.75, 1.0)
+SE_FACTORS = (1, 2, 4)
 
 # Input-side cutoffs quoted for the fixed-mask baseline, paired with the
 # latent ratios in order: 0.25->0.05, 0.5->0.10, 0.75->0.20, 1.0->none.
@@ -37,18 +38,14 @@ class Strategy(str, enum.Enum):
     NONE = "none"
 
 
-def sample_gamma(rng: np.random.Generator) -> float:
-    """Draw gamma uniformly from the 4-element masking schedule."""
-    return float(GAMMA_CHOICES[rng.integers(len(GAMMA_CHOICES))])
+def draw(strategy: Strategy, rng: np.random.Generator) -> tuple[float, int]:
+    """One iteration's (gamma, se_factor), each drawn uniformly from its schedule.
 
-
-def box_downsample(a, factor: int) -> np.ndarray:
-    """Area-average downsampling of the trailing two axes."""
-    a = np.asarray(a, dtype=np.float64)
-    if factor == 1:
-        return a.copy()
-    h, w = a.shape[-2], a.shape[-1]
-    if h % factor or w % factor:
-        raise DomainError(f"factor {factor} does not divide spatial dims ({h},{w})")
-    shape = a.shape[:-2] + (h // factor, factor, w // factor, factor)
-    return a.reshape(shape).mean(axis=(-3, -1))
+    SE draws a factor and VAMFM and FFM a gamma, one ``rng`` call each; NONE
+    draws nothing.
+    """
+    if strategy == Strategy.SE:
+        return 1.0, int(rng.choice(SE_FACTORS))
+    if strategy == Strategy.NONE:
+        return 1.0, 1
+    return float(GAMMA_CHOICES[rng.integers(len(GAMMA_CHOICES))]), 1

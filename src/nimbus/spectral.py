@@ -1,14 +1,16 @@
-"""2D Fourier analysis: radial amplitude spectra, cumulative energy, masks.
+"""2D Fourier masks and spectral energy of real fields.
 
 Frequency radii are normalized per axis by the axis Nyquist index, so r = 1
 is the Nyquist frequency of each axis and grid corners reach sqrt(2). This
-keeps rectangular grids consistent. Shell statistics use the magnitude |F|
-(amplitude), not power.
+keeps rectangular grids consistent. Energy is the magnitude |F|
+(amplitude), not power, summed over circular frequency shells: equal-width
+shells for the VA-MFM cutoff (:func:`energy_cutoff`), caller-given bands
+for the diagnostics (:func:`band_energy`). Spectra are the unshifted
+``np.fft.fft2`` coefficients of (..., H, W) planes; leading axes index
+planes.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,45 +26,6 @@ def normalized_radius(h: int, w: int) -> np.ndarray:
     return np.hypot(fy[:, None], fx[None, :])
 
 
-@dataclass(frozen=True)
-class Spectrum2D:
-    """Full (unshifted) complex 2D spectra of real fields, one per (H, W) plane.
-
-    ``coeffs`` is (..., H, W): any leading axes index planes.
-    """
-
-    coeffs: np.ndarray
-    h: int
-    w: int
-
-
-@dataclass(frozen=True)
-class SpectralProfile:
-    """Shell-averaged amplitude A(r) and cumulative energy E(r) of each plane.
-
-    ``radii`` are the upper edges of the equal-width shells; a coefficient
-    belongs to shell j when edge_j <= r < edge_{j+1}. ``amplitude`` and
-    ``cumulative`` are (..., shells), one row per plane. ``degenerate``
-    (shaped like the leading plane axes) marks an all-zero spectrum, for
-    which E is defined as identically 1.
-    """
-
-    radii: np.ndarray
-    amplitude: np.ndarray
-    cumulative: np.ndarray
-    degenerate: np.ndarray
-
-
-def fft2(x) -> Spectrum2D:
-    """Spectrum of each (H, W) plane of a real field (..., H, W)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim < 2 or x.shape[-2] < 2 or x.shape[-1] < 2:
-        raise DomainError(f"fft2 expects (..., H, W) planes of size >= 2x2, got {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise DomainError("fft2 input contains non-finite values")
-    return Spectrum2D(coeffs=np.fft.fft2(x, axes=(-2, -1)), h=x.shape[-2], w=x.shape[-1])
-
-
 def _bin_sums(mag: np.ndarray, idx: np.ndarray, nbins: int) -> np.ndarray:
     """(planes, nbins) sums of each row of ``mag`` (planes, H*W) over the bins ``idx`` assigns."""
     planes = mag.shape[0]
@@ -72,43 +35,28 @@ def _bin_sums(mag: np.ndarray, idx: np.ndarray, nbins: int) -> np.ndarray:
     return np.bincount(bins, weights=mag.ravel(), minlength=planes * nbins).reshape(planes, nbins)
 
 
-def radial_profile(s: Spectrum2D) -> SpectralProfile:
-    """Shell-average |F| over circular frequency shells and accumulate energy, per plane."""
-    r = normalized_radius(s.h, s.w)
-    b = max(s.h, s.w) // 2  # one shell per integer radius of the finer axis
-    r_max = float(r.max())
-    width = r_max / b
-    idx = np.minimum((r / width).astype(np.intp), b - 1).ravel()
-    lead = s.coeffs.shape[:-2]
-    mag = np.abs(s.coeffs).reshape(-1, idx.size)
-    planes = mag.shape[0]
-    totals = _bin_sums(mag, idx, b)
-    counts = np.bincount(idx, minlength=b)
-    amplitude = np.divide(totals, counts, out=np.zeros((planes, b)), where=counts > 0)
+def energy_cutoff(coeffs: np.ndarray, gamma: float):
+    """Smallest shell edge whose cumulative |F| reaches the fraction gamma, per plane.
 
-    grand = totals.sum(axis=1)
-    degenerate = grand <= 0.0
-    cumulative = np.ones((planes, b))
-    live = ~degenerate
-    cumulative[live] = np.cumsum(totals[live], axis=1) / grand[live, None]
-    return SpectralProfile(
-        radii=width * np.arange(1, b + 1),
-        amplitude=amplitude.reshape(lead + (b,)),
-        cumulative=cumulative.reshape(lead + (b,)),
-        degenerate=degenerate.reshape(lead),
-    )
-
-
-def cutoff_for_ratio(p: SpectralProfile, gamma: float):
-    """Smallest shell radius whose cumulative energy reaches gamma, per plane.
-
-    A float for one plane, else an array shaped like the leading plane axes.
+    ``coeffs`` is ``np.fft.fft2`` of real (..., H, W) planes. The max(H, W) // 2
+    shells have equal width and reach the corner radius; a coefficient
+    belongs to shell j when edge_j <= r < edge_{j+1}, and the corner to the
+    last shell. The cumulative energy E of an all-zero plane is 1 in every
+    shell, so it reads the first edge. Returns a float for one plane, else
+    an array shaped like the leading plane axes.
     """
     if not (0.0 < gamma <= 1.0):
         raise DomainError(f"gamma must be in (0, 1], got {gamma}")
+    r = normalized_radius(*coeffs.shape[-2:])
+    b = max(coeffs.shape[-2:]) // 2  # one shell per integer radius of the finer axis
+    width = float(r.max()) / b
+    idx = np.minimum((r / width).astype(np.intp), b - 1).ravel()
+    totals = _bin_sums(np.abs(coeffs).reshape(-1, idx.size), idx, b)
+    grand = totals.sum(axis=1, keepdims=True)
+    energy = np.divide(np.cumsum(totals, axis=1), grand, out=np.ones_like(totals), where=grand > 0.0)
     # E is non-decreasing, so the shells below gamma precede the first that reaches it.
-    idx = np.minimum(np.count_nonzero(p.cumulative < gamma, axis=-1), len(p.radii) - 1)
-    return p.radii[idx]
+    shell = np.minimum(np.count_nonzero(energy < gamma, axis=1), b - 1)
+    return (width * (shell + 1)).reshape(coeffs.shape[:-2])[()]
 
 
 def lowpass(x, r_cut) -> np.ndarray:
@@ -128,17 +76,17 @@ def lowpass(x, r_cut) -> np.ndarray:
         raise DomainError(f"r_cut shape {r.shape} is neither scalar nor {x.shape[:-2]}")
     if np.any(r < 0.0):
         raise DomainError(f"r_cut must be non-negative, got {r_cut}")
-    return lowpass_spectrum(Spectrum2D(np.fft.fft2(x, axes=(-2, -1)), *x.shape[-2:]), r)
+    return lowpass_coeffs(np.fft.fft2(x), r)
 
 
-def lowpass_spectrum(s: Spectrum2D, r_cut) -> np.ndarray:
-    """The real planes of ``s`` with every coefficient of radius >= r_cut zeroed.
+def lowpass_coeffs(coeffs: np.ndarray, r_cut) -> np.ndarray:
+    """The real planes of the spectra ``coeffs`` with every coefficient of radius >= r_cut zeroed.
 
     ``r_cut`` is a radius, or one per plane, as in :func:`lowpass`, which
     transforms its input and calls this.
     """
-    mask = normalized_radius(s.h, s.w) < np.asarray(r_cut, dtype=np.float64)[..., None, None]
-    return np.fft.ifft2(s.coeffs * mask, axes=(-2, -1)).real
+    mask = normalized_radius(*coeffs.shape[-2:]) < np.asarray(r_cut, dtype=np.float64)[..., None, None]
+    return np.fft.ifft2(coeffs * mask).real
 
 
 def band_energy(x, band_edges) -> np.ndarray:
@@ -150,17 +98,21 @@ def band_energy(x, band_edges) -> np.ndarray:
     edges = np.asarray(band_edges, dtype=np.float64)
     if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
         raise DomainError("band_edges must be an ascending list of at least 2 edges")
-    s = fft2(x)
-    r = normalized_radius(s.h, s.w)
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim < 2 or x.shape[-2] < 2 or x.shape[-1] < 2:
+        raise DomainError(f"band_energy expects (..., H, W) planes of size >= 2x2, got {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise DomainError("band_energy input contains non-finite values")
+    r = normalized_radius(*x.shape[-2:])
     if edges[0] > 0.0 or edges[-1] < r.max() - 1e-12:
         raise DomainError("band_edges must start at 0 and cover the maximum radius")
     nb = edges.size - 1
     # Last band is closed above so the corner coefficient is counted.
     idx = np.minimum(np.searchsorted(edges, r.ravel(), side="right") - 1, nb - 1)
-    mag = np.abs(s.coeffs).reshape(-1, idx.size)
+    mag = np.abs(np.fft.fft2(x)).reshape(-1, idx.size)
     total = mag.sum(axis=1)
     out = np.zeros((mag.shape[0], nb))
     out[:, 0] = 1.0
     live = total > 0
     out[live] = _bin_sums(mag[live], idx, nb) / total[live, None]
-    return out.reshape(s.coeffs.shape[:-2] + (nb,))
+    return out.reshape(x.shape[:-2] + (nb,))

@@ -173,8 +173,9 @@ def diffusability_report(
     radii = list(mask_radii)
     rmse = {"encoder": [], "generated": []}
     for name, fam in (("encoder", enc), ("generated", gen)):
+        coeffs = np.fft.fft2(fam)
         for r in radii:
-            decoded = decoder(spectral.lowpass(fam, r).astype(np.float32))
+            decoded = decoder(spectral.lowpass_coeffs(coeffs, r).astype(np.float32))
             err2 = np.square(decoded.astype(np.float64) - reference)
             # One weighted mean over every sample and channel.
             rmse[name].append(float(np.sqrt(_wmean(err2[None], weights)[0])))

@@ -693,7 +693,7 @@ class TestGradSink:
             return ad.mean_all(ad.square(ad.rmsnorm(h, params["g"], axis=1)))
 
         def step_grads(workers):
-            opt = ad.AdamW(params)
+            opt = ad.AdamW(params, lr=1e-3)
             seen = {}
             opt.step = lambda: seen.update({k: p.grad for k, p in params.items()})
             loss = ad.mean_grad_step(opt, loss_of, len(xs), workers)

@@ -82,3 +82,34 @@ def test_bench_configs_load(tmp_path, name):
     for key in STAGE_KEYS:
         section, entry = key.split(".")
         assert entry in cfg[section], key
+
+
+VAMFM_LOSS_UNDER_TRACER = """
+import numpy as np
+import layers
+from nimbus import models
+from nimbus.regularize import Strategy
+
+tracer = layers.install()
+vae = models.Vae(2, models.VaeConfig(latent_channels=2, base_channels=4), np.random.default_rng(0))
+batch = np.random.default_rng(1).standard_normal((1, 2, 16, 16)).astype(np.float32)
+models.vae_loss(vae, batch, Strategy.VAMFM, 0.5, np.random.default_rng(2), np.ones(16), np.ones(2))
+print(tracer.summary()["spans"].get("models.build_targets", [0])[0])
+"""
+
+
+def test_vae_loss_builds_targets_through_the_module_global():
+    # models.vamfm_targets_ms times models.build_targets through the name
+    # vae_loss looks up at call time; a target build inlined into vae_loss
+    # would leave the span empty and the metric at 0.
+    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", VAMFM_LOSS_UNDER_TRACER],
+        cwd=os.path.join(ROOT, "perfbench"),
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-1] == "1"

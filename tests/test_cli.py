@@ -145,6 +145,23 @@ def _truncate(name):
     return damage
 
 
+def _overflow_dims(out, cfg):
+    # dims whose product passes 2^63: a numpy int64 product would wrap around.
+    name = b"enc0.w"
+    header = struct.pack("<H", len(name)) + name + struct.pack("<B2I", 2, 2**32 - 1, 2**32 - 1)
+    (out / "vae.pypt").write_bytes(ad.MAGIC_PARAMS + header + bytes(64))
+
+
+def _duplicate_first_tensor(out, cfg):
+    blob = (out / "vae.pypt").read_bytes()
+    # First record after the magic: name length, name, rank, dims, float32 payload.
+    (nlen,) = struct.unpack_from("<H", blob, 8)
+    (rank,) = struct.unpack_from("<B", blob, 10 + nlen)
+    dims = struct.unpack_from(f"<{rank}I", blob, 11 + nlen)
+    end = 11 + nlen + 4 * rank + 4 * math.prod(dims)
+    (out / "vae.pypt").write_bytes(blob + blob[8:end])
+
+
 def _other_hidden(out, cfg):
     wider = {**cfg, "diffusion": {**cfg["diffusion"], "hidden": cfg["diffusion"]["hidden"] + 2}}
     ad.save_params(pipeline.build_denoiser(wider, 0).params, out / "denoiser.pypt")
@@ -156,8 +173,10 @@ def _other_hidden(out, cfg):
         (_truncate("vae.pypt"), "vae.pypt", "truncated tensor"),
         (_truncate("mae.pypt"), "mae.pypt", "truncated tensor"),
         (_other_hidden, "denoiser.pypt", "tensor proj.w: shape"),
+        (_overflow_dims, "vae.pypt", "truncated tensor enc0.w payload"),
+        (_duplicate_first_tensor, "vae.pypt", "duplicate tensor enc0.w"),
     ],
-    ids=["truncated-vae", "truncated-mae", "denoiser-shape"],
+    ids=["truncated-vae", "truncated-mae", "denoiser-shape", "overflowing-dims-vae", "duplicate-vae"],
 )
 def test_bad_checkpoint_exits_3_naming_file(trained, tmp_path, damage, culprit, message, caplog):
     out, config, _ = trained

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from shell_profile import scan_cutoff, shell_mass_at
 
 from nimbus import autodiff as ad
 from nimbus import grid, models, regularize, spectral
@@ -23,33 +24,73 @@ def masked_latent(z, strategy, gamma, se_factor=1):
 
 
 def vamfm_cutoff(plane, gamma):
-    return spectral.cutoff_for_ratio(spectral.radial_profile(spectral.fft2(plane)), gamma)
+    return spectral.energy_cutoff(np.fft.fft2(plane), gamma)
 
 
-def shell_mass_at(x, r_cut):
-    prof = spectral.radial_profile(spectral.fft2(x))
-    idx = int(np.searchsorted(prof.radii, r_cut))
-    prev = prof.cumulative[idx - 1] if idx else 0.0
-    return prof.cumulative[idx] - prev
+def energy(plane):
+    return np.abs(np.fft.fft2(plane)).sum()
 
 
 class TestSampleGamma:
+    """The gamma that draw gives VAMFM and FFM."""
+
     def test_frequencies(self):
-        rng = np.random.default_rng(0)
-        draws = [regularize.sample_gamma(rng) for _ in range(40_000)]
-        for g in regularize.GAMMA_CHOICES:
-            freq = draws.count(g) / len(draws)
-            assert 0.24 <= freq <= 0.26
+        for strategy in (Strategy.VAMFM, Strategy.FFM):
+            rng = np.random.default_rng(0)
+            draws = [regularize.draw(strategy, rng) for _ in range(40_000)]
+            assert {factor for _, factor in draws} == {1}
+            gammas = [gamma for gamma, _ in draws]
+            for g in regularize.GAMMA_CHOICES:
+                freq = gammas.count(g) / len(gammas)
+                assert 0.24 <= freq <= 0.26
 
     def test_deterministic_under_seed(self):
-        a = [regularize.sample_gamma(np.random.default_rng(3)) for _ in range(100)]
-        b = [regularize.sample_gamma(np.random.default_rng(3)) for _ in range(100)]
+        a = [regularize.draw(Strategy.VAMFM, np.random.default_rng(3)) for _ in range(100)]
+        b = [regularize.draw(Strategy.VAMFM, np.random.default_rng(3)) for _ in range(100)]
         assert a == b
 
     def test_support(self):
         rng = np.random.default_rng(1)
-        draws = {regularize.sample_gamma(rng) for _ in range(10_000)}
+        draws = {regularize.draw(Strategy.FFM, rng)[0] for _ in range(10_000)}
         assert draws <= set(regularize.GAMMA_CHOICES)
+
+
+class TestDraw:
+    def test_se_factor_frequencies(self):
+        rng = np.random.default_rng(2)
+        draws = [regularize.draw(Strategy.SE, rng) for _ in range(30_000)]
+        assert {gamma for gamma, _ in draws} == {1.0}
+        factors = [factor for _, factor in draws]
+        assert set(factors) == set(regularize.SE_FACTORS)
+        for f in regularize.SE_FACTORS:
+            assert 0.32 <= factors.count(f) / len(factors) <= 0.35
+        assert all(type(f) is int for f in factors)
+
+    def test_none_draws_nothing(self):
+        rng = np.random.default_rng(4)
+        state = rng.bit_generator.state
+        assert regularize.draw(Strategy.NONE, rng) == (1.0, 1)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_deterministic_under_seed(self, strategy):
+        rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
+        a = [regularize.draw(strategy, rng_a) for _ in range(50)]
+        b = [regularize.draw(strategy, rng_b) for _ in range(50)]
+        assert a == b
+
+    @pytest.mark.parametrize("strategy", [Strategy.VAMFM, Strategy.FFM, Strategy.SE])
+    def test_one_rng_call_per_draw(self, strategy):
+        # One choice of an index per iteration, the same values and stream
+        # position as drawing that index directly.
+        rng, ref = np.random.default_rng(6), np.random.default_rng(6)
+        for _ in range(20):
+            gamma, factor = regularize.draw(strategy, rng)
+            if strategy == Strategy.SE:
+                assert factor == ref.choice(regularize.SE_FACTORS)
+            else:
+                assert gamma == regularize.GAMMA_CHOICES[ref.integers(len(regularize.GAMMA_CHOICES))]
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestVamfm:
@@ -65,10 +106,9 @@ class TestVamfm:
         cutoffs = [vamfm_cutoff(x[v], 0.5) for v in range(2)]
         fracs, masses = [], []
         for v in range(2):
-            total = np.abs(spectral.fft2(x[v]).coeffs).sum()
-            kept = np.abs(spectral.fft2(tx[v]).coeffs).sum()
-            fracs.append(kept / total)
+            fracs.append(energy(tx[v]) / energy(x[v]))
             masses.append(shell_mass_at(x[v], cutoffs[v]))
+            assert cutoffs[v] == pytest.approx(scan_cutoff(x[v], 0.5))
             np.testing.assert_array_equal(tx[v], spectral.lowpass(x[v], cutoffs[v]))
         for frac, mass in zip(fracs, masses):
             assert 0.5 - 1e-6 <= frac <= 0.5 + mass + 1e-6
@@ -100,8 +140,7 @@ class TestFfm:
         tx = targets(x, Strategy.FFM, 0.25)
         fracs = []
         for v in range(2):
-            total = np.abs(spectral.fft2(x[v]).coeffs).sum()
-            fracs.append(np.abs(spectral.fft2(tx[v]).coeffs).sum() / total)
+            fracs.append(energy(tx[v]) / energy(x[v]))
         assert abs(fracs[0] - fracs[1]) > 0.1
 
     def test_alignment_beats_ffm_in_range(self):
@@ -111,11 +150,7 @@ class TestFfm:
         ffm = targets(x, Strategy.FFM, 0.5)
 
         def fracs(tx):
-            out = []
-            for v in range(len(slopes)):
-                total = np.abs(spectral.fft2(x[v]).coeffs).sum()
-                out.append(np.abs(spectral.fft2(tx[v]).coeffs).sum() / total)
-            return np.array(out)
+            return np.array([energy(tx[v]) / energy(x[v]) for v in range(len(slopes))])
 
         f_vam, f_ffm = fracs(vam), fracs(ffm)
         assert f_vam.max() - f_vam.min() < f_ffm.max() - f_ffm.min()
@@ -127,15 +162,9 @@ class TestFfm:
             for strategy in (Strategy.VAMFM, Strategy.FFM):
                 tx, tz = targets(x, strategy, gamma), masked_latent(z, strategy, gamma)
                 for v in range(2):
-                    assert (
-                        np.abs(spectral.fft2(tx[v]).coeffs).sum()
-                        <= np.abs(spectral.fft2(x[v]).coeffs).sum() + 1e-9
-                    )
+                    assert energy(tx[v]) <= energy(x[v]) + 1e-9
                 for c in range(2):
-                    assert (
-                        np.abs(spectral.fft2(tz[c]).coeffs).sum()
-                        <= np.abs(spectral.fft2(z[c]).coeffs).sum() + 1e-9
-                    )
+                    assert energy(tz[c]) <= energy(z[c]) + 1e-9
 
 
 class TestSe:
@@ -164,7 +193,14 @@ class TestSe:
 
     def test_non_dividing_factor(self):
         with pytest.raises(DomainError):
-            regularize.box_downsample(np.zeros((6, 6)), 4)
+            targets(np.zeros((1, 6, 6)), Strategy.SE, 1.0, 4)
+
+    def test_targets_are_box_means(self):
+        x = np.random.default_rng(3).standard_normal((2, 8, 12)).astype(np.float32)
+        tx = targets(x, Strategy.SE, 1.0, 4)
+        assert tx.dtype == np.float32 and tx.shape == (2, 2, 3)
+        ref = x.astype(np.float64).reshape(2, 2, 4, 3, 4).mean(axis=(2, 4))
+        np.testing.assert_allclose(tx, ref, rtol=1e-6)
 
 
 def test_targets_deterministic():

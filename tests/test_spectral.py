@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from shell_profile import radial_profile, scan_cutoff, shell_mass_at
 
 from nimbus import spectral
 from nimbus.errors import DomainError
@@ -20,48 +21,47 @@ def naive_dft2(x):
 
 
 class TestFft2:
+    """The unshifted ``np.fft.fft2`` layout that every spectral function reads."""
+
     def test_constant_field(self):
         x = np.full((8, 8), 3.0)
-        s = spectral.fft2(x)
-        assert s.coeffs[0, 0] == pytest.approx(3.0 * 64)
-        rest = s.coeffs.copy()
+        coeffs = np.fft.fft2(x)
+        assert coeffs[0, 0] == pytest.approx(3.0 * 64)
+        rest = coeffs.copy()
         rest[0, 0] = 0
         assert np.abs(rest).max() < 1e-10
 
     def test_unit_impulse(self):
         x = np.zeros((8, 8))
         x[0, 0] = 1.0
-        s = spectral.fft2(x)
-        np.testing.assert_allclose(s.coeffs, np.ones((8, 8)), atol=1e-12)
+        np.testing.assert_allclose(np.fft.fft2(x), np.ones((8, 8)), atol=1e-12)
 
     def test_matches_naive_dft(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((16, 16))
-        s = spectral.fft2(x)
-        ref = naive_dft2(x)
-        np.testing.assert_allclose(s.coeffs, ref, rtol=1e-6, atol=1e-6)
+        np.testing.assert_allclose(np.fft.fft2(x), naive_dft2(x), rtol=1e-6, atol=1e-6)
 
     def test_roundtrip_arbitrary_sizes(self):
         rng = np.random.default_rng(1)
         for h, w in [(8, 8), (12, 20), (9, 7), (16, 30)]:
             x = rng.standard_normal((h, w))
-            back = np.fft.ifft2(spectral.fft2(x).coeffs).real
+            back = np.fft.ifft2(np.fft.fft2(x)).real
             np.testing.assert_allclose(back, x, rtol=1e-5, atol=1e-8)
 
     def test_parseval(self):
         rng = np.random.default_rng(2)
         for n in (8, 12, 16, 64):
             x = rng.standard_normal((n, n))
-            s = spectral.fft2(x)
             lhs = np.sum(x**2)
-            rhs = np.sum(np.abs(s.coeffs) ** 2) / (n * n)
+            rhs = np.sum(np.abs(np.fft.fft2(x)) ** 2) / (n * n)
             assert lhs == pytest.approx(rhs, rel=1e-5)
 
     def test_nonfinite_rejected(self):
+        # band_energy transforms its own input, so it checks it.
         x = np.zeros((4, 4))
         x[1, 1] = np.nan
-        with pytest.raises(DomainError):
-            spectral.fft2(x)
+        with pytest.raises(DomainError, match="non-finite"):
+            spectral.band_energy(x, [0.0, spectral.R_CORNER])
 
 
 def cosine_field(h, w, fy, fx):
@@ -69,96 +69,88 @@ def cosine_field(h, w, fy, fx):
     return np.cos(2 * np.pi * (fy * yy / h + fx * xx / w))
 
 
-class TestRadialProfile:
-    def test_pure_cosine_single_shell(self):
-        # Radius 0.5 on a 64x64 grid: frequency index 16 along one axis.
-        x = cosine_field(64, 64, 16, 0)
-        prof = spectral.radial_profile(spectral.fft2(x))
-        r0 = 0.5
-        below = prof.radii < r0 - 1e-9
-        np.testing.assert_allclose(prof.cumulative[below], 0.0, atol=1e-12)
-        at_or_above = prof.radii >= r0
-        np.testing.assert_allclose(prof.cumulative[at_or_above], 1.0, atol=1e-12)
+def cutoff(x, gamma):
+    return spectral.energy_cutoff(np.fft.fft2(x), gamma)
 
-    def test_white_noise_flat_amplitude(self):
-        cvs = []
-        for seed in range(32):
-            x = np.random.default_rng(seed).standard_normal((64, 64))
-            prof = spectral.radial_profile(spectral.fft2(x))
-            interior = prof.amplitude[1:-1]
-            cvs.append(interior.std() / interior.mean())
-        assert np.mean(cvs) < 0.2
+
+class TestRadialProfile:
+    """The test-side shell profile, and energy_cutoff read against it."""
+
+    def test_pure_cosine_single_shell(self):
+        # Radius 0.5 on a 64x64 grid: frequency index 16 along one axis. All
+        # energy sits in one ring, so every gamma cuts at that ring's edge.
+        x = cosine_field(64, 64, 16, 0)
+        edges, _, cumulative = radial_profile(x)
+        r0 = 0.5
+        np.testing.assert_allclose(cumulative[edges < r0 - 1e-9], 0.0, atol=1e-12)
+        np.testing.assert_allclose(cumulative[edges >= r0], 1.0, atol=1e-12)
+        ring = edges[np.searchsorted(edges, r0 + 1e-9)]
+        # gamma = 1 is left out: round-off leaks ~1e-16 of |F| into other shells.
+        for gamma in (0.01, 0.25, 0.5, 0.99):
+            assert cutoff(x, gamma) == pytest.approx(ring)
 
     def test_shell_totals_partition_total(self):
-        rng = np.random.default_rng(3)
-        x = rng.standard_normal((32, 48))
-        s = spectral.fft2(x)
-        prof = spectral.radial_profile(s)
-        # E is normalized shell-total cumsum; last entry must be exactly 1.
-        assert prof.cumulative[-1] == pytest.approx(1.0, abs=1e-9)
+        x = np.random.default_rng(3).standard_normal((32, 48))
+        edges, _, cumulative = radial_profile(x)
+        assert len(edges) == 24 and edges[-1] == pytest.approx(spectral.R_CORNER)
+        # E is a normalized cumsum of shell totals; the last entry is 1.
+        assert cumulative[-1] == pytest.approx(1.0, abs=1e-9)
+        assert cutoff(x, 1.0) == pytest.approx(edges[-1])
 
     def test_monotone_cumulative(self):
         x = np.random.default_rng(4).standard_normal((16, 16))
-        prof = spectral.radial_profile(spectral.fft2(x))
-        assert np.all(np.diff(prof.cumulative) >= -1e-15)
+        _, _, cumulative = radial_profile(x)
+        assert np.all(np.diff(cumulative) >= -1e-15)
 
     def test_degenerate_zero_field(self):
-        prof = spectral.radial_profile(spectral.fft2(np.zeros((8, 8))))
-        assert prof.degenerate
-        np.testing.assert_array_equal(prof.cumulative, 1.0)
+        edges, _, cumulative = radial_profile(np.zeros((8, 8)))
+        np.testing.assert_array_equal(cumulative, 1.0)
+        for gamma in (0.25, 1.0):
+            assert cutoff(np.zeros((8, 8)), gamma) == edges[0]
 
 
 class TestCutoff:
     def test_gamma_one_gives_max_radius(self):
         x = np.random.default_rng(0).standard_normal((16, 16))
-        prof = spectral.radial_profile(spectral.fft2(x))
-        assert spectral.cutoff_for_ratio(prof, 1.0) == pytest.approx(prof.radii[-1])
+        assert cutoff(x, 1.0) == pytest.approx(spectral.R_CORNER)
 
     def test_dc_only_field(self):
-        prof = spectral.radial_profile(spectral.fft2(np.full((16, 16), 2.0)))
+        x = np.full((16, 16), 2.0)
+        edges, _, _ = radial_profile(x)
         for gamma in (0.25, 0.5, 0.75, 1.0):
-            assert spectral.cutoff_for_ratio(prof, gamma) == pytest.approx(prof.radii[0])
+            assert cutoff(x, gamma) == pytest.approx(edges[0])
 
     def test_matches_linear_scan_oracle(self):
         rng = np.random.default_rng(5)
         r = spectral.normalized_radius(64, 64)
         amp = (r + 2 / 64.0) ** -2.0
         x = np.fft.ifft2(amp * (rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64)))).real
-        prof = spectral.radial_profile(spectral.fft2(x))
-        got = spectral.cutoff_for_ratio(prof, 0.5)
-        expect = None
-        for rad, e in zip(prof.radii, prof.cumulative):
-            if e >= 0.5:
-                expect = rad
-                break
-        assert got == pytest.approx(expect)
+        for gamma in (0.1, 0.25, 0.5, 0.75, 0.9, 1.0):
+            assert cutoff(x, gamma) == pytest.approx(scan_cutoff(x, gamma))
 
     def test_monotone_in_gamma(self):
         x = np.random.default_rng(6).standard_normal((32, 32))
-        prof = spectral.radial_profile(spectral.fft2(x))
-        cuts = [spectral.cutoff_for_ratio(prof, g) for g in (0.1, 0.25, 0.5, 0.75, 1.0)]
+        cuts = [cutoff(x, g) for g in (0.1, 0.25, 0.5, 0.75, 1.0)]
         assert all(a <= b for a, b in zip(cuts, cuts[1:]))
 
     def test_planes_match_the_per_plane_loop(self):
         x = np.random.default_rng(7).standard_normal((2, 3, 16, 32))
         x[1, 2] = 0.0  # one all-zero (degenerate) plane
-        prof = spectral.radial_profile(spectral.fft2(x))
-        radii = spectral.cutoff_for_ratio(prof, 0.6)
+        radii = cutoff(x, 0.6)
         assert radii.shape == (2, 3)
+        assert isinstance(cutoff(x[0, 0], 0.6), float)
         for i in range(2):
             for v in range(3):
-                one = spectral.radial_profile(spectral.fft2(x[i, v]))
-                assert radii[i, v] == spectral.cutoff_for_ratio(one, 0.6)
-                np.testing.assert_array_equal(prof.amplitude[i, v], one.amplitude)
-                np.testing.assert_array_equal(prof.cumulative[i, v], one.cumulative)
-                assert prof.degenerate[i, v] == one.degenerate == ((i, v) == (1, 2))
+                assert radii[i, v] == cutoff(x[i, v], 0.6)
+                assert radii[i, v] == pytest.approx(scan_cutoff(x[i, v], 0.6))
+        assert radii[1, 2] == radial_profile(x[1, 2])[0][0]
 
     def test_gamma_domain(self):
-        prof = spectral.radial_profile(spectral.fft2(np.ones((8, 8))))
+        coeffs = np.fft.fft2(np.ones((8, 8)))
         with pytest.raises(DomainError):
-            spectral.cutoff_for_ratio(prof, 0.0)
+            spectral.energy_cutoff(coeffs, 0.0)
         with pytest.raises(DomainError):
-            spectral.cutoff_for_ratio(prof, 1.5)
+            spectral.energy_cutoff(coeffs, 1.5)
 
 
 class TestLowpass:
@@ -177,13 +169,10 @@ class TestLowpass:
         r = spectral.normalized_radius(64, 64)
         amp = (r + 2 / 64.0) ** -1.5
         x = np.fft.ifft2(amp * (rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64)))).real
-        prof = spectral.radial_profile(spectral.fft2(x))
-        cut = spectral.cutoff_for_ratio(prof, 0.75)
+        cut = cutoff(x, 0.75)
         kept = np.abs(np.fft.fft2(spectral.lowpass(x, cut))).sum()
-        frac = kept / np.abs(spectral.fft2(x).coeffs).sum()
-        idx = int(np.searchsorted(prof.radii, cut))
-        shell_mass = prof.cumulative[idx] - (prof.cumulative[idx - 1] if idx else 0.0)
-        assert 0.75 - 1e-9 <= frac <= 0.75 + shell_mass + 1e-9
+        frac = kept / np.abs(np.fft.fft2(x)).sum()
+        assert 0.75 - 1e-9 <= frac <= 0.75 + shell_mass_at(x, cut) + 1e-9
 
     def test_idempotent_projection(self):
         x = np.random.default_rng(8).standard_normal((24, 24))
@@ -226,6 +215,13 @@ class TestLowpass:
         with pytest.raises(DomainError):
             spectral.lowpass(np.zeros((2, 3, 8, 8)), np.full(3, 0.5))
 
+    def test_coeffs_path_matches_lowpass(self):
+        # One transform, many radii: the spectrum's low-pass is lowpass's.
+        x = np.random.default_rng(12).standard_normal((3, 2, 16, 24))
+        coeffs = np.fft.fft2(x)
+        for r in (0.3, 0.9, spectral.R_CORNER + 1e-9):
+            np.testing.assert_array_equal(spectral.lowpass_coeffs(coeffs, r), spectral.lowpass(x, r))
+
 
 class TestBandEnergy:
     def test_single_band(self):
@@ -243,9 +239,8 @@ class TestBandEnergy:
         x = rng.standard_normal((32, 32))
         edges = [0.0, 0.3, 0.6, 0.9, 1.2, spectral.R_CORNER]
         out = spectral.band_energy(x, edges)
-        s = spectral.fft2(x)
         r = spectral.normalized_radius(32, 32)
-        mag = np.abs(s.coeffs)
+        mag = np.abs(np.fft.fft2(x))
         ref = []
         for i in range(len(edges) - 1):
             if i == len(edges) - 2:
@@ -266,6 +261,10 @@ class TestBandEnergy:
             for c in range(3):
                 np.testing.assert_array_equal(out[n, c], spectral.band_energy(x[n, c], edges))
         np.testing.assert_array_equal(out[1, 2], [1.0, 0.0, 0.0])
+
+    def test_small_plane_rejected(self):
+        with pytest.raises(DomainError, match="2x2"):
+            spectral.band_energy(np.zeros((3, 1, 8)), [0.0, spectral.R_CORNER])
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=25, deadline=None)
