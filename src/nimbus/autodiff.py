@@ -277,7 +277,9 @@ def square(x: Tensor) -> Tensor:
 
 
 def silu(x: Tensor) -> Tensor:
-    s = 1.0 / (1.0 + np.exp(-x.data))
+    # exp(-x) overflows to inf for x below about -88 in float32, where s = 0 is right.
+    with np.errstate(over="ignore"):
+        s = 1.0 / (1.0 + np.exp(-x.data))
     out_data = x.data * s
 
     def backward(go):

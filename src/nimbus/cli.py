@@ -160,10 +160,11 @@ SCHEMA = {
             ),
         ),
     },
-    # 18 Heun steps (35 denoiser calls) from sigma_max = 20: the cheapest
+    # 18 steps (one denoiser call each) from sigma_max = 20: the cheapest
     # cell of the (steps, sigma_max) skill sweep in CHANGES.md whose fair CRPS,
     # SSR and rank chi2 stay within seed noise of 25 steps from 80, and whose
-    # analytic-oracle variance error stays within 0.11.
+    # analytic-oracle variance error stays within 0.11. The sweep ran a Heun
+    # sampler; the multistep one at 18 steps keeps that skill and reads 0.106.
     "sampler": {
         "steps": (18, COUNT),
         "s_churn": (2.5, FINITE),
@@ -260,6 +261,21 @@ def _check_together(cfg) -> None:
             f"elements a dataset file may hold, got {elements}"
         )
     pipeline.check_train_frames(cfg["forecast"]["train_frames"], m["k"])
+
+
+def _check_dataset_frames(cfg) -> None:
+    """gen-data's rule: the dataset it writes holds the split of the same config.
+
+    The other commands leave it out: the dataset they read may come from
+    another config, and split_dataset checks the frames it actually holds.
+    """
+    t = cfg["data"]["t"]
+    need = pipeline.frames_needed(cfg["forecast"]["train_frames"], cfg["mae"]["k"])
+    if t < need:
+        raise ConfigError(
+            f"data.t must be at least forecast.train_frames + mae.k + 2 = {need} frames "
+            f"for the split, got {t}"
+        )
 
 
 def load_config(path=None) -> dict:
@@ -454,7 +470,10 @@ def cmd_forecast(cfg, args):
         workers=args.workers,
     )
     fc_dir = os.path.join(args.out, "forecast")
-    forecast.write_forecast(ens, fc_dir, {"config_hash": config_hash(cfg)})
+    calls = edm.calls_per_sample(fmodels.edm_config)
+    forecast.write_forecast(
+        ens, fc_dir, {"config_hash": config_hash(cfg), "denoiser_calls_per_member_lead": calls}
+    )
     log.info("wrote %d members x %d leads to %s", ens.members, ens.lead_times, fc_dir)
 
 
@@ -639,6 +658,8 @@ def main(argv=None) -> int:
         if args.seed is not None and args.seed < 0:
             raise ConfigError(f"--seed must be at least 0, got {args.seed}")
         cfg = load_config(args.config)
+        if args.command == "gen-data":
+            _check_dataset_frames(cfg)
         if args.dry_run:
             log.info("config ok (hash %s); dry run, no side effects", config_hash(cfg))
             return 0

@@ -42,11 +42,16 @@ def check_train_frames(train_frames: int, k: int) -> None:
         )
 
 
+def frames_needed(train_frames: int, k: int) -> int:
+    """Frames a dataset must hold: the training frames, a k+1 init window and one truth frame."""
+    return train_frames + (k + 1) + 1
+
+
 def split_dataset(batch: grid.FieldBatch, train_frames: int, k: int) -> DatasetBundle:
     """Leading frames train; the next k+1 initialize; the rest verify."""
     check_train_frames(train_frames, k)
     t = batch.data.shape[0]
-    need = train_frames + (k + 1) + 1
+    need = frames_needed(train_frames, k)
     if t < need:
         raise ConfigError(f"dataset has {t} frames; need at least {need}")
     train = batch.data[:train_frames]

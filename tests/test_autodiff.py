@@ -45,6 +45,14 @@ class TestElementwise:
     def test_silu_zero(self):
         assert ad.silu(ad.constant(np.array(0.0))).data == 0.0
 
+    def test_silu_large_negative_float32(self):
+        # exp(100) overflows float32; the output is still 0 and no warning escapes.
+        x = ad.param(np.array([-100.0], dtype=np.float32))
+        y = ad.silu(x)
+        assert y.data[0] == 0.0
+        total(y).backward()
+        assert np.all(np.isfinite(x.grad))
+
     @pytest.mark.parametrize("seed", range(N_SEEDS))
     def test_silu_grad(self, seed):
         rng = np.random.default_rng(seed)

@@ -88,6 +88,28 @@ def test_forecast_writes_every_member(trained):
     assert np.all(np.isfinite(ens.fields))
 
 
+def test_forecast_manifest_records_denoiser_calls(trained, tmp_path, monkeypatch):
+    # The default sampler: its count is the one test_cli_default_schedule counts.
+    out, _, _ = trained
+    shutil.copytree(out, tmp_path, dirs_exist_ok=True)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**TINY, "sampler": {}}))
+    calls = []
+    make = edm.make_denoise_fn
+
+    def counting(*args, **kwargs):
+        denoise = make(*args, **kwargs)
+        return lambda z, sigma: calls.append(sigma) or denoise(z, sigma)
+
+    monkeypatch.setattr(edm, "make_denoise_fn", counting)
+    argv = ["forecast", "--config", str(path), "--out", str(tmp_path), "--workers", "1"]
+    assert cli.main(argv) == 0
+    manifest = json.loads((tmp_path / "forecast" / "manifest.json").read_text())
+    member_leads = TINY["forecast"]["members"] * TINY["forecast"]["t_lead"]
+    assert manifest["denoiser_calls_per_member_lead"] == len(calls) // member_leads == 18
+    assert len(calls) == 18 * member_leads
+
+
 def test_non_finite_forecast_exits_3_naming_member(trained, monkeypatch, caplog):
     out, config, _ = trained
     monkeypatch.setattr(
@@ -379,6 +401,22 @@ def test_dry_run_refuses_what_a_stage_would(tmp_path, cfg, message, caplog):
     assert f"configuration error: {message}" in caplog.text
 
 
+@pytest.mark.parametrize("dry_run", [True, False])
+def test_gen_data_refuses_too_few_frames_for_the_split(tmp_path, dry_run, caplog):
+    # The default split needs forecast.train_frames 72 + mae.k 4 + 2 = 78 frames.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"data": {"t": 40}}))
+    flags = ["--dry-run"] if dry_run else []
+    with caplog.at_level(logging.ERROR, logger="nimbus"):
+        argv = ["gen-data", "--config", str(path), "--out", str(tmp_path / "out"), *flags]
+        assert cli.main(argv) == 2
+    assert "configuration error: data.t must be at least" in caplog.text
+    assert "= 78 frames for the split, got 40" in caplog.text
+    assert not (tmp_path / "out").exists()
+    # Other commands may read a dataset written under another config.
+    assert cli.main(["forecast", "--config", str(path), "--dry-run"]) == 0
+
+
 def test_dataset_size_limit_is_read_fields_limit(tmp_path):
     # t * v * h * w = MAX_ELEMENTS exactly passes, one more frame does not.
     path = tmp_path / "config.json"
@@ -393,7 +431,7 @@ def test_dataset_size_limit_is_read_fields_limit(tmp_path):
 
 
 def test_gen_data_manifest_records_config_seed(tmp_path):
-    cfg = {"data": {**TINY["data"], "seed": 5}}
+    cfg = {"data": {**TINY["data"], "seed": 5}, "forecast": TINY["forecast"]}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     assert cli.main(["gen-data", "--config", str(path), "--out", str(tmp_path)]) == 0

@@ -79,9 +79,9 @@ def test_inference_is_float32_and_graph_free(tiny, monkeypatch):
     monkeypatch.setattr(edm, "make_denoise_fn", recording_make)
     ens = run(tiny, members=2, t_lead=2, stochastic=True)
     assert ens.fields.dtype == np.float32
-    # 4 steps: 3 Heun steps of 2 calls plus a final Euler step of 1.
+    # 4 steps: one denoiser call each.
     f32 = np.dtype(np.float32)
-    assert states == [f32] * (2 * 2 * 7)
+    assert states == [f32] * (2 * 2 * 4)
     assert corr_inputs
     assert set(corr_inputs) == {(f32, f32, False)}
 
