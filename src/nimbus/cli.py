@@ -320,14 +320,8 @@ def _dataset_path(args):
 
 def _load_bundle(cfg, args) -> pipeline.DatasetBundle:
     path = _dataset_path(args)
-    if not os.path.exists(path):
-        raise ConfigError(
-            f"missing dataset at {path}; run `nimbus gen-data --out {args.out}` first"
-        )
-    try:
-        batch = grid.read_fields(path)
-    except FormatError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+    missing = f"missing dataset at {path}; run `nimbus gen-data --out {args.out}` first"
+    batch = grid.read_file(path, grid.read_fields, missing)
     return pipeline.split_dataset(batch, cfg["forecast"]["train_frames"], cfg["mae"]["k"])
 
 
@@ -337,20 +331,15 @@ def _save_model(params, out_dir, name):
     return path
 
 
-def _require_checkpoint(out_dir, name):
-    path = os.path.join(out_dir, name)
-    if not os.path.exists(path):
-        raise ConfigError(f"missing checkpoint: expected {path}")
-    return path
+def _read_checkpoint(path, read):
+    """``read(path)`` under ``grid.read_file``'s rule, for a file that a train stage writes."""
+    return grid.read_file(path, read, f"missing checkpoint: expected {path}")
 
 
 def _load(model, out_dir, name):
     """``model`` with the parameters of checkpoint ``name``; a bad file is a FormatError naming it."""
-    path = _require_checkpoint(out_dir, name)
-    try:
-        ad.assign_params(model.params, ad.load_params(path))
-    except FormatError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+    path = os.path.join(out_dir, name)
+    _read_checkpoint(path, lambda p: ad.assign_params(model.params, ad.load_params(p)))
     return model
 
 
@@ -376,12 +365,8 @@ def _encoder(cfg, args, bundle, seed):
 
 def _sigma_data(out_dir):
     """sigma_data from edm_config.json: a finite number > 0, else a FormatError naming the file."""
-    path = _require_checkpoint(out_dir, "edm_config.json")
-    try:
-        with open(path) as fh:
-            saved = json.load(fh)
-    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError on non-UTF-8 bytes
-        raise FormatError(f"{path} is not valid JSON: {exc}") from exc
+    path = os.path.join(out_dir, "edm_config.json")
+    saved = _read_checkpoint(path, grid.read_json)
     sigma = saved.get("sigma_data") if isinstance(saved, dict) else None
     if not POSITIVE.ok(sigma):
         raise FormatError(f"{path}: sigma_data must be {POSITIVE.text}, got {sigma!r}")
@@ -528,7 +513,7 @@ def cmd_diagnose(cfg, args):
     bundle, fmodels = _rebuild_models(cfg, args, seed)
     k = cfg["mae"]["k"]
     vae = fmodels.vae
-    resid_std = pipeline.standardized_residual_frames(bundle)
+    resid_std = grid.standardized_residuals(bundle.train, bundle.resid_specs)
     z_all = pipeline.residual_latents(vae, resid_std, args.workers)
     z_bar_all = pipeline.conditioning_latents(fmodels.encoder, bundle, z_all, k, args.workers)
     targets = np.arange(k, bundle.train.shape[0] - 1)

@@ -1,10 +1,13 @@
 """Autoregressive ensemble rollout.
 
-Each member owns its last k+1 raw states, the previous residual latent, and
-an RNG stream derived from (base_seed, member index), so results are
-independent of scheduling. One step encodes the conditioning window (the
-encoder never reads its final frame), samples a residual latent with the EDM
-sampler, decodes it, and integrates X_{t+1} = X_t + dX.
+A member's loop (``_run_member``) holds its last k+1 raw states, the
+previous residual latent and the lead index, and draws from an RNG stream
+derived from (base_seed, member index), so results are independent of
+scheduling. ``init_member_state`` encodes the last residual of the init
+window as the first previous latent. Each ``step`` encodes the conditioning
+window (the encoder never reads its final frame), samples a residual latent
+with the EDM sampler, decodes it, and integrates the next state with
+``grid.next_state``.
 
 With ``workers`` > 1, members run on that many threads
 (``autodiff.thread_map``), and the BLAS threads are divided among them for
@@ -22,7 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import edm, grid
-from .errors import ConfigError, DomainError, FormatError, RolloutError
+from .errors import DomainError, FormatError, RolloutError
 from .models import FrameAe, Mae, Vae
 
 @dataclass
@@ -42,22 +45,10 @@ class ForecastModels:
     encoder: Mae | FrameAe | None
 
 
-@dataclass
-class MemberState:
-    states: np.ndarray  # (k+1, V, H, W), raw units
-    z_prev: np.ndarray  # (C, h, w)
-    step_index: int = 0
-
-
-def init_member_state(models: ForecastModels, init_window: np.ndarray) -> MemberState:
-    """Build the member state from k+1 initial raw states."""
-    k = models.k
-    if init_window.ndim != 4 or init_window.shape[0] != k + 1:
-        raise DomainError(f"init window must be ({k + 1}, V, H, W), got {init_window.shape}")
-    resid = init_window[-1] - init_window[-2]
-    resid_std = grid.standardize_array(resid, models.resid_specs)
-    z_prev = models.vae.encode_mean(resid_std[None].astype(np.float32))[0]
-    return MemberState(states=init_window.astype(np.float32), z_prev=z_prev)
+def init_member_state(models: ForecastModels, init_window: np.ndarray) -> np.ndarray:
+    """A member's first z_prev (C, h, w): the latent of the last residual of its k+1 init states."""
+    resid_std = grid.standardized_residuals(init_window[-2:], models.resid_specs)
+    return models.vae.encode_mean(resid_std)[0]
 
 
 def conditioning_latents(
@@ -82,32 +73,26 @@ def conditioning_latents(
     return encoder.encode_array(window)
 
 
-def step(
-    models: ForecastModels,
-    state: MemberState,
-    rng: np.random.Generator,
-    stochastic: bool = False,
-) -> MemberState:
-    """Advance one lead time; returns the new member state."""
-    recent = grid.standardize_array(state.states[1:], models.state_specs)[None]
-    z_bar = conditioning_latents(models.encoder, recent, state.z_prev[None])
-    denoise = edm.make_denoise_fn(
-        models.denoiser, z_bar, state.z_prev[None], models.edm_config
-    )
-    shape = (1,) + state.z_prev.shape
+def step(models: ForecastModels, window, z_prev, lead, rng, stochastic):
+    """One lead from the raw states ``window`` (k+1, V, H, W) and the previous latent ``z_prev``.
+
+    Returns the next state x_{t+1} (V, H, W) and its sampled latent, the next
+    step's ``z_prev``. A RolloutError names ``lead`` as its forecast step.
+    """
+    recent = grid.standardize_array(window[1:], models.state_specs)[None]
+    z_bar = conditioning_latents(models.encoder, recent, z_prev[None])
+    denoise = edm.make_denoise_fn(models.denoiser, z_bar, z_prev[None], models.edm_config)
+    shape = (1,) + z_prev.shape
     if stochastic:
         z_hat = edm.sample_stochastic(denoise, shape, rng, models.edm_config)
     else:
         z_hat = edm.sample_deterministic(denoise, shape, rng, models.edm_config)
     if not np.all(np.isfinite(z_hat)):
-        raise RolloutError("non-finite values in sampled latent", state.step_index)
-    dx_std = models.vae.decode_array(z_hat)[0]
-    dx = grid.destandardize_array(dx_std, models.resid_specs)
-    x_next = state.states[-1] + dx
+        raise RolloutError("non-finite values in sampled latent", lead)
+    x_next = grid.next_state(window[-1], models.vae.decode_array(z_hat)[0], models.resid_specs)
     if not np.all(np.isfinite(x_next)):
-        raise RolloutError("non-finite values in decoded field", state.step_index)
-    new_states = np.concatenate([state.states[1:], x_next[None]], axis=0)
-    return MemberState(states=new_states, z_prev=z_hat[0], step_index=state.step_index + 1)
+        raise RolloutError("non-finite values in decoded field", lead)
+    return x_next, z_hat[0]
 
 
 @dataclass
@@ -131,12 +116,14 @@ class EnsembleForecast:
 
 def _run_member(models, init_window, t_lead, base_seed, m, stochastic):
     rng = np.random.default_rng([int(base_seed), int(m)])
-    state = init_member_state(models, init_window)
+    window = init_window
+    z_prev = init_member_state(models, init_window)
     frames = np.empty((t_lead,) + init_window.shape[1:], dtype=np.float32)
     try:
         for t in range(t_lead):
-            state = step(models, state, rng, stochastic=stochastic)
-            frames[t] = state.states[-1]
+            x_next, z_prev = step(models, window, z_prev, t, rng, stochastic)
+            frames[t] = x_next
+            window = np.concatenate([window[1:], x_next[None]])
     except RolloutError as exc:
         raise RolloutError(exc.message, exc.step, member=m) from exc
     return frames
@@ -193,13 +180,6 @@ def write_forecast(ens: EnsembleForecast, out_dir, manifest_extra=None) -> None:
         json.dump(manifest, fh, indent=2, sort_keys=True)
 
 
-def _forecast_file(out_dir, name):
-    path = os.path.join(out_dir, name)
-    if not os.path.exists(path):
-        raise ConfigError(f"missing forecast file {path}; run `nimbus forecast` again")
-    return path
-
-
 def grid_mismatch(a, b) -> str | None:
     """Which of variable names, latitudes, longitudes differ between ``a`` and ``b``, or None.
 
@@ -219,12 +199,13 @@ def read_forecast(out_dir) -> EnsembleForecast:
 
     Every member must share member 0's shape, variable names, lat and lon.
     """
-    path = _forecast_file(out_dir, "manifest.json")
-    try:
-        with open(path) as fh:
-            manifest = json.load(fh)
-    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError on non-UTF-8 bytes
-        raise FormatError(f"{path} is not valid JSON: {exc}") from exc
+
+    def read(name, read_as):
+        path = os.path.join(out_dir, name)
+        missing = f"missing forecast file {path}; run `nimbus forecast` again"
+        return path, grid.read_file(path, read_as, missing)
+
+    path, manifest = read("manifest.json", grid.read_json)
     members = manifest.get("members") if isinstance(manifest, dict) else None
     if isinstance(members, bool) or not isinstance(members, int) or members < 1:
         raise FormatError(f"{path}: members must be an integer >= 1, got {members!r}")
@@ -235,11 +216,8 @@ def read_forecast(out_dir) -> EnsembleForecast:
         )
     batches = []
     for m in range(members):
-        member_path = _forecast_file(out_dir, f"member_{m:03d}.pyld")
-        try:
-            batches.append(grid.read_fields(member_path))
-        except FormatError as exc:
-            raise FormatError(f"{member_path}: {exc}") from exc
+        member_path, batch = read(f"member_{m:03d}.pyld", grid.read_fields)
+        batches.append(batch)
         if batches[m].data.shape != batches[0].data.shape:
             raise FormatError(
                 f"{member_path} has shape {batches[m].data.shape}, "

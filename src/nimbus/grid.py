@@ -1,12 +1,19 @@
-"""Gridded multivariate fields: data model, standardization, synthetic data, file I/O.
+"""Gridded multivariate fields: data model, standardization, residuals, synthetic data, file I/O.
 
 Fields live on an equiangular lat-lon grid (periodic longitude, bounded
 latitude) and are stored as float32 with shape (time, variable, lat, lon).
+
+The model learns residuals: x_t is the base of the residual x_{t+1} - x_t.
+``residual`` takes it for the statistics, the training frames and a member's
+first latent, and every rollout step integrates with its inverse ``next_state``.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -120,30 +127,47 @@ def destandardize_array(a: np.ndarray, specs) -> np.ndarray:
     return a * std + mean
 
 
+def fit_specs(specs, columns) -> tuple[VariableSpec, ...]:
+    """``specs`` with the float64 mean and std of each variable's array in ``columns``.
+
+    The std has a floor, so that a constant variable still standardizes.
+    """
+    return tuple(
+        dataclasses.replace(
+            s,
+            mean=float(x.mean(dtype=np.float64)),
+            std=max(float(x.std(dtype=np.float64)), 1e-12),
+        )
+        for s, x in zip(specs, columns)
+    )
+
+
+def residual(states: np.ndarray, dtype) -> np.ndarray:
+    """Row t is x_{t+1} - x_t, for the states along axis 0 of ``states``, taken in ``dtype``."""
+    return np.subtract(states[1:], states[:-1], dtype=dtype)
+
+
+def standardized_residuals(states: np.ndarray, specs) -> np.ndarray:
+    """The float32 residuals of consecutive (T, V, H, W) ``states``, standardized by ``specs``."""
+    return standardize_array(residual(states, np.float32), specs)
+
+
+def next_state(x: np.ndarray, resid_std: np.ndarray, specs) -> np.ndarray:
+    """The state after ``x`` whose standardized residual is ``resid_std``: x + the raw residual."""
+    return x + destandardize_array(resid_std, specs)
+
+
 def residual_specs(data: np.ndarray, specs) -> tuple[VariableSpec, ...]:
-    """Per-variable statistics of the one-step differences of (T, V, H, W) ``data``.
+    """Per-variable statistics of the residuals of consecutive (T, V, H, W) ``data``.
 
     The residual mean/std are computed from the data itself (not the state
     climatology), which is what residual standardization must use. They are
     taken in float64 one variable at a time, so the largest temporary is one
-    variable's (T-1, H, W) float64 difference stack, not the whole slice's.
+    variable's (T-1, H, W) float64 residual stack, not the whole slice's.
     """
     if data.shape[0] < 2:
         raise DomainError("need at least two time steps for residual statistics")
-    out = []
-    for v, s in enumerate(specs):
-        diff = np.subtract(data[1:, v], data[:-1, v], dtype=np.float64)
-        std = float(diff.std())
-        out.append(
-            VariableSpec(
-                name=s.name,
-                mean=float(diff.mean()),
-                std=max(std, 1e-12),
-                loss_weight=s.loss_weight,
-                level=s.level,
-            )
-        )
-    return tuple(out)
+    return fit_specs(specs, (residual(column, np.float64) for column in data.swapaxes(0, 1)))
 
 
 def default_grid(h: int, w: int):
@@ -206,16 +230,41 @@ def gen_synthetic(
                 cur = cur + forcing * grf(amp)
             data[i, j] = cur
 
-    specs = tuple(
-        VariableSpec(
-            name=f"var{j}",
-            mean=float(data[:, j].mean()),
-            std=max(float(data[:, j].std()), 1e-12),
-        )
-        for j in range(v)
-    )
+    unfitted = tuple(VariableSpec(name=f"var{j}", mean=0.0, std=1.0) for j in range(v))
+    specs = fit_specs(unfitted, data.swapaxes(0, 1))
     lat, lon = default_grid(h, w)
     return FieldBatch(data=data.astype(np.float32), lat=lat, lon=lon, specs=specs)
+
+
+# ---------------------------------------------------------------------------
+# Input files: one rule for a missing, unreadable or malformed file.
+# ---------------------------------------------------------------------------
+
+
+def read_file(path, read, missing: str):
+    """``read(path)``, under the one rule for an input file that is not as expected.
+
+    A missing file is a ConfigError saying ``missing``. A file that cannot be
+    read (a directory in its place, say) or that ``read`` finds malformed is a
+    FormatError naming ``path``.
+    """
+    if not os.path.exists(path):
+        raise ConfigError(missing)
+    try:
+        return read(path)
+    except OSError as exc:
+        raise FormatError(f"{path}: cannot read it: {exc.strerror or exc}") from exc
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+
+
+def read_json(path):
+    """The JSON value in ``path``; a file that is not JSON is a FormatError."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError on non-UTF-8 bytes
+            raise FormatError(f"is not valid JSON: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

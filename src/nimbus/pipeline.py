@@ -55,16 +55,7 @@ def split_dataset(batch: grid.FieldBatch, train_frames: int, k: int) -> DatasetB
     if t < need:
         raise ConfigError(f"dataset has {t} frames; need at least {need}")
     train = batch.data[:train_frames]
-    state_specs = tuple(
-        grid.VariableSpec(
-            name=s.name,
-            mean=float(train[:, i].mean(dtype=np.float64)),
-            std=max(float(train[:, i].std(dtype=np.float64)), 1e-12),
-            loss_weight=s.loss_weight,
-            level=s.level,
-        )
-        for i, s in enumerate(batch.specs)
-    )
+    state_specs = grid.fit_specs(batch.specs, train.swapaxes(0, 1))
     resid_specs = grid.residual_specs(train, batch.specs)
     init = grid.FieldBatch(
         data=batch.data[train_frames : train_frames + k + 1],
@@ -85,12 +76,6 @@ def split_dataset(batch: grid.FieldBatch, train_frames: int, k: int) -> DatasetB
         lat_w=lat_w,
         var_w=var_w,
     )
-
-
-def standardized_residual_frames(bundle: DatasetBundle) -> np.ndarray:
-    """Standardized one-step differences X_{t+1} - X_t of the train slice, float32."""
-    resid = np.diff(bundle.train, axis=0)
-    return grid.standardize_array(resid, bundle.resid_specs)
 
 
 def standardized_state_frames(bundle: DatasetBundle) -> np.ndarray:
@@ -180,7 +165,7 @@ def train_vae(
     tc = models.TrainConfig(
         iters=cfg["iters"], batch=cfg["batch"], lr=cfg["lr"], seed=seed * 7919 + 11
     )
-    resid_std = standardized_residual_frames(bundle)
+    resid_std = grid.standardized_residuals(bundle.train, bundle.resid_specs)
     models.train_vae(vae, resid_std, tc, strategy, bundle.lat_w, bundle.var_w, workers)
     return vae
 
@@ -214,7 +199,7 @@ def _chunked(fn, data, chunk, workers):
 
 
 def residual_latents(vae: models.Vae, resid_std: np.ndarray, workers: int = 1) -> np.ndarray:
-    """Posterior-mean latents of ``standardized_residual_frames(bundle)``."""
+    """Posterior-mean latents of standardized residual frames (N, V, H, W)."""
     return _chunked(vae.encode_mean, resid_std, 8, workers)
 
 
@@ -249,7 +234,8 @@ def train_denoiser(
     cfg = config["diffusion"]
     k = config["mae"]["k"]
     # index t: residual of step t -> t+1
-    z_all = residual_latents(vae, standardized_residual_frames(bundle), workers)
+    resid_std = grid.standardized_residuals(bundle.train, bundle.resid_specs)
+    z_all = residual_latents(vae, resid_std, workers)
     z_bar_all = conditioning_latents(encoder, bundle, z_all, k, workers)
     targets = np.arange(k, bundle.train.shape[0] - 1)
     if cfg["sigma_data"] == "auto":

@@ -134,10 +134,10 @@ def test_import_loads_no_scipy_module():
 def test_rebuild_loads_checkpoints_without_standardizing(trained, monkeypatch):
     out, config, _ = trained
 
-    def forbidden(bundle):
+    def forbidden(*args):
         raise AssertionError("model rebuild standardized the training slice")
 
-    monkeypatch.setattr(pipeline, "standardized_residual_frames", forbidden)
+    monkeypatch.setattr(grid, "standardized_residuals", forbidden)
     monkeypatch.setattr(pipeline, "standardized_state_frames", forbidden)
     cfg = cli.load_config(str(config))
     _, fmodels = cli._rebuild_models(cfg, argparse.Namespace(out=str(out)), 0)
@@ -157,6 +157,19 @@ def test_cond_mode_2d_points_to_ablate(tmp_path, caplog):
     assert "nimbus ablate" in caplog.text
     path.write_text(json.dumps({"ablate": {"conds": ["2d"]}}))
     assert cli.main(["ablate", "--config", str(path), "--dry-run"]) == 0
+
+
+def _directory_in_place(path):
+    """Replace the file at ``path`` with an empty directory: it exists, but no one can read it."""
+    path.unlink()
+    path.mkdir()
+
+
+def _as_directory(name):
+    def damage(out, cfg):
+        _directory_in_place(out / name)
+
+    return damage
 
 
 def _truncate(name):
@@ -197,8 +210,14 @@ def _other_hidden(out, cfg):
         (_other_hidden, "denoiser.pypt", "tensor proj.w: shape"),
         (_overflow_dims, "vae.pypt", "truncated tensor enc0.w payload"),
         (_duplicate_first_tensor, "vae.pypt", "duplicate tensor enc0.w"),
+        (_as_directory("vae.pypt"), "vae.pypt", "cannot read it"),
+        (_as_directory("mae.pypt"), "mae.pypt", "cannot read it"),
+        (_as_directory("denoiser.pypt"), "denoiser.pypt", "cannot read it"),
     ],
-    ids=["truncated-vae", "truncated-mae", "denoiser-shape", "overflowing-dims-vae", "duplicate-vae"],
+    ids=[
+        "truncated-vae", "truncated-mae", "denoiser-shape", "overflowing-dims-vae", "duplicate-vae",
+        "directory-vae", "directory-mae", "directory-denoiser",
+    ],
 )
 def test_bad_checkpoint_exits_3_naming_file(trained, tmp_path, damage, culprit, message, caplog):
     out, config, _ = trained
@@ -213,14 +232,20 @@ def test_bad_checkpoint_exits_3_naming_file(trained, tmp_path, damage, culprit, 
 
 @pytest.mark.parametrize(
     "content",
-    ["{not json", "[0.5]", "{}", '{"sigma_data": "x"}', '{"sigma_data": -1}', '{"sigma_data": NaN}'],
-    ids=["not-json", "not-object", "no-sigma", "sigma-str", "sigma-negative", "sigma-nan"],
+    [
+        "{not json", "[0.5]", "{}", '{"sigma_data": "x"}', '{"sigma_data": -1}',
+        '{"sigma_data": NaN}', None,
+    ],
+    ids=["not-json", "not-object", "no-sigma", "sigma-str", "sigma-negative", "sigma-nan", "directory"],
 )
 @pytest.mark.parametrize("command", ["forecast", "diagnose"])
 def test_malformed_edm_config_exits_3(trained, tmp_path, content, command, caplog):
     out, config, _ = trained
     shutil.copytree(out, tmp_path, dirs_exist_ok=True)
-    (tmp_path / "edm_config.json").write_text(content)
+    if content is None:
+        _directory_in_place(tmp_path / "edm_config.json")
+    else:
+        (tmp_path / "edm_config.json").write_text(content)
     with caplog.at_level(logging.ERROR, logger="nimbus"):
         assert cli.main([command, "--config", str(config), "--out", str(tmp_path)]) == 3
     assert f"numeric failure: {tmp_path / 'edm_config.json'}" in caplog.text
@@ -574,11 +599,13 @@ def _shift_lon(b):
         (_regrid(_rename, [0, 1]), "member_000.pyld", "variable names differ from the dataset's"),
         (_regrid(_flip_lat, [0, 1]), "member_000.pyld", "latitudes differ from the dataset's"),
         (_regrid(_shift_lon, [0, 1]), "member_000.pyld", "longitudes differ from the dataset's"),
+        (lambda fc: _directory_in_place(fc / "manifest.json"), "manifest.json", "cannot read it"),
+        (lambda fc: _directory_in_place(fc / "member_001.pyld"), "member_001.pyld", "cannot read it"),
     ],
     ids=[
         "not-json", "no-members", "members-str", "members-0", "not-object", "seeds-short",
         "truncated-member", "member-shape", "member-names", "member-lat", "member-lon",
-        "ensemble-names", "ensemble-lat", "ensemble-lon",
+        "ensemble-names", "ensemble-lat", "ensemble-lon", "directory-manifest", "directory-member",
     ],
 )
 def test_evaluate_malformed_forecast_exits_3(trained, tmp_path, damage, culprit, message, caplog):
@@ -628,15 +655,19 @@ def _zero_std(blob):
         (_zero_std, "variable 'var0': std must be > 0"),
         (lambda blob: blob.replace(b"var1", b"var0", 1), "variable names must be unique"),
         (lambda blob: blob[:-4] + struct.pack("<f", np.nan), "field data contains non-finite"),
+        (None, "cannot read it"),
     ],
-    ids=["std-0", "duplicate-name", "nan-payload"],
+    ids=["std-0", "duplicate-name", "nan-payload", "directory"],
 )
 @pytest.mark.parametrize("target", ["dataset", "member"])
 def test_corrupt_field_file_exits_3_naming_it(trained, tmp_path, damage, message, target, caplog):
     out, config, _ = trained
     _dataset_and_forecast(out, tmp_path)
     culprit = tmp_path / ("dataset.pyld" if target == "dataset" else "forecast/member_001.pyld")
-    culprit.write_bytes(damage(culprit.read_bytes()))
+    if damage is None:
+        _directory_in_place(culprit)
+    else:
+        culprit.write_bytes(damage(culprit.read_bytes()))
     command = "train-vae" if target == "dataset" else "evaluate"
     with caplog.at_level(logging.ERROR, logger="nimbus"):
         assert cli.main([command, "--config", str(config), "--out", str(tmp_path)]) == 3
@@ -792,23 +823,23 @@ def test_ablate_scores_every_conditioning_and_trains_each_model_once_per_seed(
 def test_stages_standardize_states_once(trained, tmp_path, monkeypatch):
     out, config, _ = trained
     shutil.copytree(out, tmp_path, dirs_exist_ok=True)
-    counts = {"standardized_state_frames": {}, "standardized_residual_frames": {}}
+    counts = {(pipeline, "standardized_state_frames"): {}, (grid, "standardized_residuals"): {}}
 
-    def counting(name):
-        frames = getattr(pipeline, name)
+    def counting(owner, name):
+        frames = getattr(owner, name)
 
-        def counted(bundle):
-            counts[name][stage] = counts[name].get(stage, 0) + 1
-            return frames(bundle)
+        def counted(*args):
+            counts[owner, name][stage] = counts[owner, name].get(stage, 0) + 1
+            return frames(*args)
 
         return counted
 
-    for name in counts:
-        monkeypatch.setattr(pipeline, name, counting(name))
+    for owner, name in counts:
+        monkeypatch.setattr(owner, name, counting(owner, name))
     for stage in ("train-diffusion", "diagnose"):
         assert cli.main([stage, "--config", str(config), "--out", str(tmp_path)]) == 0
-    for name in counts:
-        assert counts[name] == {"train-diffusion": 1, "diagnose": 1}, name
+    for key, count in counts.items():
+        assert count == {"train-diffusion": 1, "diagnose": 1}, key[1]
 
 
 def test_non_utf8_variable_name_exits_3(trained, tmp_path, caplog):

@@ -171,7 +171,9 @@ def test_training_and_rollout_condition_alike(tiny, encoder, monkeypatch):
     Both paths hand the encoder the same windows, bit for bit. Training
     encodes them 4 at a time and the rollout one at a time; OpenBLAS may
     pick another GEMM kernel for another row count, so encoded z_bar agree
-    to float32 rounding, and the zeros of no encoder bit for bit.
+    to float32 rounding, and the zeros of no encoder bit for bit. The
+    residual that the VAE encodes for the member's first z_prev is row t - 1
+    of the training residual frames, bit for bit.
     """
     fmodels, bundle = tiny
     enc = {
@@ -190,7 +192,8 @@ def test_training_and_rollout_condition_alike(tiny, encoder, monkeypatch):
             return encode(x, *args, **kwargs)
 
         monkeypatch.setattr(enc, "encode_array", recording_encode)
-    z_all = pipeline.residual_latents(fmodels.vae, pipeline.standardized_residual_frames(bundle))
+    resid_std = grid.standardized_residuals(bundle.train, bundle.resid_specs)
+    z_all = pipeline.residual_latents(fmodels.vae, resid_std)
     z_bar_all = pipeline.conditioning_latents(enc, bundle, z_all, K)
     assert z_bar_all.shape[0] == bundle.train.shape[0] - 1 - K
 
@@ -202,11 +205,21 @@ def test_training_and_rollout_condition_alike(tiny, encoder, monkeypatch):
         return make(net, z_bar, *args, **kwargs)
 
     monkeypatch.setattr(edm, "make_denoise_fn", recording_make)
+    vae_inputs = []
+    encode_mean = fmodels.vae.encode_mean
+
+    def recording_encode_mean(x):
+        vae_inputs.append(x.copy())
+        return encode_mean(x)
+
+    monkeypatch.setattr(fmodels.vae, "encode_mean", recording_encode_mean)
     phase[0] = "rollout"
     for i in range(z_bar_all.shape[0]):
         t = K + i
-        state = forecast.init_member_state(fmodels, bundle.train[t - K : t + 1])
-        forecast.step(fmodels, state, np.random.default_rng(0))
+        window = bundle.train[t - K : t + 1]
+        z_prev = forecast.init_member_state(fmodels, window)
+        assert vae_inputs[-1].tobytes() == resid_std[t - 1 : t].tobytes(), f"row {i}"
+        forecast.step(fmodels, window, z_prev, 0, np.random.default_rng(0), False)
         z_bar = seen[-1]
         assert z_bar.dtype == z_bar_all.dtype and z_bar.shape == (1,) + z_bar_all.shape[1:]
         if enc is None:

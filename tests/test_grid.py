@@ -24,8 +24,7 @@ def make_batch(t=4, v=2, h=8, w=8, seed=0):
 def residual_frames(b):
     """The residual frames the VAE trains on, for train slice b, with unit statistics."""
     unit = tuple(dataclasses.replace(s, mean=0.0, std=1.0) for s in b.specs)
-    bundle = pipeline.DatasetBundle(b, b.data, b, b.data, b.specs, unit, None, None)
-    return pipeline.standardized_residual_frames(bundle)
+    return grid.standardized_residuals(b.data, unit)
 
 
 class TestLatWeights:
@@ -119,6 +118,18 @@ class TestResiduals:
         r = residual_frames(b)
         recon = b.data[0] + r.astype(np.float64).sum(axis=0)
         np.testing.assert_allclose(recon, b.data[-1], atol=1e-5)
+
+    def test_next_state_inverts_the_residual(self):
+        b = make_batch(t=8, v=3, seed=6)
+        specs = grid.residual_specs(b.data, b.specs)
+        resid_std = grid.standardized_residuals(b.data, specs)
+        x_next = np.stack([grid.next_state(x, r, specs) for x, r in zip(b.data, resid_std)])
+        assert x_next.dtype == np.float32
+        # Six float32 roundings (the difference, the shift and scale each way,
+        # the sum), each within one ulp of the largest state: residuals reach
+        # twice its size.
+        ulp = np.spacing(np.abs(b.data).max())
+        np.testing.assert_allclose(x_next, b.data[1:], rtol=0, atol=6 * ulp)
 
     def test_residual_specs_use_residual_statistics(self):
         b = make_batch(t=16, v=3, h=16, w=24, seed=5)

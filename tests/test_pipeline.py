@@ -61,7 +61,7 @@ def test_too_short_dataset_rejected(batch):
 
 
 def test_standardized_residual_frames(bundle):
-    got = pipeline.standardized_residual_frames(bundle)
+    got = grid.standardized_residuals(bundle.train, bundle.resid_specs)
     train = bundle.train
     assert got.dtype == np.float32
     assert got.shape == (TRAIN - 1,) + train.shape[1:]
