@@ -11,6 +11,12 @@ each section.key its default and its rule side by side, and the rules that
 tie keys together follow in ``_check_together``. An unknown key or a value
 that breaks a rule ends the command with exit 2 and a message naming the key.
 
+``train-diffusion`` writes edm_config.json beside denoiser.pypt: the
+sigma_data of the residual latents, the variable names, and the per-variable
+mean and std of the training slice's states and residuals, the statistics
+that every model was trained with. ``forecast`` and ``diagnose`` standardize
+with those and fit nothing; an edm_config.json without them exits 3.
+
 --workers threads run the ensemble members (``forecast``, ``ablate``), the
 training samples (``train-*``, ``ablate``) and the latent precompute
 (``train-diffusion``, ``diagnose``); the BLAS threads are divided among
@@ -23,6 +29,7 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import dataclasses
 import datetime
 import hashlib
 import json
@@ -363,14 +370,59 @@ def _encoder(cfg, args, bundle, seed):
     return _load(pipeline.build_mae(bundle, cfg["mae"], seed), args.out, "mae.pypt")
 
 
-def _sigma_data(out_dir):
-    """sigma_data from edm_config.json: a finite number > 0, else a FormatError naming the file."""
+# What edm_config.json holds beside sigma_data: the variable names, then the
+# per-variable mean and std of the training slice's states and of its residuals.
+STAT_KEYS = ("variables", "state_mean", "state_std", "resid_mean", "resid_std")
+
+
+def _training_stats(bundle) -> dict:
+    """The STAT_KEYS entries of ``bundle``'s train slice, one list entry per variable."""
+    state, resid = bundle.state_specs, bundle.resid_specs
+    columns = ([s.name for s in state], [s.mean for s in state], [s.std for s in state])
+    columns += ([s.mean for s in resid], [s.std for s in resid])
+    return dict(zip(STAT_KEYS, columns))
+
+
+def _trained_with(out_dir, specs):
+    """sigma_data, state specs and residual specs from edm_config.json.
+
+    The specs are the dataset's ``specs``, whose names the file must list,
+    with the mean and std of the training slice that ``train-diffusion``
+    read. A file that breaks a rule is a FormatError naming it.
+    """
     path = os.path.join(out_dir, "edm_config.json")
     saved = _read_checkpoint(path, grid.read_json)
-    sigma = saved.get("sigma_data") if isinstance(saved, dict) else None
+    saved = saved if isinstance(saved, dict) else {}
+    sigma = saved.get("sigma_data")
     if not POSITIVE.ok(sigma):
         raise FormatError(f"{path}: sigma_data must be {POSITIVE.text}, got {sigma!r}")
-    return float(sigma)
+    missing = [key for key in STAT_KEYS if key not in saved]
+    if missing:
+        raise FormatError(
+            f"{path}: is missing training statistics ({', '.join(missing)}); "
+            "re-run `nimbus train-diffusion` to write them"
+        )
+    names, variables = [s.name for s in specs], saved["variables"]
+    if not isinstance(variables, list) or len(variables) != len(names):
+        raise FormatError(
+            f"{path}: variables must list the dataset's {len(names)} variable names, "
+            f"got {variables!r}"
+        )
+    for got, want in zip(variables, names):
+        if got != want:
+            raise FormatError(
+                f"{path}: holds statistics of variable {got!r} where the dataset has {want!r}"
+            )
+    for key in STAT_KEYS[1:]:
+        rule = listof(POSITIVE if key.endswith("std") else FINITE, len(names))
+        if not rule.ok(saved[key]):
+            raise FormatError(f"{path}: {key} must be {rule.text}, got {saved[key]!r}")
+
+    def trained(kind):
+        stats = zip(specs, saved[f"{kind}_mean"], saved[f"{kind}_std"])
+        return tuple(dataclasses.replace(s, mean=float(m), std=float(sd)) for s, m, sd in stats)
+
+    return float(sigma), trained("state"), trained("resid")
 
 
 # ---------------------------------------------------------------------------
@@ -426,18 +478,24 @@ def cmd_train_diffusion(cfg, args):
     net, edm_cfg = pipeline.train_denoiser(bundle, cfg, vae, encoder, seed, args.workers)
     _save_model(net.params, args.out, "denoiser.pypt")
     with open(os.path.join(args.out, "edm_config.json"), "w") as fh:
-        json.dump({"sigma_data": edm_cfg.sigma_data}, fh)
+        json.dump({"sigma_data": edm_cfg.sigma_data, **_training_stats(bundle)}, fh)
     log.info("saved denoiser checkpoint (cond=%s)", cfg["diffusion"]["cond_mode"])
 
 
 def _rebuild_models(cfg, args, seed):
+    """The dataset split and the trained models, with the statistics they were trained with.
+
+    Nothing is fitted: the statistics come from edm_config.json, so the
+    dataset is read for its init window (and, by ``diagnose``, its train slice).
+    """
     bundle = _load_bundle(cfg, args)
     vae = _load(pipeline.build_vae(bundle, cfg["vae"], seed), args.out, "vae.pypt")
     encoder = _encoder(cfg, args, bundle, seed)
     net = _load(pipeline.build_denoiser(cfg, seed), args.out, "denoiser.pypt")
-    edm_cfg = pipeline.edm_config(cfg["sampler"], _sigma_data(args.out))
+    sigma_data, state_specs, resid_specs = _trained_with(args.out, bundle.full.specs)
+    edm_cfg = pipeline.edm_config(cfg["sampler"], sigma_data)
     return bundle, forecast.ForecastModels(
-        vae, net, edm_cfg, bundle.state_specs, bundle.resid_specs, cfg["mae"]["k"], encoder
+        vae, net, edm_cfg, state_specs, resid_specs, cfg["mae"]["k"], encoder
     )
 
 
@@ -513,9 +571,10 @@ def cmd_diagnose(cfg, args):
     bundle, fmodels = _rebuild_models(cfg, args, seed)
     k = cfg["mae"]["k"]
     vae = fmodels.vae
-    resid_std = grid.standardized_residuals(bundle.train, bundle.resid_specs)
+    resid_std = grid.standardized_residuals(bundle.train, fmodels.resid_specs)
     z_all = pipeline.residual_latents(vae, resid_std, args.workers)
-    z_bar_all = pipeline.conditioning_latents(fmodels.encoder, bundle, z_all, k, args.workers)
+    states_std = pipeline.standardized_state_frames(bundle.train, fmodels.state_specs)
+    z_bar_all = pipeline.conditioning_latents(fmodels.encoder, states_std, z_all, k, args.workers)
     targets = np.arange(k, bundle.train.shape[0] - 1)
     n = min(64, len(targets))
     rng = np.random.default_rng(seed)

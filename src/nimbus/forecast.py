@@ -9,6 +9,12 @@ window (the encoder never reads its final frame), samples a residual latent
 with the EDM sampler, decodes it, and integrates the next state with
 ``grid.next_state``.
 
+Rollouts standardize with the statistics of the training slice that the
+models learned on, which ``ForecastModels`` carries (``nimbus forecast``
+reads them from edm_config.json), never with statistics of the dataset the
+init window comes from. The member files hold those training state
+statistics in their headers.
+
 With ``workers`` > 1, members run on that many threads
 (``autodiff.thread_map``), and the BLAS threads are divided among them for
 the rollout, so member threads and BLAS threads do not compete for the same
@@ -32,8 +38,10 @@ from .models import FrameAe, Mae, Vae
 class ForecastModels:
     """Frozen model bundle plus the normalization statistics it was trained with.
 
-    ``encoder`` encodes the conditioning window: a 3D-MAE, a frame AE, or
-    None for zero conditioning.
+    ``state_specs`` and ``resid_specs`` hold the per-variable mean and std of
+    the training slice's states and residuals, as ``train-diffusion`` wrote
+    them to edm_config.json beside sigma_data. ``encoder`` encodes the
+    conditioning window: a 3D-MAE, a frame AE, or None for zero conditioning.
     """
 
     vae: Vae
@@ -138,7 +146,10 @@ def rollout(
     stochastic: bool = False,
     workers: int = 1,
 ) -> EnsembleForecast:
-    """M-member forecast; member m is reproducible from (base_seed, m) alone."""
+    """M-member forecast; member m is reproducible from (base_seed, m) alone.
+
+    The members take ``models.state_specs``, the training statistics, as their specs.
+    """
     if init_window.data.shape[0] != models.k + 1:
         raise DomainError(
             f"init window needs {models.k + 1} states, got {init_window.data.shape[0]}"
@@ -157,7 +168,7 @@ def rollout(
         member_seeds=[[int(base_seed), m] for m in range(members)],
         lat=init_window.lat,
         lon=init_window.lon,
-        specs=init_window.specs,
+        specs=models.state_specs,
     )
 
 

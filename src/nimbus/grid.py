@@ -80,7 +80,8 @@ class FieldBatch:
         d = np.diff(lat)
         if lat.size > 1 and not (np.all(d > 0) or np.all(d < 0)):
             raise DomainError("latitudes must be strictly monotone")
-        if not np.all(np.isfinite(data)):
+        # Frame by frame: the mask is one frame's, not the whole batch's.
+        if not all(np.isfinite(frame).all() for frame in data):
             raise DomainError("field data contains non-finite values")
         for arr in (data, lat, lon):
             arr.setflags(write=False)

@@ -7,6 +7,7 @@ so every artifact is reproducible from (config, seed) alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,16 +22,31 @@ COND_MODES = ("3dmae", "2d", "none")
 
 @dataclass
 class DatasetBundle:
-    """Train slice, forecast init window, and verification truth."""
+    """Train slice, forecast init window, and verification truth.
+
+    The statistics of the train slice are fitted on first read, so a stage
+    fits only those it uses: ``train-vae`` the residual ones, ``train-mae``
+    the state ones, ``train-diffusion`` both and ``evaluate`` neither.
+    ``train-diffusion`` stores both in edm_config.json, and ``forecast`` and
+    ``diagnose`` read them from there.
+    """
 
     full: grid.FieldBatch
     train: np.ndarray  # (T_train, V, H, W), a read-only view of full.data
     init_window: grid.FieldBatch
     truth: np.ndarray  # (T_eval, V, H, W)
-    state_specs: tuple
-    resid_specs: tuple
     lat_w: np.ndarray
     var_w: np.ndarray
+
+    @cached_property
+    def state_specs(self) -> tuple:
+        """The dataset's specs with the float64 state mean and std of the train slice."""
+        return grid.fit_specs(self.full.specs, self.train.swapaxes(0, 1))
+
+    @cached_property
+    def resid_specs(self) -> tuple:
+        """The dataset's specs with the mean and std of the train slice's residuals."""
+        return grid.residual_specs(self.train, self.full.specs)
 
 
 def check_train_frames(train_frames: int, k: int) -> None:
@@ -48,39 +64,31 @@ def frames_needed(train_frames: int, k: int) -> int:
 
 
 def split_dataset(batch: grid.FieldBatch, train_frames: int, k: int) -> DatasetBundle:
-    """Leading frames train; the next k+1 initialize; the rest verify."""
+    """Leading frames train; the next k+1 initialize; the rest verify. Nothing is fitted."""
     check_train_frames(train_frames, k)
     t = batch.data.shape[0]
     need = frames_needed(train_frames, k)
     if t < need:
         raise ConfigError(f"dataset has {t} frames; need at least {need}")
-    train = batch.data[:train_frames]
-    state_specs = grid.fit_specs(batch.specs, train.swapaxes(0, 1))
-    resid_specs = grid.residual_specs(train, batch.specs)
     init = grid.FieldBatch(
         data=batch.data[train_frames : train_frames + k + 1],
         lat=batch.lat,
         lon=batch.lon,
-        specs=state_specs,
+        specs=batch.specs,
     )
-    truth = batch.data[train_frames + k + 1 :]
-    lat_w = grid.lat_weights(batch.lat)
-    var_w = np.array([s.loss_weight for s in batch.specs])
     return DatasetBundle(
         full=batch,
-        train=train,
+        train=batch.data[:train_frames],
         init_window=init,
-        truth=truth,
-        state_specs=state_specs,
-        resid_specs=resid_specs,
-        lat_w=lat_w,
-        var_w=var_w,
+        truth=batch.data[train_frames + k + 1 :],
+        lat_w=grid.lat_weights(batch.lat),
+        var_w=np.array([s.loss_weight for s in batch.specs]),
     )
 
 
-def standardized_state_frames(bundle: DatasetBundle) -> np.ndarray:
-    """Standardized states of the train slice, float32."""
-    return grid.standardize_array(bundle.train, bundle.state_specs)
+def standardized_state_frames(states: np.ndarray, specs) -> np.ndarray:
+    """(T, V, H, W) ``states`` standardized by the state ``specs``, float32: the encoders' input."""
+    return grid.standardize_array(states, specs)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +183,7 @@ def train_mae(bundle: DatasetBundle, cfg: dict, seed: int, workers: int = 1) -> 
     tc = models.TrainConfig(
         iters=cfg["iters"], batch=cfg["batch"], lr=cfg["lr"], seed=seed * 7919 + 22
     )
-    states_std = standardized_state_frames(bundle)
+    states_std = standardized_state_frames(bundle.train, bundle.state_specs)
     models.train_mae(mae, states_std, tc, bundle.lat_w, bundle.var_w, workers)
     return mae
 
@@ -187,7 +195,7 @@ def train_frame_ae(
     tc = models.TrainConfig(
         iters=cfg["iters"], batch=cfg["batch"], lr=cfg["lr"], seed=seed * 7919 + 33
     )
-    states_std = standardized_state_frames(bundle)
+    states_std = standardized_state_frames(bundle.train, bundle.state_specs)
     models.train_frame_ae(ae, states_std, tc, bundle.lat_w, bundle.var_w, workers)
     return ae
 
@@ -204,16 +212,15 @@ def residual_latents(vae: models.Vae, resid_std: np.ndarray, workers: int = 1) -
 
 
 def conditioning_latents(
-    encoder, bundle: DatasetBundle, z_all: np.ndarray, k: int, workers: int = 1
+    encoder, states_std: np.ndarray, z_all: np.ndarray, k: int, workers: int = 1
 ) -> np.ndarray:
-    """z_bar for every trainable target step t in [k, T-2].
+    """z_bar for every trainable target step t in [k, T-2] of the standardized states.
 
     Row i conditions the step t = k + i (predicting frame t+1 of the
     training sequence) with the call ``forecast.step`` makes for a member
     whose last k+1 states are frames t-k..t; ``z_all`` are the residual
     latents.
     """
-    states_std = standardized_state_frames(bundle)
     targets = np.arange(k, states_std.shape[0] - 1)
 
     def encode(ts):
@@ -236,7 +243,8 @@ def train_denoiser(
     # index t: residual of step t -> t+1
     resid_std = grid.standardized_residuals(bundle.train, bundle.resid_specs)
     z_all = residual_latents(vae, resid_std, workers)
-    z_bar_all = conditioning_latents(encoder, bundle, z_all, k, workers)
+    states_std = standardized_state_frames(bundle.train, bundle.state_specs)
+    z_bar_all = conditioning_latents(encoder, states_std, z_all, k, workers)
     targets = np.arange(k, bundle.train.shape[0] - 1)
     if cfg["sigma_data"] == "auto":
         sigma_data = max(edm.estimate_sigma_data(z_all), 1e-3)

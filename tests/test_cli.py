@@ -230,25 +230,126 @@ def test_bad_checkpoint_exits_3_naming_file(trained, tmp_path, damage, culprit, 
         assert "byte offset" not in caplog.text
 
 
+def _first(key, value):
+    """The trained edm_config.json with the first entry of list ``key`` set to ``value``."""
+    return lambda saved: {**saved, key: [value] + saved[key][1:]}
+
+
 @pytest.mark.parametrize(
-    "content",
+    "content, message",
     [
-        "{not json", "[0.5]", "{}", '{"sigma_data": "x"}', '{"sigma_data": -1}',
-        '{"sigma_data": NaN}', None,
+        ("{not json", "is not valid JSON"),
+        ("[0.5]", "sigma_data must be"),
+        ("{}", "sigma_data must be"),
+        ('{"sigma_data": "x"}', "sigma_data must be"),
+        ('{"sigma_data": -1}', "sigma_data must be"),
+        ('{"sigma_data": NaN}', "sigma_data must be"),
+        (None, "cannot read it"),
+        (
+            lambda saved: {"sigma_data": saved["sigma_data"]},
+            "is missing training statistics (variables, state_mean, state_std, resid_mean, "
+            "resid_std); re-run `nimbus train-diffusion` to write them",
+        ),
+        (_first("state_std", math.nan), "state_std must be a list of 3 of entries each a finite number > 0"),
+        (_first("resid_std", 0.0), "resid_std must be a list of 3 of entries each a finite number > 0"),
+        (_first("state_std", -1.0), "state_std must be a list of 3 of entries"),
+        (_first("resid_mean", math.inf), "resid_mean must be a list of 3 of entries each a finite number"),
+        (
+            lambda saved: {k: v[:2] if isinstance(v, list) else v for k, v in saved.items()},
+            "variables must list the dataset's 3 variable names, got ['var0', 'var1']",
+        ),
+        (_first("variables", "rain"), "holds statistics of variable 'rain' where the dataset has 'var0'"),
     ],
-    ids=["not-json", "not-object", "no-sigma", "sigma-str", "sigma-negative", "sigma-nan", "directory"],
+    ids=[
+        "not-json", "not-object", "no-sigma", "sigma-str", "sigma-negative", "sigma-nan", "directory",
+        "no-statistics", "state-std-nan", "resid-std-zero", "state-std-negative", "resid-mean-inf",
+        "variable-count", "variable-name",
+    ],
 )
 @pytest.mark.parametrize("command", ["forecast", "diagnose"])
-def test_malformed_edm_config_exits_3(trained, tmp_path, content, command, caplog):
+def test_malformed_edm_config_exits_3(trained, tmp_path, content, message, command, caplog):
     out, config, _ = trained
     shutil.copytree(out, tmp_path, dirs_exist_ok=True)
+    path = tmp_path / "edm_config.json"
     if content is None:
-        _directory_in_place(tmp_path / "edm_config.json")
+        _directory_in_place(path)
+    elif callable(content):
+        path.write_text(json.dumps(content(json.loads(path.read_text()))))
     else:
-        (tmp_path / "edm_config.json").write_text(content)
+        path.write_text(content)
     with caplog.at_level(logging.ERROR, logger="nimbus"):
         assert cli.main([command, "--config", str(config), "--out", str(tmp_path)]) == 3
-    assert f"numeric failure: {tmp_path / 'edm_config.json'}" in caplog.text
+    assert f"numeric failure: {path}: {message}" in caplog.text
+
+
+def test_forecast_standardizes_with_the_training_statistics(trained, tmp_path):
+    # The statistics travel with the checkpoints: a dataset whose training
+    # frames are rescaled, init window and truth untouched, forecasts the same bytes.
+    out, config, _ = trained
+    members = {}
+    for name in ("original", "rescaled"):
+        run = tmp_path / name
+        shutil.copytree(out, run)
+        if name == "rescaled":
+            data = grid.read_fields(run / "dataset.pyld")
+            frames = data.data.copy()
+            train = TINY["forecast"]["train_frames"]
+            frames[:train] = 3 * frames[:train] + 2
+            grid.write_fields(dataclasses.replace(data, data=frames), run / "dataset.pyld")
+        assert cli.main(["forecast", "--config", str(config), "--out", str(run)]) == 0
+        fc = run / "forecast"
+        members[name] = [(fc / f"member_{m:03d}.pyld").read_bytes() for m in range(2)]
+    assert members["rescaled"] == members["original"]
+    # The member headers hold the training state statistics.
+    cfg = cli.load_config(str(config))
+    bundle = pipeline.split_dataset(
+        grid.read_fields(out / "dataset.pyld"), cfg["forecast"]["train_frames"], cfg["mae"]["k"]
+    )
+    assert grid.read_fields(tmp_path / "rescaled" / "forecast" / "member_000.pyld").specs == (
+        bundle.state_specs
+    )
+
+
+def test_each_stage_fits_only_the_statistics_it_reads(trained, tmp_path, monkeypatch):
+    out, config, _ = trained
+    shutil.copytree(out, tmp_path, dirs_exist_ok=True)
+    calls = []
+    for name in ("fit_specs", "residual_specs"):
+        fit = getattr(grid, name)
+
+        def counted(*args, name=name, fit=fit):
+            calls.append((stage, name))
+            return fit(*args)
+
+        monkeypatch.setattr(grid, name, counted)
+    stages = ("train-vae", "train-mae", "train-diffusion", "forecast", "evaluate", "diagnose")
+    for stage in stages:
+        assert cli.main([stage, "--config", str(config), "--out", str(tmp_path)]) == 0
+    # residual_specs fits through fit_specs; forecast, evaluate and diagnose fit nothing.
+    assert sorted(calls) == sorted(
+        [
+            ("train-vae", "residual_specs"), ("train-vae", "fit_specs"),
+            ("train-mae", "fit_specs"),
+            ("train-diffusion", "residual_specs"), ("train-diffusion", "fit_specs"),
+            ("train-diffusion", "fit_specs"),
+        ]
+    )
+
+
+def test_evaluate_fits_nothing(trained, tmp_path, monkeypatch):
+    out, config, _ = trained
+    _dataset_and_forecast(out, tmp_path)
+    argv = ["evaluate", "--config", str(config), "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    expected = (tmp_path / "metrics.json").read_bytes()
+    (tmp_path / "metrics.json").unlink()
+
+    def forbidden(*args):
+        raise AssertionError("evaluate fitted statistics")
+
+    monkeypatch.setattr(grid, "fit_specs", forbidden)
+    assert cli.main(argv) == 0
+    assert (tmp_path / "metrics.json").read_bytes() == expected
 
 
 @pytest.mark.parametrize("stochastic", [True, False])

@@ -290,14 +290,19 @@ class TestPeakAllocation:
         back, peak = peak_bytes(grid.read_fields, path)
         np.testing.assert_array_equal(back.data, b.data)
         # The file's bytes, read once, and the FieldBatch finiteness check's
-        # bool mask (one byte per value). A copy of the payload would add
-        # 4 bytes per value.
-        assert peak <= path.stat().st_size + b.data.size + self.SMALL
+        # bool mask of one frame (one byte per value). A copy of the payload
+        # would add 4 bytes per value.
+        assert peak <= path.stat().st_size + b.data[0].size + self.SMALL
 
     def test_split_dataset_works_one_variable_at_a_time(self):
         train, k = 24, 2
         b = grid.gen_synthetic(seed=3, h=32, w=64, v=4, t=train + k + 4)
-        _, peak = peak_bytes(pipeline.split_dataset, b, train, k)
+        def split_and_fit():
+            bundle = pipeline.split_dataset(b, train, k)
+            return bundle.state_specs, bundle.resid_specs
+
+        _, peak = peak_bytes(split_and_fit)
+        # The split only slices (views), so the peak is the fits':
         # residual_specs holds one variable's float64 difference stack and the
         # centred copy that its std makes; the state std's centred copy is one
         # frame larger. A float64 copy of the whole slice is 2V/3 stacks on its

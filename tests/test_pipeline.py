@@ -40,8 +40,19 @@ def test_state_specs_come_from_the_train_slice(batch, bundle):
         assert spec.std == train[:, i].std()
         # The dataset's own specs describe every frame, not the train slice.
         assert spec.mean != batch.specs[i].mean
-    assert bundle.init_window.specs == bundle.state_specs
     assert bundle.resid_specs == grid.residual_specs(bundle.train, batch.specs)
+
+
+def test_split_fits_nothing(batch, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("split_dataset fitted statistics")
+
+    monkeypatch.setattr(grid, "fit_specs", forbidden)
+    split = pipeline.split_dataset(batch, TRAIN, K)
+    # The init window keeps the dataset's own specs; rollouts take the models'.
+    assert split.init_window.specs == batch.specs
+    with pytest.raises(AssertionError, match="fitted"):
+        split.state_specs
 
 
 def test_weights(batch, bundle):
