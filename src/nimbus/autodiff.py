@@ -29,7 +29,7 @@ sample's ``backward()`` runs inside ``grad_sink()``, which sends the
 gradients of the shared leaves (the parameters) to a per-thread dict
 instead of ``.grad``; ``mean_grad_step`` sums those dicts in sample order
 and takes one optimizer step, so the result does not depend on the
-thread count.
+thread count. ``fit`` is the one training loop over those steps.
 """
 
 from __future__ import annotations
@@ -781,6 +781,24 @@ def mean_grad_step(opt: AdamW, loss_of: Callable[[int], Tensor], n: int, workers
         p.grad = None if total is None else total / n
     opt.step()
     return sum(loss for loss, _ in results) / n
+
+
+def fit(params: dict[str, Tensor], cfg: dict, draw: Callable[[], Callable], workers: int) -> list:
+    """Train ``params`` by AdamW at ``cfg["lr"]`` for ``cfg["iters"]`` steps; the loss curve.
+
+    Each step calls ``draw()`` once, on this thread and in step order, for its
+    per-sample loss ``loss_of(b)``, then takes one ``mean_grad_step`` over
+    ``cfg["batch"]`` samples: the result does not depend on ``workers``. A
+    DomainError, such as a non-finite loss, is re-raised naming the step.
+    """
+    opt = AdamW(params, lr=cfg["lr"])
+    losses = []
+    for i in range(cfg["iters"]):
+        try:
+            losses.append(mean_grad_step(opt, draw(), cfg["batch"], workers))
+        except DomainError as exc:
+            raise DomainError(f"training step {i + 1} of {cfg['iters']}: {exc}") from exc
+    return losses
 
 
 # ---------------------------------------------------------------------------

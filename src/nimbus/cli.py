@@ -573,7 +573,7 @@ def cmd_diagnose(cfg, args):
     vae = fmodels.vae
     resid_std = grid.standardized_residuals(bundle.train, fmodels.resid_specs)
     z_all = pipeline.residual_latents(vae, resid_std, args.workers)
-    states_std = pipeline.standardized_state_frames(bundle.train, fmodels.state_specs)
+    states_std = grid.standardize_array(bundle.train, fmodels.state_specs)
     z_bar_all = pipeline.conditioning_latents(fmodels.encoder, states_std, z_all, k, args.workers)
     targets = np.arange(k, bundle.train.shape[0] - 1)
     n = min(64, len(targets))

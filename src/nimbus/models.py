@@ -339,16 +339,6 @@ def frame_ae_loss(ae: FrameAe, batch: np.ndarray, lat_w, var_w):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class TrainConfig:
-    """One training loop's length, batch, learning rate and seed; AdamW fixes the rest."""
-
-    iters: int
-    batch: int
-    lr: float
-    seed: int
-
-
 def normal_streams(rng: np.random.Generator, n: int, shape) -> list[np.random.Generator]:
     """One Generator per sample of the batch draw ``rng.standard_normal((n, *shape[1:]))``.
 
@@ -365,95 +355,56 @@ def normal_streams(rng: np.random.Generator, n: int, shape) -> list[np.random.Ge
     return streams
 
 
-def train_vae(
-    vae: Vae,
-    resid_std: np.ndarray,
-    cfg: TrainConfig,
-    strategy: Strategy,
-    lat_w,
-    var_w,
-    workers: int = 1,
-) -> list[float]:
-    """Train on standardized residual frames (N, V, H, W); returns loss curve.
+def train_vae(vae: Vae, resid_std, cfg: dict, seed: int, strategy, lat_w, var_w, workers=1) -> list:
+    """Train on standardized residual frames (N, V, H, W); the loss curve.
 
-    Batch sampling, the masking schedule, and reparameterization noise use
+    Batch sampling, the masking schedule and reparameterization noise use
     separate seeded streams, so a gamma=1-only schedule reproduces the NONE
-    trace exactly. Each sample's loss and backward pass run on one of
-    ``workers`` threads (``ad.mean_grad_step``); the result does not
-    depend on ``workers``.
+    trace exactly.
     """
-    rng_batch = np.random.default_rng([cfg.seed, 0])
-    rng_gamma = np.random.default_rng([cfg.seed, 1])
-    rng_eps = np.random.default_rng([cfg.seed, 2])
-    opt = ad.AdamW(vae.params, lr=cfg.lr)
+    rng_batch, rng_gamma, rng_eps = (np.random.default_rng([seed, i]) for i in range(3))
     n, _, h, w = resid_std.shape
     latent = (1, vae.latent_channels, h // 4, w // 4)  # the encoder downsamples 4x
-    losses = []
-    for _ in range(cfg.iters):
-        idx = rng_batch.integers(0, n, size=cfg.batch)
-        batch = resid_std[idx]
+
+    def draw():
+        batch = resid_std[rng_batch.integers(0, n, size=cfg["batch"])]
         gamma, factor = regularize.draw(strategy, rng_gamma)
-        eps = normal_streams(rng_eps, cfg.batch, latent)
+        eps = normal_streams(rng_eps, cfg["batch"], latent)
 
         def loss_of(b):
-            sample = batch[b : b + 1]
-            return vae_loss(vae, sample, strategy, gamma, eps[b], lat_w, var_w, factor)[0]
+            return vae_loss(vae, batch[b : b + 1], strategy, gamma, eps[b], lat_w, var_w, factor)[0]
 
-        losses.append(ad.mean_grad_step(opt, loss_of, cfg.batch, workers))
-    return losses
+        return loss_of
+
+    return ad.fit(vae.params, cfg, draw, workers)
 
 
-def train_mae(
-    mae: Mae,
-    states_std: np.ndarray,
-    cfg: TrainConfig,
-    lat_w,
-    var_w,
-    workers: int = 1,
-) -> list[float]:
-    """Train on (k+1)-frame windows of the sequence; returns the loss curve.
-
-    ``states_std`` is the standardized state sequence (T, V, H, W). Samples
-    run on ``workers`` threads, as in ``train_vae``.
-    """
-    rng = np.random.default_rng(cfg.seed)
-    opt = ad.AdamW(mae.params, lr=cfg.lr)
+def train_mae(mae: Mae, states_std, cfg: dict, seed: int, lat_w, var_w, workers=1) -> list:
+    """Train on (k+1)-frame windows of the standardized states (T, V, H, W); the loss curve."""
+    rng = np.random.default_rng(seed)
     k = mae.cfg.k
     t_max = states_std.shape[0] - (k + 1)
     if t_max < 1:
         raise ConfigError(f"need at least {k + 2} frames to train the 3D-MAE")
-    losses = []
-    for _ in range(cfg.iters):
-        starts = rng.integers(0, t_max + 1, size=cfg.batch)
+
+    def draw():
+        starts = rng.integers(0, t_max + 1, size=cfg["batch"])
         # One (1, V, k+1, H, W) window per sample.
         windows = [
             np.ascontiguousarray(states_std[None, s : s + k + 1].swapaxes(1, 2)) for s in starts
         ]
+        return lambda b: mae_loss(mae, windows[b], lat_w, var_w)
 
-        def loss_of(b):
-            return mae_loss(mae, windows[b], lat_w, var_w)
-
-        losses.append(ad.mean_grad_step(opt, loss_of, cfg.batch, workers))
-    return losses
+    return ad.fit(mae.params, cfg, draw, workers)
 
 
-def train_frame_ae(
-    ae: FrameAe,
-    states_std: np.ndarray,
-    cfg: TrainConfig,
-    lat_w,
-    var_w,
-    workers: int = 1,
-) -> list[float]:
-    rng = np.random.default_rng(cfg.seed)
-    opt = ad.AdamW(ae.params, lr=cfg.lr)
+def train_frame_ae(ae: FrameAe, states_std, cfg: dict, seed: int, lat_w, var_w, workers=1) -> list:
+    """Train on single frames of the standardized states (T, V, H, W); the loss curve."""
+    rng = np.random.default_rng(seed)
     n = states_std.shape[0]
-    losses = []
-    for _ in range(cfg.iters):
-        idx = rng.integers(0, n, size=cfg.batch)
 
-        def loss_of(b):
-            return frame_ae_loss(ae, states_std[idx[b : b + 1]], lat_w, var_w)
+    def draw():
+        idx = rng.integers(0, n, size=cfg["batch"])
+        return lambda b: frame_ae_loss(ae, states_std[idx[b : b + 1]], lat_w, var_w)
 
-        losses.append(ad.mean_grad_step(opt, loss_of, cfg.batch, workers))
-    return losses
+    return ad.fit(ae.params, cfg, draw, workers)

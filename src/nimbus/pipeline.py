@@ -1,7 +1,7 @@
 """End-to-end glue: dataset prep, model training from config, scoring, ablation grid.
 
-The CLI subcommands and the acceptance suite both drive these entry points,
-so every artifact is reproducible from (config, seed) alone.
+The CLI subcommands drive these entry points, so every artifact is
+reproducible from (config, seed) alone.
 """
 
 from __future__ import annotations
@@ -86,11 +86,6 @@ def split_dataset(batch: grid.FieldBatch, train_frames: int, k: int) -> DatasetB
     )
 
 
-def standardized_state_frames(states: np.ndarray, specs) -> np.ndarray:
-    """(T, V, H, W) ``states`` standardized by the state ``specs``, float32: the encoders' input."""
-    return grid.standardize_array(states, specs)
-
-
 # ---------------------------------------------------------------------------
 # Model training from config dictionaries
 # ---------------------------------------------------------------------------
@@ -169,34 +164,29 @@ def edm_config(sampler: dict, sigma_data: float) -> edm.EdmConfig:
 def train_vae(
     bundle: DatasetBundle, cfg: dict, strategy: Strategy, seed: int, workers: int = 1
 ) -> models.Vae:
+    """``build_vae``'s VAE trained by the ``vae`` section ``cfg`` on the train residuals."""
     vae = build_vae(bundle, cfg, seed)
-    tc = models.TrainConfig(
-        iters=cfg["iters"], batch=cfg["batch"], lr=cfg["lr"], seed=seed * 7919 + 11
-    )
     resid_std = grid.standardized_residuals(bundle.train, bundle.resid_specs)
-    models.train_vae(vae, resid_std, tc, strategy, bundle.lat_w, bundle.var_w, workers)
+    weights = bundle.lat_w, bundle.var_w
+    models.train_vae(vae, resid_std, cfg, seed * 7919 + 11, strategy, *weights, workers)
     return vae
 
 
 def train_mae(bundle: DatasetBundle, cfg: dict, seed: int, workers: int = 1) -> models.Mae:
+    """``build_mae``'s 3D-MAE trained by the ``mae`` section ``cfg`` on the train states."""
     mae = build_mae(bundle, cfg, seed)
-    tc = models.TrainConfig(
-        iters=cfg["iters"], batch=cfg["batch"], lr=cfg["lr"], seed=seed * 7919 + 22
-    )
-    states_std = standardized_state_frames(bundle.train, bundle.state_specs)
-    models.train_mae(mae, states_std, tc, bundle.lat_w, bundle.var_w, workers)
+    states_std = grid.standardize_array(bundle.train, bundle.state_specs)
+    weights = bundle.lat_w, bundle.var_w
+    models.train_mae(mae, states_std, cfg, seed * 7919 + 22, *weights, workers)
     return mae
 
 
-def train_frame_ae(
-    bundle: DatasetBundle, cfg: dict, seed: int, workers: int = 1
-) -> models.FrameAe:
+def train_frame_ae(bundle: DatasetBundle, cfg: dict, seed: int, workers: int = 1) -> models.FrameAe:
+    """``build_frame_ae``'s AE trained by the ``frame_ae`` section ``cfg`` on the train states."""
     ae = build_frame_ae(bundle, cfg, seed)
-    tc = models.TrainConfig(
-        iters=cfg["iters"], batch=cfg["batch"], lr=cfg["lr"], seed=seed * 7919 + 33
-    )
-    states_std = standardized_state_frames(bundle.train, bundle.state_specs)
-    models.train_frame_ae(ae, states_std, tc, bundle.lat_w, bundle.var_w, workers)
+    states_std = grid.standardize_array(bundle.train, bundle.state_specs)
+    weights = bundle.lat_w, bundle.var_w
+    models.train_frame_ae(ae, states_std, cfg, seed * 7919 + 33, *weights, workers)
     return ae
 
 
@@ -235,15 +225,14 @@ def train_denoiser(
 ):
     """Train the conditional denoiser on residual latents; returns (net, edm_cfg).
 
-    The latent precompute and each sample's loss and backward pass run on
-    ``workers`` threads; the result does not depend on ``workers``.
+    The latent precompute runs on ``workers`` threads, and the training on ``ad.fit``.
     """
     cfg = config["diffusion"]
     k = config["mae"]["k"]
     # index t: residual of step t -> t+1
     resid_std = grid.standardized_residuals(bundle.train, bundle.resid_specs)
     z_all = residual_latents(vae, resid_std, workers)
-    states_std = standardized_state_frames(bundle.train, bundle.state_specs)
+    states_std = grid.standardize_array(bundle.train, bundle.state_specs)
     z_bar_all = conditioning_latents(encoder, states_std, z_all, k, workers)
     targets = np.arange(k, bundle.train.shape[0] - 1)
     if cfg["sigma_data"] == "auto":
@@ -252,10 +241,10 @@ def train_denoiser(
         sigma_data = float(cfg["sigma_data"])
     edm_cfg = edm_config(config["sampler"], sigma_data)
     net = build_denoiser(config, seed)
-    opt = ad.AdamW(net.params, lr=cfg["lr"])
     train_rng = np.random.default_rng([seed, 505])
     batch = cfg["batch"]
-    for _ in range(cfg["iters"]):
+
+    def draw():
         pick = train_rng.integers(0, len(targets), size=batch)
         ts = targets[pick]
         sigma = edm.sample_sigma(train_rng, edm_cfg, size=batch)
@@ -267,7 +256,9 @@ def train_denoiser(
                 net, z_all[t], z_bar_all[i], z_all[t - 1], sigma[b : b + 1], eps[b], edm_cfg
             )
 
-        ad.mean_grad_step(opt, loss_of, batch, workers)
+        return loss_of
+
+    ad.fit(net.params, cfg, draw, workers)
     return net, edm_cfg
 
 

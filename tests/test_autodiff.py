@@ -4,6 +4,8 @@ Checks run on float64 tensors (parameters are float32 in production); the
 relative-error criterion is max|analytic - numeric| / max(1, max|numeric|) < 1e-4.
 """
 
+import threading
+
 import numpy as np
 import pytest
 from gradcheck import numeric_gradient, param64, total
@@ -779,6 +781,63 @@ class TestAdamW:
         opt.step()
         # Pure decay: p - lr * wd * p (Adam term is 0/(0+eps) = 0).
         assert float(p.data[0]) == pytest.approx(10.0 - 0.1 * 0.5 * 10.0)
+
+
+class TestFit:
+    """``ad.fit``: one ``draw()`` per step on the calling thread, then one ``mean_grad_step``."""
+
+    BATCH = 3
+
+    def problem(self, events, nan_at=None):
+        """Parameters and a ``draw`` that logs ("draw", step) and each ("loss", step)."""
+        rng = np.random.default_rng(7)
+        params = {"w": ad.param(rng.standard_normal((3, 2, 3, 3))), "g": ad.param(np.ones(3))}
+        xs = rng.standard_normal((6, 1, 2, 5, 6)).astype(np.float32)
+
+        def draw():
+            step = sum(kind == "draw" for kind, _, _ in events) + 1
+            events.append(("draw", step, threading.get_ident()))
+            idx = rng.integers(0, len(xs), size=self.BATCH)
+
+            def loss_of(b):
+                events.append(("loss", step, None))
+                h = ad.conv2d(ad.constant(xs[idx[b]]), params["w"], zero_bias(params["w"]))
+                loss = ad.mean_all(ad.square(ad.rmsnorm(ad.silu(h), params["g"], axis=1)))
+                # Scaling by NaN raises no RuntimeWarning: backward() is the first to see it.
+                return ad.scale(loss, np.nan) if step == nan_at else loss
+
+            return loss_of
+
+        return params, draw
+
+    def fit(self, iters, workers, nan_at=None):
+        events = []
+        params, draw = self.problem(events, nan_at)
+        cfg = {"iters": iters, "batch": self.BATCH, "lr": 1e-2}
+        return ad.fit(params, cfg, draw, workers), params, events
+
+    @pytest.mark.parametrize("iters", [0, 4])
+    def test_one_draw_per_step_in_order_on_the_calling_thread(self, iters):
+        losses, _, events = self.fit(iters, workers=3)
+        assert len(losses) == iters and all(np.isfinite(losses))
+        expect = []
+        for step in range(1, iters + 1):
+            expect += [("draw", step)] + [("loss", step)] * self.BATCH
+        assert [(kind, step) for kind, step, _ in events] == expect
+        draws = {thread for kind, _, thread in events if kind == "draw"}
+        assert draws <= {threading.get_ident()}
+
+    def test_curve_and_parameters_do_not_depend_on_workers(self):
+        serial_losses, serial, _ = self.fit(4, workers=1)
+        losses, params, _ = self.fit(4, workers=3)
+        assert losses == serial_losses
+        for k, p in params.items():
+            np.testing.assert_array_equal(p.data, serial[k].data, err_msg=k)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_non_finite_loss_names_the_step(self, workers):
+        with pytest.raises(DomainError, match=r"^training step 3 of 5: loss is non-finite$"):
+            self.fit(5, workers, nan_at=3)
 
 
 class TestCheckpoints:

@@ -131,6 +131,18 @@ def test_import_loads_no_scipy_module():
     assert res.stdout.strip() == "False"
 
 
+def test_non_finite_training_loss_exits_3_naming_the_step(trained, tmp_path, monkeypatch, caplog):
+    out, config, _ = trained
+    shutil.copy(out / "dataset.pyld", tmp_path)
+    mae_loss = models.mae_loss
+    monkeypatch.setattr(models, "mae_loss", lambda *a: ad.scale(mae_loss(*a), np.nan))
+    with caplog.at_level(logging.ERROR, logger="nimbus"):
+        assert cli.main(["train-mae", "--config", str(config), "--out", str(tmp_path)]) == 3
+    steps = TINY["mae"]["iters"]
+    assert f"numeric failure: training step 1 of {steps}: loss is non-finite" in caplog.text
+    assert not (tmp_path / "mae.pypt").exists()
+
+
 def test_rebuild_loads_checkpoints_without_standardizing(trained, monkeypatch):
     out, config, _ = trained
 
@@ -138,7 +150,7 @@ def test_rebuild_loads_checkpoints_without_standardizing(trained, monkeypatch):
         raise AssertionError("model rebuild standardized the training slice")
 
     monkeypatch.setattr(grid, "standardized_residuals", forbidden)
-    monkeypatch.setattr(pipeline, "standardized_state_frames", forbidden)
+    monkeypatch.setattr(grid, "standardize_array", forbidden)
     cfg = cli.load_config(str(config))
     _, fmodels = cli._rebuild_models(cfg, argparse.Namespace(out=str(out)), 0)
     rebuilt = {"vae.pypt": fmodels.vae, "mae.pypt": fmodels.encoder, "denoiser.pypt": fmodels.denoiser}
@@ -924,7 +936,8 @@ def test_ablate_scores_every_conditioning_and_trains_each_model_once_per_seed(
 def test_stages_standardize_states_once(trained, tmp_path, monkeypatch):
     out, config, _ = trained
     shutil.copytree(out, tmp_path, dirs_exist_ok=True)
-    counts = {(pipeline, "standardized_state_frames"): {}, (grid, "standardized_residuals"): {}}
+    # standardized_residuals makes one of the two standardize_array calls.
+    counts = {(grid, "standardize_array"): {}, (grid, "standardized_residuals"): {}}
 
     def counting(owner, name):
         frames = getattr(owner, name)
@@ -939,8 +952,8 @@ def test_stages_standardize_states_once(trained, tmp_path, monkeypatch):
         monkeypatch.setattr(owner, name, counting(owner, name))
     for stage in ("train-diffusion", "diagnose"):
         assert cli.main([stage, "--config", str(config), "--out", str(tmp_path)]) == 0
-    for key, count in counts.items():
-        assert count == {"train-diffusion": 1, "diagnose": 1}, key[1]
+    assert counts[grid, "standardize_array"] == {"train-diffusion": 2, "diagnose": 2}
+    assert counts[grid, "standardized_residuals"] == {"train-diffusion": 1, "diagnose": 1}
 
 
 def test_non_utf8_variable_name_exits_3(trained, tmp_path, caplog):

@@ -194,7 +194,7 @@ def test_training_and_rollout_condition_alike(tiny, encoder, monkeypatch):
         monkeypatch.setattr(enc, "encode_array", recording_encode)
     resid_std = grid.standardized_residuals(bundle.train, bundle.resid_specs)
     z_all = pipeline.residual_latents(fmodels.vae, resid_std)
-    states_std = pipeline.standardized_state_frames(bundle.train, bundle.state_specs)
+    states_std = grid.standardize_array(bundle.train, bundle.state_specs)
     z_bar_all = pipeline.conditioning_latents(enc, states_std, z_all, K)
     assert z_bar_all.shape[0] == bundle.train.shape[0] - 1 - K
 

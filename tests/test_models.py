@@ -183,8 +183,8 @@ class TestTraining:
     def test_vae_loss_decreases(self):
         vae = make_vae(v=2, cz=3, base=4, seed=7)
         data = resid_batch(b=24, v=2, h=16, w=16, seed=8)
-        cfg = models.TrainConfig(iters=50, batch=4, lr=2e-3, seed=0)
-        losses = models.train_vae(vae, data, cfg, Strategy.NONE, *unit_weights(data))
+        cfg = {"iters": 50, "batch": 4, "lr": 2e-3}
+        losses = models.train_vae(vae, data, cfg, 0, Strategy.NONE, *unit_weights(data))
         head = np.mean(losses[:8])
         tail = np.mean(losses[-8:])
         assert tail < head
@@ -194,8 +194,8 @@ class TestTraining:
         outs = []
         for _ in range(2):
             vae = make_vae(v=2, cz=3, base=4, seed=11)
-            cfg = models.TrainConfig(iters=10, batch=2, lr=1e-3, seed=5)
-            models.train_vae(vae, data, cfg, Strategy.VAMFM, *unit_weights(data))
+            cfg = {"iters": 10, "batch": 2, "lr": 1e-3}
+            models.train_vae(vae, data, cfg, 5, Strategy.VAMFM, *unit_weights(data))
             path = tmp_path / f"ck{_}.pypt"
             ad.save_params(vae.params, path)
             outs.append(path.read_bytes())
@@ -205,13 +205,13 @@ class TestTraining:
         import nimbus.models as m
 
         data = resid_batch(b=12, v=2, h=16, w=16, seed=10)
-        cfg = models.TrainConfig(iters=8, batch=2, lr=1e-3, seed=6)
+        cfg = {"iters": 8, "batch": 2, "lr": 1e-3}
         monkeypatch.setattr(m.regularize, "draw", lambda strategy, rng: (1.0, 1))
         vae_a = make_vae(v=2, cz=3, base=4, seed=12)
-        la = models.train_vae(vae_a, data, cfg, Strategy.VAMFM, *unit_weights(data))
+        la = models.train_vae(vae_a, data, cfg, 6, Strategy.VAMFM, *unit_weights(data))
         monkeypatch.undo()
         vae_b = make_vae(v=2, cz=3, base=4, seed=12)
-        lb = models.train_vae(vae_b, data, cfg, Strategy.NONE, *unit_weights(data))
+        lb = models.train_vae(vae_b, data, cfg, 6, Strategy.NONE, *unit_weights(data))
         np.testing.assert_allclose(la, lb, rtol=1e-7)
 
     def test_mae_trains_constant_dynamics(self):
@@ -224,8 +224,8 @@ class TestTraining:
             frames = np.repeat(base, 5, axis=2).astype(np.float32)
             seq = np.repeat(base[0].transpose(1, 0, 2, 3), 8, axis=0).astype(np.float32)
             mae = TestMae().make(seed=seed)
-            cfg = models.TrainConfig(iters=60, batch=2, lr=3e-3, seed=seed)
-            models.train_mae(mae, seq, cfg, *unit_weights(seq))
+            cfg = {"iters": 60, "batch": 2, "lr": 3e-3}
+            models.train_mae(mae, seq, cfg, seed, *unit_weights(seq))
             z = mae.encode_array(frames)
             recon = mae.decode(ad.constant(z)).data
             err_last = float(np.mean((recon[:, :, -1] - frames[:, :, -1]) ** 2))

@@ -1,10 +1,13 @@
 """Dataset preparation in ``pipeline``: the split, its statistics, the residual frames."""
 
+import copy
+
 import numpy as np
 import pytest
 
-from nimbus import grid, pipeline
+from nimbus import cli, grid, pipeline
 from nimbus.errors import ConfigError
+from nimbus.regularize import Strategy
 
 TRAIN, K = 6, 2
 
@@ -81,3 +84,26 @@ def test_standardized_residual_frames(bundle):
         expect = (diff - np.float32(spec.mean)) / np.float32(spec.std)
         np.testing.assert_array_equal(got[:, i], expect)
 
+
+
+def _params_equal(model, untrained):
+    assert model.params.keys() == untrained.params.keys()
+    for key, p in model.params.items():
+        np.testing.assert_array_equal(p.data, untrained.params[key].data, err_msg=key)
+
+
+def test_zero_iterations_train_nothing(bundle):
+    # The bench builds its untrained baselines as `iters: 0` trainings.
+    config = copy.deepcopy(cli.DEFAULT_CONFIG)
+    config["mae"]["k"] = K
+    for section in ("vae", "mae", "frame_ae", "diffusion"):
+        config[section]["iters"] = 0
+    seed = 3
+    vae = pipeline.train_vae(bundle, config["vae"], Strategy.VAMFM, seed)
+    _params_equal(vae, pipeline.build_vae(bundle, config["vae"], seed))
+    mae = pipeline.train_mae(bundle, config["mae"], seed)
+    _params_equal(mae, pipeline.build_mae(bundle, config["mae"], seed))
+    ae = pipeline.train_frame_ae(bundle, config["frame_ae"], seed)
+    _params_equal(ae, pipeline.build_frame_ae(bundle, config["frame_ae"], seed))
+    net, _ = pipeline.train_denoiser(bundle, config, vae, mae, seed)
+    _params_equal(net, pipeline.build_denoiser(config, seed))
