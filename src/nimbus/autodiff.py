@@ -8,21 +8,23 @@ latitude); the temporal axis of conv3d is left un-padded unless an explicit
 causal left-pad is requested.
 
 Every convolution runs through one kernel, ``_corr``. It builds no im2col
-matrix: it gathers windows over the trailing spatial axes only (W for
-conv2d, H and W for conv3d) and runs one GEMM per tap of the leading axis
-(H for conv2d, T for conv3d) on a row-shifted view of those windows. The
-weight gradient reuses the same windows, and the input gradient is a
-stride-1 ``_corr`` with the flipped kernel.
+matrix: one gather, ``_gather``, collects windows over the trailing spatial
+axes only (W for conv2d, H and W for conv3d), and ``_corr`` runs one GEMM
+per tap of the leading axis (H for conv2d, T for conv3d) on a row-shifted
+view of those windows. A conv node keeps no windows: its backward pads the
+input again and re-gathers them for the weight gradient, and the input
+gradient is a stride-1 ``_corr`` with the flipped kernel. So a training
+graph holds the activations and nothing conv-sized beyond them.
 
 Parameters are float32. Other values keep the float32 or float64 dtype they
 arrive in (any other dtype becomes float32), and reductions accumulate in
 float64.
 
 Inference runs inside ``no_grad()``: an operation there returns a tensor with
-no parents and no backward closure, so nothing the backward pass would need
-(conv windows, activations) outlives the operation. The switch is
-per-thread, so one thread may sample while another trains. Leaf tensors are
-still checked for non-finite values.
+no parents and no backward closure, so no activation the backward pass
+would need outlives the operation. The switch is per-thread, so one thread
+may sample while another trains. Leaf tensors are still checked for
+non-finite values.
 
 Training runs one graph per sample on a thread pool (``thread_map``). Each
 sample's ``backward()`` runs inside ``grad_sink()``, which sends the
@@ -47,7 +49,7 @@ from typing import Callable
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import spectral
+from . import grid, spectral
 from .errors import DomainError, FormatError
 
 MAGIC_PARAMS = b"PYPT0001"
@@ -518,7 +520,7 @@ def share_blas_threads(n: int):
     process-wide (even OpenBLAS's "local" setter changes it for every
     thread), so enter this once around a pool of n threads, never inside
     them: ``thread_map`` does, for the rollout's ensemble members, the
-    trainers' per-sample shards and the latent precompute's chunks. With no
+    trainers' per-sample shards and the latent precompute's samples. With no
     OpenBLAS loaded it changes nothing.
     """
     libs = _loaded_openblas()
@@ -548,6 +550,26 @@ def thread_map(fn, items, workers: int) -> list:
         return list(pool.map(fn, items))
 
 
+def _gather(x, w, strides):
+    """The windows ``_corr`` multiplies: (B, N, R, K) in ``np.result_type(x, w)``.
+
+    Windows are gathered over the trailing spatial axes only, from a
+    channels-last view of x: N leading-axis rows, R output points per row,
+    and each window ordered (*kernel[1:], C), K = C * prod(kernel[1:]) wide.
+    Only the N = s * (n_out - 1) + k rows the output reads are gathered.
+    Returns (windows, out_rest), the output's trailing spatial shape.
+    """
+    b, k, s = x.shape[0], w.shape[2], strides[0]
+    rows = s * ((x.shape[2] - k) // s) + k
+    xl = np.moveaxis(x[:, :, :rows], 1, -1)
+    win = sliding_window_view(xl, w.shape[3:], axis=tuple(range(2, xl.ndim - 1)))
+    win = win[(slice(None), slice(None)) + tuple(slice(None, None, st) for st in strides[1:])]
+    out_rest = win.shape[2 : xl.ndim - 1]
+    # (B, N, *out_rest, C, *kernel[1:]) -> (B, N, *out_rest, *kernel[1:], C)
+    win = np.ascontiguousarray(np.moveaxis(win, xl.ndim - 1, -1), dtype=np.result_type(x, w))
+    return win.reshape(b, rows, int(np.prod(out_rest)), -1), out_rest
+
+
 def _corr(x, w, strides):
     """Valid cross-correlation: one GEMM per tap of the leading spatial axis.
 
@@ -555,29 +577,18 @@ def _corr(x, w, strides):
     strides aligned with spatial axes. The leading spatial axis is H for
     conv2d and T for conv3d; the trailing ones are W, or H and W.
 
-    Windows are gathered over the trailing axes only, from a channels-last
-    view of x, into a (B, N, R, K) array in ``np.result_type(x, w)``: N
-    leading-axis rows, R output points per row, and each window ordered
-    (*kernel[1:], C), K = C * prod(kernel[1:]) wide. Only the
-    N = s * (n_out - 1) + k rows the output reads are kept. Tap d of the
-    leading kernel axis reads rows d, d + s, ... of the windows; at stride 1
-    that is one contiguous block per batch element, so its GEMM copies
-    nothing. The k GEMMs sum into one output buffer.
+    The windows come from ``_gather``. Tap d of the leading kernel axis
+    reads rows d, d + s, ... of them; at stride 1 that is one contiguous
+    block per batch element, so its GEMM copies nothing. The k GEMMs sum
+    into one output buffer.
 
-    Returns (out (B, O, *out_spatial), windows); the windows are kept for
-    the weight gradient (``_corr_wgrad``). They are about 1/k of the full
-    im2col matrix, which would hold every window of every tap.
+    Returns (out (B, O, *out_spatial), windows). The windows are about 1/k
+    of the full im2col matrix, which would hold every window of every tap;
+    a conv drops them here and its backward gathers them again.
     """
+    windows, out_rest = _gather(x, w, strides)
     b, k, s = x.shape[0], w.shape[2], strides[0]
     n_out = (x.shape[2] - k) // s + 1
-    rows = s * (n_out - 1) + k
-    xl = np.moveaxis(x[:, :, :rows], 1, -1)
-    win = sliding_window_view(xl, w.shape[3:], axis=tuple(range(2, xl.ndim - 1)))
-    win = win[(slice(None), slice(None)) + tuple(slice(None, None, st) for st in strides[1:])]
-    out_rest = win.shape[2 : xl.ndim - 1]
-    # (B, N, *out_rest, C, *kernel[1:]) -> (B, N, *out_rest, *kernel[1:], C)
-    win = np.ascontiguousarray(np.moveaxis(win, xl.ndim - 1, -1), dtype=np.result_type(x, w))
-    windows = win.reshape(b, rows, int(np.prod(out_rest)), -1)
     wmat = np.moveaxis(w, 1, -1).reshape(w.shape[0], k, windows.shape[-1])
     out = _tap(windows, 0, s, n_out) @ wmat[:, 0].T
     for d in range(1, k):
@@ -592,16 +603,14 @@ def _tap(windows, d, s, n_out):
     return windows[:, d : d + s * (n_out - 1) + 1 : s].reshape(b, n_out * r, width)
 
 
-def _corr_wgrad(go, windows, w_shape):
-    """Weight gradient of ``_corr`` from its saved windows, one GEMM per leading tap.
+def _corr_wgrad(go, windows, w_shape, s):
+    """Weight gradient of ``_corr`` from ``_gather``'s windows, one GEMM per leading tap.
 
-    go is (B, O, *out_spatial). The leading stride is read back from the
-    windows, which hold exactly s * (n_out - 1) + k rows. Each batch
+    go is (B, O, *out_spatial) and s the leading stride. Each batch
     element's GEMM is summed over the batch.
     """
     b, o, n_out = go.shape[:3]
     k = w_shape[2]
-    s = (windows.shape[1] - k) // (n_out - 1) if n_out > 1 else 1
     g = go.reshape(b, o, -1)
     gw = np.stack([(g @ _tap(windows, d, s, n_out)).sum(axis=0) for d in range(k)], axis=1)
     # (O, k, K) -> (O, *kernel, C) -> (O, C, *kernel)
@@ -629,18 +638,26 @@ def _corr_input_grad(go, w, strides, padded_spatial):
 
 
 def _conv(x: Tensor, w: Tensor, b: Tensor, strides, pad_t=0) -> Tensor:
-    """The body of conv2d and conv3d: pad, ``_corr``, add the bias; its backward."""
+    """The body of conv2d and conv3d: pad, ``_corr``, add the bias; its backward.
+
+    The node keeps no array of its own, only its parents: backward pads
+    ``x.data`` again and re-gathers the windows for the weight gradient,
+    which costs one gather and saves holding the windows from forward to
+    backward.
+    """
     *_, h, wd = x.data.shape
     c, *_, kh, kw = w.data.shape[1:]
     if c != x.data.shape[1]:
         raise DomainError(f"kernel expects {c} input channels, got {x.data.shape[1]}")
     xp, pads = _pad_spatial(x.data, kh, kw, pad_t)
-    out, windows = _corr(xp, w.data, strides)
-    out = out + b.data.reshape((-1,) + (1,) * (out.ndim - 2))
     padded_spatial = xp.shape[2:]  # the closure must not keep xp alive
+    out = _corr(xp, w.data, strides)[0]
+    out = out + b.data.reshape((-1,) + (1,) * (out.ndim - 2))
 
     def backward(go):
-        gw = _corr_wgrad(go, windows, w.data.shape)
+        windows, _ = _gather(_pad_spatial(x.data, kh, kw, pad_t)[0], w.data, strides)
+        gw = _corr_wgrad(go, windows, w.data.shape, strides[0])
+        del windows
         gx = None
         if x.requires_grad:
             gxp = _corr_input_grad(go, w.data, strides, padded_spatial)
@@ -764,10 +781,15 @@ def mean_grad_step(opt: AdamW, loss_of: Callable[[int], Tensor], n: int, workers
     order on the calling thread and divided by n. For a loss that is a mean
     over samples with nothing coupling them, that is the full-batch
     gradient, and it is the same at any ``workers``. Returns the mean loss.
+
+    A diverging step overflows in its forward pass. Each sample therefore
+    runs with numpy's overflow and invalid-value warnings off, set on its
+    own thread because pool threads do not inherit the caller's error
+    state, and ``backward()`` reports the non-finite loss instead.
     """
 
     def shard(b):
-        with grad_sink() as sink:
+        with np.errstate(over="ignore", invalid="ignore"), grad_sink() as sink:
             loss = loss_of(b)
             loss.backward()
         return float(loss.data), sink
@@ -816,7 +838,7 @@ def save_params(params, path) -> None:
         parts.append(struct.pack("<B", arr.ndim))
         parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         parts.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-    with open(path, "wb") as fh:
+    with grid.write_file(path, "wb") as fh:
         fh.write(b"".join(parts))
 
 

@@ -313,7 +313,7 @@ def write_manifest(out_dir, cfg, seed, extra=None) -> None:
     }
     if extra:
         manifest.update(extra)
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
+    with grid.write_file(os.path.join(out_dir, "manifest.json")) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
 
 
@@ -477,7 +477,7 @@ def cmd_train_diffusion(cfg, args):
     encoder = _encoder(cfg, args, bundle, seed)
     net, edm_cfg = pipeline.train_denoiser(bundle, cfg, vae, encoder, seed, args.workers)
     _save_model(net.params, args.out, "denoiser.pypt")
-    with open(os.path.join(args.out, "edm_config.json"), "w") as fh:
+    with grid.write_file(os.path.join(args.out, "edm_config.json")) as fh:
         json.dump({"sigma_data": edm_cfg.sigma_data, **_training_stats(bundle)}, fh)
     log.info("saved denoiser checkpoint (cond=%s)", cfg["diffusion"]["cond_mode"])
 
@@ -644,7 +644,7 @@ def cmd_ablate(cfg, args):
         workers=args.workers,
     )
     path = os.path.join(args.out, "ablation.csv")
-    with open(path, "w", newline="") as fh:
+    with grid.write_file(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["seed", "cond", "strategy", "variable", "lead_hours", "metric", "value"])
         writer.writerows((*row[:-1], f"{row[-1]:.8g}") for row in rows)

@@ -187,7 +187,7 @@ def write_forecast(ens: EnsembleForecast, out_dir, manifest_extra=None) -> None:
     }
     if manifest_extra:
         manifest.update(manifest_extra)
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
+    with grid.write_file(os.path.join(out_dir, "manifest.json")) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
 
 

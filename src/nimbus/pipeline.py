@@ -190,15 +190,13 @@ def train_frame_ae(bundle: DatasetBundle, cfg: dict, seed: int, workers: int = 1
     return ae
 
 
-def _chunked(fn, data, chunk, workers):
-    """``fn`` of consecutive ``chunk``-row slices of ``data``, on ``workers`` threads, joined."""
-    slices = [data[i : i + chunk] for i in range(0, data.shape[0], chunk)]
-    return np.concatenate(ad.thread_map(fn, slices, workers), axis=0)
-
-
 def residual_latents(vae: models.Vae, resid_std: np.ndarray, workers: int = 1) -> np.ndarray:
-    """Posterior-mean latents of standardized residual frames (N, V, H, W)."""
-    return _chunked(vae.encode_mean, resid_std, 8, workers)
+    """Posterior-mean latents of standardized residual frames (N, V, H, W), one frame per task."""
+
+    def encode(i):
+        return vae.encode_mean(resid_std[i : i + 1])
+
+    return np.concatenate(ad.thread_map(encode, range(resid_std.shape[0]), workers))
 
 
 def conditioning_latents(
@@ -209,15 +207,14 @@ def conditioning_latents(
     Row i conditions the step t = k + i (predicting frame t+1 of the
     training sequence) with the call ``forecast.step`` makes for a member
     whose last k+1 states are frames t-k..t; ``z_all`` are the residual
-    latents.
+    latents. Each step is one ``thread_map`` task.
     """
-    targets = np.arange(k, states_std.shape[0] - 1)
 
-    def encode(ts):
-        recent = np.stack([states_std[t - k + 1 : t + 1] for t in ts])
-        return forecast.conditioning_latents(encoder, recent, z_all[ts - 1])
+    def encode(t):
+        recent = states_std[None, t - k + 1 : t + 1]
+        return forecast.conditioning_latents(encoder, recent, z_all[t - 1 : t])
 
-    return _chunked(encode, targets, 4, workers)
+    return np.concatenate(ad.thread_map(encode, range(k, states_std.shape[0] - 1), workers))
 
 
 def train_denoiser(

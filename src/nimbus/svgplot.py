@@ -13,6 +13,8 @@ import math
 import re
 from urllib.parse import quote
 
+from . import grid
+
 _W, _H = 640, 400
 _ML, _MR, _MT, _MB = 60, 20, 30, 40
 
@@ -83,7 +85,7 @@ def line_plot(series: dict, path, title="", xlabel="", ylabel="") -> None:
     parts.append(f'<text x="{_W / 2}" y="{_H - 6}" text-anchor="middle">{_text(xlabel)}</text>')
     parts.append(f'<text x="14" y="{_H / 2}" transform="rotate(-90 14 {_H / 2})" text-anchor="middle">{_text(ylabel)}</text>')
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
+    with grid.write_file(path, encoding="utf-8") as fh:
         fh.write("\n".join(parts))
 
 
@@ -114,5 +116,5 @@ def bar_plot(labels, heights, path, title="", ylabel="") -> None:
         )
     parts.append(f'<text x="14" y="{_H / 2}" transform="rotate(-90 14 {_H / 2})" text-anchor="middle">{_text(ylabel)}</text>')
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
+    with grid.write_file(path, encoding="utf-8") as fh:
         fh.write("\n".join(parts))

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import spectral
+from . import grid, spectral
 from .errors import DomainError
 
 
@@ -94,7 +94,7 @@ class MetricReport:
         return rows
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
+        with grid.write_file(path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["variable", "lead_hours", "metric", "value"])
             for var, lead, metric, value in self.to_rows():
@@ -107,7 +107,7 @@ class MetricReport:
             "scores": {k: np.asarray(v).tolist() for k, v in self.scores.items()},
             "rank_counts": np.asarray(self.rank_counts).tolist(),
         }
-        with open(path, "w") as fh:
+        with grid.write_file(path) as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
 
 
@@ -191,7 +191,7 @@ def diffusability_report(
 
 
 def report_tables_to_csv(report: dict, path) -> None:
-    with open(path, "w", newline="") as fh:
+    with grid.write_file(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["table", "index", "value"])
         for key in ("encoder_band_energy", "generated_band_energy", "rmse_encoder", "rmse_generated"):

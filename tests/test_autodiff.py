@@ -314,6 +314,37 @@ class TestConvValues:
         im2col_bytes = b * h * wd * c * 9 * windows.itemsize
         assert windows.nbytes <= 0.4 * im2col_bytes
 
+    @pytest.mark.parametrize(
+        "xshape,wshape,strides,pad_t",
+        [
+            ((2, 2, 6, 8), (3, 2, 3, 3), (1, 1), 0),
+            ((2, 2, 6, 8), (3, 2, 3, 3), (2, 2), 0),
+            ((1, 2, 4, 6, 8), (3, 2, 2, 3, 3), (1, 1, 1), 1),
+            ((1, 2, 5, 6, 8), (3, 2, 2, 3, 3), (2, 2, 2), 1),
+        ],
+    )
+    def test_conv_node_keeps_no_array(self, xshape, wshape, strides, pad_t):
+        # Backward pads the parent again and re-gathers the windows, so the
+        # closure holds the parents and shapes, never an array of its own.
+        rng = np.random.default_rng(0)
+        x = random_param(rng, xshape)
+        w = random_param(rng, wshape, scale=0.5)
+        b = random_param(rng, wshape[:1])
+
+        def conv():
+            if len(xshape) == 4:
+                return ad.conv2d(x, w, b, stride=strides[0])
+            return ad.conv3d(x, w, b, strides[0], strides[1], pad_t=pad_t)
+
+        cells = [cell.cell_contents for cell in conv()._backward.__closure__]
+        assert not [c for c in cells if isinstance(c, np.ndarray)]
+
+        def loss():
+            out = conv()
+            return ad.weighted_mse(out, np.zeros(out.data.shape), 1.0)
+
+        check_grads(loss, [x, w, b])
+
     @pytest.mark.parametrize("seed", range(5))
     def test_grads_asymmetric_kernel(self, seed):
         # C != O and kt != kh != kw, so a transposed kernel or channel axis fails.

@@ -143,6 +143,27 @@ def test_non_finite_training_loss_exits_3_naming_the_step(trained, tmp_path, mon
     assert not (tmp_path / "mae.pypt").exists()
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("stage,section", [("train-vae", "vae"), ("train-mae", "mae")])
+def test_diverging_training_prints_only_its_exit_3_line(trained, tmp_path, stage, section, workers):
+    # Step 1 moves every parameter by about lr, so step 2's forward overflows.
+    # Run outside pytest, whose warning filters would turn numpy's warnings
+    # into exceptions rather than print them.
+    out, _, _ = trained
+    shutil.copy(out / "dataset.pyld", tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**TINY, section: {**TINY[section], "lr": 1e12}}))
+    argv = [stage, "--config", str(config), "--out", str(tmp_path), "--workers", str(workers)]
+    code = f"import sys; from nimbus import cli; sys.exit(cli.main({argv!r}))"
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(nimbus.__file__))}
+    res = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert res.returncode == 3, res.stderr
+    assert "numeric failure: training step 2 of" in res.stderr
+    assert "RuntimeWarning" not in res.stderr
+
+
 def test_rebuild_loads_checkpoints_without_standardizing(trained, monkeypatch):
     out, config, _ = trained
 

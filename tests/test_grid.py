@@ -1,4 +1,5 @@
 import dataclasses
+import os
 import tracemalloc
 
 import numpy as np
@@ -267,6 +268,29 @@ class TestFieldFile:
         b = make_batch()
         with pytest.raises(ValueError):
             b.data[0, 0, 0, 0] = 3.0
+
+
+class TestWriteFile:
+    def test_writer_that_raises_midway_leaves_the_old_file(self, tmp_path):
+        path = tmp_path / "x.pyld"
+        old = make_batch(seed=1)
+        grid.write_fields(old, path)
+        before = path.read_bytes()
+        # A name that cannot be encoded fails after the header is written.
+        bad_spec = dataclasses.replace(old.specs[0], name="\ud800")
+        bad = dataclasses.replace(old, specs=(bad_spec, *old.specs[1:]))
+        with pytest.raises(UnicodeEncodeError):
+            grid.write_fields(bad, path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["x.pyld"]
+
+    def test_replaces_a_longer_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old contents, longer than the new")
+        with grid.write_file(path) as fh:
+            fh.write("new")
+        assert path.read_text() == "new"
+        assert os.listdir(tmp_path) == ["out.txt"]
 
 
 def peak_bytes(fn, *args):

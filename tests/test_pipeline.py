@@ -5,7 +5,7 @@ import copy
 import numpy as np
 import pytest
 
-from nimbus import cli, grid, pipeline
+from nimbus import cli, forecast, grid, pipeline
 from nimbus.errors import ConfigError
 from nimbus.regularize import Strategy
 
@@ -84,6 +84,34 @@ def test_standardized_residual_frames(bundle):
         expect = (diff - np.float32(spec.mean)) / np.float32(spec.std)
         np.testing.assert_array_equal(got[:, i], expect)
 
+
+def _same_bytes(a, b):
+    assert (a.dtype, a.shape) == (b.dtype, b.shape)
+    assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("cond", pipeline.COND_MODES)
+def test_latent_precompute_matches_one_batched_encode(bundle, cond):
+    # The precompute encodes one sample per thread_map task: the bytes are
+    # the same at 1 and 2 workers, and the same as one encode of every row.
+    config = copy.deepcopy(cli.DEFAULT_CONFIG)
+    config["mae"]["k"] = K
+    vae = pipeline.build_vae(bundle, config["vae"], 3)
+    encoder = {
+        "3dmae": lambda: pipeline.build_mae(bundle, config["mae"], 3),
+        "2d": lambda: pipeline.build_frame_ae(bundle, config["frame_ae"], 3),
+        "none": lambda: None,
+    }[cond]()
+    resid = grid.standardized_residuals(bundle.train, bundle.resid_specs)
+    z_all = pipeline.residual_latents(vae, resid, workers=1)
+    _same_bytes(pipeline.residual_latents(vae, resid, workers=2), z_all)
+    _same_bytes(vae.encode_mean(resid), z_all)
+    states = grid.standardize_array(bundle.train, bundle.state_specs)
+    z_bar = pipeline.conditioning_latents(encoder, states, z_all, K, workers=1)
+    _same_bytes(pipeline.conditioning_latents(encoder, states, z_all, K, workers=2), z_bar)
+    ts = np.arange(K, TRAIN - 1)
+    recent = np.stack([states[t - K + 1 : t + 1] for t in ts])
+    _same_bytes(forecast.conditioning_latents(encoder, recent, z_all[ts - 1]), z_bar)
 
 
 def _params_equal(model, untrained):
