@@ -746,7 +746,10 @@ class AdamW:
     """Decoupled-weight-decay Adam over a named parameter dict, betas (0.9, 0.95), eps 1e-8.
 
     The update stays in the ``step`` method: the benchmark's tracer
-    (``perfbench/layers.py``) times it by patching ``AdamW.step``.
+    (``perfbench/layers.py``) times it by patching ``AdamW.step``. A
+    gradient whose float32 square overflows would leave the second moment
+    inf and that parameter's updates 0 from then on, so ``step`` raises a
+    DomainError naming the parameter instead.
     """
 
     BETA1, BETA2, EPS = 0.9, 0.95, 1e-8
@@ -767,7 +770,10 @@ class AdamW:
             if g is None:
                 continue
             m = self.m[k] = b1 * self.m[k] + (1.0 - b1) * g
-            v = self.v[k] = b2 * self.v[k] + (1.0 - b2) * np.square(g)
+            with np.errstate(over="ignore", invalid="ignore"):
+                v = self.v[k] = b2 * self.v[k] + (1.0 - b2) * np.square(g)
+            if not np.isfinite(v).all():
+                raise DomainError(f"AdamW second moment of parameter {k!r} is non-finite")
             m_hat = m / (1.0 - b1**self.t)
             v_hat = v / (1.0 - b2**self.t)
             p.data = p.data - lr * (m_hat / (np.sqrt(v_hat) + self.EPS)) - lr * self.weight_decay * p.data

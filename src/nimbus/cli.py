@@ -17,6 +17,10 @@ mean and std of the training slice's states and residuals, the statistics
 that every model was trained with. ``forecast`` and ``diagnose`` standardize
 with those and fit nothing; an edm_config.json without them exits 3.
 
+The ``sampler`` section holds ``edm.EdmConfig``'s fields by name, and every
+command that samples (``forecast``, ``diagnose``, ``ablate``) calls
+``edm.sample_stochastic``, which churns where ``sampler.s_churn`` > 0.
+
 --workers threads run the ensemble members (``forecast``, ``ablate``), the
 training samples (``train-*``, ``ablate``) and the latent precompute
 (``train-diffusion``, ``diagnose``); the BLAS threads are divided among
@@ -97,7 +101,6 @@ def listof(rule, size=None) -> Rule:
     return Rule(ok, f"a list{'' if size is None else f' of {size}'} of entries each {rule.text}")
 
 
-BOOLEAN = Rule(lambda x: isinstance(x, bool), "a boolean")
 COUNT = integer(1)  # a count or a size
 NATURAL = integer(0)  # iterations and seeds may be 0
 POSITIVE = number(0, above=True)
@@ -172,16 +175,19 @@ SCHEMA = {
     # SSR and rank chi2 stay within seed noise of 25 steps from 80, and whose
     # analytic-oracle variance error stays within 0.11. The sweep ran a Heun
     # sampler; the multistep one at 18 steps keeps that skill and reads 0.106.
+    # Each key is the edm.EdmConfig field of its name. EDM churn runs where
+    # s_churn > 0, at the sigmas in [s_min, s_max]. Its default is 0 (no
+    # churn): at 2.5 churn moved the 4-member, 3-lead fair CRPS .5740 ->
+    # .5710 over seeds 1-3 (CHANGES.md), about the .0031 range of those seeds.
     "sampler": {
         "steps": (18, COUNT),
-        "s_churn": (2.5, FINITE),
+        "s_churn": (0.0, NON_NEGATIVE),
         "s_min": (0.75, FINITE),
         "s_max": (68.0, FINITE),
-        "s_noise": (1.1, FINITE),
+        "s_noise": (1.1, NON_NEGATIVE),
         "sigma_min": (0.002, POSITIVE),
         "sigma_max": (20.0, FINITE),
         "rho": (7.0, POSITIVE),
-        "stochastic": (False, BOOLEAN),
     },
     # data.t 96 - train_frames 72 - a (k + 1)-frame init window leaves 19 truth frames.
     "forecast": {
@@ -256,6 +262,7 @@ def _check_together(cfg) -> None:
         ("mae.spatial_strides", len(strides) == layers, "as long as mae.channels"),
         ("mae.spatial_strides", math.prod(strides) == 4, "entries whose product is 4"),
         ("sampler.sigma_max", s["sigma_max"] > s["sigma_min"], f"> sigma_min = {s['sigma_min']!r}"),
+        ("sampler.s_max", s["s_max"] >= s["s_min"], f">= s_min = {s['s_min']!r}"),
         ("verify.bands", edges, f"ascending from 0 to at least sqrt(2) = {spectral.R_CORNER!r}"),
     ):
         if not ok:
@@ -493,7 +500,7 @@ def _rebuild_models(cfg, args, seed):
     encoder = _encoder(cfg, args, bundle, seed)
     net = _load(pipeline.build_denoiser(cfg, seed), args.out, "denoiser.pypt")
     sigma_data, state_specs, resid_specs = _trained_with(args.out, bundle.full.specs)
-    edm_cfg = pipeline.edm_config(cfg["sampler"], sigma_data)
+    edm_cfg = edm.EdmConfig(sigma_data=sigma_data, **cfg["sampler"])
     return bundle, forecast.ForecastModels(
         vae, net, edm_cfg, state_specs, resid_specs, cfg["mae"]["k"], encoder
     )
@@ -509,7 +516,6 @@ def cmd_forecast(cfg, args):
         members=f["members"],
         t_lead=f["t_lead"],
         base_seed=seed,
-        stochastic=cfg["sampler"]["stochastic"],
         workers=args.workers,
     )
     fc_dir = os.path.join(args.out, "forecast")
@@ -584,7 +590,7 @@ def cmd_diagnose(cfg, args):
         denoise = edm.make_denoise_fn(
             fmodels.denoiser, z_bar_all[i : i + 1], z_all[t - 1][None], fmodels.edm_config
         )
-        gen.append(edm.sample_deterministic(denoise, (1,) + z_all.shape[1:], rng, fmodels.edm_config)[0])
+        gen.append(edm.sample_stochastic(denoise, (1,) + z_all.shape[1:], rng, fmodels.edm_config)[0])
     gen = np.stack(gen)
     enc = z_all[targets[:n]]
     reference = resid_std[targets[:n]]

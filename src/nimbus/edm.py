@@ -10,10 +10,11 @@ flow ODE over the rho-schedule with the second-order multistep DPM-Solver++(2M)
 (Lu et al. 2022): each schedule entry costs one denoiser call, and each step
 extrapolates in ln(sigma) from that call and the previous one. The first step
 and the step into sigma_min are first order; the last entry returns its
-denoiser output, which is the step to sigma = 0. Optional stochastic churn
-perturbs the state and its sigma before a call and keeps the history; a step
-whose churn leaves less than half a step between the two calls' sigmas is
-first order.
+denoiser output, which is the step to sigma = 0. Where ``s_churn`` > 0,
+``sample_stochastic`` churns: inside [s_min, s_max] it perturbs the state and
+its sigma before a call and keeps the history, and a step whose churn leaves
+less than half a step between the two calls' sigmas is first order. At
+``s_churn`` = 0 it draws no churn noise and is the deterministic sampler.
 
 Inference runs in float32 throughout. The sampler draws its noise in float64
 (so each seed keeps its stream) and casts it to float32; noise levels and
@@ -24,7 +25,7 @@ state. The denoiser closure runs the network under ``autodiff.no_grad()``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,17 +33,10 @@ from . import autodiff as ad
 from .errors import ConfigError, DomainError
 
 
-@dataclass
-class ChurnConfig:
-    s_churn: float = 2.5
-    s_min: float = 0.75
-    s_max: float = 68.0
-    s_noise: float = 1.1
-
-
 # The defaults are the EDM paper's values (Karras et al. 2022), kept on
 # purpose: perfbench/stage.py builds EdmConfig(sigma_data=...) and relies on
-# them. The product's sampler defaults are cli.DEFAULT_CONFIG["sampler"].
+# them; s_churn 0 is no churn. The product's sampler defaults are
+# cli.DEFAULT_CONFIG["sampler"], one key per field but sigma_data, p_mean and p_std.
 @dataclass
 class EdmConfig:
     sigma_data: float = 0.5
@@ -52,7 +46,10 @@ class EdmConfig:
     p_mean: float = -1.2
     p_std: float = 1.2
     steps: int = 25
-    churn: ChurnConfig = field(default_factory=ChurnConfig)
+    s_churn: float = 0.0
+    s_min: float = 0.75
+    s_max: float = 68.0
+    s_noise: float = 1.1
 
     def __post_init__(self):
         if not (self.sigma_min < self.sigma_max):
@@ -231,18 +228,18 @@ def diffusion_loss(
 # ---------------------------------------------------------------------------
 
 
-def _sample(denoise, shape, rng, config: EdmConfig, churn: ChurnConfig | None):
+def _sample(denoise, shape, rng, config: EdmConfig, s_churn: float):
     sigmas = sigma_schedule(config).tolist()
     n = len(sigmas)
     x = rng.standard_normal(shape).astype(np.float32) * sigmas[0]
     d_prev = sigma_prev = None
     for i, sigma in enumerate(sigmas):
-        if churn is not None and churn.s_churn > 0 and churn.s_min <= sigma <= churn.s_max:
-            gamma = min(churn.s_churn / n, math.sqrt(2.0) - 1.0)
+        if s_churn > 0 and config.s_min <= sigma <= config.s_max:
+            gamma = min(s_churn / n, math.sqrt(2.0) - 1.0)
             if gamma > 0:
                 sigma_hat = sigma * (1.0 + gamma)
                 extra = math.sqrt(sigma_hat**2 - sigma**2)
-                x = x + churn.s_noise * extra * rng.standard_normal(shape).astype(np.float32)
+                x = x + config.s_noise * extra * rng.standard_normal(shape).astype(np.float32)
                 sigma = sigma_hat
         d = np.asarray(denoise(x, sigma), dtype=np.float32)
         if i == n - 1:
@@ -269,18 +266,19 @@ def sample_deterministic(denoise, shape, rng: np.random.Generator, config: EdmCo
     One denoiser call per schedule entry; second order, except the first step
     and the step into sigma_min, which are first order.
     """
-    return _sample(denoise, shape, rng, config, churn=None)
+    return _sample(denoise, shape, rng, config, s_churn=0.0)
 
 
 def sample_stochastic(denoise, shape, rng: np.random.Generator, config: EdmConfig):
-    """The deterministic sampler with churn: noise raises the state's sigma before a call.
+    """The product sampler: the deterministic one with ``config``'s churn.
 
-    Still one call per schedule entry; the multistep history is kept across
-    churned steps, so s_churn = 0 reproduces the deterministic path bit for bit.
-    A step whose churn brings sigma within half a step of the previous call's
-    sigma (or past it) is first order.
+    Where ``config.s_churn`` > 0, noise raises the state's sigma before each
+    call in [s_min, s_max]. Still one call per schedule entry; the multistep
+    history is kept across churned steps, so s_churn = 0 reproduces the
+    deterministic path bit for bit. A step whose churn brings sigma within
+    half a step of the previous call's sigma (or past it) is first order.
     """
-    return _sample(denoise, shape, rng, config, churn=config.churn)
+    return _sample(denoise, shape, rng, config, s_churn=config.s_churn)
 
 
 def calls_per_sample(config: EdmConfig) -> int:

@@ -6,7 +6,8 @@ derived from (base_seed, member index), so results are independent of
 scheduling. ``init_member_state`` encodes the last residual of the init
 window as the first previous latent. Each ``step`` encodes the conditioning
 window (the encoder never reads its final frame), samples a residual latent
-with the EDM sampler, decodes it, and integrates the next state with
+with ``edm.sample_stochastic``, which churns where the models' EdmConfig has
+``s_churn`` > 0, decodes it, and integrates the next state with
 ``grid.next_state``.
 
 Rollouts standardize with the statistics of the training slice that the
@@ -81,7 +82,7 @@ def conditioning_latents(
     return encoder.encode_array(window)
 
 
-def step(models: ForecastModels, window, z_prev, lead, rng, stochastic):
+def step(models: ForecastModels, window, z_prev, lead, rng):
     """One lead from the raw states ``window`` (k+1, V, H, W) and the previous latent ``z_prev``.
 
     Returns the next state x_{t+1} (V, H, W) and its sampled latent, the next
@@ -90,11 +91,7 @@ def step(models: ForecastModels, window, z_prev, lead, rng, stochastic):
     recent = grid.standardize_array(window[1:], models.state_specs)[None]
     z_bar = conditioning_latents(models.encoder, recent, z_prev[None])
     denoise = edm.make_denoise_fn(models.denoiser, z_bar, z_prev[None], models.edm_config)
-    shape = (1,) + z_prev.shape
-    if stochastic:
-        z_hat = edm.sample_stochastic(denoise, shape, rng, models.edm_config)
-    else:
-        z_hat = edm.sample_deterministic(denoise, shape, rng, models.edm_config)
+    z_hat = edm.sample_stochastic(denoise, (1,) + z_prev.shape, rng, models.edm_config)
     if not np.all(np.isfinite(z_hat)):
         raise RolloutError("non-finite values in sampled latent", lead)
     x_next = grid.next_state(window[-1], models.vae.decode_array(z_hat)[0], models.resid_specs)
@@ -122,14 +119,14 @@ class EnsembleForecast:
         return self.fields.shape[1]
 
 
-def _run_member(models, init_window, t_lead, base_seed, m, stochastic):
+def _run_member(models, init_window, t_lead, base_seed, m):
     rng = np.random.default_rng([int(base_seed), int(m)])
     window = init_window
     z_prev = init_member_state(models, init_window)
     frames = np.empty((t_lead,) + init_window.shape[1:], dtype=np.float32)
     try:
         for t in range(t_lead):
-            x_next, z_prev = step(models, window, z_prev, t, rng, stochastic)
+            x_next, z_prev = step(models, window, z_prev, t, rng)
             frames[t] = x_next
             window = np.concatenate([window[1:], x_next[None]])
     except RolloutError as exc:
@@ -143,7 +140,6 @@ def rollout(
     members: int,
     t_lead: int,
     base_seed: int = 0,
-    stochastic: bool = False,
     workers: int = 1,
 ) -> EnsembleForecast:
     """M-member forecast; member m is reproducible from (base_seed, m) alone.
@@ -160,7 +156,7 @@ def rollout(
     out = np.empty((members, t_lead) + init.shape[1:], dtype=np.float32)
 
     def member(m):
-        out[m] = _run_member(models, init, t_lead, base_seed, m, stochastic)
+        out[m] = _run_member(models, init, t_lead, base_seed, m)
 
     ad.thread_map(member, range(members), workers)
     return EnsembleForecast(

@@ -144,23 +144,6 @@ def build_denoiser(config: dict, seed: int) -> edm.Denoiser:
     )
 
 
-def edm_config(sampler: dict, sigma_data: float) -> edm.EdmConfig:
-    """The sampler section of a config, with the data's sigma_data."""
-    return edm.EdmConfig(
-        sigma_data=sigma_data,
-        sigma_min=sampler["sigma_min"],
-        sigma_max=sampler["sigma_max"],
-        rho=sampler["rho"],
-        steps=sampler["steps"],
-        churn=edm.ChurnConfig(
-            s_churn=sampler["s_churn"],
-            s_min=sampler["s_min"],
-            s_max=sampler["s_max"],
-            s_noise=sampler["s_noise"],
-        ),
-    )
-
-
 def train_vae(
     bundle: DatasetBundle, cfg: dict, strategy: Strategy, seed: int, workers: int = 1
 ) -> models.Vae:
@@ -236,7 +219,7 @@ def train_denoiser(
         sigma_data = max(edm.estimate_sigma_data(z_all), 1e-3)
     else:
         sigma_data = float(cfg["sigma_data"])
-    edm_cfg = edm_config(config["sampler"], sigma_data)
+    edm_cfg = edm.EdmConfig(sigma_data=sigma_data, **config["sampler"])
     net = build_denoiser(config, seed)
     train_rng = np.random.default_rng([seed, 505])
     batch = cfg["batch"]
@@ -332,7 +315,6 @@ def run_cell(
         members=members,
         t_lead=t_lead,
         base_seed=seed,
-        stochastic=config["sampler"]["stochastic"],
         workers=workers,
     )
     report = score_ensemble(bundle, ens.fields, config["verify"]["rank_seed"])

@@ -4,8 +4,8 @@ Run as ``python3 tests/artifact_hashes.py`` from a checkout; it imports the
 ``nimbus`` package from that checkout's ``src/``. In a temporary directory it
 runs ``gen-data``, ``train-vae``, ``train-mae``, ``train-diffusion``,
 ``forecast``, ``evaluate`` and ``diagnose`` at ``--seed 3 --workers 2`` once
-per ``vae.regularizer``, then ``ablate``, and prints one ``sha256  path`` line
-per file. The run manifests hold the wall-clock time and are left out. Two
+per ``vae.regularizer``, then ``ablate``, then every stage again with
+``sampler.s_churn`` 2.5, and prints one ``sha256  path`` line per file. The run manifests hold the wall-clock time and are left out. Two
 checkouts whose tables match wrote the same bytes, so a refactor that claims
 byte-identical outputs diffs the two tables.
 
@@ -57,7 +57,8 @@ def main():
         for reg in REGULARIZERS:
             run(root, reg, {**TINY, "vae": {**TINY["vae"], "regularizer": reg}}, STAGES)
         run(root, "ablate", TINY, ("gen-data", "ablate"))
-        for name in (*REGULARIZERS, "ablate"):
+        run(root, "churn", {**TINY, "sampler": {**TINY["sampler"], "s_churn": 2.5}}, STAGES)
+        for name in (*REGULARIZERS, "ablate", "churn"):
             for dirpath, dirnames, filenames in os.walk(os.path.join(root, name)):
                 dirnames.sort()
                 for fname in sorted(filenames):

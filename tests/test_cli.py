@@ -144,13 +144,18 @@ def test_non_finite_training_loss_exits_3_naming_the_step(trained, tmp_path, mon
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("stage,section", [("train-vae", "vae"), ("train-mae", "mae")])
+@pytest.mark.parametrize(
+    "stage,section", [("train-vae", "vae"), ("train-mae", "mae"), ("train-diffusion", "diffusion")]
+)
 def test_diverging_training_prints_only_its_exit_3_line(trained, tmp_path, stage, section, workers):
-    # Step 1 moves every parameter by about lr, so step 2's forward overflows.
+    # Step 1 moves every parameter by about lr, so step 2's forward overflows
+    # (VAE, 3D-MAE) or its gradient's square does (denoiser, in AdamW).
     # Run outside pytest, whose warning filters would turn numpy's warnings
     # into exceptions rather than print them.
     out, _, _ = trained
-    shutil.copy(out / "dataset.pyld", tmp_path)
+    inputs = ("vae.pypt", "mae.pypt") if stage == "train-diffusion" else ()
+    for name in ("dataset.pyld", *inputs):
+        shutil.copy(out / name, tmp_path)
     config = tmp_path / "config.json"
     config.write_text(json.dumps({**TINY, section: {**TINY[section], "lr": 1e12}}))
     argv = [stage, "--config", str(config), "--out", str(tmp_path), "--workers", str(workers)]
@@ -162,6 +167,7 @@ def test_diverging_training_prints_only_its_exit_3_line(trained, tmp_path, stage
     assert res.returncode == 3, res.stderr
     assert "numeric failure: training step 2 of" in res.stderr
     assert "RuntimeWarning" not in res.stderr
+    assert not (tmp_path / ("denoiser.pypt" if stage == "train-diffusion" else f"{section}.pypt")).exists()
 
 
 def test_rebuild_loads_checkpoints_without_standardizing(trained, monkeypatch):
@@ -385,27 +391,30 @@ def test_evaluate_fits_nothing(trained, tmp_path, monkeypatch):
     assert (tmp_path / "metrics.json").read_bytes() == expected
 
 
-@pytest.mark.parametrize("stochastic", [True, False])
-def test_ablate_honours_stochastic_sampler(trained, tmp_path, stochastic, monkeypatch):
+@pytest.mark.parametrize("s_churn", [0.0, 2.5])
+@pytest.mark.parametrize("command", ["forecast", "diagnose", "ablate"])
+def test_sampling_command_honours_sampler_section(trained, tmp_path, command, s_churn, monkeypatch):
+    # Every sample a command draws goes through edm.sample_stochastic with the config's churn.
     out, _, _ = trained
-    shutil.copy(out / "dataset.pyld", tmp_path)
+    shutil.copytree(out, tmp_path, dirs_exist_ok=True)
     cfg = {
         **TINY,
-        "sampler": {**TINY["sampler"], "stochastic": stochastic},
+        "sampler": {**TINY["sampler"], "s_churn": s_churn},
         "ablate": {"conds": ["none"], "strategies": ["none"], "replicates": 1, "members": 2},
     }
     config = tmp_path / "config.json"
     config.write_text(json.dumps(cfg))
     seen = []
-    rollout = forecast.rollout
+    sample = edm.sample_stochastic
 
-    def recording(*args, **kwargs):
-        seen.append(kwargs["stochastic"])
-        return rollout(*args, **kwargs)
+    def recording(denoise, shape, rng, config):
+        seen.append(config.s_churn)
+        return sample(denoise, shape, rng, config)
 
-    monkeypatch.setattr(forecast, "rollout", recording)
-    assert cli.main(["ablate", "--config", str(config), "--out", str(tmp_path)]) == 0
-    assert seen == [stochastic]
+    monkeypatch.setattr(edm, "sample_stochastic", recording)
+    argv = [command, "--config", str(config), "--out", str(tmp_path), "--workers", "1"]
+    assert cli.main(argv) == 0
+    assert seen and set(seen) == {s_churn}
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
@@ -485,6 +494,9 @@ def test_unreadable_config_exits_2(tmp_path, content, message, caplog):
         ("mae", "k", 3),
         ("vae", "beta", -1.0),
         ("data", "forcing", -0.5),
+        ("sampler", "s_churn", -1.0),
+        ("sampler", "s_noise", -0.5),
+        ("sampler", "s_max", 0.5),
     ],
 )
 @pytest.mark.parametrize("dry_run", [True, False])
@@ -529,10 +541,10 @@ def test_object_value_exits_2_naming_key(tmp_path, section, key, caplog):
 def test_config_hashes_are_pinned(tmp_path):
     # Manifests and forecast directories record these hashes: a changed default
     # or a change in how a config is merged over the defaults moves them.
-    assert cli.config_hash(cli.load_config()) == "a7e456f8e37be0fe"
+    assert cli.config_hash(cli.load_config()) == "5f3236135229a17f"
     path = tmp_path / "config.json"
     path.write_text(json.dumps(TINY))
-    assert cli.config_hash(cli.load_config(str(path))) == "e60455d30949eb77"
+    assert cli.config_hash(cli.load_config(str(path))) == "93cb4611dcfe229d"
 
 
 @pytest.mark.parametrize(

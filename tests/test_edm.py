@@ -214,7 +214,7 @@ class TestSamplers:
     def test_churn_zero_bitwise_equal(self):
         _, _, denoise = self.gaussian_problem(seed=1)
         cfg = default_cfg()
-        cfg.churn.s_churn = 0.0
+        cfg.s_churn = 0.0
         a = edm.sample_deterministic(denoise, (4, 16), np.random.default_rng(5), cfg)
         b = edm.sample_stochastic(denoise, (4, 16), np.random.default_rng(5), cfg)
         np.testing.assert_array_equal(a, b)
@@ -224,17 +224,17 @@ class TestSamplers:
         # so the trajectory equals the deterministic one bitwise.
         _, _, denoise = self.gaussian_problem(seed=2)
         cfg = default_cfg()
-        cfg.churn.s_churn = 2.5
-        cfg.churn.s_min = 100.0
-        cfg.churn.s_max = 200.0
+        cfg.s_churn = 2.5
+        cfg.s_min = 100.0
+        cfg.s_max = 200.0
         a = edm.sample_deterministic(denoise, (4, 16), np.random.default_rng(6), cfg)
         b = edm.sample_stochastic(denoise, (4, 16), np.random.default_rng(6), cfg)
         np.testing.assert_array_equal(a, b)
 
     def test_churn_defaults_match_quoted_values(self):
         cfg = default_cfg()
-        assert (cfg.churn.s_churn, cfg.churn.s_min, cfg.churn.s_max, cfg.churn.s_noise) == (
-            2.5,
+        assert (cfg.s_churn, cfg.s_min, cfg.s_max, cfg.s_noise) == (
+            0.0,
             0.75,
             68.0,
             1.1,
@@ -244,7 +244,7 @@ class TestSamplers:
 
     def test_churn_increases_spread_paired_seeds(self):
         mu, cov, denoise = self.gaussian_problem(seed=3)
-        cfg = default_cfg()
+        cfg = default_cfg(s_churn=2.5)
         det = np.stack(
             [
                 edm.sample_deterministic(denoise, (16,), np.random.default_rng([7, m]), cfg)
@@ -271,7 +271,7 @@ class TestSamplers:
         # (0.24 at 100 steps), hence the loose bound.
         mu, cov, denoise = self.gaussian_problem()
         cfg = default_cfg(sigma_max=80.0, steps=100)
-        cfg.churn.s_churn = s_churn
+        cfg.s_churn = s_churn
         x = edm.sample_stochastic(denoise, (4096, 16), np.random.default_rng(7), cfg)
         assert np.abs(x.var(axis=0, ddof=1) / cov - 1).max() < 0.35
         assert np.abs(x.mean(axis=0) - mu).max() < 0.05
@@ -287,7 +287,7 @@ class TestSamplers:
             return oracle(x, sigma)
 
         sample = edm.sample_stochastic if stochastic else edm.sample_deterministic
-        out = sample(denoise, (4, 16), np.random.default_rng(8), default_cfg())
+        out = sample(denoise, (4, 16), np.random.default_rng(8), default_cfg(s_churn=2.5))
         assert out.dtype == np.float32
         # One call per schedule entry: the EDM default of 25 steps.
         assert seen == [np.dtype(np.float32)] * 25

@@ -77,7 +77,9 @@ def test_inference_is_float32_and_graph_free(tiny, monkeypatch):
 
     monkeypatch.setattr(ad, "_corr", recording_corr)
     monkeypatch.setattr(edm, "make_denoise_fn", recording_make)
-    ens = run(tiny, members=2, t_lead=2, stochastic=True)
+    fmodels, bundle = tiny
+    churn = edm.EdmConfig(sigma_data=0.5, steps=4, s_churn=2.5)
+    ens = run((dataclasses.replace(fmodels, edm_config=churn), bundle), members=2, t_lead=2)
     assert ens.fields.dtype == np.float32
     # 4 steps: one denoiser call each.
     f32 = np.dtype(np.float32)
@@ -220,7 +222,7 @@ def test_training_and_rollout_condition_alike(tiny, encoder, monkeypatch):
         window = bundle.train[t - K : t + 1]
         z_prev = forecast.init_member_state(fmodels, window)
         assert vae_inputs[-1].tobytes() == resid_std[t - 1 : t].tobytes(), f"row {i}"
-        forecast.step(fmodels, window, z_prev, 0, np.random.default_rng(0), False)
+        forecast.step(fmodels, window, z_prev, 0, np.random.default_rng(0))
         z_bar = seen[-1]
         assert z_bar.dtype == z_bar_all.dtype and z_bar.shape == (1,) + z_bar_all.shape[1:]
         if enc is None:
