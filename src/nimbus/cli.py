@@ -170,17 +170,19 @@ SCHEMA = {
             ),
         ),
     },
-    # 18 steps (one denoiser call each) from sigma_max = 20: the cheapest
-    # cell of the (steps, sigma_max) skill sweep in CHANGES.md whose fair CRPS,
-    # SSR and rank chi2 stay within seed noise of 25 steps from 80, and whose
-    # analytic-oracle variance error stays within 0.11. The sweep ran a Heun
-    # sampler; the multistep one at 18 steps keeps that skill and reads 0.106.
+    # sigma_max = 20: the cheapest cell of the (steps, sigma_max) skill sweep
+    # in CHANGES.md whose fair CRPS, SSR and rank chi2 stay within seed noise
+    # of 25 steps from 80. 12 steps (one denoiser call each): the fewest whose
+    # worst analytic-oracle variance error stays within 0.106, what the
+    # second-order sampler read at 18 steps. The third-order one reads .095 on
+    # test_cli_default_schedule's 40 draws and .102 on the bench's 400, and
+    # .173 at 11 steps; tests/sampler_sweep.py prints the table.
     # Each key is the edm.EdmConfig field of its name. EDM churn runs where
     # s_churn > 0, at the sigmas in [s_min, s_max]. Its default is 0 (no
     # churn): at 2.5 churn moved the 4-member, 3-lead fair CRPS .5740 ->
     # .5710 over seeds 1-3 (CHANGES.md), about the .0031 range of those seeds.
     "sampler": {
-        "steps": (18, COUNT),
+        "steps": (12, COUNT),
         "s_churn": (0.0, NON_NEGATIVE),
         "s_min": (0.75, FINITE),
         "s_max": (68.0, FINITE),
@@ -268,6 +270,11 @@ def _check_together(cfg) -> None:
         if not ok:
             section, name = key.split(".")
             raise ConfigError(f"{key} must be {want}, got {cfg[section][name]!r}")
+    # The sigma schedule the sampler would run: positive and strictly decreasing.
+    try:
+        edm.EdmConfig(**s)
+    except ConfigError as err:
+        raise ConfigError(f"sampler.{err}") from None
     elements = d["t"] * d["v"] * d["h"] * d["w"]
     if elements > grid.MAX_ELEMENTS:
         raise ConfigError(

@@ -6,15 +6,21 @@ The denoiser D wraps a raw network F as
 
 with the standard scalings c_skip = sd^2/(s^2+sd^2), c_out = s*sd/sqrt(s^2+sd^2),
 c_in = 1/sqrt(s^2+sd^2), c_noise = ln(s)/4. Sampling integrates the probability
-flow ODE over the rho-schedule with the second-order multistep DPM-Solver++(2M)
-(Lu et al. 2022): each schedule entry costs one denoiser call, and each step
-extrapolates in ln(sigma) from that call and the previous one. The first step
-and the step into sigma_min are first order; the last entry returns its
-denoiser output, which is the step to sigma = 0. Where ``s_churn`` > 0,
-``sample_stochastic`` churns: inside [s_min, s_max] it perturbs the state and
-its sigma before a call and keeps the history, and a step whose churn leaves
-less than half a step between the two calls' sigmas is first order. At
-``s_churn`` = 0 it draws no churn noise and is the deterministic sampler.
+flow ODE over the rho-schedule with the multistep DPM-Solver++(3M) at eta = 0
+(Lu et al. 2022, in k-diffusion's form): each schedule entry costs one
+denoiser call, and each step extrapolates in ln(sigma) through that call and
+the two before it, using each earlier output whose gap is at least half the
+step. So the first step is first order and the second second order; the last
+entry returns its denoiser output, which is the step to sigma = 0. The
+published update weights the quadratic term by phi_3 where the exact integral
+of the quadratic takes 2 phi_3, so the sampler converges at second order
+(about 4x per doubling of steps), yet at few steps it tracks the analytic
+oracle closer: at 12 steps its worst variance error reads .095 against .230
+with 2 phi_3 (CHANGES.md). Where ``s_churn`` > 0, ``sample_stochastic``
+churns: inside [s_min, s_max] it perturbs the state and its sigma before a
+call and keeps the history, and the order rule drops the outputs that churn
+brings within half a step. At ``s_churn`` = 0 it draws no churn noise and is
+the deterministic sampler.
 
 Inference runs in float32 throughout. The sampler draws its noise in float64
 (so each seed keeps its stream) and casts it to float32; noise levels and
@@ -25,6 +31,7 @@ state. The denoiser closure runs the network under ``autodiff.no_grad()``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,10 +59,44 @@ class EdmConfig:
     s_noise: float = 1.1
 
     def __post_init__(self):
-        if not (self.sigma_min < self.sigma_max):
-            raise ConfigError("sigma_min must be < sigma_max")
+        if not (0 < self.sigma_min < self.sigma_max):
+            raise ConfigError("sigma_min must be > 0 and < sigma_max")
         if self.steps < 1:
             raise ConfigError("steps must be >= 1")
+        if self.steps > 1:
+            _check_schedule(self)
+
+
+def _check_schedule(config: EdmConfig) -> None:
+    """ConfigError unless the schedule is finite, positive and strictly decreasing.
+
+    The sampler divides by the ln-sigma gap of each step, so every entry must
+    lie below the one before. Checked in O(1), without building the schedule:
+    its bases sigma**(1/rho) fall by (hi - lo) / (steps - 1) per entry, and a
+    fall of 16 rounding units of hi (16 / rho where rho < 1, since the power
+    then shrinks relative gaps) outlasts the rounding of every entry. The last
+    two entries are checked as computed: hi + (lo - hi) cancels to 0 when lo is
+    far below hi's rounding unit, and below the smallest normal float entries
+    lose their relative precision.
+    """
+    try:
+        hi, lo = (float(s) ** (1.0 / config.rho) for s in (config.sigma_max, config.sigma_min))
+    except OverflowError:
+        raise ConfigError(
+            f"rho must keep sigma_max ** (1 / rho) finite at sigma_max = {config.sigma_max!r}, "
+            f"got {config.rho!r}"
+        ) from None
+    if not min(1.0, config.rho) * (hi - lo) / (config.steps - 1) >= 16 * math.ulp(hi):
+        raise ConfigError(
+            f"sigma_max must be far enough above sigma_min = {config.sigma_min!r} that the "
+            f"{config.steps}-entry schedule strictly decreases, got {config.sigma_max!r}"
+        )
+    last_two = _rho_schedule(config, np.array([config.steps - 2.0, config.steps - 1.0]))
+    if not last_two[0] > last_two[1] >= sys.float_info.min:
+        raise ConfigError(
+            f"sigma_min must keep the schedule's last entry a normal float, at least "
+            f"{sys.float_info.min!r}, at sigma_max = {config.sigma_max!r}, got {config.sigma_min!r}"
+        )
 
 
 def precondition(sigma, config: EdmConfig):
@@ -86,13 +127,16 @@ def sample_sigma(rng: np.random.Generator, config: EdmConfig, size=None):
 
 def sigma_schedule(config: EdmConfig) -> np.ndarray:
     """Strictly decreasing rho-schedule from sigma_max to sigma_min."""
-    n = config.steps
-    if n == 1:
+    if config.steps == 1:
         return np.array([config.sigma_max])
-    i = np.arange(n, dtype=np.float64)
+    return _rho_schedule(config, np.arange(config.steps, dtype=np.float64))
+
+
+def _rho_schedule(config: EdmConfig, i: np.ndarray) -> np.ndarray:
+    """Entries ``i`` (float64 indices) of the schedule of ``config.steps`` >= 2 entries."""
     inv_rho = 1.0 / config.rho
     hi, lo = config.sigma_max**inv_rho, config.sigma_min**inv_rho
-    return (hi + i / (n - 1) * (lo - hi)) ** config.rho
+    return (hi + i / (config.steps - 1) * (lo - hi)) ** config.rho
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +276,10 @@ def _sample(denoise, shape, rng, config: EdmConfig, s_churn: float):
     sigmas = sigma_schedule(config).tolist()
     n = len(sigmas)
     x = rng.standard_normal(shape).astype(np.float32) * sigmas[0]
-    d_prev = sigma_prev = None
+    # The last two calls' outputs, d1 the newer, and the ln-sigma gaps of
+    # their calls: h1 from d1's call to this one, h2 from d2's call to d1's.
+    d1 = d2 = sigma_prev = None
+    h1 = 0.0
     for i, sigma in enumerate(sigmas):
         if s_churn > 0 and config.s_min <= sigma <= config.s_max:
             gamma = min(s_churn / n, math.sqrt(2.0) - 1.0)
@@ -246,25 +293,34 @@ def _sample(denoise, shape, rng, config: EdmConfig, s_churn: float):
             return d
         sigma_next = sigmas[i + 1]
         h = math.log(sigma / sigma_next)
-        d_step = d
-        gap = math.log(sigma_prev / sigma) if d_prev is not None and i < n - 2 else 0.0
-        # Linear in ln(sigma) through the last two outputs, taken at the step's
-        # midpoint: weight 1 / (2r) with r = gap / h. Below r = 0.5 the weight
-        # passes 1 and amplifies the difference of two outputs that churn noise
-        # separates (churn can lift sigma to or past sigma_prev), so the step is
-        # first order there; the rho-schedule alone keeps r above 0.7.
-        if gap >= 0.5 * h:
-            c = h / (2.0 * gap)
-            d_step = (1.0 + c) * d - c * d_prev
-        x = (sigma_next / sigma) * x - math.expm1(-h) * d_step
-        d_prev, sigma_prev = d, sigma
+        h2, h1 = h1, (math.log(sigma_prev / sigma) if i else 0.0)
+        x = (sigma_next / sigma) * x - math.expm1(-h) * d
+        # Quadratic in ln(sigma) through the last three outputs (DPM-Solver++(3M)
+        # at eta = 0). A step uses each earlier output whose gap is at least
+        # half the step: below r = 0.5 the divided differences amplify the
+        # difference of outputs that churn noise separates (churn can lift
+        # sigma to or past the previous call's), so the order drops there.
+        # Unchurned, the default 12-entry schedule keeps r0 = h1 / h above 0.8
+        # and r1 = h2 / h above 0.69, so every step from the third uses three.
+        if h1 >= 0.5 * h:
+            phi2 = math.expm1(-h) / h + 1.0
+            r0 = h1 / h
+            delta0 = (d - d1) / r0
+            if h2 >= 0.5 * h:
+                r1 = h2 / h
+                dd2 = (delta0 - (d1 - d2) / r1) / (r0 + r1)
+                x = x + phi2 * (delta0 + r0 * dd2) - (phi2 / h - 0.5) * dd2
+            else:
+                x = x + phi2 * delta0
+        d1, d2, sigma_prev = d, d1, sigma
 
 
 def sample_deterministic(denoise, shape, rng: np.random.Generator, config: EdmConfig):
-    """DPM-Solver++(2M) from sigma_max noise to sigma = 0; noise only at init.
+    """DPM-Solver++(3M) from sigma_max noise to sigma = 0; noise only at init.
 
-    One denoiser call per schedule entry; second order, except the first step
-    and the step into sigma_min, which are first order.
+    One denoiser call per schedule entry. The first step uses one output, the
+    second up to two, and every later step up to three by ``_sample``'s order
+    rule; on the default 12-entry schedule every later step uses three.
     """
     return _sample(denoise, shape, rng, config, s_churn=0.0)
 
@@ -275,8 +331,8 @@ def sample_stochastic(denoise, shape, rng: np.random.Generator, config: EdmConfi
     Where ``config.s_churn`` > 0, noise raises the state's sigma before each
     call in [s_min, s_max]. Still one call per schedule entry; the multistep
     history is kept across churned steps, so s_churn = 0 reproduces the
-    deterministic path bit for bit. A step whose churn brings sigma within
-    half a step of the previous call's sigma (or past it) is first order.
+    deterministic path bit for bit. A step drops each earlier output whose
+    call's sigma churn brings within half a step of the next one (or past it).
     """
     return _sample(denoise, shape, rng, config, s_churn=config.s_churn)
 

@@ -5,7 +5,9 @@ Run as ``python3 tests/artifact_hashes.py`` from a checkout; it imports the
 runs ``gen-data``, ``train-vae``, ``train-mae``, ``train-diffusion``,
 ``forecast``, ``evaluate`` and ``diagnose`` at ``--seed 3 --workers 2`` once
 per ``vae.regularizer``, then ``ablate``, then every stage again with
-``sampler.s_churn`` 2.5, and prints one ``sha256  path`` line per file. The run manifests hold the wall-clock time and are left out. Two
+``sampler.s_churn`` 2.5, and again at ``sampler.steps`` 6, whose later steps
+are the sampler's third-order ones (at 3 steps it takes none). It prints one
+``sha256  path`` line per file. The run manifests hold the wall-clock time and are left out. Two
 checkouts whose tables match wrote the same bytes, so a refactor that claims
 byte-identical outputs diffs the two tables.
 
@@ -58,7 +60,8 @@ def main():
             run(root, reg, {**TINY, "vae": {**TINY["vae"], "regularizer": reg}}, STAGES)
         run(root, "ablate", TINY, ("gen-data", "ablate"))
         run(root, "churn", {**TINY, "sampler": {**TINY["sampler"], "s_churn": 2.5}}, STAGES)
-        for name in (*REGULARIZERS, "ablate", "churn"):
+        run(root, "steps6", {**TINY, "sampler": {"steps": 6}}, STAGES)
+        for name in (*REGULARIZERS, "ablate", "churn", "steps6"):
             for dirpath, dirnames, filenames in os.walk(os.path.join(root, name)):
                 dirnames.sort()
                 for fname in sorted(filenames):
