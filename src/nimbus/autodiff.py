@@ -851,32 +851,24 @@ def save_params(params, path) -> None:
 def load_params(path) -> dict[str, np.ndarray]:
     with open(path, "rb") as fh:
         buf = fh.read()
-    if buf[:8] != MAGIC_PARAMS:
-        raise FormatError(f"bad magic {buf[:8]!r}, expected {MAGIC_PARAMS!r}", 0)
-    pos = 8
+    cur = grid.Cursor(buf)
+    magic = cur.take(8, "magic")
+    if magic != MAGIC_PARAMS:
+        raise FormatError(f"bad magic {magic!r}, expected {MAGIC_PARAMS!r}", 0)
     out: dict[str, np.ndarray] = {}
-
-    def take(n, what):
-        nonlocal pos
-        if pos + n > len(buf):
-            raise FormatError(f"truncated {what}", pos)
-        chunk = buf[pos : pos + n]
-        pos += n
-        return chunk
-
-    while pos < len(buf):
-        (nlen,) = struct.unpack("<H", take(2, "tensor name length"))
-        offset = pos
+    while cur.pos < len(buf):
+        (nlen,) = struct.unpack("<H", cur.take(2, "tensor name length"))
+        offset = cur.pos
         try:
-            name = take(nlen, "tensor name").decode("utf-8")
+            name = cur.take(nlen, "tensor name").decode("utf-8")
         except UnicodeDecodeError:
             raise FormatError("tensor name is not valid UTF-8", offset) from None
-        (rank,) = struct.unpack("<B", take(1, "tensor rank"))
-        dims = struct.unpack(f"<{rank}I", take(4 * rank, "tensor dims"))
+        (rank,) = struct.unpack("<B", cur.take(1, "tensor rank"))
+        dims = struct.unpack(f"<{rank}I", cur.take(4 * rank, "tensor dims"))
         if name in out:
             raise FormatError(f"duplicate tensor {name}", offset)
         # math.prod: a numpy product of corrupt dims can wrap around to a small count.
-        data = np.frombuffer(take(4 * math.prod(dims), f"tensor {name} payload"), dtype="<f4")
+        data = np.frombuffer(cur.take(4 * math.prod(dims), f"tensor {name} payload"), dtype="<f4")
         out[name] = data.reshape(dims).copy()
     return out
 

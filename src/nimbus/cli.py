@@ -217,9 +217,6 @@ SCHEMA = {
 DEFAULT_CONFIG = {
     name: {key: default for key, (default, _) in keys.items()} for name, keys in SCHEMA.items()
 }
-# The config section of each conditioning encoder. The denoiser stacks its
-# latents with the VAE's, so both must have the same channel count.
-ENCODER_SECTIONS = {"3dmae": "mae", "2d": "frame_ae"}
 
 
 def _object(given, known, where) -> dict:
@@ -331,10 +328,6 @@ def write_manifest(out_dir, cfg, seed, extra=None) -> None:
         json.dump(manifest, fh, indent=2, sort_keys=True)
 
 
-def _ensure_out(args):
-    os.makedirs(args.out, exist_ok=True)
-
-
 def _dataset_path(args):
     return os.path.join(args.out, "dataset.pyld")
 
@@ -368,7 +361,7 @@ def _check_encoder_channels(cfg, conds, key):
     """Raise a ConfigError naming both keys unless each encoder in ``conds`` has vae.latent_channels."""
     want = cfg["vae"]["latent_channels"]
     for cond in conds:
-        section = ENCODER_SECTIONS.get(cond)
+        section = pipeline.ENCODER_SECTIONS.get(cond)
         if section and cfg[section]["latent_channels"] != want:
             raise ConfigError(
                 f"{section}.latent_channels is {cfg[section]['latent_channels']} but "
@@ -389,9 +382,9 @@ def _encoder(cfg, args, bundle, seed):
 STAT_KEYS = ("variables", "state_mean", "state_std", "resid_mean", "resid_std")
 
 
-def _training_stats(bundle) -> dict:
-    """The STAT_KEYS entries of ``bundle``'s train slice, one list entry per variable."""
-    state, resid = bundle.state_specs, bundle.resid_specs
+def _training_stats(fmodels) -> dict:
+    """The STAT_KEYS entries of ``fmodels``' training statistics, one list entry per variable."""
+    state, resid = fmodels.state_specs, fmodels.resid_specs
     columns = ([s.name for s in state], [s.mean for s in state], [s.std for s in state])
     columns += ([s.mean for s in resid], [s.std for s in resid])
     return dict(zip(STAT_KEYS, columns))
@@ -489,10 +482,10 @@ def cmd_train_diffusion(cfg, args):
     seed = _seed(cfg, args)
     vae = _load(pipeline.build_vae(bundle, cfg["vae"], seed), args.out, "vae.pypt")
     encoder = _encoder(cfg, args, bundle, seed)
-    net, edm_cfg = pipeline.train_denoiser(bundle, cfg, vae, encoder, seed, args.workers)
-    _save_model(net.params, args.out, "denoiser.pypt")
+    fmodels = pipeline.train_denoiser(bundle, cfg, vae, encoder, seed, args.workers)
+    _save_model(fmodels.denoiser.params, args.out, "denoiser.pypt")
     with grid.write_file(os.path.join(args.out, "edm_config.json")) as fh:
-        json.dump({"sigma_data": edm_cfg.sigma_data, **_training_stats(bundle)}, fh)
+        json.dump({"sigma_data": fmodels.edm_config.sigma_data, **_training_stats(fmodels)}, fh)
     log.info("saved denoiser checkpoint (cond=%s)", cfg["diffusion"]["cond_mode"])
 
 
@@ -720,7 +713,7 @@ def main(argv=None) -> int:
         if args.dry_run:
             log.info("config ok (hash %s); dry run, no side effects", config_hash(cfg))
             return 0
-        _ensure_out(args)
+        grid.make_dir(args.out)
         COMMANDS[args.command](cfg, args)
         write_manifest(args.out, cfg, _seed(cfg, args), {"command": args.command})
         return 0

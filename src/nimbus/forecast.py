@@ -40,9 +40,11 @@ class ForecastModels:
     """Frozen model bundle plus the normalization statistics it was trained with.
 
     ``state_specs`` and ``resid_specs`` hold the per-variable mean and std of
-    the training slice's states and residuals, as ``train-diffusion`` wrote
-    them to edm_config.json beside sigma_data. ``encoder`` encodes the
-    conditioning window: a 3D-MAE, a frame AE, or None for zero conditioning.
+    the training slice's states and residuals: ``pipeline.train_denoiser``
+    takes them from the dataset it trains on, and ``nimbus forecast`` from
+    the edm_config.json that ``train-diffusion`` wrote. ``encoder`` encodes
+    the conditioning window: a 3D-MAE, a frame AE, or None for zero
+    conditioning.
     """
 
     vae: Vae
@@ -170,7 +172,7 @@ def rollout(
 
 def write_forecast(ens: EnsembleForecast, out_dir, manifest_extra=None) -> None:
     """One PYLD1 file per member plus a manifest with seeds."""
-    os.makedirs(out_dir, exist_ok=True)
+    grid.make_dir(out_dir)
     for m in range(ens.members):
         batch = grid.FieldBatch(
             data=ens.fields[m], lat=ens.lat, lon=ens.lon, specs=ens.specs

@@ -274,6 +274,8 @@ def write_file(path, mode: str = "w", **kwargs):
     unlink and a new file cost a fraction of one.
     """
     path = os.fspath(path)
+    if os.path.isdir(path):
+        raise ConfigError(f"cannot write {path}: a directory holds its name")
     name = f".{os.path.basename(path)}.{os.getpid()}.{threading.get_ident()}.tmp"
     tmp = os.path.join(os.path.dirname(path), name)
     try:
@@ -286,6 +288,14 @@ def write_file(path, mode: str = "w", **kwargs):
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+
+
+def make_dir(path) -> None:
+    """``os.makedirs(path)`` unless it exists; a file in the way is a ConfigError naming ``path``."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ConfigError(f"cannot make directory {path}: {exc.strerror}") from None
 
 
 def read_json(path):
@@ -315,7 +325,9 @@ def write_fields(x: FieldBatch, path) -> None:
             fh.write(np.ascontiguousarray(arr, dtype=dtype))
 
 
-class _Cursor:
+class Cursor:
+    """Reads a binary file's buffer front to back; a read past its end is a FormatError."""
+
     def __init__(self, buf):
         self.buf = buf
         self.pos = 0
@@ -336,7 +348,7 @@ def read_fields(path) -> FieldBatch:
     """
     with open(path, "rb") as fh:
         buf = memoryview(fh.read())
-    cur = _Cursor(buf)
+    cur = Cursor(buf)
     magic = bytes(cur.take(8, "magic"))
     if magic != MAGIC_FIELDS:
         raise FormatError(f"bad magic {magic!r}, expected {MAGIC_FIELDS!r}", 0)
@@ -345,13 +357,13 @@ def read_fields(path) -> FieldBatch:
         raise FormatError(f"unreasonable dimensions (T={t}, V={v}, H={h}, W={w})", 8)
     records = []
     for _ in range(v):
-        (nlen,) = struct.unpack("<H", cur.take(2, "truncated header (variable record)"))
+        (nlen,) = struct.unpack("<H", cur.take(2, "header (variable record)"))
         offset = cur.pos
         try:
-            name = bytes(cur.take(nlen, "truncated header (variable name)")).decode("utf-8")
+            name = bytes(cur.take(nlen, "header (variable name)")).decode("utf-8")
         except UnicodeDecodeError:
             raise FormatError("variable name is not valid UTF-8", offset) from None
-        stats = struct.unpack("<4d", cur.take(32, "truncated header (variable stats)"))
+        stats = struct.unpack("<4d", cur.take(32, "header (variable stats)"))
         records.append((name, *stats))
     lat = np.frombuffer(cur.take(8 * h, "latitude axis"), dtype="<f8")
     lon = np.frombuffer(cur.take(8 * w, "longitude axis"), dtype="<f8")

@@ -18,6 +18,9 @@ from .regularize import Strategy
 
 # Conditioning encoders the ablation compares: 3D-MAE, frame AE, none.
 COND_MODES = ("3dmae", "2d", "none")
+# The config section of each conditioning encoder. The denoiser stacks its
+# latents with the VAE's, so both must have the same channel count.
+ENCODER_SECTIONS = {"3dmae": "mae", "2d": "frame_ae"}
 
 
 @dataclass
@@ -173,6 +176,14 @@ def train_frame_ae(bundle: DatasetBundle, cfg: dict, seed: int, workers: int = 1
     return ae
 
 
+def train_encoder(bundle: DatasetBundle, config: dict, cond: str, seed: int, workers: int = 1):
+    """The conditioning encoder of ``cond`` trained by its config section; None for "none"."""
+    if cond == "none":
+        return None
+    train = train_mae if cond == "3dmae" else train_frame_ae
+    return train(bundle, config[ENCODER_SECTIONS[cond]], seed, workers=workers)
+
+
 def residual_latents(vae: models.Vae, resid_std: np.ndarray, workers: int = 1) -> np.ndarray:
     """Posterior-mean latents of standardized residual frames (N, V, H, W), one frame per task."""
 
@@ -202,8 +213,8 @@ def conditioning_latents(
 
 def train_denoiser(
     bundle: DatasetBundle, config: dict, vae: models.Vae, encoder, seed: int, workers: int = 1
-):
-    """Train the conditional denoiser on residual latents; returns (net, edm_cfg).
+) -> forecast.ForecastModels:
+    """Train the conditional denoiser on residual latents; returns the models ``rollout`` takes.
 
     The latent precompute runs on ``workers`` threads, and the training on ``ad.fit``.
     """
@@ -239,7 +250,9 @@ def train_denoiser(
         return loss_of
 
     ad.fit(net.params, cfg, draw, workers)
-    return net, edm_cfg
+    return forecast.ForecastModels(
+        vae, net, edm_cfg, bundle.state_specs, bundle.resid_specs, k, encoder
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -266,61 +279,6 @@ def score_ensemble(
     )
 
 
-def run_cell(
-    bundle: DatasetBundle,
-    config: dict,
-    cond_mode: str,
-    strategy: Strategy,
-    seed: int,
-    members: int,
-    t_lead: int,
-    cache: dict | None = None,
-    workers: int = 1,
-):
-    """Train one (conditioning, regularizer) cell and score its forecast.
-
-    Returns one (seed, cond, strategy, variable, lead_hours, metric, value)
-    row per row of ``score_ensemble``'s report: the rows ``nimbus evaluate``
-    writes to metrics.csv, for every lead, in the dataset's raw units, so
-    comparing variables needs their std. ``cache`` shares trained
-    VAEs/encoders across cells of the same seed.
-    """
-    cache = cache if cache is not None else {}
-
-    def cached(key, train):
-        if key not in cache:
-            cache[key] = train()
-        return cache[key]
-
-    vae = cached(
-        ("vae", strategy.value, seed),
-        lambda: train_vae(bundle, config["vae"], strategy, seed, workers=workers),
-    )
-    enc = None
-    if cond_mode == "3dmae":
-        enc = cached(("mae", seed), lambda: train_mae(bundle, config["mae"], seed, workers=workers))
-    elif cond_mode == "2d":
-        enc = cached(
-            ("frame_ae", seed),
-            lambda: train_frame_ae(bundle, config["frame_ae"], seed, workers=workers),
-        )
-
-    net, edm_cfg = train_denoiser(bundle, config, vae, enc, seed, workers=workers)
-    fmodels = forecast.ForecastModels(
-        vae, net, edm_cfg, bundle.state_specs, bundle.resid_specs, config["mae"]["k"], enc
-    )
-    ens = forecast.rollout(
-        fmodels,
-        bundle.init_window,
-        members=members,
-        t_lead=t_lead,
-        base_seed=seed,
-        workers=workers,
-    )
-    report = score_ensemble(bundle, ens.fields, config["verify"]["rank_seed"])
-    return [(seed, cond_mode, strategy.value, *row) for row in report.to_rows()]
-
-
 def ablate(
     bundle: DatasetBundle,
     config: dict,
@@ -333,14 +291,23 @@ def ablate(
 ):
     """Grid of (conditioning, regularizer) cells over replicate seeds.
 
-    Returns every cell's ``run_cell`` rows: (seed, cond, strategy, variable,
-    lead_hours, metric, value), values in the dataset's raw units.
+    Each seed trains one VAE per regularizer and one encoder per
+    conditioning; each cell trains a denoiser on its pair, then rolls out and
+    scores its ensemble. Returns (seed, cond, strategy, variable, lead_hours,
+    metric, value) rows: each cell's ``score_ensemble`` rows, which ``nimbus
+    evaluate`` writes to metrics.csv, in the dataset's raw units.
     """
     rows = []
     for seed in seeds:
-        cache: dict = {}
+        vaes = {
+            s: train_vae(bundle, config["vae"], Strategy(s), seed, workers=workers)
+            for s in dict.fromkeys(strategies)
+        }
+        encoders = {c: train_encoder(bundle, config, c, seed, workers) for c in dict.fromkeys(conds)}
         for cond in conds:
             for strat in strategies:
-                cell = (bundle, config, cond, Strategy(strat), seed, members, t_lead)
-                rows.extend(run_cell(*cell, cache=cache, workers=workers))
+                fmodels = train_denoiser(bundle, config, vaes[strat], encoders[cond], seed, workers)
+                ens = forecast.rollout(fmodels, bundle.init_window, members, t_lead, seed, workers)
+                report = score_ensemble(bundle, ens.fields, config["verify"]["rank_seed"])
+                rows.extend((seed, cond, Strategy(strat).value, *row) for row in report.to_rows())
     return rows

@@ -632,6 +632,41 @@ def test_gen_data_manifest_records_config_seed(tmp_path):
     np.testing.assert_array_equal(grid.read_fields(tmp_path / "dataset.pyld").data, expected.data)
 
 
+def _file_at_out(tmp_path):
+    (tmp_path / "out").write_text("")
+    return tmp_path / "out", f"cannot make directory {tmp_path / 'out'}"
+
+
+def _file_above_out(tmp_path):
+    (tmp_path / "out").write_text("")
+    return tmp_path / "out" / "sub", f"cannot make directory {tmp_path / 'out' / 'sub'}"
+
+
+def _directory_at_manifest(tmp_path):
+    (tmp_path / "out" / "manifest.json").mkdir(parents=True)
+    return tmp_path / "out", f"cannot write {tmp_path / 'out' / 'manifest.json'}"
+
+
+@pytest.mark.parametrize("block", [_file_at_out, _file_above_out, _directory_at_manifest])
+def test_output_path_held_by_the_wrong_kind_exits_2(tmp_path, caplog, block):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(TINY))
+    out, message = block(tmp_path)
+    with caplog.at_level(logging.ERROR, logger="nimbus"):
+        assert cli.main(["gen-data", "--config", str(config), "--out", str(out)]) == 2
+    assert f"configuration error: {message}" in caplog.text
+
+
+def test_forecast_directory_held_by_a_file_exits_2(trained, tmp_path, caplog):
+    out, config, _ = trained
+    for name in ("dataset.pyld", "vae.pypt", "mae.pypt", "denoiser.pypt", "edm_config.json"):
+        shutil.copy(out / name, tmp_path)
+    (tmp_path / "forecast").write_text("")
+    with caplog.at_level(logging.ERROR, logger="nimbus"):
+        assert cli.main(["forecast", "--config", str(config), "--out", str(tmp_path)]) == 2
+    assert f"cannot make directory {tmp_path / 'forecast'}" in caplog.text
+
+
 def _joined_pyld(x):
     """The PYLD bytes of ``x`` as the writer once built them: tobytes() per part, one join."""
     t, v, h, w = x.data.shape
@@ -952,8 +987,10 @@ def test_ablate_scores_every_conditioning_and_trains_each_model_once_per_seed(
     trained, tmp_path, monkeypatch
 ):
     out, _, _ = trained
-    conds = ["none", "2d", "3dmae"]
-    config = _ablate_config(tmp_path, out, conds=conds, replicates=2, members=2, t_lead=2)
+    conds, strategies = ["none", "2d", "3dmae"], ["none", "se"]
+    config = _ablate_config(
+        tmp_path, out, conds=conds, strategies=strategies, replicates=2, members=2, t_lead=2
+    )
     trains = {name: [] for name in ("train_vae", "train_mae", "train_frame_ae")}
 
     def counting(name):
@@ -968,7 +1005,8 @@ def test_ablate_scores_every_conditioning_and_trains_each_model_once_per_seed(
     for name in trains:
         monkeypatch.setattr(pipeline, name, counting(name))
     assert cli.main(["ablate", "--config", str(config), "--out", str(tmp_path)]) == 0
-    assert trains == {name: [0, 1] for name in trains}
+    # One VAE per (seed, regularizer) and one encoder per seed, not one per cell.
+    assert trains == {"train_vae": [0, 0, 1, 1], "train_mae": [0, 1], "train_frame_ae": [0, 1]}
     keys = {
         (f"var{v}", str(lead), metric)
         for v in range(TINY["data"]["v"])
@@ -979,7 +1017,9 @@ def test_ablate_scores_every_conditioning_and_trains_each_model_once_per_seed(
     for seed, cond, strategy, *row in _csv_rows(tmp_path / "ablation.csv")[1:]:
         assert np.isfinite(float(row[-1]))
         cells.setdefault((seed, cond, strategy), []).append(tuple(row[:-1]))
-    assert sorted(cells) == sorted((str(s), c, "none") for s in (0, 1) for c in conds)
+    assert sorted(cells) == sorted(
+        (str(s), c, r) for s in (0, 1) for c in conds for r in strategies
+    )
     for cell, rows in cells.items():
         assert sorted(rows) == sorted(keys), cell
 

@@ -133,5 +133,5 @@ def test_zero_iterations_train_nothing(bundle):
     _params_equal(mae, pipeline.build_mae(bundle, config["mae"], seed))
     ae = pipeline.train_frame_ae(bundle, config["frame_ae"], seed)
     _params_equal(ae, pipeline.build_frame_ae(bundle, config["frame_ae"], seed))
-    net, _ = pipeline.train_denoiser(bundle, config, vae, mae, seed)
-    _params_equal(net, pipeline.build_denoiser(config, seed))
+    fmodels = pipeline.train_denoiser(bundle, config, vae, mae, seed)
+    _params_equal(fmodels.denoiser, pipeline.build_denoiser(config, seed))
