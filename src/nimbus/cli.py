@@ -3,7 +3,8 @@
 All subcommands take --config/--seed/--out/--workers/--dry-run, write a
 manifest (config hash, seed, versions) into the output directory, and exit
 with 0 on success, 2 on configuration errors, 3 on numeric failures.
-NIMBUS_LOG controls log verbosity.
+NIMBUS_LOG controls log verbosity. --seed (default 0) seeds every random
+draw a command makes; no config key does.
 
 The --config file is a JSON object of sections (``data``, ``vae``, ``mae``,
 ...), each an object of keys; a key left out takes its default. SCHEMA gives
@@ -123,7 +124,6 @@ SCHEMA = {
         "slopes": ([], listof(FINITE)),
         "advection": ([], listof(listof(integer(), size=2))),
         "forcing": (0.1, NON_NEGATIVE),
-        "seed": (0, NATURAL),
     },
     "vae": {
         "latent_channels": (16, COUNT),
@@ -159,8 +159,6 @@ SCHEMA = {
         "iters": (320, NATURAL),
         "batch": (4, COUNT),
         "lr": (2e-3, POSITIVE),
-        # "auto": estimated from the latents.
-        "sigma_data": ("auto", either(choice(("auto",)), POSITIVE)),
         # No command trains the 2D frame encoder alone: only `ablate` conditions on it.
         "cond_mode": (
             "3dmae",
@@ -198,7 +196,6 @@ SCHEMA = {
         "train_frames": (72, COUNT),
     },
     "verify": {
-        "rank_seed": (0, NATURAL),
         # Band edges ascend from 0 and reach the spectrum's corner radius; the
         # last may be Infinity (a JSON extension that json.load reads).
         "bands": (
@@ -437,19 +434,12 @@ def _trained_with(out_dir, specs):
 # ---------------------------------------------------------------------------
 
 
-def _seed(cfg, args) -> int:
-    """--seed if given, else data.seed for gen-data and 0 for every other command."""
-    if args.seed is not None:
-        return args.seed
-    return cfg["data"]["seed"] if args.command == "gen-data" else 0
-
-
 def cmd_gen_data(cfg, args):
     d = cfg["data"]
     slopes = d["slopes"] if d["slopes"] else None
     adv = [tuple(a) for a in d["advection"]] if d["advection"] else None
     batch = grid.gen_synthetic(
-        seed=_seed(cfg, args),
+        seed=args.seed,
         h=d["h"],
         w=d["w"],
         v=d["v"],
@@ -465,24 +455,23 @@ def cmd_gen_data(cfg, args):
 def cmd_train_vae(cfg, args):
     bundle = _load_bundle(cfg, args)
     strategy = Strategy(cfg["vae"]["regularizer"])
-    vae = pipeline.train_vae(bundle, cfg["vae"], strategy, _seed(cfg, args), args.workers)
+    vae = pipeline.train_vae(bundle, cfg["vae"], strategy, args.seed, args.workers)
     _save_model(vae.params, args.out, "vae.pypt")
     log.info("saved VAE checkpoint (strategy=%s)", strategy.value)
 
 
 def cmd_train_mae(cfg, args):
     bundle = _load_bundle(cfg, args)
-    mae = pipeline.train_mae(bundle, cfg["mae"], _seed(cfg, args), args.workers)
+    mae = pipeline.train_mae(bundle, cfg["mae"], args.seed, args.workers)
     _save_model(mae.params, args.out, "mae.pypt")
     log.info("saved 3D-MAE checkpoint")
 
 
 def cmd_train_diffusion(cfg, args):
     bundle = _load_bundle(cfg, args)
-    seed = _seed(cfg, args)
-    vae = _load(pipeline.build_vae(bundle, cfg["vae"], seed), args.out, "vae.pypt")
-    encoder = _encoder(cfg, args, bundle, seed)
-    fmodels = pipeline.train_denoiser(bundle, cfg, vae, encoder, seed, args.workers)
+    vae = _load(pipeline.build_vae(bundle, cfg["vae"], args.seed), args.out, "vae.pypt")
+    encoder = _encoder(cfg, args, bundle, args.seed)
+    fmodels = pipeline.train_denoiser(bundle, cfg, vae, encoder, args.seed, args.workers)
     _save_model(fmodels.denoiser.params, args.out, "denoiser.pypt")
     with grid.write_file(os.path.join(args.out, "edm_config.json")) as fh:
         json.dump({"sigma_data": fmodels.edm_config.sigma_data, **_training_stats(fmodels)}, fh)
@@ -507,15 +496,14 @@ def _rebuild_models(cfg, args, seed):
 
 
 def cmd_forecast(cfg, args):
-    seed = _seed(cfg, args)
-    bundle, fmodels = _rebuild_models(cfg, args, seed)
+    bundle, fmodels = _rebuild_models(cfg, args, args.seed)
     f = cfg["forecast"]
     ens = forecast.rollout(
         fmodels,
         bundle.init_window,
         members=f["members"],
         t_lead=f["t_lead"],
-        base_seed=seed,
+        base_seed=args.seed,
         workers=args.workers,
     )
     fc_dir = os.path.join(args.out, "forecast")
@@ -548,7 +536,7 @@ def cmd_evaluate(cfg, args):
             f"({_dataset_path(args)}); the forecast was made on another grid"
         )
     _check_leads(bundle, ens.lead_times, "forecast")
-    report = pipeline.score_ensemble(bundle, ens.fields, cfg["verify"]["rank_seed"])
+    report = pipeline.score_ensemble(bundle, ens.fields)
     report.to_csv(os.path.join(args.out, "metrics.csv"))
     report.to_json(os.path.join(args.out, "metrics.json"))
     rmse = report.scores["rmse_mean"]
@@ -573,8 +561,7 @@ def cmd_evaluate(cfg, args):
 
 
 def cmd_diagnose(cfg, args):
-    seed = _seed(cfg, args)
-    bundle, fmodels = _rebuild_models(cfg, args, seed)
+    bundle, fmodels = _rebuild_models(cfg, args, args.seed)
     k = cfg["mae"]["k"]
     vae = fmodels.vae
     resid_std = grid.standardized_residuals(bundle.train, fmodels.resid_specs)
@@ -583,7 +570,7 @@ def cmd_diagnose(cfg, args):
     z_bar_all = pipeline.conditioning_latents(fmodels.encoder, states_std, z_all, k, args.workers)
     targets = np.arange(k, bundle.train.shape[0] - 1)
     n = min(64, len(targets))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(args.seed)
     gen = []
     for i in range(n):
         t = targets[i]
@@ -638,7 +625,7 @@ def cmd_ablate(cfg, args):
     a = cfg["ablate"]
     _check_leads(bundle, a["t_lead"], "ablate")
     _check_encoder_channels(cfg, a["conds"], "ablate.conds")
-    seeds = [_seed(cfg, args) + r for r in range(a["replicates"])]
+    seeds = [args.seed + r for r in range(a["replicates"])]
     rows = pipeline.ablate(
         bundle,
         cfg,
@@ -682,7 +669,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None, help="JSON config path")
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", type=str, default="out")
         p.add_argument(
             "--workers",
@@ -705,7 +692,7 @@ def main(argv=None) -> int:
     try:
         if args.workers < 1:
             raise ConfigError(f"--workers must be at least 1, got {args.workers}")
-        if args.seed is not None and args.seed < 0:
+        if args.seed < 0:
             raise ConfigError(f"--seed must be at least 0, got {args.seed}")
         cfg = load_config(args.config)
         if args.command == "gen-data":
@@ -715,7 +702,7 @@ def main(argv=None) -> int:
             return 0
         grid.make_dir(args.out)
         COMMANDS[args.command](cfg, args)
-        write_manifest(args.out, cfg, _seed(cfg, args), {"command": args.command})
+        write_manifest(args.out, cfg, args.seed, {"command": args.command})
         return 0
     except ConfigError as exc:
         log.error("configuration error: %s", exc)

@@ -361,5 +361,5 @@ def analytic_gaussian_denoiser(mu: np.ndarray, cov_diag: np.ndarray):
 
 
 def estimate_sigma_data(latents: np.ndarray) -> float:
-    """Empirical std of training residual latents (sigma_data auto-estimate)."""
+    """Empirical std of training residual latents: the sigma_data of EDM preconditioning."""
     return float(np.std(np.asarray(latents, dtype=np.float64)))

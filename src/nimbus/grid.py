@@ -334,7 +334,8 @@ class Cursor:
 
     def take(self, n, what):
         if self.pos + n > len(self.buf):
-            raise FormatError(f"truncated {what}: need {n} more bytes", self.pos)
+            missing = self.pos + n - len(self.buf)
+            raise FormatError(f"truncated {what}: need {missing} more bytes", self.pos)
         out = self.buf[self.pos : self.pos + n]
         self.pos += n
         return out

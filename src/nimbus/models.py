@@ -39,7 +39,6 @@ class Vae:
     """Two-stage (4x downsampling) convolutional VAE with residual shortcuts."""
 
     def __init__(self, v: int, cfg: VaeConfig, rng: np.random.Generator):
-        self.v = v
         self.cfg = cfg
         c1, c2, cz = cfg.base_channels, 2 * cfg.base_channels, cfg.latent_channels
         self.latent_channels = cz
@@ -225,10 +224,6 @@ class Mae:
         p["dh.w"], p["dh.b"] = ad.conv_weight(rng, v, cd, 3), _zeros(v)
         self.params = p
 
-    @property
-    def latent_channels(self) -> int:
-        return self.cfg.latent_channels
-
     def encode(self, x: ad.Tensor) -> ad.Tensor:
         """(B, V, k+1, H, W) window -> (B, Cz, 1+k/2, h, w) latent."""
         k, p = self.cfg.k, self.params
@@ -297,8 +292,6 @@ class FrameAe:
     """Plain 2D autoencoder on states; matched latent channel budget."""
 
     def __init__(self, v: int, latent_channels: int, rng: np.random.Generator, base: int = 16):
-        self.v = v
-        self.latent_channels = latent_channels
         c1, c2, cz = base, 2 * base, latent_channels
         p = {}
         p["e0.w"], p["e0.b"] = ad.conv_weight(rng, c1, v, 3), _zeros(c1)

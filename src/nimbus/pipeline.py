@@ -226,10 +226,7 @@ def train_denoiser(
     states_std = grid.standardize_array(bundle.train, bundle.state_specs)
     z_bar_all = conditioning_latents(encoder, states_std, z_all, k, workers)
     targets = np.arange(k, bundle.train.shape[0] - 1)
-    if cfg["sigma_data"] == "auto":
-        sigma_data = max(edm.estimate_sigma_data(z_all), 1e-3)
-    else:
-        sigma_data = float(cfg["sigma_data"])
+    sigma_data = max(edm.estimate_sigma_data(z_all), 1e-3)
     edm_cfg = edm.EdmConfig(sigma_data=sigma_data, **config["sampler"])
     net = build_denoiser(config, seed)
     train_rng = np.random.default_rng([seed, 505])
@@ -260,13 +257,13 @@ def train_denoiser(
 # ---------------------------------------------------------------------------
 
 
-def score_ensemble(
-    bundle: DatasetBundle, fields: np.ndarray, rank_seed: int
-) -> verify.MetricReport:
+def score_ensemble(bundle: DatasetBundle, fields: np.ndarray) -> verify.MetricReport:
     """Score (M, T, V, H, W) forecast fields against the first T truth frames.
 
     Scores are per variable and per lead (6 h apart) in the dataset's raw
     units; ``nimbus evaluate`` and every ``nimbus ablate`` cell score here.
+    Rank-histogram ties are broken by one fixed random stream (seed 0), so
+    the same fields always score the same.
     """
     t_lead = fields.shape[1]
     return verify.evaluate_ensemble(
@@ -275,7 +272,7 @@ def score_ensemble(
         variables=[s.name for s in bundle.full.specs],
         lead_hours=[6 * (i + 1) for i in range(t_lead)],
         lat_weights=bundle.lat_w,
-        rank_seed=rank_seed,
+        rank_seed=0,
     )
 
 
@@ -308,6 +305,6 @@ def ablate(
             for strat in strategies:
                 fmodels = train_denoiser(bundle, config, vaes[strat], encoders[cond], seed, workers)
                 ens = forecast.rollout(fmodels, bundle.init_window, members, t_lead, seed, workers)
-                report = score_ensemble(bundle, ens.fields, config["verify"]["rank_seed"])
+                report = score_ensemble(bundle, ens.fields)
                 rows.extend((seed, cond, Strategy(strat).value, *row) for row in report.to_rows())
     return rows

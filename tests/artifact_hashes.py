@@ -6,7 +6,8 @@ runs ``gen-data``, ``train-vae``, ``train-mae``, ``train-diffusion``,
 ``forecast``, ``evaluate`` and ``diagnose`` at ``--seed 3 --workers 2`` once
 per ``vae.regularizer``, then ``ablate``, then every stage again with
 ``sampler.s_churn`` 2.5, and again at ``sampler.steps`` 6, whose later steps
-are the sampler's third-order ones (at 3 steps it takes none). It prints one
+are the sampler's third-order ones (at 3 steps it takes none). Last, it
+runs ``gen-data`` once without ``--seed``, the default seed 0. It prints one
 ``sha256  path`` line per file. The run manifests hold the wall-clock time and are left out. Two
 checkouts whose tables match wrote the same bytes, so a refactor that claims
 byte-identical outputs diffs the two tables.
@@ -43,13 +44,13 @@ STAGES = ("gen-data", "train-vae", "train-mae", "train-diffusion", "forecast", "
 REGULARIZERS = ("none", "se", "ffm", "vamfm")
 
 
-def run(root, name, config, stages):
+def run(root, name, config, stages, seed=("--seed", "3")):
     out = os.path.join(root, name)
     path = os.path.join(root, f"{name}.json")
     with open(path, "w") as fh:
         json.dump(config, fh)
     for stage in stages:
-        argv = [stage, "--config", path, "--out", out, "--seed", "3", "--workers", "2"]
+        argv = [stage, "--config", path, "--out", out, *seed, "--workers", "2"]
         if cli.main(argv) != 0:
             raise SystemExit(f"nimbus {' '.join(argv)} failed")
 
@@ -61,7 +62,8 @@ def main():
         run(root, "ablate", TINY, ("gen-data", "ablate"))
         run(root, "churn", {**TINY, "sampler": {**TINY["sampler"], "s_churn": 2.5}}, STAGES)
         run(root, "steps6", {**TINY, "sampler": {"steps": 6}}, STAGES)
-        for name in (*REGULARIZERS, "ablate", "churn", "steps6"):
+        run(root, "default_seed", TINY, ("gen-data",), seed=())
+        for name in (*REGULARIZERS, "ablate", "churn", "steps6", "default_seed"):
             for dirpath, dirnames, filenames in os.walk(os.path.join(root, name)):
                 dirnames.sort()
                 for fname in sorted(filenames):

@@ -890,6 +890,13 @@ class TestCheckpoints:
         with pytest.raises(FormatError):
             ad.load_params(path)
 
+    def test_truncated_payload_names_the_missing_bytes(self, tmp_path):
+        ad.save_params({"enc0.w": ad.param(np.zeros((3, 4)))}, tmp_path / "c.pypt")
+        blob = (tmp_path / "c.pypt").read_bytes()
+        (tmp_path / "c.pypt").write_bytes(blob[:-3])
+        with pytest.raises(FormatError, match="truncated tensor enc0.w payload: need 3 more bytes"):
+            ad.load_params(tmp_path / "c.pypt")
+
     def test_assign_checks_shapes(self, tmp_path):
         params = {"w": ad.param(np.zeros((2, 2)))}
         ad.save_params(params, tmp_path / "c.pypt")

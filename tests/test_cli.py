@@ -71,10 +71,11 @@ def test_training_checkpoints_do_not_depend_on_workers(trained, tmp_path):
         run = tmp_path / f"workers{workers}"
         run.mkdir()
         shutil.copy(out / "dataset.pyld", run)
-        for stage in ("train-vae", "train-mae", "train-diffusion"):
+        for stage in ("train-vae", "train-mae", "train-diffusion", "diagnose"):
             argv = [stage, "--config", str(config), "--out", str(run), "--workers", workers]
             assert cli.main(argv) == 0
-    for name in ("vae.pypt", "mae.pypt", "denoiser.pypt", "edm_config.json"):
+    trained_files = ("vae.pypt", "mae.pypt", "denoiser.pypt", "edm_config.json")
+    for name in (*trained_files, "diffusability.csv", "band_energy.svg", "rmse_vs_mask.svg"):
         assert (tmp_path / "workers1" / name).read_bytes() == (
             tmp_path / "workers2" / name
         ).read_bytes(), name
@@ -476,8 +477,10 @@ def test_unreadable_config_exits_2(tmp_path, content, message, caplog):
         ("forecast", "t_lead", 0),
         ("diffusion", "cond_mode", "bogus"),
         ("diffusion", "blocks", True),
-        ("diffusion", "sigma_data", -0.5),
-        ("diffusion", "sigma_data", "bogus"),
+        # pytest numbers the list-valued cases by position, so a case taken
+        # out above them would rename each one after it.
+        ("diffusion", "lr", -0.5),
+        ("diffusion", "hidden", "bogus"),
         ("ablate", "strategies", ["se", "bogus"]),
         ("ablate", "conds", ["2d", "bogus"]),
         ("sampler", "rho", 0),
@@ -532,7 +535,16 @@ def test_bad_config_value_exits_2(tmp_path, section, key, value, dry_run, caplog
 
 
 @pytest.mark.parametrize(
-    "section, key, value", [("forecast", "streaming", False), ("mae", "warmup_frac", 0.25)]
+    "section, key, value",
+    [
+        ("forecast", "streaming", False),
+        ("mae", "warmup_frac", 0.25),
+        # --seed seeds every draw, sigma_data is always measured, and rank
+        # ties are broken by one fixed stream: no key sets any of them.
+        ("data", "seed", 5),
+        ("diffusion", "sigma_data", 0.5),
+        ("verify", "rank_seed", 0),
+    ],
 )
 def test_unknown_config_key_exits_2(tmp_path, section, key, value, caplog):
     cfg = {name: dict(entries) for name, entries in TINY.items()}
@@ -559,10 +571,10 @@ def test_object_value_exits_2_naming_key(tmp_path, section, key, caplog):
 def test_config_hashes_are_pinned(tmp_path):
     # Manifests and forecast directories record these hashes: a changed default
     # or a change in how a config is merged over the defaults moves them.
-    assert cli.config_hash(cli.load_config()) == "bdf230f908646754"
+    assert cli.config_hash(cli.load_config()) == "182f39e5537eef71"
     path = tmp_path / "config.json"
     path.write_text(json.dumps(TINY))
-    assert cli.config_hash(cli.load_config(str(path))) == "93cb4611dcfe229d"
+    assert cli.config_hash(cli.load_config(str(path))) == "d94dd8b09b05df4b"
 
 
 @pytest.mark.parametrize(
@@ -620,14 +632,15 @@ def test_dataset_size_limit_is_read_fields_limit(tmp_path):
 
 
 def test_gen_data_manifest_records_config_seed(tmp_path):
-    cfg = {"data": {**TINY["data"], "seed": 5}, "forecast": TINY["forecast"]}
+    # No config key seeds gen-data: without --seed it draws and records seed 0.
+    cfg = {"data": TINY["data"], "forecast": TINY["forecast"]}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     assert cli.main(["gen-data", "--config", str(path), "--out", str(tmp_path)]) == 0
-    assert json.loads((tmp_path / "manifest.json").read_text())["seed"] == 5
+    assert json.loads((tmp_path / "manifest.json").read_text())["seed"] == 0
     d = cli.load_config(str(path))["data"]
     expected = grid.gen_synthetic(
-        seed=5, h=d["h"], w=d["w"], v=d["v"], t=d["t"], forcing=d["forcing"]
+        seed=0, h=d["h"], w=d["w"], v=d["v"], t=d["t"], forcing=d["forcing"]
     )
     np.testing.assert_array_equal(grid.read_fields(tmp_path / "dataset.pyld").data, expected.data)
 
@@ -716,11 +729,19 @@ def test_default_config_verifies_every_lead():
     assert bundle.truth.shape[0] >= cfg["forecast"]["t_lead"]
 
 
-def test_numeric_sigma_data_accepted(tmp_path):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({"diffusion": {"sigma_data": 0.5}, "vae": {"iters": 0}}))
-    cfg = cli.load_config(str(path))
-    assert cfg["diffusion"]["sigma_data"] == 0.5 and cfg["vae"]["iters"] == 0
+def test_edm_config_records_the_measured_sigma_data(trained):
+    # sigma_data is the std of the residual latents of the VAE the denoiser
+    # learns from, so each regularizer's VAE gets its own.
+    out, config, _ = trained
+    cfg = cli.load_config(str(config))
+    batch = grid.read_fields(out / "dataset.pyld")
+    bundle = pipeline.split_dataset(batch, cfg["forecast"]["train_frames"], cfg["mae"]["k"])
+    vae = pipeline.build_vae(bundle, cfg["vae"], 0)
+    ad.assign_params(vae.params, ad.load_params(out / "vae.pypt"))
+    resid_std = grid.standardized_residuals(bundle.train, bundle.resid_specs)
+    z_all = pipeline.residual_latents(vae, resid_std)
+    saved = json.loads((out / "edm_config.json").read_text())
+    assert saved["sigma_data"] == max(edm.estimate_sigma_data(z_all), 1e-3)
 
 
 def test_evaluate_missing_member_exits_2(trained, tmp_path, caplog):

@@ -244,6 +244,13 @@ class TestFieldFile:
         assert str(exc.value).count("truncated") == 1
         assert exc.value.offset <= 30
 
+    def test_truncated_payload_names_the_missing_bytes(self, tmp_path):
+        path = tmp_path / "x.pyld"
+        grid.write_fields(grid.gen_synthetic(seed=0, h=8, w=8, v=2, t=1), path)
+        path.write_bytes(path.read_bytes()[:-5])
+        with pytest.raises(FormatError, match="truncated payload: need 5 more bytes"):
+            grid.read_fields(path)
+
     def test_dimension_overflow(self, tmp_path):
         import struct
 
