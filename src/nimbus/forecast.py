@@ -14,7 +14,10 @@ Rollouts standardize with the statistics of the training slice that the
 models learned on, which ``ForecastModels`` carries (``nimbus forecast``
 reads them from edm_config.json), never with statistics of the dataset the
 init window comes from. The member files hold those training state
-statistics in their headers.
+statistics in their headers. So a rollout needs only the k+1 frames of its
+init window, and ``nimbus forecast`` holds no other frame of the dataset:
+it reads and checks every frame, but keeps just the window
+(``grid.read_fields``).
 
 With ``workers`` > 1, members run on that many threads
 (``autodiff.thread_map``), and the BLAS threads are divided among them for

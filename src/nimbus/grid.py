@@ -82,9 +82,7 @@ class FieldBatch:
         d = np.diff(lat)
         if lat.size > 1 and not (np.all(d > 0) or np.all(d < 0)):
             raise DomainError("latitudes must be strictly monotone")
-        # Frame by frame: the mask is one frame's, not the whole batch's.
-        if not all(np.isfinite(frame).all() for frame in data):
-            raise DomainError("field data contains non-finite values")
+        check_finite(data)
         for arr in (data, lat, lon):
             arr.setflags(write=False)
         object.__setattr__(self, "data", data)
@@ -95,6 +93,15 @@ class FieldBatch:
     @property
     def shape(self):
         return self.data.shape
+
+
+def check_finite(frames) -> None:
+    """A DomainError unless every value of ``frames`` is finite.
+
+    Frame by frame: the mask is one frame's, not the whole batch's.
+    """
+    if not all(np.isfinite(frame).all() for frame in frames):
+        raise DomainError("field data contains non-finite values")
 
 
 def lat_weights(lat) -> np.ndarray:
@@ -326,58 +333,89 @@ def write_fields(x: FieldBatch, path) -> None:
 
 
 class Cursor:
-    """Reads a binary file's buffer front to back; a read past its end is a FormatError."""
+    """Reads a binary file front to back; a read past its end is a FormatError.
 
-    def __init__(self, buf):
-        self.buf = buf
+    The file's size is taken when the cursor opens, so a read that would
+    run past the end is refused before it is made.
+    """
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.size = os.fstat(fh.fileno()).st_size
         self.pos = 0
 
-    def take(self, n, what):
-        if self.pos + n > len(self.buf):
-            missing = self.pos + n - len(self.buf)
+    def need(self, n, what):
+        """A FormatError naming ``what`` unless ``n`` more bytes follow."""
+        if self.pos + n > self.size:
+            missing = self.pos + n - self.size
             raise FormatError(f"truncated {what}: need {missing} more bytes", self.pos)
-        out = self.buf[self.pos : self.pos + n]
+
+    def take(self, n, what):
+        """The next ``n`` bytes."""
+        self.need(n, what)
         self.pos += n
-        return out
+        return self.fh.read(n)
 
 
-def read_fields(path) -> FieldBatch:
-    """The batch ``write_fields`` wrote to ``path``; a malformed file is a FormatError.
+def read_fields(path, keep=None) -> FieldBatch:
+    """The batch ``write_fields`` wrote to ``path``, or the frames of it that ``keep`` asks for.
 
-    The returned data, lat and lon are read-only views of the one buffer the
-    file was read into: the payload is never copied.
+    The file is streamed. Its header is read and checked first, and the
+    payload's length against the file's size; then the payload is read one
+    frame at a time. Every frame is read and checked for finiteness, but only
+    the frames of ``range(T)[keep(T)]`` are held, for the file's T frames:
+    ``keep`` returns a slice, sees T before any frame is read and may raise
+    on it. A frame that is not held is read into one spare frame. Without
+    ``keep`` every frame is held, in one array, so a full read holds the
+    payload once. The returned data, lat and lon are read-only.
+
+    A malformed file is a FormatError, in the file's order: the header's
+    values and axes are checked before the payload's.
     """
     with open(path, "rb") as fh:
-        buf = memoryview(fh.read())
-    cur = Cursor(buf)
-    magic = bytes(cur.take(8, "magic"))
-    if magic != MAGIC_FIELDS:
-        raise FormatError(f"bad magic {magic!r}, expected {MAGIC_FIELDS!r}", 0)
-    t, v, h, w = struct.unpack("<4I", cur.take(16, "header"))
-    if t * v * h * w > MAX_ELEMENTS or min(t, v, h, w) == 0:
-        raise FormatError(f"unreasonable dimensions (T={t}, V={v}, H={h}, W={w})", 8)
-    records = []
-    for _ in range(v):
-        (nlen,) = struct.unpack("<H", cur.take(2, "header (variable record)"))
-        offset = cur.pos
+        cur = Cursor(fh)
+        magic = cur.take(8, "magic")
+        if magic != MAGIC_FIELDS:
+            raise FormatError(f"bad magic {magic!r}, expected {MAGIC_FIELDS!r}", 0)
+        t, v, h, w = struct.unpack("<4I", cur.take(16, "header"))
+        if t * v * h * w > MAX_ELEMENTS or min(t, v, h, w) == 0:
+            raise FormatError(f"unreasonable dimensions (T={t}, V={v}, H={h}, W={w})", 8)
+        records = []
+        for _ in range(v):
+            (nlen,) = struct.unpack("<H", cur.take(2, "header (variable record)"))
+            offset = cur.pos
+            try:
+                name = cur.take(nlen, "header (variable name)").decode("utf-8")
+            except UnicodeDecodeError:
+                raise FormatError("variable name is not valid UTF-8", offset) from None
+            stats = struct.unpack("<4d", cur.take(32, "header (variable stats)"))
+            records.append((name, *stats))
+        lat = np.frombuffer(cur.take(8 * h, "latitude axis"), dtype="<f8")
+        lon = np.frombuffer(cur.take(8 * w, "longitude axis"), dtype="<f8")
+        cur.need(4 * t * v * h * w, "payload")
+        end = cur.pos + 4 * t * v * h * w
+        if end != cur.size:
+            raise FormatError(f"{cur.size - end} trailing bytes after payload", end)
+        # Header values or a payload that the data model rejects are a bad
+        # file. A batch of no frames checks the header before any frame.
         try:
-            name = bytes(cur.take(nlen, "header (variable name)")).decode("utf-8")
-        except UnicodeDecodeError:
-            raise FormatError("variable name is not valid UTF-8", offset) from None
-        stats = struct.unpack("<4d", cur.take(32, "header (variable stats)"))
-        records.append((name, *stats))
-    lat = np.frombuffer(cur.take(8 * h, "latitude axis"), dtype="<f8")
-    lon = np.frombuffer(cur.take(8 * w, "longitude axis"), dtype="<f8")
-    payload = cur.take(4 * t * v * h * w, "payload")
-    if cur.pos != len(buf):
-        raise FormatError(f"{len(buf) - cur.pos} trailing bytes after payload", cur.pos)
-    data = np.frombuffer(payload, dtype="<f4").reshape(t, v, h, w)
-    # Header values or a payload that the data model rejects are a bad file.
-    try:
-        specs = tuple(
-            VariableSpec(name, mean, std, lw, None if math.isnan(level) else level)
-            for name, mean, std, lw, level in records
-        )
-        return FieldBatch(data=data, lat=lat, lon=lon, specs=specs)
-    except (ConfigError, DomainError) as exc:
-        raise FormatError(str(exc)) from exc
+            specs = tuple(
+                VariableSpec(name, mean, std, lw, None if math.isnan(level) else level)
+                for name, mean, std, lw, level in records
+            )
+            FieldBatch(data=np.empty((0, v, h, w), np.float32), lat=lat, lon=lon, specs=specs)
+        except (ConfigError, DomainError) as exc:
+            raise FormatError(str(exc)) from exc
+        kept = range(t) if keep is None else range(t)[keep(t)]
+        data = np.empty((len(kept), v, h, w), np.float32)
+        spare = np.empty((v, h, w), np.float32) if len(kept) < t else None
+        try:
+            for i in range(t):
+                frame = data[kept.index(i)] if i in kept else spare
+                fh.readinto(frame)
+                if frame is spare:
+                    check_finite((spare,))
+            # The held frames are checked here, so each frame is checked once.
+            return FieldBatch(data=data, lat=lat, lon=lon, specs=specs)
+        except DomainError as exc:
+            raise FormatError(str(exc)) from exc

@@ -66,24 +66,24 @@ def frames_needed(train_frames: int, k: int) -> int:
     return train_frames + (k + 1) + 1
 
 
-def split_dataset(batch: grid.FieldBatch, train_frames: int, k: int) -> DatasetBundle:
-    """Leading frames train; the next k+1 initialize; the rest verify. Nothing is fitted."""
+def init_frames(t: int, train_frames: int, k: int) -> slice:
+    """The k+1 init frames of a t-frame dataset; a ConfigError unless its split fits."""
     check_train_frames(train_frames, k)
-    t = batch.data.shape[0]
     need = frames_needed(train_frames, k)
     if t < need:
         raise ConfigError(f"dataset has {t} frames; need at least {need}")
-    init = grid.FieldBatch(
-        data=batch.data[train_frames : train_frames + k + 1],
-        lat=batch.lat,
-        lon=batch.lon,
-        specs=batch.specs,
-    )
+    return slice(train_frames, train_frames + k + 1)
+
+
+def split_dataset(batch: grid.FieldBatch, train_frames: int, k: int) -> DatasetBundle:
+    """Leading frames train; the next k+1 initialize; the rest verify. Nothing is fitted."""
+    init = init_frames(batch.data.shape[0], train_frames, k)
+    window = grid.FieldBatch(data=batch.data[init], lat=batch.lat, lon=batch.lon, specs=batch.specs)
     return DatasetBundle(
         full=batch,
-        train=batch.data[:train_frames],
-        init_window=init,
-        truth=batch.data[train_frames + k + 1 :],
+        train=batch.data[: init.start],
+        init_window=window,
+        truth=batch.data[init.stop :],
         lat_w=grid.lat_weights(batch.lat),
         var_w=np.array([s.loss_weight for s in batch.specs]),
     )
@@ -94,10 +94,10 @@ def split_dataset(batch: grid.FieldBatch, train_frames: int, k: int) -> DatasetB
 # ---------------------------------------------------------------------------
 
 
-def build_vae(bundle: DatasetBundle, cfg: dict, seed: int) -> models.Vae:
-    """The untrained VAE that ``train_vae`` starts from, for the same seed."""
+def build_vae(v: int, cfg: dict, seed: int) -> models.Vae:
+    """The untrained VAE of ``v`` variables that ``train_vae`` starts from, for the same seed."""
     return models.Vae(
-        v=bundle.train.shape[1],
+        v=v,
         cfg=models.VaeConfig(
             latent_channels=cfg["latent_channels"],
             base_channels=cfg["base_channels"],
@@ -107,10 +107,10 @@ def build_vae(bundle: DatasetBundle, cfg: dict, seed: int) -> models.Vae:
     )
 
 
-def build_mae(bundle: DatasetBundle, cfg: dict, seed: int) -> models.Mae:
-    """The untrained 3D-MAE that ``train_mae`` starts from, for the same seed."""
+def build_mae(v: int, cfg: dict, seed: int) -> models.Mae:
+    """The untrained 3D-MAE of ``v`` variables that ``train_mae`` starts from, for the same seed."""
     return models.Mae(
-        v=bundle.train.shape[1],
+        v=v,
         cfg=models.MaeConfig(
             latent_channels=cfg["latent_channels"],
             channels=tuple(cfg["channels"]),
@@ -122,10 +122,10 @@ def build_mae(bundle: DatasetBundle, cfg: dict, seed: int) -> models.Mae:
     )
 
 
-def build_frame_ae(bundle: DatasetBundle, cfg: dict, seed: int) -> models.FrameAe:
-    """The untrained frame AE that ``train_frame_ae`` starts from, for the same seed."""
+def build_frame_ae(v: int, cfg: dict, seed: int) -> models.FrameAe:
+    """The untrained frame AE of ``v`` variables that ``train_frame_ae`` starts from, for the same seed."""
     return models.FrameAe(
-        v=bundle.train.shape[1],
+        v=v,
         latent_channels=cfg["latent_channels"],
         rng=np.random.default_rng([seed, 303]),
         base=cfg["base_channels"],
@@ -151,7 +151,7 @@ def train_vae(
     bundle: DatasetBundle, cfg: dict, strategy: Strategy, seed: int, workers: int = 1
 ) -> models.Vae:
     """``build_vae``'s VAE trained by the ``vae`` section ``cfg`` on the train residuals."""
-    vae = build_vae(bundle, cfg, seed)
+    vae = build_vae(bundle.train.shape[1], cfg, seed)
     resid_std = grid.standardized_residuals(bundle.train, bundle.resid_specs)
     weights = bundle.lat_w, bundle.var_w
     models.train_vae(vae, resid_std, cfg, seed * 7919 + 11, strategy, *weights, workers)
@@ -160,7 +160,7 @@ def train_vae(
 
 def train_mae(bundle: DatasetBundle, cfg: dict, seed: int, workers: int = 1) -> models.Mae:
     """``build_mae``'s 3D-MAE trained by the ``mae`` section ``cfg`` on the train states."""
-    mae = build_mae(bundle, cfg, seed)
+    mae = build_mae(bundle.train.shape[1], cfg, seed)
     states_std = grid.standardize_array(bundle.train, bundle.state_specs)
     weights = bundle.lat_w, bundle.var_w
     models.train_mae(mae, states_std, cfg, seed * 7919 + 22, *weights, workers)
@@ -169,7 +169,7 @@ def train_mae(bundle: DatasetBundle, cfg: dict, seed: int, workers: int = 1) -> 
 
 def train_frame_ae(bundle: DatasetBundle, cfg: dict, seed: int, workers: int = 1) -> models.FrameAe:
     """``build_frame_ae``'s AE trained by the ``frame_ae`` section ``cfg`` on the train states."""
-    ae = build_frame_ae(bundle, cfg, seed)
+    ae = build_frame_ae(bundle.train.shape[1], cfg, seed)
     states_std = grid.standardize_array(bundle.train, bundle.state_specs)
     weights = bundle.lat_w, bundle.var_w
     models.train_frame_ae(ae, states_std, cfg, seed * 7919 + 33, *weights, workers)

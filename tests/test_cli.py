@@ -736,7 +736,7 @@ def test_edm_config_records_the_measured_sigma_data(trained):
     cfg = cli.load_config(str(config))
     batch = grid.read_fields(out / "dataset.pyld")
     bundle = pipeline.split_dataset(batch, cfg["forecast"]["train_frames"], cfg["mae"]["k"])
-    vae = pipeline.build_vae(bundle, cfg["vae"], 0)
+    vae = pipeline.build_vae(bundle.train.shape[1], cfg["vae"], 0)
     ad.assign_params(vae.params, ad.load_params(out / "vae.pypt"))
     resid_std = grid.standardized_residuals(bundle.train, bundle.resid_specs)
     z_all = pipeline.residual_latents(vae, resid_std)
@@ -892,6 +892,34 @@ def test_corrupt_field_file_exits_3_naming_it(trained, tmp_path, damage, message
     with caplog.at_level(logging.ERROR, logger="nimbus"):
         assert cli.main([command, "--config", str(config), "--out", str(tmp_path)]) == 3
     assert f"numeric failure: {culprit}: {message}" in caplog.text
+
+
+@pytest.mark.parametrize("frame", [0, -1], ids=["train-slice", "truth"])
+def test_forecast_nan_outside_the_init_window_exits_3(trained, tmp_path, frame, caplog):
+    # forecast holds only its init window, but reads and checks every frame.
+    out, config, _ = trained
+    shutil.copytree(out, tmp_path, dirs_exist_ok=True)
+    path = tmp_path / "dataset.pyld"
+    data = np.array(grid.read_fields(path).data)
+    data[frame, 0, 0, 0] = np.nan
+    blob = path.read_bytes()
+    path.write_bytes(blob[: len(blob) - data.nbytes] + data.tobytes())
+    with caplog.at_level(logging.ERROR, logger="nimbus"):
+        assert cli.main(["forecast", "--config", str(config), "--out", str(tmp_path)]) == 3
+    assert f"numeric failure: {path}: field data contains non-finite values" in caplog.text
+
+
+def test_forecast_on_too_few_frames_exits_2_with_the_split_message(trained, tmp_path, caplog):
+    out, config, _ = trained
+    shutil.copytree(out, tmp_path, dirs_exist_ok=True)
+    path = tmp_path / "dataset.pyld"
+    cfg = cli.load_config(str(config))
+    need = pipeline.frames_needed(cfg["forecast"]["train_frames"], cfg["mae"]["k"])
+    batch = grid.read_fields(path)
+    grid.write_fields(dataclasses.replace(batch, data=batch.data[: need - 1]), path)
+    with caplog.at_level(logging.ERROR, logger="nimbus"):
+        assert cli.main(["forecast", "--config", str(config), "--out", str(tmp_path)]) == 2
+    assert f"dataset has {need - 1} frames; need at least {need}" in caplog.text
 
 
 def test_ablate_rows_do_not_depend_on_workers(trained):

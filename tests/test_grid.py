@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import struct
 import tracemalloc
 
 import numpy as np
@@ -194,6 +195,26 @@ class TestGenSynthetic:
             grid.gen_synthetic(seed=0, h=4, w=4, v=1, t=1)
 
 
+# The frames a windowed read keeps in these tests, as ``forecast`` keeps its init window.
+WINDOW = slice(2, 7)
+
+
+def _nan_in_frame(i):
+    """Damage for the file of ``make_batch(t=12)``: a NaN as the first value of frame ``i``."""
+
+    def damage(blob):
+        frame = 2 * 8 * 8 * 4
+        at = len(blob) - (12 - i) * frame
+        return blob[:at] + struct.pack("<f", np.nan) + blob[at + 4 :]
+
+    return damage
+
+
+def _zero_std(blob):
+    # var0's std follows the 24-byte header, the u16 name length, "var0" and its mean.
+    return blob[:38] + struct.pack("<d", 0.0) + blob[46:]
+
+
 class TestFieldFile:
     def test_roundtrip_bit_exact(self, tmp_path):
         b = grid.gen_synthetic(seed=11, h=8, w=12, v=3, t=2)
@@ -252,8 +273,6 @@ class TestFieldFile:
             grid.read_fields(path)
 
     def test_dimension_overflow(self, tmp_path):
-        import struct
-
         path = tmp_path / "big.pyld"
         path.write_bytes(grid.MAGIC_FIELDS + struct.pack("<4I", 2**20, 2**20, 64, 64))
         with pytest.raises(FormatError):
@@ -275,6 +294,69 @@ class TestFieldFile:
         b = make_batch()
         with pytest.raises(ValueError):
             b.data[0, 0, 0, 0] = 3.0
+
+    def test_windowed_read_equals_the_slice_of_a_full_read(self, tmp_path):
+        b = make_batch(t=12, v=3, seed=4)
+        path = tmp_path / "x.pyld"
+        grid.write_fields(b, path)
+        full = grid.read_fields(path)
+        seen = []
+
+        def keep(t):
+            seen.append(t)
+            return WINDOW
+
+        part = grid.read_fields(path, keep)
+        assert seen == [12]
+        assert part.data.tobytes() == full.data[WINDOW].tobytes()
+        assert part.lat.tobytes() == full.lat.tobytes()
+        assert part.lon.tobytes() == full.lon.tobytes()
+        assert part.specs == full.specs
+        assert not part.data.flags.writeable
+
+    def test_keep_refuses_before_any_frame_is_read(self, tmp_path):
+        path = tmp_path / "x.pyld"
+        grid.write_fields(make_batch(t=12), path)
+        path.write_bytes(_nan_in_frame(0)(path.read_bytes()))
+
+        def too_few(t):
+            raise ConfigError(f"dataset has {t} frames")
+
+        with pytest.raises(ConfigError, match="dataset has 12 frames"):
+            grid.read_fields(path, too_few)
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda blob: b"NOTPYLD!" + blob[8:], "bad magic"),
+            (lambda blob: blob[:30], "truncated header (variable stats)"),
+            (lambda blob: blob[:-5], "truncated payload: need 5 more bytes"),
+            (lambda blob: blob + bytes(3), "3 trailing bytes after payload"),
+            (lambda blob: blob.replace(b"var1", b"va\xc3\x28", 1), "not valid UTF-8"),
+            (lambda blob: grid.MAGIC_FIELDS + struct.pack("<4I", 2**20, 2**20, 64, 64), "unreasonable"),
+            (_nan_in_frame(0), "field data contains non-finite values"),
+            (_nan_in_frame(3), "field data contains non-finite values"),
+            (_nan_in_frame(11), "field data contains non-finite values"),
+            # The header's values are checked before any frame.
+            (lambda blob: _nan_in_frame(11)(_zero_std(blob)), "variable 'var0': std must be > 0"),
+        ],
+        ids=[
+            "bad-magic", "truncated-header", "truncated-payload", "trailing-bytes", "non-utf8-name",
+            "dimension-overflow", "nan-before-window", "nan-in-window", "nan-after-window",
+            "zero-std-and-nan",
+        ],
+    )
+    def test_windowed_read_fails_as_a_full_read(self, tmp_path, damage, message):
+        path = tmp_path / "x.pyld"
+        grid.write_fields(make_batch(t=12), path)
+        path.write_bytes(damage(path.read_bytes()))
+        errors = []
+        for keep in (None, lambda t: WINDOW):
+            with pytest.raises(FormatError) as info:
+                grid.read_fields(path, keep)
+            errors.append((str(info.value), info.value.offset))
+        assert message in errors[0][0]
+        assert errors[0] == errors[1]
 
 
 class TestWriteFile:
@@ -324,6 +406,23 @@ class TestPeakAllocation:
         # bool mask of one frame (one byte per value). A copy of the payload
         # would add 4 bytes per value.
         assert peak <= path.stat().st_size + b.data[0].size + self.SMALL
+
+    def test_windowed_read_holds_the_window_and_one_frame(self, tmp_path):
+        peaks = []
+        for t in (40, 80):
+            b = make_batch(t=t, v=4, h=32, w=64)
+            path = tmp_path / f"x{t}.pyld"
+            grid.write_fields(b, path)
+            back, peak = peak_bytes(grid.read_fields, path, lambda n: slice(20, 25))
+            np.testing.assert_array_equal(back.data, b.data[20:25])
+            # The five frames held, the spare frame that every other frame is
+            # read into, and the finiteness check's bool mask of one frame.
+            frame = b.data[0]
+            assert peak <= 5 * frame.nbytes + frame.nbytes + frame.size + self.SMALL
+            peaks.append(peak)
+        # Twice the frames cost nothing more: the peaks differ only by the
+        # interpreter's small objects, far less than a frame (32 KiB here).
+        assert abs(peaks[1] - peaks[0]) <= 4096
 
     def test_split_dataset_works_one_variable_at_a_time(self):
         train, k = 24, 2

@@ -96,10 +96,10 @@ def test_latent_precompute_matches_one_batched_encode(bundle, cond):
     # the same at 1 and 2 workers, and the same as one encode of every row.
     config = copy.deepcopy(cli.DEFAULT_CONFIG)
     config["mae"]["k"] = K
-    vae = pipeline.build_vae(bundle, config["vae"], 3)
+    vae = pipeline.build_vae(bundle.train.shape[1], config["vae"], 3)
     encoder = {
-        "3dmae": lambda: pipeline.build_mae(bundle, config["mae"], 3),
-        "2d": lambda: pipeline.build_frame_ae(bundle, config["frame_ae"], 3),
+        "3dmae": lambda: pipeline.build_mae(bundle.train.shape[1], config["mae"], 3),
+        "2d": lambda: pipeline.build_frame_ae(bundle.train.shape[1], config["frame_ae"], 3),
         "none": lambda: None,
     }[cond]()
     resid = grid.standardized_residuals(bundle.train, bundle.resid_specs)
@@ -128,10 +128,10 @@ def test_zero_iterations_train_nothing(bundle):
         config[section]["iters"] = 0
     seed = 3
     vae = pipeline.train_vae(bundle, config["vae"], Strategy.VAMFM, seed)
-    _params_equal(vae, pipeline.build_vae(bundle, config["vae"], seed))
+    _params_equal(vae, pipeline.build_vae(bundle.train.shape[1], config["vae"], seed))
     mae = pipeline.train_mae(bundle, config["mae"], seed)
-    _params_equal(mae, pipeline.build_mae(bundle, config["mae"], seed))
+    _params_equal(mae, pipeline.build_mae(bundle.train.shape[1], config["mae"], seed))
     ae = pipeline.train_frame_ae(bundle, config["frame_ae"], seed)
-    _params_equal(ae, pipeline.build_frame_ae(bundle, config["frame_ae"], seed))
+    _params_equal(ae, pipeline.build_frame_ae(bundle.train.shape[1], config["frame_ae"], seed))
     fmodels = pipeline.train_denoiser(bundle, config, vae, mae, seed)
     _params_equal(fmodels.denoiser, pipeline.build_denoiser(config, seed))
