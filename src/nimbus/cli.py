@@ -22,11 +22,14 @@ The ``sampler`` section holds ``edm.EdmConfig``'s fields by name, and every
 command that samples (``forecast``, ``diagnose``, ``ablate``) calls
 ``edm.sample_stochastic``, which churns where ``sampler.s_churn`` > 0.
 
---workers threads run the ensemble members (``forecast``, ``ablate``), the
-training samples (``train-*``, ``ablate``) and the latent precompute
-(``train-diffusion``, ``diagnose``); the BLAS threads are divided among
-them while they run. The default is the number of CPUs this process may
-run on, and no output depends on it.
+--workers counts parallel workers: processes run the ensemble members
+(``forecast``, ``ablate``; this process and forked children, see
+``forecast.rollout``), and threads run the training samples (``train-*``,
+``ablate``) and the latent precompute (``train-diffusion``, ``diagnose``).
+The BLAS threads are divided among the workers while they run. The default
+is the number of CPUs this process may run on, and no output depends on
+it. The run manifest records the peak resident set size in MB of this
+process (``self``) and of its largest member process (``children``).
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ import json
 import logging
 import math
 import os
+import resource
 import sys
 from typing import Callable, NamedTuple
 
@@ -313,8 +317,17 @@ def config_hash(cfg: dict) -> str:
 
 
 def write_manifest(out_dir, cfg, seed, extra=None) -> None:
+    """The run manifest; ``peak_rss_mb`` is this process's and its largest reaped child's."""
+
+    def peak_mb(who):
+        return round(resource.getrusage(who).ru_maxrss / 1024.0, 1)  # ru_maxrss is in KiB
+
     manifest = {
         "config_hash": config_hash(cfg),
+        "peak_rss_mb": {
+            "self": peak_mb(resource.RUSAGE_SELF),
+            "children": peak_mb(resource.RUSAGE_CHILDREN),
+        },
         "seed": seed,
         "versions": {"nimbus": __version__, "numpy": np.__version__},
         "wallclock_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -703,9 +716,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--workers",
             type=int,
             default=_cpu_count(),
-            help="threads for ensemble members, training samples and the latent precompute; "
-            "BLAS threads are divided among them (default: the CPUs this process may use; "
-            "outputs do not depend on it)",
+            help="parallel workers: processes for ensemble members, threads for training "
+            "samples and the latent precompute; BLAS threads are divided among them "
+            "(default: the CPUs this process may use; outputs do not depend on it)",
         )
         p.add_argument("--dry-run", action="store_true")
     return parser

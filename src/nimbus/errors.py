@@ -32,3 +32,7 @@ class RolloutError(RuntimeError):
         where = f"forecast step {step}" if member is None else f"member {member}, forecast step {step}"
         super().__init__(f"{message} ({where})")
         self.message, self.step, self.member = message, step, member
+
+    def __reduce__(self):
+        # Rebuilt from its fields, so that it crosses a process boundary.
+        return type(self), (self.message, self.step, self.member)

@@ -135,6 +135,57 @@ def test_non_finite_forecast_exits_3_naming_member(trained, monkeypatch, caplog)
     assert "member 0, forecast step 0" in caplog.text
 
 
+def test_forecast_members_do_not_depend_on_workers(trained, tmp_path):
+    # 5 members: one process, an even split, an uneven one, more workers than members.
+    out, _, _ = trained
+    shutil.copytree(out, tmp_path, dirs_exist_ok=True)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**TINY, "forecast": {**TINY["forecast"], "members": 5}}))
+    files = {}
+    for workers in ("1", "2", "3", "8"):
+        argv = ["forecast", "--config", str(path), "--out", str(tmp_path), "--workers", workers]
+        assert cli.main(argv) == 0
+        files[workers] = {f.name: f.read_bytes() for f in (tmp_path / "forecast").iterdir()}
+    assert len(files["1"]) == 6
+    assert files["2"] == files["3"] == files["8"] == files["1"]
+
+
+def test_member_process_failure_exits_3_naming_member(trained, monkeypatch, caplog):
+    # At --workers 2 member 1 runs in a forked process, and only there does the denoiser fail.
+    out, config, _ = trained
+    run_member = forecast._run_member
+
+    def member(models, init, t_lead, seed, m):
+        if m == 1:
+            monkeypatch.setattr(
+                edm, "make_denoise_fn", lambda *a, **k: (lambda z, sigma: np.full_like(z, np.nan))
+            )
+        return run_member(models, init, t_lead, seed, m)
+
+    monkeypatch.setattr(forecast, "_run_member", member)
+    argv = ["forecast", "--config", str(config), "--out", str(out), "--workers", "2"]
+    with caplog.at_level(logging.ERROR, logger="nimbus"):
+        assert cli.main(argv) == 3
+    assert "non-finite values in sampled latent (member 1, forecast step 0)" in caplog.text
+
+
+def test_run_manifest_records_member_process_peak(trained, tmp_path):
+    # Fresh processes: RUSAGE_CHILDREN counts every child a process ever reaped.
+    out, config, _ = trained
+    shutil.copytree(out, tmp_path, dirs_exist_ok=True)
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(nimbus.__file__))}
+    peaks = {}
+    for stage in ("forecast", "train-mae"):
+        argv = [stage, "--config", str(config), "--out", str(tmp_path), "--workers", "2"]
+        code = f"import sys; from nimbus import cli; sys.exit(cli.main({argv!r}))"
+        res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=120)
+        assert res.returncode == 0, res.stderr
+        peaks[stage] = json.loads((tmp_path / "manifest.json").read_text())["peak_rss_mb"]
+    assert TINY["forecast"]["members"] == 2
+    assert peaks["forecast"]["self"] > 0 and peaks["forecast"]["children"] > 0
+    assert peaks["train-mae"]["self"] > 0 and peaks["train-mae"]["children"] == 0
+
+
 def test_import_loads_no_scipy_module():
     src = os.path.dirname(os.path.dirname(nimbus.__file__))
     code = "import sys, nimbus.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"

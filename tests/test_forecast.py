@@ -1,4 +1,8 @@
 import dataclasses
+import math
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -88,11 +92,26 @@ def test_inference_is_float32_and_graph_free(tiny, monkeypatch):
     assert set(corr_inputs) == {(f32, f32, False)}
 
 
+def blas_threads():
+    """numpy's BLAS thread count, or None where it cannot be read."""
+    return NUMPY_BLAS_THREADS and NUMPY_BLAS_THREADS()
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_workers_bit_identical(tiny):
-    one = run(tiny, members=3, t_lead=2, workers=1)
-    two = run(tiny, members=3, t_lead=2, workers=2)
-    np.testing.assert_array_equal(one.fields, two.fields)
-    assert len({one.fields[m].tobytes() for m in range(3)}) == 3
+    # 5 members: an even split, an uneven one, and more workers than members.
+    before = blas_threads()
+    one = run(tiny, members=5, t_lead=2, workers=1)
+    for workers in (2, 3, 8):
+        many = run(tiny, members=5, t_lead=2, workers=workers)
+        assert many.fields.tobytes() == one.fields.tobytes(), workers
+        assert_no_child_left()
+        assert blas_threads() == before
+    assert len({one.fields[m].tobytes() for m in range(5)}) == 5
 
 
 def test_member_reproducible_alone(tiny):
@@ -119,6 +138,97 @@ def test_rollout_error_names_member_and_step(tiny, monkeypatch):
         run(tiny, members=3, t_lead=2, workers=1)
     assert (info.value.member, info.value.step) == (1, 1)
     assert "member 1, forecast step 1" in str(info.value)
+
+
+def nan_from(monkeypatch, bad):
+    """Member m in ``bad`` samples NaN from lead bad[m] on, in whichever process runs it."""
+    run_member, make = forecast._run_member, edm.make_denoise_fn
+    now = {}
+
+    def running(models, init, t_lead, seed, m):
+        now.update(member=m, lead=0)
+        return run_member(models, init, t_lead, seed, m)
+
+    def making(*args, **kwargs):
+        now["lead"] += 1
+        if now["lead"] > bad.get(now["member"], math.inf):
+            return lambda z, sigma: np.full_like(z, np.nan)
+        return make(*args, **kwargs)
+
+    monkeypatch.setattr(forecast, "_run_member", running)
+    monkeypatch.setattr(edm, "make_denoise_fn", making)
+
+
+@pytest.mark.parametrize(
+    "bad,member,step",
+    [
+        ({1: 1}, 1, 1),  # a child's member
+        ({2: 0}, 2, 0),  # this process's second member
+        ({2: 0, 3: 1}, 2, 0),  # both processes
+        ({1: 1, 2: 0}, 1, 1),  # both; this process fails first, on the higher member
+    ],
+)
+def test_member_process_failure_raises_the_lowest_member(tiny, monkeypatch, bad, member, step):
+    before = blas_threads()
+    nan_from(monkeypatch, bad)
+    with pytest.raises(RolloutError) as info:
+        run(tiny, members=5, t_lead=2, workers=2)
+    assert (info.value.member, info.value.step) == (member, step)
+    assert str(info.value).endswith(f"(member {member}, forecast step {step})")
+    assert_no_child_left()
+    assert blas_threads() == before
+
+
+def test_interrupted_rollout_kills_its_member_processes(tiny, monkeypatch):
+    # Member 1's process would run for a minute; the interrupt in member 0 ends it at once.
+    run_member = forecast._run_member
+
+    def member(models, init, t_lead, seed, m):
+        if m == 0:
+            raise KeyboardInterrupt
+        time.sleep(60)
+        return run_member(models, init, t_lead, seed, m)
+
+    monkeypatch.setattr(forecast, "_run_member", member)
+    before = blas_threads()
+    t0 = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run(tiny, members=2, t_lead=1, workers=2)
+    assert time.monotonic() - t0 < 30
+    assert_no_child_left()
+    assert blas_threads() == before
+
+
+def test_killed_member_process_is_reported(tiny, monkeypatch):
+    run_member = forecast._run_member
+
+    def member(models, init, t_lead, seed, m):
+        if m == 1:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return run_member(models, init, t_lead, seed, m)
+
+    monkeypatch.setattr(forecast, "_run_member", member)
+    with pytest.raises(RuntimeError, match=r"^member process 1 ended with code -9$"):
+        run(tiny, members=2, t_lead=1, workers=2)
+    assert_no_child_left()
+
+
+def test_fork_raising_after_the_child_exists_leaves_no_child(tiny, monkeypatch):
+    # From Python 3.12, os.fork in a process with threads warns, and a
+    # warnings filter of "error" raises that in the parent, after the fork.
+    fork = os.fork
+
+    def warning_fork():
+        if fork() == 0:
+            return 0
+        raise DeprecationWarning("This process is multi-threaded, use of fork() may lead to deadlocks")
+
+    monkeypatch.setattr(os, "fork", warning_fork)
+    before = blas_threads()
+    with pytest.raises(DeprecationWarning):
+        run(tiny, members=3, t_lead=1, workers=3)
+    assert_no_child_left()
+    assert blas_threads() == before
 
 
 def blas_threads_seen(monkeypatch, fail=False):
