@@ -26,12 +26,13 @@ would need outlives the operation. The switch is per-thread, so one thread
 may sample while another trains. Leaf tensors are still checked for
 non-finite values.
 
-Training runs one graph per sample on a thread pool (``thread_map``). Each
-sample's ``backward()`` runs inside ``grad_sink()``, which sends the
-gradients of the shared leaves (the parameters) to a per-thread dict
-instead of ``.grad``; ``mean_grad_step`` sums those dicts in sample order
-and takes one optimizer step, so the result does not depend on the
-thread count. ``fit`` is the one training loop over those steps.
+Training runs one graph per sample in worker processes (``Workers``): this
+one and children forked once per ``fit``. Each sample's ``backward()`` runs
+inside ``grad_sink()``, which sends the gradients of the parameters to a
+dict instead of ``.grad``; the sample's loss and gradients go into shared
+memory, and ``mean_grad_step`` has every process sum them in sample order
+and take the same optimizer step, so the result does not depend on the
+process count. ``fit`` is the one training loop over those steps.
 """
 
 from __future__ import annotations
@@ -40,10 +41,13 @@ import contextlib
 import ctypes
 import functools
 import math
+import mmap
 import os
+import pickle
+import signal
 import struct
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -533,11 +537,9 @@ def share_blas_threads(n: int):
     Sets every OpenBLAS to max(1, previous // n) threads and restores the
     previous counts on exit, also when the body raises. The count is
     process-wide (even OpenBLAS's "local" setter changes it for every
-    thread), so enter this once around a pool of n threads, never inside
-    them: ``thread_map`` does, for the trainers' per-sample shards and the
-    latent precompute's samples. A process forked inside inherits the count:
-    ``forecast.rollout`` enters this before it forks its member processes.
-    With no OpenBLAS loaded it changes nothing.
+    thread), and a process forked inside inherits it: ``Workers`` enters
+    this before it forks, so each of its n processes runs its GEMMs on its
+    share of the threads. With no OpenBLAS loaded it changes nothing.
     """
     libs = _loaded_openblas()
     prev = [get() for _, get, _ in libs]
@@ -550,23 +552,161 @@ def share_blas_threads(n: int):
             set_(count)
 
 
-def thread_map(fn, items, workers: int) -> list:
-    """``[fn(item) for item in items]`` on min(workers, len(items)) threads.
+def shared_empty(shape, dtype) -> np.ndarray:
+    """An uninitialized array in an anonymous shared mapping, which forked children write into."""
+    count = math.prod(shape)
+    buf = mmap.mmap(-1, max(1, count * np.dtype(dtype).itemsize))
+    return np.frombuffer(buf, dtype, count).reshape(shape)
 
-    Results come back in item order, and the first item's exception (in
-    item order) is raised. With more than one thread, the BLAS threads are
-    divided among them (``share_blas_threads``); a lone thread runs in the
-    caller and keeps every BLAS thread, the faster serial path. The training
-    samples and the latent precompute run here; ensemble members run in
-    processes instead (``forecast.rollout``), since threads contend for the
-    interpreter lock in the Python between GEMMs.
+
+_PR_SET_PDEATHSIG = 1  # prctl option, <linux/prctl.h>
+
+
+class Workers:
+    """A with-block run by n = min(workers, items) processes: this one and n - 1 forked children.
+
+    The children start from this process's memory, copy-on-write, and run
+    the rest of the block as workers 1 ... n - 1 (this one is worker 0).
+    ``map`` splits items among the processes and waits for all of them;
+    results pass through ``shared_empty`` arrays made before the block. A
+    child never leaves the block, so nothing of the caller's stack (a
+    ``finally``, a test runner, ``atexit``) runs twice. This process leaves
+    it once every child is killed and reaped, whatever ends the block, also
+    when ``os.fork`` raises here after the child exists (from Python 3.12
+    it warns in a process with threads, such as OpenBLAS's pool, and an
+    "error" warnings filter raises that in the parent only). A child dies
+    with this process: on Linux the kernel kills it, elsewhere it ends at
+    its next ``map``. Each process runs on its share of the BLAS threads
+    (``share_blas_threads``). With n = 1, or without ``os.fork``, the block
+    runs here alone.
+
+    Processes, not threads: threads in one process contend for the
+    interpreter lock in the Python between GEMMs, and processes do not.
     """
-    items = list(items)
-    n = min(workers, len(items))
-    if n <= 1:
-        return [fn(item) for item in items]
-    with share_blas_threads(n), ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
+
+    def __init__(self, workers: int, items: int, what: str):
+        self.n = max(1, min(workers, items)) if hasattr(os, "fork") else 1
+        self.w = 0
+        self.what = what  # names a child that ended without a report
+        self._children = []  # in this process: (w, pid, report pipe, go pipe) until reaped
+        self._pipes = None  # in child w: (report pipe, go pipe)
+        self._blas = share_blas_threads(self.n)
+
+    def __enter__(self):
+        self._blas.__enter__()
+        try:
+            for w in range(1, self.n):
+                if self._fork(w):
+                    return self
+        except BaseException:
+            self.__exit__(None, None, None)
+            raise
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if self._pipes is not None:
+            os._exit(0 if exc_type is None else 1)
+        try:
+            for _, pid, report, go in self._children:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                report.close()
+                go.close()
+        finally:
+            self._children = []
+            self._blas.__exit__(None, None, None)
+
+    def _fork(self, w: int) -> bool:
+        """Fork child w; True in the child, False here once the child has named itself (its pid)."""
+        parent = os.getpid()
+        r, wr = os.pipe()
+        gr, gw = os.pipe()
+        child = False
+        try:
+            child = os.fork() == 0
+        finally:
+            if child:
+                self._become_child(w, parent, r, wr, gr, gw)
+            else:
+                os.close(wr)
+                os.close(gr)
+                report, go = os.fdopen(r, "rb"), os.fdopen(gw, "wb")
+                head = report.read(8)  # b"" if no child was made
+                if len(head) == 8:
+                    self._children.append((w, struct.unpack("q", head)[0], report, go))
+                else:
+                    report.close()
+                    go.close()
+        return child
+
+    def _become_child(self, w, parent, r, wr, gr, gw):
+        """Child w's set-up: end with the parent, keep only its own pipes, send its pid."""
+        try:
+            with contextlib.suppress(AttributeError, OSError):  # no prctl: not Linux
+                prctl = ctypes.CDLL(None).prctl
+                prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
+                prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+            if os.getppid() != parent:  # the parent died before the prctl
+                os._exit(1)
+            for _, _, report, go in self._children:  # the parent's ends of older siblings' pipes
+                report.close()
+                go.close()
+            os.close(r)
+            os.close(gw)
+            self._children, self.w = [], w
+            self._pipes = os.fdopen(wr, "wb"), os.fdopen(gr, "rb")
+            self._pipes[0].write(struct.pack("q", os.getpid()))
+            self._pipes[0].flush()
+        except BaseException:
+            os._exit(1)
+
+    def map(self, run: Callable[[int], None], count: int) -> None:
+        """``run(i)`` for this process's items i = w, w + n, ... of range(count), then a barrier.
+
+        Every process must make the same ``map`` calls in the same order.
+        A process stops at its first failing item. In this process the
+        exception of the lowest failing item of any process is raised, and
+        a child that ended without a report is a RuntimeError; a child
+        sends its failure here pickled, as (item, exception), and waits to
+        be ended, so ``run`` must leave its results in shared memory.
+        Returns once every process has run its share.
+        """
+        failure = None
+        for i in range(self.w, count, self.n):
+            try:
+                run(i)
+            except Exception as exc:
+                failure = i, exc
+                break
+        if self._pipes is not None:
+            report, go = self._pipes
+            blob = b"" if failure is None else pickle.dumps(failure)
+            report.write(struct.pack("q", len(blob)) + blob)
+            report.flush()
+            if not go.read(1):  # the parent is gone
+                os._exit(1)
+            return
+        failures = [failure] + [self._report(child) for child in list(self._children)]
+        failed = [f for f in failures if f is not None]
+        if failed:
+            raise min(failed, key=lambda f: f[0])[1]
+        for _, _, _, go in self._children:
+            with contextlib.suppress(BrokenPipeError):  # a dead child shows at its next report
+                go.write(b"\x01")
+                go.flush()
+
+    def _report(self, child):
+        """A child's (item, exception) for this ``map``, or None; reaps a child that ended."""
+        w, pid, report, go = child
+        head = report.read(8)
+        if len(head) == 8:
+            blob = report.read(struct.unpack("q", head)[0])
+            return pickle.loads(blob) if blob else None
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        self._children.remove(child)
+        report.close()
+        go.close()
+        return w, RuntimeError(f"{self.what} process {w} ended with code {code}")
 
 
 def _gather(x, w, strides):
@@ -812,53 +952,86 @@ class AdamW:
             p.data = p.data - lr * (m_hat / (np.sqrt(v_hat) + self.EPS)) - lr * self.weight_decay * p.data
 
 
-def mean_grad_step(opt: AdamW, loss_of: Callable[[int], Tensor], n: int, workers: int) -> float:
-    """One ``opt`` step on the mean of the losses ``loss_of(0) ... loss_of(n - 1)``.
+@dataclass
+class StepSlots:
+    """One step's per-sample losses and parameter gradients, in memory that ``Workers`` share."""
 
-    Each loss is built and back-propagated on a ``thread_map`` thread inside
-    ``grad_sink()``. The per-sample gradients are then summed in sample
-    order on the calling thread and divided by n. For a loss that is a mean
-    over samples with nothing coupling them, that is the full-batch
-    gradient, and it is the same at any ``workers``. Returns the mean loss.
+    loss: np.ndarray  # (batch,) float64
+    has: np.ndarray  # (batch, parameters) bool: sample b's graph reached parameter j
+    grad: dict  # parameter name -> (batch, *shape) array in the parameter's dtype
+
+    @classmethod
+    def shared(cls, params: dict[str, Tensor], batch: int) -> StepSlots:
+        return cls(
+            shared_empty((batch,), np.float64),
+            shared_empty((batch, len(params)), np.bool_),
+            {k: shared_empty((batch,) + p.data.shape, p.data.dtype) for k, p in params.items()},
+        )
+
+
+def mean_grad_step(
+    opt: AdamW, loss_of: Callable[[int], Tensor], procs: Workers, slots: StepSlots
+) -> float:
+    """One ``opt`` step on the mean of the losses ``loss_of(b)`` over the batch of ``slots``.
+
+    Each process of ``procs`` builds and back-propagates its share of the
+    losses inside ``grad_sink()`` and writes each loss and gradient into
+    its sample's slot. Every process then sums the gradients in sample
+    order, divides by the batch size and takes the same ``opt`` step, so
+    the parameters stay alike in all of them without being sent. For a
+    loss that is a mean over samples with nothing coupling them, that is
+    the full-batch gradient, and it is the same at any process count.
+    Returns the mean loss.
 
     A diverging step overflows in its forward pass. Each sample therefore
-    runs with numpy's overflow and invalid-value warnings off, set on its
-    own thread because pool threads do not inherit the caller's error
-    state, and ``backward()`` reports the non-finite loss instead.
+    runs with numpy's overflow and invalid-value warnings off, and
+    ``backward()`` reports the non-finite loss instead.
     """
+    batch = len(slots.loss)
 
-    def shard(b):
+    def sample(b):
         with np.errstate(over="ignore", invalid="ignore"), grad_sink() as sink:
             loss = loss_of(b)
             loss.backward()
-        return float(loss.data), sink
-
-    results = thread_map(shard, range(n), workers)
-    for p in opt.params.values():
-        total = None
-        for _, sink in results:
+        slots.loss[b] = float(loss.data)
+        for j, (k, p) in enumerate(opt.params.items()):
+            slots.has[b, j] = p in sink
             if p in sink:
-                total = sink[p] if total is None else total + sink[p]
-        p.grad = None if total is None else total / n
+                slots.grad[k][b] = sink[p]
+
+    procs.map(sample, batch)
+    for j, (k, p) in enumerate(opt.params.items()):
+        total = None
+        for b in range(batch):
+            if slots.has[b, j]:
+                total = slots.grad[k][b] if total is None else total + slots.grad[k][b]
+        p.grad = None if total is None else total / batch
     opt.step()
-    return sum(loss for loss, _ in results) / n
+    return sum(slots.loss.tolist()) / batch
 
 
 def fit(params: dict[str, Tensor], cfg: dict, draw: Callable[[], Callable], workers: int) -> list:
     """Train ``params`` by AdamW at ``cfg["lr"]`` for ``cfg["iters"]`` steps; the loss curve.
 
-    Each step calls ``draw()`` once, on this thread and in step order, for its
-    per-sample loss ``loss_of(b)``, then takes one ``mean_grad_step`` over
-    ``cfg["batch"]`` samples: the result does not depend on ``workers``. A
-    DomainError, such as a non-finite loss, is re-raised naming the step.
+    The steps run in min(``workers``, ``cfg["batch"]``) ``Workers``
+    processes, forked once for the whole fit. Each step calls ``draw()``
+    once in every process, in step order: they all hold the same random
+    state, so they all draw the same per-sample loss ``loss_of(b)``. Then
+    it takes one ``mean_grad_step`` over ``cfg["batch"]`` samples, whose
+    slots alternate between two sets by step parity, so that a fast process
+    never writes a slot that another is still summing. The result does not
+    depend on ``workers``. A DomainError, such as a non-finite loss in any
+    process, is re-raised naming the step.
     """
     opt = AdamW(params, lr=cfg["lr"])
+    slots = [StepSlots.shared(params, cfg["batch"]) for _ in range(2)]
     losses = []
-    for i in range(cfg["iters"]):
-        try:
-            losses.append(mean_grad_step(opt, draw(), cfg["batch"], workers))
-        except DomainError as exc:
-            raise DomainError(f"training step {i + 1} of {cfg['iters']}: {exc}") from exc
+    with Workers(workers, cfg["batch"], "training") as procs:
+        for i in range(cfg["iters"]):
+            try:
+                losses.append(mean_grad_step(opt, draw(), procs, slots[i % 2]))
+            except DomainError as exc:
+                raise DomainError(f"training step {i + 1} of {cfg['iters']}: {exc}") from exc
     return losses
 
 

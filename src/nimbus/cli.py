@@ -22,14 +22,14 @@ The ``sampler`` section holds ``edm.EdmConfig``'s fields by name, and every
 command that samples (``forecast``, ``diagnose``, ``ablate``) calls
 ``edm.sample_stochastic``, which churns where ``sampler.s_churn`` > 0.
 
---workers counts parallel workers: processes run the ensemble members
-(``forecast``, ``ablate``; this process and forked children, see
-``forecast.rollout``), and threads run the training samples (``train-*``,
-``ablate``) and the latent precompute (``train-diffusion``, ``diagnose``).
-The BLAS threads are divided among the workers while they run. The default
-is the number of CPUs this process may run on, and no output depends on
-it. The run manifest records the peak resident set size in MB of this
-process (``self``) and of its largest member process (``children``).
+--workers counts parallel worker processes, this one and forked children
+(``autodiff.Workers``). They run the ensemble members (``forecast``,
+``ablate``), the training samples (``train-*``, ``ablate``) and the latent
+precompute (``train-diffusion``, ``diagnose``, ``ablate``). The BLAS
+threads are divided among the workers while they run. The default is the
+number of CPUs this process may run on, and no output depends on it. The
+run manifest records the peak resident set size in MB of this process
+(``self``) and of its largest worker process (``children``).
 """
 
 from __future__ import annotations
@@ -716,8 +716,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--workers",
             type=int,
             default=_cpu_count(),
-            help="parallel workers: processes for ensemble members, threads for training "
-            "samples and the latent precompute; BLAS threads are divided among them "
+            help="parallel worker processes for ensemble members, training samples and the "
+            "latent precompute; BLAS threads are divided among them "
             "(default: the CPUs this process may use; outputs do not depend on it)",
         )
         p.add_argument("--dry-run", action="store_true")

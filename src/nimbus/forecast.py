@@ -19,28 +19,20 @@ init window, and ``nimbus forecast`` holds no other frame of the dataset:
 it reads and checks every frame, but keeps just the window
 (``grid.read_fields``).
 
-With n = min(workers, members) > 1, members run in n processes: this one
-and n - 1 children forked once per rollout, which share the models
+Members run in ``autodiff.Workers`` processes, n = min(workers, members):
+this one and n - 1 children forked once per rollout, which share the models
 copy-on-write and write their frames into one shared anonymous mapping that
 backs the returned fields, so nothing is pickled but a member's failure.
-Process w runs members w, w + n, ...; the BLAS threads are divided among
-the processes while they run (``autodiff.share_blas_threads``). Processes,
-not threads: two member threads in one process contend for the interpreter
-lock in the Python between GEMMs, and two processes do not. A failure
-raises the exception of the lowest failing member, as the serial loop
-does. With one worker, or where ``os.fork`` does not exist, the members run
-in order in this process, which keeps every BLAS thread.
+Process w runs members w, w + n, ..., on its share of the BLAS threads. A
+failure raises the exception of the lowest failing member, as the serial
+loop does. With one worker, or where ``os.fork`` does not exist, the
+members run in order in this process, which keeps every BLAS thread.
 """
 
 from __future__ import annotations
 
 import json
-import math
-import mmap
 import os
-import pickle
-import signal
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,18 +162,13 @@ def rollout(
     if members < 1 or t_lead < 1:
         raise DomainError("members and t_lead must be >= 1")
     init = np.asarray(init_window.data, dtype=np.float32)
-    shape = (members, t_lead) + init.shape[1:]
-    n = min(workers, members) if hasattr(os, "fork") else 1
-    if n == 1:
-        out = np.empty(shape, dtype=np.float32)
-    else:  # shared with the member processes, which write their frames into it
-        out = np.frombuffer(mmap.mmap(-1, 4 * math.prod(shape)), np.float32).reshape(shape)
+    out = ad.shared_empty((members, t_lead) + init.shape[1:], np.float32)
 
     def member(m):
         out[m] = _run_member(models, init, t_lead, base_seed, m)
 
-    with ad.share_blas_threads(n):
-        _run_members(member, members, n)
+    with ad.Workers(workers, members, "member") as procs:
+        procs.map(member, members)
     return EnsembleForecast(
         fields=out,
         member_seeds=[[int(base_seed), m] for m in range(members)],
@@ -189,89 +176,6 @@ def rollout(
         lon=init_window.lon,
         specs=models.state_specs,
     )
-
-
-def _run_members(run, members: int, n: int) -> None:
-    """``run(m)`` for every member in n processes: this one and n - 1 forked children.
-
-    Process w runs members w, w + n, ... in order and stops at its first
-    failure, so ``run`` must leave its results in memory that the processes
-    share. Each child names itself on a pipe (its pid), then reports its
-    failure there, if any. The children are reaped before this returns or
-    raises: after their last member, after a failure, and, killed first,
-    when this process is interrupted or ``os.fork`` raises here after the
-    child exists. (From Python 3.12 ``os.fork`` warns in a process with
-    other threads, such as OpenBLAS's pool, and a warnings filter set to
-    "error" makes that warning an exception in the parent only.) A failure
-    raises the exception of the lowest failing member.
-    """
-    children = []  # (w, pid, read end of its pipe), until reaped
-    try:
-        for w in range(1, n):
-            r, wr = os.pipe()
-            try:
-                if os.fork() == 0:
-                    _member_process(run, members, w, n, r, wr)
-            finally:
-                os.close(wr)
-                pipe = os.fdopen(r, "rb")
-                head = pipe.read(8)  # b"" if no child was made
-                if len(head) == 8:
-                    children.append((w, struct.unpack("q", head)[0], pipe))
-                else:
-                    pipe.close()
-        failures = [_run_share(run, members, 0, n)]
-        while children:
-            w, pid, pipe = children[0]
-            report = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            children.pop(0)
-            pipe.close()
-            if report:
-                failures.append(pickle.loads(report))
-            elif status:
-                code = os.waitstatus_to_exitcode(status)
-                failures.append((w, RuntimeError(f"member process {w} ended with code {code}")))
-    finally:
-        for _, pid, pipe in children:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            pipe.close()
-    failed = [f for f in failures if f is not None]
-    if failed:
-        raise min(failed, key=lambda f: f[0])[1]
-
-
-def _run_share(run, members, w, n):
-    """Members w, w + n, ... in order; (member, exception) of the first that fails, or None."""
-    for m in range(w, members, n):
-        try:
-            run(m)
-        except Exception as exc:
-            return m, exc
-    return None
-
-
-def _member_process(run, members, w, n, r, wr):
-    """The body of forked child w: name itself, run its share, report a failure, exit.
-
-    It never returns, so nothing of the parent's stack (a caller's
-    ``finally``, a test runner, ``atexit``) runs twice. A failure goes back
-    pickled as (member, exception); one that cannot be pickled ends the
-    child with code 1, which the parent reports.
-    """
-    code = 1
-    try:
-        os.close(r)
-        with os.fdopen(wr, "wb") as pipe:
-            pipe.write(struct.pack("q", os.getpid()))
-            pipe.flush()
-            failure = _run_share(run, members, w, n)
-            if failure is not None:
-                pipe.write(pickle.dumps(failure))
-        code = 0
-    finally:
-        os._exit(code)
 
 
 def write_forecast(ens: EnsembleForecast, out_dir, manifest_extra=None) -> None:

@@ -184,13 +184,34 @@ def train_encoder(bundle: DatasetBundle, config: dict, cond: str, seed: int, wor
     return train(bundle, config[ENCODER_SECTIONS[cond]], seed, workers=workers)
 
 
+def _stack(encode, count: int, workers: int) -> np.ndarray:
+    """``np.concatenate([encode(i) for i in range(count)])``, items 1 ... count - 1 in workers.
+
+    Item 0 runs here first and fixes the shape and dtype of the shared
+    array that the ``ad.Workers`` processes write the others into.
+    """
+    first = encode(0)
+    out = ad.shared_empty((count,) + first.shape, first.dtype)
+    out[0] = first
+
+    def put(i):
+        out[i + 1] = encode(i + 1)
+
+    with ad.Workers(workers, count - 1, "precompute") as procs:
+        procs.map(put, count - 1)
+    return out.reshape((-1,) + first.shape[1:])
+
+
 def residual_latents(vae: models.Vae, resid_std: np.ndarray, workers: int = 1) -> np.ndarray:
-    """Posterior-mean latents of standardized residual frames (N, V, H, W), one frame per task."""
+    """Posterior-mean latents of standardized residual frames (N, V, H, W), one frame per item.
+
+    The frames are encoded in up to ``workers`` processes (``_stack``).
+    """
 
     def encode(i):
         return vae.encode_mean(resid_std[i : i + 1])
 
-    return np.concatenate(ad.thread_map(encode, range(resid_std.shape[0]), workers))
+    return _stack(encode, resid_std.shape[0], workers)
 
 
 def conditioning_latents(
@@ -201,14 +222,16 @@ def conditioning_latents(
     Row i conditions the step t = k + i (predicting frame t+1 of the
     training sequence) with the call ``forecast.step`` makes for a member
     whose last k+1 states are frames t-k..t; ``z_all`` are the residual
-    latents. Each step is one ``thread_map`` task.
+    latents. Each step is one item of ``_stack``, in up to ``workers``
+    processes.
     """
 
-    def encode(t):
+    def encode(i):
+        t = k + i
         recent = states_std[None, t - k + 1 : t + 1]
         return forecast.conditioning_latents(encoder, recent, z_all[t - 1 : t])
 
-    return np.concatenate(ad.thread_map(encode, range(k, states_std.shape[0] - 1), workers))
+    return _stack(encode, states_std.shape[0] - 1 - k, workers)
 
 
 def train_denoiser(
@@ -216,7 +239,7 @@ def train_denoiser(
 ) -> forecast.ForecastModels:
     """Train the conditional denoiser on residual latents; returns the models ``rollout`` takes.
 
-    The latent precompute runs on ``workers`` threads, and the training on ``ad.fit``.
+    The latent precompute and the training (``ad.fit``) run in up to ``workers`` processes.
     """
     cfg = config["diffusion"]
     k = config["mae"]["k"]

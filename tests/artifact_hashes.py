@@ -1,22 +1,25 @@
 """Print the sha256 of every file a TINY run of each CLI stage writes.
 
-Run as ``python3 tests/artifact_hashes.py`` from a checkout; it imports the
-``nimbus`` package from that checkout's ``src/``. In a temporary directory it
-runs ``gen-data``, ``train-vae``, ``train-mae``, ``train-diffusion``,
-``forecast``, ``evaluate`` and ``diagnose`` at ``--seed 3 --workers 2`` once
-per ``vae.regularizer``, then ``ablate``, then every stage again with
-``sampler.s_churn`` 2.5, and again at ``sampler.steps`` 6, whose later steps
-are the sampler's third-order ones (at 3 steps it takes none). Last, it
-runs ``gen-data`` once without ``--seed``, the default seed 0. It prints one
-``sha256  path`` line per file. The run manifests hold the wall-clock time and are left out. Two
-checkouts whose tables match wrote the same bytes, so a refactor that claims
-byte-identical outputs diffs the two tables.
+Run as ``python3 tests/artifact_hashes.py [--workers N]`` from a checkout;
+it imports the ``nimbus`` package from that checkout's ``src/``. In a
+temporary directory it runs ``gen-data``, ``train-vae``, ``train-mae``,
+``train-diffusion``, ``forecast``, ``evaluate`` and ``diagnose`` at
+``--seed 3 --workers N`` (default 2) once per ``vae.regularizer``, then
+``ablate``, then every stage again with ``sampler.s_churn`` 2.5, and again
+at ``sampler.steps`` 6, whose later steps are the sampler's third-order
+ones (at 3 steps it takes none). Last, it runs ``gen-data`` once without
+``--seed``, the default seed 0. It prints one ``sha256  path`` line per
+file. The run manifests hold the wall-clock time and are left out. Two
+checkouts whose tables match wrote the same bytes, so a refactor that
+claims byte-identical outputs diffs the two tables, and tables at several
+``--workers`` show that no output depends on the worker count.
 
 pytest does not collect this file.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
@@ -44,25 +47,28 @@ STAGES = ("gen-data", "train-vae", "train-mae", "train-diffusion", "forecast", "
 REGULARIZERS = ("none", "se", "ffm", "vamfm")
 
 
-def run(root, name, config, stages, seed=("--seed", "3")):
+def run(root, name, config, stages, workers, seed=("--seed", "3")):
     out = os.path.join(root, name)
     path = os.path.join(root, f"{name}.json")
     with open(path, "w") as fh:
         json.dump(config, fh)
     for stage in stages:
-        argv = [stage, "--config", path, "--out", out, *seed, "--workers", "2"]
+        argv = [stage, "--config", path, "--out", out, *seed, "--workers", str(workers)]
         if cli.main(argv) != 0:
             raise SystemExit(f"nimbus {' '.join(argv)} failed")
 
 
 def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workers", type=int, default=2)
+    workers = parser.parse_args().workers
     with tempfile.TemporaryDirectory() as root:
         for reg in REGULARIZERS:
-            run(root, reg, {**TINY, "vae": {**TINY["vae"], "regularizer": reg}}, STAGES)
-        run(root, "ablate", TINY, ("gen-data", "ablate"))
-        run(root, "churn", {**TINY, "sampler": {**TINY["sampler"], "s_churn": 2.5}}, STAGES)
-        run(root, "steps6", {**TINY, "sampler": {"steps": 6}}, STAGES)
-        run(root, "default_seed", TINY, ("gen-data",), seed=())
+            run(root, reg, {**TINY, "vae": {**TINY["vae"], "regularizer": reg}}, STAGES, workers)
+        run(root, "ablate", TINY, ("gen-data", "ablate"), workers)
+        run(root, "churn", {**TINY, "sampler": {**TINY["sampler"], "s_churn": 2.5}}, STAGES, workers)
+        run(root, "steps6", {**TINY, "sampler": {"steps": 6}}, STAGES, workers)
+        run(root, "default_seed", TINY, ("gen-data",), workers, seed=())
         for name in (*REGULARIZERS, "ablate", "churn", "steps6", "default_seed"):
             for dirpath, dirnames, filenames in os.walk(os.path.join(root, name)):
                 dirnames.sort()

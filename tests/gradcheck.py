@@ -1,4 +1,4 @@
-"""Finite-difference oracle and float64 helpers for the gradient checks.
+"""Finite-difference oracle, float64 helpers and the gradient of one training step.
 
 The engine keeps parameters in float32; the checks build float64 tensors
 (or cast a model's parameters) so central differences resolve 1e-4.
@@ -40,3 +40,17 @@ def to_float64(params: dict):
 def total(x: ad.Tensor) -> ad.Tensor:
     """The sum of x's elements, as its mean times their count."""
     return ad.scale(ad.mean_all(x), x.data.size)
+
+
+def first_step(monkeypatch, params: dict, loss_of, batch: int, workers: int):
+    """(mean loss, {name: gradient}) of one ``ad.fit`` step over ``loss_of(0) ... loss_of(batch - 1)``.
+
+    The gradients are those the step hands AdamW, which leaves the
+    parameters as they were.
+    """
+    seen = {}
+    monkeypatch.setattr(
+        ad.AdamW, "step", lambda opt: seen.update({k: p.grad for k, p in opt.params.items()})
+    )
+    losses = ad.fit(params, {"iters": 1, "batch": batch, "lr": 1e-3}, lambda: loss_of, workers)
+    return losses[0], seen

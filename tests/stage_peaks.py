@@ -7,15 +7,17 @@ pinned ``TRAIN_CONFIG``, then ``forecast`` from those checkpoints at its
 ``FORECAST_CONFIG``. Each stage runs in a fresh process with the environment
 the bench gives its stages: this checkout's ``src/`` on the path, BLAS and
 allocator variables dropped. INFO logging is off. One line per stage gives
-the process's ``ru_maxrss`` in MB, the peak of its largest member process
-(the run manifest's ``peak_rss_mb.children``; 0 for a stage that forks
-none), and its wall time, which includes interpreter start-up and imports.
+the process's ``ru_maxrss`` in MB, the peak of its largest worker process
+(the run manifest's ``peak_rss_mb.children``: a forecast member process or
+a training or precompute process; 0 for a stage that forks none, as at
+``--workers 1``), and its wall time, which includes interpreter start-up
+and imports.
 ``--workers`` is passed on only when given, so by default the stages use
 the CLI's default, as the bench's do. ``--grid`` sets ``data.h`` and
 ``data.w`` in both configs, for a resolution ladder; without it the grid is
 the bench's. The largest peak of the four training stages is the ``train``
 workload's ``peak_rss_mb``, and the ``forecast`` line is the ``forecast``
-workload's: the bench reads the stage process alone, not its members.
+workload's: the bench reads the stage process alone, not its workers.
 
 pytest does not collect this file.
 """
@@ -87,7 +89,7 @@ def main():
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as root:
         configs = write_configs(root, args.grid)
-        print(f"{'stage':<16} {'peak_rss_mb':>11} {'members_peak_mb':>15} {'wall_s':>7}")
+        print(f"{'stage':<16} {'peak_rss_mb':>11} {'workers_peak_mb':>15} {'wall_s':>7}")
         for stage, config in STAGES:
             argv = [stage, "--config", configs[config], "--out", root, "--seed", str(args.seed)]
             if args.workers is not None:
@@ -96,8 +98,8 @@ def main():
             if code != 0:
                 raise SystemExit(f"nimbus {' '.join(argv)} exited {code}")
             with open(os.path.join(root, "manifest.json")) as fh:
-                members = json.load(fh)["peak_rss_mb"]["children"]
-            print(f"{stage:<16} {peak:>11.1f} {members:>15.1f} {wall:>7.2f}", flush=True)
+                workers = json.load(fh)["peak_rss_mb"]["children"]
+            print(f"{stage:<16} {peak:>11.1f} {workers:>15.1f} {wall:>7.2f}", flush=True)
 
 
 if __name__ == "__main__":

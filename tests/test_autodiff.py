@@ -4,11 +4,14 @@ Checks run on float64 tensors (parameters are float32 in production); the
 relative-error criterion is max|analytic - numeric| / max(1, max|numeric|) < 1e-4.
 """
 
+import os
+import signal
 import threading
+import time
 
 import numpy as np
 import pytest
-from gradcheck import numeric_gradient, param64, total
+from gradcheck import first_step, numeric_gradient, param64, total
 
 from nimbus import autodiff as ad
 from nimbus import models
@@ -35,6 +38,11 @@ def check_grads(make_loss, tensors, eps=1e-3, tol=1e-4):
 
 def random_param(rng, shape, scale=1.0):
     return param64(rng.standard_normal(shape) * scale)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def zero_bias(w):
@@ -700,31 +708,32 @@ class TestGradSink:
             np.testing.assert_array_equal(sink[t], expect[k])
 
     def test_concurrent_backward_leaves_shared_grad_untouched(self):
-        import threading
-
         p, loss = small_conv_net(np.random.default_rng(4))
         loss().backward()
         expect = {k: t.grad for k, t in p.items()}
         for t in p.values():
             t.grad = None
         both_built = threading.Barrier(2)
+        sinks = [None, None]
 
-        def shard(_):
+        def shard(i):
             with ad.grad_sink() as sink:
                 out = loss()
                 both_built.wait(timeout=10)
                 out.backward()
-            return sink
+            sinks[i] = sink
 
-        sinks = ad.thread_map(shard, range(2), workers=2)
+        threads = [threading.Thread(target=shard, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
         assert all(t.grad is None for t in p.values())
         for sink in sinks:
             for k, t in p.items():
                 np.testing.assert_array_equal(sink[t], expect[k])
 
-    def test_mean_grad_step_does_not_depend_on_workers(self):
-        import sys
-
+    def test_mean_grad_step_does_not_depend_on_workers(self, monkeypatch):
         rng = np.random.default_rng(5)
         params = {"w": random_param(rng, (3, 2, 3, 3), 0.5), "g": random_param(rng, (3,))}
         xs = rng.standard_normal((8, 1, 2, 5, 6))
@@ -733,25 +742,14 @@ class TestGradSink:
             h = ad.silu(ad.conv2d(ad.constant(xs[b]), params["w"], zero_bias(params["w"])))
             return ad.mean_all(ad.square(ad.rmsnorm(h, params["g"], axis=1)))
 
-        def step_grads(workers):
-            opt = ad.AdamW(params, lr=1e-3)
-            seen = {}
-            opt.step = lambda: seen.update({k: p.grad for k, p in params.items()})
-            loss = ad.mean_grad_step(opt, loss_of, len(xs), workers)
-            return loss, seen
-
-        serial_loss, serial = step_grads(1)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            # Four threads, switching between them as often as possible.
-            runs = [step_grads(4) for _ in range(3)]
-        finally:
-            sys.setswitchinterval(interval)
-        for loss, grads in runs:
+        serial_loss, serial = first_step(monkeypatch, params, loss_of, len(xs), 1)
+        # An even split, an uneven one, and one sample per process.
+        for workers in (2, 3, 8):
+            loss, grads = first_step(monkeypatch, params, loss_of, len(xs), workers)
             assert loss == serial_loss
             for k in params:
                 np.testing.assert_array_equal(grads[k], serial[k])
+            assert_no_child_left()
 
     def test_nested_sink_restores_the_outer_one(self):
         x = ad.param(np.array([1.0, 2.0]))
@@ -764,18 +762,38 @@ class TestGradSink:
         assert x.grad is None
 
 
-class TestThreadMap:
+class TestWorkers:
     def test_results_in_item_order(self):
-        assert ad.thread_map(lambda i: i * i, range(7), workers=3) == [i * i for i in range(7)]
+        out = ad.shared_empty((7,), np.int64)
+        with ad.Workers(3, 7, "test") as procs:
+            procs.map(lambda i: out.__setitem__(i, i * i), 7)
+        assert out.tolist() == [i * i for i in range(7)]
+        assert_no_child_left()
 
-    def test_first_failing_item_raises(self):
-        def fail_from_two(i):
-            if i >= 2:
+    def test_every_process_runs_the_block(self):
+        pids = ad.shared_empty((3,), np.int64)
+        with ad.Workers(5, 3, "test") as procs:
+            pids[procs.w] = os.getpid()
+            procs.map(lambda i: None, 3)
+        assert pids[0] == os.getpid() and len(set(pids.tolist())) == 3
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("first", [1, 2])  # in a child, in this process
+    def test_first_failing_item_raises(self, first):
+        def fail_from(i):
+            if i >= first:
                 raise DomainError(f"item {i}")
-            return i
 
-        with pytest.raises(DomainError, match="item 2"):
-            ad.thread_map(fail_from_two, range(5), workers=2)
+        with pytest.raises(DomainError, match=f"^item {first}$"):
+            with ad.Workers(2, 5, "test") as procs:
+                procs.map(fail_from, 5)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("workers,items", [(1, 5), (4, 1)])
+    def test_one_worker_runs_here(self, workers, items):
+        with ad.Workers(workers, items, "test") as procs:
+            assert (procs.n, procs.w) == (1, 0)
+            assert_no_child_left()
 
 
 class TestAdamW:
@@ -814,61 +832,147 @@ class TestAdamW:
         assert float(p.data[0]) == pytest.approx(10.0 - 0.1 * 0.5 * 10.0)
 
 
+def nan_at(step, sample=None):
+    """A ``TestFit`` hook: the loss of ``sample`` (all if None) at ``step`` is NaN."""
+
+    def hook(s, b, loss):
+        # Scaling by NaN raises no RuntimeWarning: backward() is the first to see it.
+        hit = s == step and sample in (None, b)
+        return ad.scale(loss, np.nan) if hit else loss
+
+    return hook
+
+
 class TestFit:
-    """``ad.fit``: one ``draw()`` per step on the calling thread, then one ``mean_grad_step``."""
+    """``ad.fit``: one ``draw()`` per step in every process, then one ``mean_grad_step``."""
 
     BATCH = 3
 
-    def problem(self, events, nan_at=None):
-        """Parameters and a ``draw`` that logs ("draw", step) and each ("loss", step)."""
+    def problem(self, log=None, hook=None):
+        """Parameters and a ``draw`` whose loss at (step, sample) is ``hook(step, b, loss)``.
+
+        With a ``log`` path, every process appends a "draw step pid thread"
+        line per draw and a "loss step b pid thread" line per loss to it,
+        each in one write.
+        """
         rng = np.random.default_rng(7)
         params = {"w": ad.param(rng.standard_normal((3, 2, 3, 3))), "g": ad.param(np.ones(3))}
         xs = rng.standard_normal((6, 1, 2, 5, 6)).astype(np.float32)
+        steps = [0]  # this process's draws so far
+
+        def note(*fields):
+            if log is not None:
+                with open(log, "a") as fh:
+                    fh.write(" ".join(map(str, (*fields, os.getpid(), threading.get_ident()))) + "\n")
 
         def draw():
-            step = sum(kind == "draw" for kind, _, _ in events) + 1
-            events.append(("draw", step, threading.get_ident()))
+            steps[0] += 1
+            step = steps[0]
+            note("draw", step)
             idx = rng.integers(0, len(xs), size=self.BATCH)
 
             def loss_of(b):
-                events.append(("loss", step, None))
+                note("loss", step, b)
                 h = ad.conv2d(ad.constant(xs[idx[b]]), params["w"], zero_bias(params["w"]))
                 loss = ad.mean_all(ad.square(ad.rmsnorm(ad.silu(h), params["g"], axis=1)))
-                # Scaling by NaN raises no RuntimeWarning: backward() is the first to see it.
-                return ad.scale(loss, np.nan) if step == nan_at else loss
+                return loss if hook is None else hook(step, b, loss)
 
             return loss_of
 
         return params, draw
 
-    def fit(self, iters, workers, nan_at=None):
-        events = []
-        params, draw = self.problem(events, nan_at)
+    def fit(self, iters, workers, log=None, hook=None):
+        params, draw = self.problem(log, hook)
         cfg = {"iters": iters, "batch": self.BATCH, "lr": 1e-2}
-        return ad.fit(params, cfg, draw, workers), params, events
+        return ad.fit(params, cfg, draw, workers), params
 
     @pytest.mark.parametrize("iters", [0, 4])
-    def test_one_draw_per_step_in_order_on_the_calling_thread(self, iters):
-        losses, _, events = self.fit(iters, workers=3)
+    def test_one_draw_per_step_in_order_on_the_calling_thread(self, iters, tmp_path):
+        log = tmp_path / "events"
+        log.touch()
+        losses, _ = self.fit(iters, workers=3, log=log)
         assert len(losses) == iters and all(np.isfinite(losses))
-        expect = []
-        for step in range(1, iters + 1):
-            expect += [("draw", step)] + [("loss", step)] * self.BATCH
-        assert [(kind, step) for kind, step, _ in events] == expect
-        draws = {thread for kind, _, thread in events if kind == "draw"}
-        assert draws <= {threading.get_ident()}
+        events = {}  # pid -> [(kind, step, sample)] in that process's order
+        threads = set()
+        for line in log.read_text().splitlines():
+            kind, *nums, thread = line.split()
+            *fields, pid = map(int, nums)
+            events.setdefault(pid, []).append((kind, *fields))
+            if pid == os.getpid() and kind == "draw":
+                threads.add(int(thread))
+        # Every process draws once per step, in step order, before that step's losses.
+        assert len(events) == (3 if iters else 0)
+        for seq in events.values():
+            draws = [step for kind, step, *_ in seq if kind == "draw"]
+            assert draws == list(range(1, iters + 1))
+            last = 0
+            for kind, step, *_ in seq:
+                last = step if kind == "draw" else last
+                assert step == last
+        assert threads <= {threading.get_ident()}
+        # Every sample's loss exactly once per step, across the processes.
+        done = [e[1:] for seq in events.values() for e in seq if e[0] == "loss"]
+        assert sorted(done) == [(s, b) for s in range(1, iters + 1) for b in range(self.BATCH)]
+        assert_no_child_left()
 
     def test_curve_and_parameters_do_not_depend_on_workers(self):
-        serial_losses, serial, _ = self.fit(4, workers=1)
-        losses, params, _ = self.fit(4, workers=3)
-        assert losses == serial_losses
-        for k, p in params.items():
-            np.testing.assert_array_equal(p.data, serial[k].data, err_msg=k)
+        serial_losses, serial = self.fit(4, workers=1)
+        for workers in (2, 3):
+            losses, params = self.fit(4, workers)
+            assert losses == serial_losses
+            for k, p in params.items():
+                np.testing.assert_array_equal(p.data, serial[k].data, err_msg=k)
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_non_finite_loss_names_the_step(self, workers):
         with pytest.raises(DomainError, match=r"^training step 3 of 5: loss is non-finite$"):
-            self.fit(5, workers, nan_at=3)
+            self.fit(5, workers, hook=nan_at(3))
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_non_finite_loss_of_one_sample_names_the_step(self, workers):
+        # At 3 workers sample 1 runs in a child.
+        with pytest.raises(DomainError, match=r"^training step 3 of 5: loss is non-finite$"):
+            self.fit(5, workers, hook=nan_at(3, sample=1))
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_adamw_overflow_names_the_step(self, workers):
+        # Sample 1's gradient squares past float32's range in every process's AdamW.
+        def huge(step, b, loss):
+            return ad.scale(loss, 1e30) if (step, b) == (2, 1) else loss
+
+        pattern = r"^training step 2 of 5: AdamW second moment of parameter 'w' is non-finite$"
+        with pytest.raises(DomainError, match=pattern):
+            self.fit(5, workers, hook=huge)
+        assert_no_child_left()
+
+    def test_interrupted_fit_leaves_no_child(self):
+        # Sample 1's process would run for a minute; the interrupt in sample 0 ends it at once.
+        def interrupt(step, b, loss):
+            if step == 2 and b == 0:
+                raise KeyboardInterrupt
+            if step == 2:
+                time.sleep(60)
+            return loss
+
+        t0 = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            self.fit(5, workers=2, hook=interrupt)
+        assert time.monotonic() - t0 < 30
+        assert_no_child_left()
+
+    def test_killed_training_process_is_reported(self):
+        parent = os.getpid()
+
+        def kill_child(step, b, loss):
+            if step == 2 and b == 1 and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return loss
+
+        with pytest.raises(RuntimeError, match=r"^training process 1 ended with code -9$"):
+            self.fit(5, workers=3, hook=kill_child)
+        assert_no_child_left()
 
 
 class TestCheckpoints:

@@ -1,4 +1,5 @@
 import argparse
+import collections
 import csv
 import dataclasses
 import hashlib
@@ -7,10 +8,11 @@ import logging
 import math
 import os
 import shutil
+import signal
 import struct
 import subprocess
 import sys
-import threading
+import time
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -37,25 +39,26 @@ METRICS = ("rmse_mean", "crps_fair", "crps_empirical", "ssr")
 def trained(tmp_path_factory):
     """A tiny pipeline through train-diffusion, counting VAE loss evaluations.
 
-    Training samples run on worker threads, so the counter takes a lock.
+    Training samples run in worker processes, so each evaluation appends
+    its stage's name to a file, one line per write.
     """
     out = tmp_path_factory.mktemp("run")
     config = out / "config.json"
     config.write_text(json.dumps(TINY))
-    counts = {}
-    lock = threading.Lock()
+    calls = tmp_path_factory.mktemp("counts") / "vae_loss"
+    calls.touch()
     vae_loss = models.vae_loss
 
     def counting(*args, **kwargs):
-        with lock:
-            counts[stage] = counts.get(stage, 0) + 1
+        with open(calls, "a") as fh:
+            fh.write(f"{stage}\n")
         return vae_loss(*args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(models, "vae_loss", counting)
         for stage in ("gen-data", "train-vae", "train-mae", "train-diffusion"):
-            assert cli.main([stage, "--config", str(config), "--out", str(out)]) == 0
-    return out, config, counts
+            assert cli.main([stage, "--config", str(config), "--out", str(out), "--workers", "2"]) == 0
+    return out, config, dict(collections.Counter(calls.read_text().split()))
 
 
 def test_train_diffusion_runs_no_vae_iterations(trained):
@@ -67,7 +70,7 @@ def test_train_diffusion_runs_no_vae_iterations(trained):
 
 def test_training_checkpoints_do_not_depend_on_workers(trained, tmp_path):
     out, config, _ = trained
-    for workers in ("1", "2"):
+    for workers in ("1", "2", "3"):
         run = tmp_path / f"workers{workers}"
         run.mkdir()
         shutil.copy(out / "dataset.pyld", run)
@@ -76,9 +79,10 @@ def test_training_checkpoints_do_not_depend_on_workers(trained, tmp_path):
             assert cli.main(argv) == 0
     trained_files = ("vae.pypt", "mae.pypt", "denoiser.pypt", "edm_config.json")
     for name in (*trained_files, "diffusability.csv", "band_energy.svg", "rmse_vs_mask.svg"):
-        assert (tmp_path / "workers1" / name).read_bytes() == (
-            tmp_path / "workers2" / name
-        ).read_bytes(), name
+        for workers in ("2", "3"):
+            assert (tmp_path / "workers1" / name).read_bytes() == (
+                tmp_path / f"workers{workers}" / name
+            ).read_bytes(), (name, workers)
 
 
 def test_forecast_writes_every_member(trained):
@@ -173,17 +177,86 @@ def test_run_manifest_records_member_process_peak(trained, tmp_path):
     # Fresh processes: RUSAGE_CHILDREN counts every child a process ever reaped.
     out, config, _ = trained
     shutil.copytree(out, tmp_path, dirs_exist_ok=True)
+    mae2 = tmp_path / "mae2.json"  # a batch of 2 samples, so 2 workers fork a training process
+    mae2.write_text(json.dumps({**TINY, "mae": {**TINY["mae"], "batch": 2}}))
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(nimbus.__file__))}
     peaks = {}
-    for stage in ("forecast", "train-mae"):
-        argv = [stage, "--config", str(config), "--out", str(tmp_path), "--workers", "2"]
+    for stage, path, workers in (("forecast", config, 2), ("train-mae", mae2, 2), ("train-mae", mae2, 1)):
+        argv = [stage, "--config", str(path), "--out", str(tmp_path), "--workers", str(workers)]
         code = f"import sys; from nimbus import cli; sys.exit(cli.main({argv!r}))"
         res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=120)
         assert res.returncode == 0, res.stderr
-        peaks[stage] = json.loads((tmp_path / "manifest.json").read_text())["peak_rss_mb"]
+        peaks[stage, workers] = json.loads((tmp_path / "manifest.json").read_text())["peak_rss_mb"]
     assert TINY["forecast"]["members"] == 2
-    assert peaks["forecast"]["self"] > 0 and peaks["forecast"]["children"] > 0
-    assert peaks["train-mae"]["self"] > 0 and peaks["train-mae"]["children"] == 0
+    assert all(peak["self"] > 0 for peak in peaks.values())
+    assert peaks["forecast", 2]["children"] > 0
+    assert peaks["train-mae", 2]["children"] > 0
+    assert peaks["train-mae", 1]["children"] == 0
+
+
+# Runs ``nimbus`` in which {module}.{name} makes a worker process write its
+# pid to {pidfile} and then sleep for a minute.
+ORPHAN = """
+import os, sys, time
+from nimbus import cli, {module}
+parent = os.getpid()
+inner = {module}.{name}
+
+def slow(*args, **kwargs):
+    if os.getpid() != parent:
+        with open({pidfile!r} + ".tmp", "w") as fh:
+            fh.write(str(os.getpid()))
+        os.rename({pidfile!r} + ".tmp", {pidfile!r})
+        time.sleep(60)
+    return inner(*args, **kwargs)
+
+{module}.{name} = slow
+sys.exit(cli.main({argv!r}))
+"""
+
+
+def alive(pid):
+    """Whether process ``pid`` runs: it exists and is not a zombie that waits to be reaped."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads process states from /proc")
+@pytest.mark.parametrize(
+    "stage,module,name", [("forecast", "forecast", "_run_member"), ("train-vae", "models", "vae_loss")]
+)
+def test_worker_process_ends_with_a_killed_parent(trained, tmp_path, stage, module, name):
+    out, config, _ = trained
+    shutil.copytree(out, tmp_path, dirs_exist_ok=True)
+    pidfile = str(tmp_path / "worker.pid")
+    argv = [stage, "--config", str(config), "--out", str(tmp_path), "--workers", "2"]
+    code = ORPHAN.format(module=module, name=name, pidfile=pidfile, argv=argv)
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(nimbus.__file__))}
+    proc = subprocess.Popen([sys.executable, "-c", code], env=env, stderr=subprocess.DEVNULL)
+    worker = None
+    try:
+        deadline = time.monotonic() + 120
+        while not os.path.exists(pidfile):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        with open(pidfile) as fh:
+            worker = int(fh.read())
+        proc.kill()
+        proc.wait()
+        killed = time.monotonic()
+        while alive(worker) and time.monotonic() - killed < 5:
+            time.sleep(0.01)
+        assert not alive(worker)
+        assert time.monotonic() - killed < 1.0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        if worker is not None and alive(worker):
+            os.kill(worker, signal.SIGKILL)
 
 
 def test_import_loads_no_scipy_module():

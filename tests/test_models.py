@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from gradcheck import to_float64
+from gradcheck import first_step, to_float64
 
 from nimbus import autodiff as ad
 from nimbus import edm, grid, models
@@ -236,15 +236,12 @@ class TestTraining:
 
 
 class TestPerSampleShards:
-    """``ad.mean_grad_step`` over one-sample losses gives the full-batch gradient."""
+    """An ``ad.fit`` step over one-sample losses in 2 processes takes the full-batch gradient."""
 
     @staticmethod
     def sharded(params, loss_of, n):
-        opt = ad.AdamW(params, lr=1e-3)
-        seen = {}
-        opt.step = lambda: seen.update({k: p.grad for k, p in params.items()})
-        ad.mean_grad_step(opt, loss_of, n, workers=2)
-        return seen
+        with pytest.MonkeyPatch.context() as mp:
+            return first_step(mp, params, loss_of, n, workers=2)[1]
 
     @staticmethod
     def full(params, loss):

@@ -92,8 +92,9 @@ def _same_bytes(a, b):
 
 @pytest.mark.parametrize("cond", pipeline.COND_MODES)
 def test_latent_precompute_matches_one_batched_encode(bundle, cond):
-    # The precompute encodes one sample per thread_map task: the bytes are
-    # the same at 1 and 2 workers, and the same as one encode of every row.
+    # The precompute encodes one sample per item, in worker processes: the
+    # bytes are the same at 1 and 2 workers, and the same as one encode of
+    # every row.
     config = copy.deepcopy(cli.DEFAULT_CONFIG)
     config["mae"]["k"] = K
     vae = pipeline.build_vae(bundle.train.shape[1], config["vae"], 3)
