@@ -24,8 +24,9 @@ command that samples (``forecast``, ``diagnose``, ``ablate``) calls
 
 --workers counts parallel worker processes, this one and forked children
 (``autodiff.Workers``). They run the ensemble members (``forecast``,
-``ablate``), the training samples (``train-*``, ``ablate``) and the latent
-precompute (``train-diffusion``, ``diagnose``, ``ablate``). The BLAS
+``ablate``), the training samples (``train-*``, ``ablate``), the latent
+precompute (``train-diffusion``, ``diagnose``, ``ablate``) and the scoring
+of each (lead, variable) slab (``evaluate``, ``ablate``). The BLAS
 threads are divided among the workers while they run. The default is the
 number of CPUs this process may run on, and no output depends on it. The
 run manifest records the peak resident set size in MB of this process
@@ -576,7 +577,7 @@ def cmd_evaluate(cfg, args):
             f"({_dataset_path(args)}); the forecast was made on another grid"
         )
     _check_leads(bundle, ens.lead_times, "forecast")
-    report = pipeline.score_ensemble(bundle, ens.fields)
+    report = pipeline.score_ensemble(bundle, ens.fields, args.workers)
     report.to_csv(os.path.join(args.out, "metrics.csv"))
     report.to_json(os.path.join(args.out, "metrics.json"))
     rmse = report.scores["rmse_mean"]
@@ -716,8 +717,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--workers",
             type=int,
             default=_cpu_count(),
-            help="parallel worker processes for ensemble members, training samples and the "
-            "latent precompute; BLAS threads are divided among them "
+            help="parallel worker processes for ensemble members, training samples, the "
+            "latent precompute and scoring (evaluate, ablate); BLAS threads are divided "
+            "among them "
             "(default: the CPUs this process may use; outputs do not depend on it)",
         )
         p.add_argument("--dry-run", action="store_true")

@@ -31,6 +31,7 @@ members run in order in this process, which keeps every BLAS thread.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import dataclass
@@ -215,6 +216,8 @@ def read_forecast(out_dir) -> EnsembleForecast:
     """The ensemble ``write_forecast`` wrote; a malformed one is a FormatError.
 
     Every member must share member 0's shape, variable names, lat and lon.
+    Members 1 ... M - 1 are read straight into the one (M, T, V, H, W) array
+    that member 0's shape sizes, so the fields are held once.
     """
 
     def read(name, read_as):
@@ -231,21 +234,23 @@ def read_forecast(out_dir) -> EnsembleForecast:
         raise FormatError(
             f"{path}: member_seeds must be a list of {members} entries, got {seeds!r}"
         )
-    batches = []
-    for m in range(members):
-        member_path, batch = read(f"member_{m:03d}.pyld", grid.read_fields)
-        batches.append(batch)
-        if batches[m].data.shape != batches[0].data.shape:
+    _, first = read("member_000.pyld", grid.read_fields)
+    fields = np.empty((members,) + first.data.shape, np.float32)
+    fields[0] = first.data
+    for m in range(1, members):
+        member_path, batch = read(
+            f"member_{m:03d}.pyld", functools.partial(grid.read_fields, out=fields[m])
+        )
+        if batch.data.shape != first.data.shape:
             raise FormatError(
-                f"{member_path} has shape {batches[m].data.shape}, "
-                f"member_000.pyld {batches[0].data.shape}"
+                f"{member_path} has shape {batch.data.shape}, "
+                f"member_000.pyld {first.data.shape}"
             )
-        what = grid_mismatch(batches[m], batches[0])
+        what = grid_mismatch(batch, first)
         if what:
             raise FormatError(f"{member_path}: {what} differ from member_000.pyld's")
-    first = batches[0]
     return EnsembleForecast(
-        fields=np.stack([b.data for b in batches]),
+        fields=fields,
         member_seeds=seeds,
         lat=first.lat,
         lon=first.lon,

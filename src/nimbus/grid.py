@@ -357,7 +357,7 @@ class Cursor:
         return self.fh.read(n)
 
 
-def read_fields(path, keep=None) -> FieldBatch:
+def read_fields(path, keep=None, out=None) -> FieldBatch:
     """The batch ``write_fields`` wrote to ``path``, or the frames of it that ``keep`` asks for.
 
     The file is streamed. Its header is read and checked first, and the
@@ -367,7 +367,9 @@ def read_fields(path, keep=None) -> FieldBatch:
     ``keep`` returns a slice, sees T before any frame is read and may raise
     on it. A frame that is not held is read into one spare frame. Without
     ``keep`` every frame is held, in one array, so a full read holds the
-    payload once. The returned data, lat and lon are read-only.
+    payload once. That array is ``out`` where ``out`` is given with the
+    held frames' (T, V, H, W) shape (and float32 dtype), a new one where not.
+    The returned data, lat and lon are read-only.
 
     A malformed file is a FormatError, in the file's order: the header's
     values and axes are checked before the payload's.
@@ -407,7 +409,11 @@ def read_fields(path, keep=None) -> FieldBatch:
         except (ConfigError, DomainError) as exc:
             raise FormatError(str(exc)) from exc
         kept = range(t) if keep is None else range(t)[keep(t)]
-        data = np.empty((len(kept), v, h, w), np.float32)
+        shape = (len(kept), v, h, w)
+        if out is not None and out.shape == shape and out.dtype == np.float32:
+            data = out
+        else:
+            data = np.empty(shape, np.float32)
         spare = np.empty((v, h, w), np.float32) if len(kept) < t else None
         try:
             for i in range(t):

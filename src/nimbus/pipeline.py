@@ -280,13 +280,15 @@ def train_denoiser(
 # ---------------------------------------------------------------------------
 
 
-def score_ensemble(bundle: DatasetBundle, fields: np.ndarray) -> verify.MetricReport:
+def score_ensemble(
+    bundle: DatasetBundle, fields: np.ndarray, workers: int = 1
+) -> verify.MetricReport:
     """Score (M, T, V, H, W) forecast fields against the first T truth frames.
 
     Scores are per variable and per lead (6 h apart) in the dataset's raw
-    units; ``nimbus evaluate`` and every ``nimbus ablate`` cell score here.
-    Rank-histogram ties are broken by one fixed random stream (seed 0), so
-    the same fields always score the same.
+    units; ``nimbus evaluate`` and every ``nimbus ablate`` cell score here,
+    in up to ``workers`` processes. Rank-histogram ties are broken by one
+    fixed random stream (seed 0), so the same fields always score the same.
     """
     t_lead = fields.shape[1]
     return verify.evaluate_ensemble(
@@ -296,6 +298,7 @@ def score_ensemble(bundle: DatasetBundle, fields: np.ndarray) -> verify.MetricRe
         lead_hours=[6 * (i + 1) for i in range(t_lead)],
         lat_weights=bundle.lat_w,
         rank_seed=0,
+        workers=workers,
     )
 
 
@@ -328,6 +331,6 @@ def ablate(
             for strat in strategies:
                 fmodels = train_denoiser(bundle, config, vaes[strat], encoders[cond], seed, workers)
                 ens = forecast.rollout(fmodels, bundle.init_window, members, t_lead, seed, workers)
-                report = score_ensemble(bundle, ens.fields)
+                report = score_ensemble(bundle, ens.fields, workers)
                 rows.extend((seed, cond, Strategy(strat).value, *row) for row in report.to_rows())
     return rows

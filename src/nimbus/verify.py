@@ -1,9 +1,9 @@
 """Probabilistic forecast verification and latent-diffusability diagnostics.
 
 ``evaluate_ensemble`` scores an (M, T, V, H, W) ensemble against its truth
-one lead at a time, all variables at once, in float64. Each score is a
-latitude-weighted mean over a variable's (H, W) grid, so every metric is a
-(V, T) table:
+one (lead, variable) slab of (M, H, W) values at a time, in float64. Each
+score is a latitude-weighted mean over a variable's (H, W) grid, so every
+metric is a (V, T) table:
 
 - ``rmse_mean``: RMSE of the ensemble mean. Its error is the mean of the
   member errors, so members that all equal the truth score exactly 0.
@@ -19,6 +19,17 @@ latitude-weighted mean over a variable's (H, W) grid, so every metric is a
 With a single member the fair CRPS and SSR are undefined: ``crps_fair`` then
 holds the empirical CRPS (the absolute error) and ``ssr`` is NaN. The rank
 histogram counts where each grid point's truth falls among its members.
+
+The T·V slabs are split across ``autodiff.Workers`` processes, slab
+i = t·V + v going to process i mod n, and each writes its scores into
+shared memory. Every reduction runs over the member axis or over one
+variable's grid, so a slab takes the same sums in the same order as the
+whole ensemble would, and no score depends on the worker count. The rank
+histogram breaks ties with one random stream, drawn in the truth's C order
+over (T, V, H, W), from which an untied point draws nothing. So each slab
+counts the ranks of its untied points and marks its tied ones, and after
+the slabs the calling process draws the ties with one ``rank_histogram``
+call on the tied points alone, in that order.
 """
 
 from __future__ import annotations
@@ -29,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
 from . import grid, spectral
 from .errors import DomainError
 
@@ -118,30 +130,54 @@ def evaluate_ensemble(
     lead_hours,
     lat_weights,
     rank_seed: int,
+    workers: int = 1,
 ) -> MetricReport:
-    """Score an (M, T, V, H, W) ensemble against (T, V, H, W) truth."""
+    """Score an (M, T, V, H, W) ensemble against (T, V, H, W) truth.
+
+    The T·V (lead, variable) slabs are scored in up to ``workers`` processes.
+    """
     mm, tt, vv, hh, ww = forecast_fields.shape
     if truth_fields.shape != (tt, vv, hh, ww):
         raise DomainError(
             f"truth shape {truth_fields.shape} does not match forecast {forecast_fields.shape}"
         )
     w = np.asarray(lat_weights)[:, None]
-    scores = {k: np.empty((vv, tt)) for k in ("rmse_mean", "crps_fair", "crps_empirical", "ssr")}
-    for t in range(tt):
-        f = forecast_fields[:, t].astype(np.float64)
-        err = f - truth_fields[t].astype(np.float64)
+    scores = {
+        k: ad.shared_empty((vv, tt), np.float64)
+        for k in ("rmse_mean", "crps_fair", "crps_empirical", "ssr")
+    }
+    untied = ad.shared_empty((tt * vv, mm + 1), np.int64)
+    tied = ad.shared_empty(truth_fields.shape, np.bool_)
+
+    def score(i):
+        t, v = divmod(i, vv)
+        at = slice(v, v + 1), t
+        members, truth = forecast_fields[:, t, v : v + 1], truth_fields[t, v : v + 1]
+        f = members.astype(np.float64)
+        err = f - truth.astype(np.float64)
         rmse = np.sqrt(_wmean(np.square(err.mean(axis=0)), w))
-        scores["rmse_mean"][:, t] = rmse
-        scores["crps_fair"][:, t], scores["crps_empirical"][:, t] = crps_field(f, err, w)
+        scores["rmse_mean"][at] = rmse
+        scores["crps_fair"][at], scores["crps_empirical"][at] = crps_field(f, err, w)
+        below = (members < truth).sum(axis=0)
+        ties = (members == truth).sum(axis=0)
+        tied[t, v : v + 1] = ties > 0
+        untied[i] = np.bincount(below[ties == 0], minlength=mm + 1)
         if mm == 1:
-            scores["ssr"][:, t] = np.nan
-            continue
+            scores["ssr"][at] = np.nan
+            return
         spread = np.sqrt((mm + 1) / mm * _wmean((f - f[0]).var(axis=0, ddof=1), w))
         with np.errstate(divide="ignore", invalid="ignore"):
-            scores["ssr"][:, t] = np.where(spread == 0.0, 0.0, spread / rmse)
-    counts = rank_histogram(forecast_fields, truth_fields, np.random.default_rng(rank_seed))
+            scores["ssr"][at] = np.where(spread == 0.0, 0.0, spread / rmse)
+
+    with ad.Workers(workers, tt * vv, "scoring") as procs:
+        procs.map(score, tt * vv)
+    rng = np.random.default_rng(rank_seed)
+    ranked = rank_histogram(forecast_fields[:, tied], truth_fields[tied], rng)
     return MetricReport(
-        variables=list(variables), lead_hours=list(lead_hours), scores=scores, rank_counts=counts
+        variables=list(variables),
+        lead_hours=list(lead_hours),
+        scores=scores,
+        rank_counts=untied.sum(axis=0) + ranked,
     )
 
 

@@ -113,3 +113,50 @@ def test_vae_loss_builds_targets_through_the_module_global():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split()[-1] == "1"
+
+
+EVALUATE_UNDER_TRACER = """
+import json
+import os
+import sys
+
+import numpy as np
+import layers
+from nimbus import cli, forecast, grid
+
+tracer = layers.install()
+out = sys.argv[1]
+config = os.path.join(out, "config.json")
+with open(config, "w") as fh:
+    json.dump({"data": {"h": 16, "w": 32, "v": 3, "t": 40}, "forecast": {"train_frames": 24}}, fh)
+assert cli.main(["gen-data", "--config", config, "--out", out]) == 0
+data = grid.read_fields(os.path.join(out, "dataset.pyld"))
+ens = forecast.EnsembleForecast(
+    np.stack([data.data[-2:]] * 2), [[0, 0], [0, 1]], data.lat, data.lon, data.specs
+)
+forecast.write_forecast(ens, os.path.join(out, "forecast"))
+assert cli.main(["evaluate", "--config", config, "--out", out, "--workers", "2"]) == 0
+spans = tracer.summary()["spans"]
+print(spans["verify.crps"][0], spans["verify.rank_histogram"][0])
+"""
+
+
+def test_evaluate_calls_the_scorers_in_the_calling_process(tmp_path):
+    # perfbench/run.py's per_layer divides the verify.crps and
+    # verify.rank_histogram spans by their calls in the stage process; with
+    # the (lead, variable) slabs split across worker processes, the calling
+    # process must still score a slab and draw the ties, or a traced score
+    # run ends in ZeroDivisionError.
+    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", EVALUATE_UNDER_TRACER, str(tmp_path)],
+        cwd=os.path.join(ROOT, "perfbench"),
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    crps_calls, rank_calls = map(int, proc.stdout.split()[-2:])
+    assert crps_calls >= 1
+    assert rank_calls >= 1

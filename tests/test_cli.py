@@ -530,6 +530,44 @@ def test_evaluate_fits_nothing(trained, tmp_path, monkeypatch):
     assert (tmp_path / "metrics.json").read_bytes() == expected
 
 
+@pytest.mark.parametrize("integer_valued", [False, True], ids=["continuous", "ties"])
+def test_evaluate_outputs_do_not_depend_on_workers(trained, tmp_path, integer_valued):
+    # 4 members x 3 leads x 3 variables: 9 (lead, variable) slabs, split
+    # unevenly at 2 workers and evenly at 3.
+    out, config, _ = trained
+    data = grid.read_fields(out / "dataset.pyld")
+    if integer_valued:
+        data = dataclasses.replace(data, data=np.round(data.data))
+    grid.write_fields(data, tmp_path / "dataset.pyld")
+    cfg = cli.load_config(str(config))
+    truth = pipeline.split_dataset(data, cfg["forecast"]["train_frames"], cfg["mae"]["k"]).truth[:3]
+    rng = np.random.default_rng(5)
+    if integer_valued:
+        members = truth + rng.integers(-1, 2, (4,) + truth.shape)
+    else:
+        members = truth + rng.standard_normal((4,) + truth.shape)
+    members = members.astype(np.float32)
+    seeds = [[0, m] for m in range(4)]
+    ens = forecast.EnsembleForecast(members, seeds, data.lat, data.lon, data.specs)
+    forecast.write_forecast(ens, tmp_path / "forecast")
+    names = ("metrics.csv", "metrics.json", "rmse.svg", "rank_histogram.svg")
+    files = {}
+    for workers in ("1", "2", "3"):
+        argv = ["evaluate", "--config", str(config), "--out", str(tmp_path), "--workers", workers]
+        assert cli.main(argv) == 0
+        files[workers] = {name: (tmp_path / name).read_bytes() for name in names}
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    assert files["2"] == files["3"] == files["1"]
+    # The whole-array rule: each tie drawn from one seed-0 stream in the truth's C order.
+    below = (members < truth).sum(axis=0)
+    ties = (members == truth).sum(axis=0)
+    ranks = below + np.random.default_rng(0).integers(0, ties + 1)
+    counts = json.loads(files["1"]["metrics.json"])["rank_counts"]
+    assert counts == np.bincount(ranks.ravel(), minlength=5).tolist()
+    assert (ties.mean() > 1) == integer_valued
+
+
 @pytest.mark.parametrize("s_churn", [0.0, 2.5])
 @pytest.mark.parametrize("command", ["forecast", "diagnose", "ablate"])
 def test_sampling_command_honours_sampler_section(trained, tmp_path, command, s_churn, monkeypatch):

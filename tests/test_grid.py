@@ -314,6 +314,21 @@ class TestFieldFile:
         assert part.specs == full.specs
         assert not part.data.flags.writeable
 
+    def test_read_into_out_only_where_it_fits(self, tmp_path):
+        b = make_batch(t=3, v=2, seed=5)
+        path = tmp_path / "x.pyld"
+        grid.write_fields(b, path)
+        stack = np.zeros((2, 3, 2, 8, 8), np.float32)
+        read = grid.read_fields(path, out=stack[1])
+        assert np.shares_memory(read.data, stack)
+        assert stack[1].tobytes() == b.data.tobytes()
+        assert not stack[0].any()
+        # A wrong shape or dtype is left alone and the frames get their own array.
+        for other in (np.zeros((2, 2, 8, 8), np.float32), np.zeros((3, 2, 8, 8))):
+            read = grid.read_fields(path, out=other)
+            assert not np.shares_memory(read.data, other) and not other.any()
+            assert read.data.tobytes() == b.data.tobytes()
+
     def test_keep_refuses_before_any_frame_is_read(self, tmp_path):
         path = tmp_path / "x.pyld"
         grid.write_fields(make_batch(t=12), path)

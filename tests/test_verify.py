@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -331,6 +333,29 @@ class TestMetricReport:
         b = verify.evaluate_ensemble(fields[::-1].copy(), truth, ["v"], [6], np.ones(4), 0)
         for key in a.scores:
             np.testing.assert_allclose(a.scores[key], b.scores[key], atol=1e-12)
+
+    @pytest.mark.parametrize("m", [1, 4])
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_report_does_not_depend_on_workers(self, m, ties):
+        # 3 leads x 2 variables: 6 slabs, split unevenly at 4 workers and
+        # among fewer processes than workers at 8.
+        rng = np.random.default_rng(6)
+        fields = rng.standard_normal((m, 3, 2, 6, 8))
+        truth = rng.standard_normal((3, 2, 6, 8))
+        if ties:
+            fields, truth = np.round(fields), np.round(truth)
+        fields, truth = fields.astype(np.float32), truth.astype(np.float32)
+        lat_w = np.cos(np.linspace(-1.2, 1.2, 6))
+        reports = [
+            verify.evaluate_ensemble(fields, truth, ["a", "b"], [6, 12, 18], lat_w, 2, workers)
+            for workers in (1, 2, 4, 8)
+        ]
+        for report in reports[1:]:
+            np.testing.assert_array_equal(report.rank_counts, reports[0].rank_counts)
+            for key in METRICS:
+                np.testing.assert_array_equal(report.scores[key], reports[0].scores[key])
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_perfect_float64_ensemble_scores_zero(self):
         truth = np.random.default_rng(2).standard_normal((2, 3, 6, 8))
