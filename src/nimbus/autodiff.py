@@ -16,6 +16,12 @@ input again and re-gathers them for the weight gradient, and the input
 gradient is a stride-1 ``_corr`` with the flipped kernel. So a training
 graph holds the activations and nothing conv-sized beyond them.
 
+``Tensor.backward`` releases the graph as it walks it: each node drops its
+parents and its backward closure once the closure has run, so the
+activations a node held are freed as soon as its last consumer has run, not
+when the loss is dropped. Each graph takes one backward(); a second one
+through a released node is a DomainError.
+
 Parameters are float32. Other values keep the float32 or float64 dtype they
 arrive in (any other dtype becomes float32), and reductions accumulate in
 float64.
@@ -98,6 +104,13 @@ def grad_sink():
         _GRAD_MODE.sink = prev
 
 
+def _released(go=None):
+    """The backward closure of a node whose graph ``Tensor.backward`` has released: it raises."""
+    raise DomainError(
+        "backward() reached a graph that an earlier backward() released; build it again"
+    )
+
+
 class Tensor:
     """A numpy array with an optional gradient and a backward closure."""
 
@@ -127,11 +140,16 @@ class Tensor:
         return self.data.dtype
 
     def backward(self):
-        """Back-propagate from this scalar into the leaves of its graph.
+        """Back-propagate from this scalar into the leaves of its graph, releasing the graph.
 
         Leaf gradients add into ``.grad``, or into the thread's
         ``grad_sink()`` dict inside one; every other node's gradient is
-        dropped once its backward closure has used it.
+        dropped once its backward closure has used it. Each node that is
+        not a leaf gives up its parents and its closure as soon as the
+        closure has run, so the activations it held are freed as the walk
+        goes, not when the whole graph is dropped. A graph therefore takes
+        one backward(): a later one that reaches a released node raises a
+        DomainError before any gradient is computed.
         """
         if self.data.size != 1:
             raise DomainError("backward() requires a scalar loss")
@@ -147,6 +165,8 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._backward is _released:
+                _released()
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
@@ -154,23 +174,26 @@ class Tensor:
                     stack.append((p, False))
         grads = {self: np.ones_like(self.data)}  # this pass's gradients, by node
         sink = getattr(_GRAD_MODE, "sink", None)
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()  # not held here once walked
             go = grads.pop(node, None)
-            if go is None:
-                continue
             if not node._parents:
+                if go is None:
+                    continue
                 if sink is None:
                     node.grad = go if node.grad is None else node.grad + go
                 else:
                     sink[node] = sink[node] + go if node in sink else go
                 continue
-            for parent, g in zip(node._parents, node._backward(go)):
-                if g is None or not parent.requires_grad:
-                    continue
-                if parent in grads:
-                    grads[parent] += g
-                else:
-                    grads[parent] = g.astype(parent.data.dtype)
+            if go is not None:
+                for parent, g in zip(node._parents, node._backward(go)):
+                    if g is None or not parent.requires_grad:
+                        continue
+                    if parent in grads:
+                        grads[parent] += g
+                    else:
+                        grads[parent] = g.astype(parent.data.dtype)
+            node._parents, node._backward = (), _released
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, grad={self.requires_grad})"

@@ -471,27 +471,29 @@ def cmd_gen_data(cfg, args):
     log.info("wrote dataset %s with shape %s", _dataset_path(args), batch.data.shape)
 
 
+# The train stages hand the bundle on without keeping a reference to it, so
+# that the pipeline's trainers can free the raw dataset before their fit.
+
+
 def cmd_train_vae(cfg, args):
-    bundle = _load_bundle(cfg, args)
     strategy = Strategy(cfg["vae"]["regularizer"])
-    vae = pipeline.train_vae(bundle, cfg["vae"], strategy, args.seed, args.workers)
+    vae = pipeline.train_vae(_load_bundle(cfg, args), cfg["vae"], strategy, args.seed, args.workers)
     _save_model(vae.params, args.out, "vae.pypt")
     log.info("saved VAE checkpoint (strategy=%s)", strategy.value)
 
 
 def cmd_train_mae(cfg, args):
-    bundle = _load_bundle(cfg, args)
-    mae = pipeline.train_mae(bundle, cfg["mae"], args.seed, args.workers)
+    mae = pipeline.train_mae(_load_bundle(cfg, args), cfg["mae"], args.seed, args.workers)
     _save_model(mae.params, args.out, "mae.pypt")
     log.info("saved 3D-MAE checkpoint")
 
 
 def cmd_train_diffusion(cfg, args):
-    bundle = _load_bundle(cfg, args)
-    v = bundle.train.shape[1]
+    held = [_load_bundle(cfg, args)]  # popped into the call below: no reference stays here
+    v = held[0].train.shape[1]
     vae = _load(pipeline.build_vae(v, cfg["vae"], args.seed), args.out, "vae.pypt")
     encoder = _encoder(cfg, args, v, args.seed)
-    fmodels = pipeline.train_denoiser(bundle, cfg, vae, encoder, args.seed, args.workers)
+    fmodels = pipeline.train_denoiser(held.pop(), cfg, vae, encoder, args.seed, args.workers)
     _save_model(fmodels.denoiser.params, args.out, "denoiser.pypt")
     with grid.write_file(os.path.join(args.out, "edm_config.json")) as fh:
         json.dump({"sigma_data": fmodels.edm_config.sigma_data, **_training_stats(fmodels)}, fh)

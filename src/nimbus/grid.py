@@ -125,10 +125,19 @@ def _spec_stats(a: np.ndarray, specs):
     return mean, std
 
 
-def standardize_array(a: np.ndarray, specs) -> np.ndarray:
-    """Per-variable (a - mean) / std for (..., V, H, W) data."""
+def standardize_array(a: np.ndarray, specs, out=None) -> np.ndarray:
+    """Per-variable (a - mean) / std for (..., V, H, W) data, in ``a``'s dtype.
+
+    The result is written into ``out``, which may be ``a`` itself, or into a
+    new array where ``out`` is not given. Either way the subtraction and the
+    division share that one array, so no other temporary of ``a``'s size is
+    made.
+    """
     mean, std = _spec_stats(a, specs)
-    return (a - mean) / std
+    if out is None:
+        out = np.empty(a.shape, mean.dtype)
+    np.subtract(a, mean, out=out)
+    return np.divide(out, std, out=out)
 
 
 def destandardize_array(a: np.ndarray, specs) -> np.ndarray:
@@ -158,8 +167,13 @@ def residual(states: np.ndarray, dtype) -> np.ndarray:
 
 
 def standardized_residuals(states: np.ndarray, specs) -> np.ndarray:
-    """The float32 residuals of consecutive (T, V, H, W) ``states``, standardized by ``specs``."""
-    return standardize_array(residual(states, np.float32), specs)
+    """The float32 residuals of consecutive (T, V, H, W) ``states``, standardized by ``specs``.
+
+    The fresh residual array is standardized in place, so it is the only
+    array of the result's size that is made.
+    """
+    resid = residual(states, np.float32)
+    return standardize_array(resid, specs, resid)
 
 
 def next_state(x: np.ndarray, resid_std: np.ndarray, specs) -> np.ndarray:
@@ -203,6 +217,16 @@ def gen_synthetic(
     spectrum follows ``(r + r0)^(-slope)`` and evolves by periodic integer
     advection plus small stochastic forcing with the same spectrum.
     Deterministic given ``seed``.
+
+    The variables are made one at a time: each is built in float64 in one
+    (T, H, W) column, its spec is fitted on that column, and it is written
+    into the float32 dataset, so no (T, V, H, W) float64 array is made. The
+    column's frame stride is what a variable of such an array would have
+    had: numpy sums a column whose frames are contiguous with one another
+    in another order than one whose frames are not, so the fitted means
+    would differ in their last bits. With one variable the frames are
+    contiguous; with more, the column's rows are one element longer than a
+    frame.
     """
     if h < 8 or w < 8:
         raise DomainError("grid must be at least 8x8")
@@ -221,7 +245,9 @@ def gen_synthetic(
     rng = np.random.default_rng(seed)
     r = spectral.normalized_radius(h, w)
     r0 = 2.0 / max(h, w)
-    data = np.empty((t, v, h, w), dtype=np.float64)
+    data = np.empty((t, v, h, w), dtype=np.float32)
+    column = np.empty((t, h * w + (v > 1)))[:, : h * w].reshape(t, h, w)
+    specs = []
 
     def grf(amp):
         z = rng.standard_normal((h, w)) + 1j * rng.standard_normal((h, w))
@@ -233,17 +259,17 @@ def gen_synthetic(
     for j in range(v):
         amp = (r + r0) ** (-slopes[j])
         cur = grf(amp)
-        data[0, j] = cur
+        column[0] = cur
         for i in range(1, t):
             cur = np.roll(cur, shift=advection[j], axis=(0, 1))
             if forcing > 0:
                 cur = cur + forcing * grf(amp)
-            data[i, j] = cur
+            column[i] = cur
+        specs += fit_specs((VariableSpec(name=f"var{j}", mean=0.0, std=1.0),), (column,))
+        data[:, j] = column
 
-    unfitted = tuple(VariableSpec(name=f"var{j}", mean=0.0, std=1.0) for j in range(v))
-    specs = fit_specs(unfitted, data.swapaxes(0, 1))
     lat, lon = default_grid(h, w)
-    return FieldBatch(data=data.astype(np.float32), lat=lat, lon=lon, specs=specs)
+    return FieldBatch(data=data, lat=lat, lon=lon, specs=specs)
 
 
 # ---------------------------------------------------------------------------

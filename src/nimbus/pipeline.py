@@ -150,28 +150,42 @@ def build_denoiser(config: dict, seed: int) -> edm.Denoiser:
 def train_vae(
     bundle: DatasetBundle, cfg: dict, strategy: Strategy, seed: int, workers: int = 1
 ) -> models.Vae:
-    """``build_vae``'s VAE trained by the ``vae`` section ``cfg`` on the train residuals."""
+    """``build_vae``'s VAE trained by the ``vae`` section ``cfg`` on the train residuals.
+
+    The bundle is dropped once its residuals are standardized: where the
+    caller holds no reference to it, the raw dataset is freed before the
+    fit. The bundle itself is left as it was.
+    """
     vae = build_vae(bundle.train.shape[1], cfg, seed)
     resid_std = grid.standardized_residuals(bundle.train, bundle.resid_specs)
     weights = bundle.lat_w, bundle.var_w
+    del bundle
     models.train_vae(vae, resid_std, cfg, seed * 7919 + 11, strategy, *weights, workers)
     return vae
 
 
 def train_mae(bundle: DatasetBundle, cfg: dict, seed: int, workers: int = 1) -> models.Mae:
-    """``build_mae``'s 3D-MAE trained by the ``mae`` section ``cfg`` on the train states."""
+    """``build_mae``'s 3D-MAE trained by the ``mae`` section ``cfg`` on the train states.
+
+    The bundle is dropped once its states are standardized, as in ``train_vae``.
+    """
     mae = build_mae(bundle.train.shape[1], cfg, seed)
     states_std = grid.standardize_array(bundle.train, bundle.state_specs)
     weights = bundle.lat_w, bundle.var_w
+    del bundle
     models.train_mae(mae, states_std, cfg, seed * 7919 + 22, *weights, workers)
     return mae
 
 
 def train_frame_ae(bundle: DatasetBundle, cfg: dict, seed: int, workers: int = 1) -> models.FrameAe:
-    """``build_frame_ae``'s AE trained by the ``frame_ae`` section ``cfg`` on the train states."""
+    """``build_frame_ae``'s AE trained by the ``frame_ae`` section ``cfg`` on the train states.
+
+    The bundle is dropped once its states are standardized, as in ``train_vae``.
+    """
     ae = build_frame_ae(bundle.train.shape[1], cfg, seed)
     states_std = grid.standardize_array(bundle.train, bundle.state_specs)
     weights = bundle.lat_w, bundle.var_w
+    del bundle
     models.train_frame_ae(ae, states_std, cfg, seed * 7919 + 33, *weights, workers)
     return ae
 
@@ -240,15 +254,23 @@ def train_denoiser(
     """Train the conditional denoiser on residual latents; returns the models ``rollout`` takes.
 
     The latent precompute and the training (``ad.fit``) run in up to ``workers`` processes.
+    Each array is dropped once the next step no longer reads it: the
+    standardized residuals once they are encoded, the bundle once its states
+    are standardized (as in ``train_vae``), the standardized states once they
+    are encoded. The fit holds the latents alone.
     """
     cfg = config["diffusion"]
     k = config["mae"]["k"]
-    # index t: residual of step t -> t+1
-    resid_std = grid.standardized_residuals(bundle.train, bundle.resid_specs)
-    z_all = residual_latents(vae, resid_std, workers)
-    states_std = grid.standardize_array(bundle.train, bundle.state_specs)
-    z_bar_all = conditioning_latents(encoder, states_std, z_all, k, workers)
+    state_specs, resid_specs = bundle.state_specs, bundle.resid_specs
     targets = np.arange(k, bundle.train.shape[0] - 1)
+    # index t: residual of step t -> t+1
+    resid_std = grid.standardized_residuals(bundle.train, resid_specs)
+    z_all = residual_latents(vae, resid_std, workers)
+    del resid_std
+    states_std = grid.standardize_array(bundle.train, state_specs)
+    del bundle
+    z_bar_all = conditioning_latents(encoder, states_std, z_all, k, workers)
+    del states_std
     sigma_data = max(edm.estimate_sigma_data(z_all), 1e-3)
     edm_cfg = edm.EdmConfig(sigma_data=sigma_data, **config["sampler"])
     net = build_denoiser(config, seed)
@@ -270,9 +292,7 @@ def train_denoiser(
         return loss_of
 
     ad.fit(net.params, cfg, draw, workers)
-    return forecast.ForecastModels(
-        vae, net, edm_cfg, bundle.state_specs, bundle.resid_specs, k, encoder
-    )
+    return forecast.ForecastModels(vae, net, edm_cfg, state_specs, resid_specs, k, encoder)
 
 
 # ---------------------------------------------------------------------------

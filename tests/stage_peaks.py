@@ -17,7 +17,8 @@ the CLI's default, as the bench's do. ``--grid`` sets ``data.h`` and
 ``data.w`` in both configs, for a resolution ladder; without it the grid is
 the bench's. The largest peak of the four training stages is the ``train``
 workload's ``peak_rss_mb``, and the ``forecast`` line is the ``forecast``
-workload's: the bench reads the stage process alone, not its workers.
+workload's: the bench reads the stage process alone, not its workers. A
+last line gives the ``train`` figure and the stage it comes from.
 
 pytest does not collect this file.
 """
@@ -90,6 +91,7 @@ def main():
     with tempfile.TemporaryDirectory() as root:
         configs = write_configs(root, args.grid)
         print(f"{'stage':<16} {'peak_rss_mb':>11} {'workers_peak_mb':>15} {'wall_s':>7}")
+        train = []
         for stage, config in STAGES:
             argv = [stage, "--config", configs[config], "--out", root, "--seed", str(args.seed)]
             if args.workers is not None:
@@ -100,6 +102,10 @@ def main():
             with open(os.path.join(root, "manifest.json")) as fh:
                 workers = json.load(fh)["peak_rss_mb"]["children"]
             print(f"{stage:<16} {peak:>11.1f} {workers:>15.1f} {wall:>7.2f}", flush=True)
+            if config == "TRAIN_CONFIG":
+                train.append((peak, stage))
+        peak, stage = max(train)
+        print(f"train workload peak_rss_mb {peak:.1f} ({stage})")
 
 
 if __name__ == "__main__":

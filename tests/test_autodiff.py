@@ -8,6 +8,7 @@ import os
 import signal
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -623,6 +624,43 @@ def small_conv_net(rng):
         return total(ad.square(h))
 
     return p, loss
+
+
+class TestRelease:
+    def test_backward_frees_an_intermediate_while_the_loss_is_held(self):
+        rng = np.random.default_rng(5)
+        x = ad.constant(rng.standard_normal((2, 2, 5, 6)))
+        w, b = random_param(rng, (3, 2, 3, 3), 0.5), random_param(rng, (3,), 0.1)
+        h = ad.conv2d(x, w, b)
+        activation = weakref.ref(h.data)
+        loss = total(ad.square(ad.silu(h)))
+        del h
+        assert activation() is not None  # the graph holds it until backward
+        loss.backward()
+        assert activation() is None
+        assert loss.data.size == 1 and w.grad is not None and b.grad is not None
+
+    def test_second_backward_raises_before_any_gradient(self):
+        p, make_loss = small_conv_net(np.random.default_rng(6))
+        loss = make_loss()
+        loss.backward()
+        first = {k: t.grad.copy() for k, t in p.items()}
+        with pytest.raises(DomainError, match="released"):
+            loss.backward()
+        for k, t in p.items():
+            np.testing.assert_array_equal(t.grad, first[k])
+
+    def test_new_graph_through_a_released_node_gives_no_partial_gradients(self):
+        rng = np.random.default_rng(7)
+        x, w = param64(rng.standard_normal(4)), param64(rng.standard_normal(4))
+        y = ad.square(x)
+        total(y).backward()
+        grad_x = x.grad.copy()
+        # y's graph is released; y looks like a leaf but must not act as one.
+        with pytest.raises(DomainError, match="released"):
+            total(ad.mul(y, w)).backward()
+        assert w.grad is None
+        np.testing.assert_array_equal(x.grad, grad_x)
 
 
 class TestNoGrad:

@@ -1,15 +1,18 @@
 """The benchmark's tracer still finds every name it wraps in ``nimbus``."""
 
 import ast
+import dataclasses
 import inspect
 import json
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from nimbus import cli, grid
+from nimbus import cli, grid, pipeline
+from nimbus.regularize import Strategy
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -82,6 +85,30 @@ def test_bench_configs_load(tmp_path, name):
     for key in STAGE_KEYS:
         section, entry = key.split(".")
         assert entry in cfg[section], key
+
+
+def test_check_train_reuses_one_bundle(tmp_path):
+    # perfbench/stage.py's check_train trains a VAE and then a 3D-MAE at
+    # iters 0 on one bundle, then reads the bundle's data, train slice, lat
+    # and variable weights and both fitted spec tuples. The trainers may drop
+    # their own reference to the bundle, but must leave it as it was.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_bench_configs()["TRAIN_CONFIG"]))
+    cfg = cli.load_config(str(path))
+    train, k = 24, cfg["mae"]["k"]
+    batch = grid.gen_synthetic(seed=3, h=16, w=32, v=3, t=train + k + 4)
+    data = batch.data.copy()
+    bundle = pipeline.split_dataset(batch, train, k)
+    pipeline.train_vae(bundle, {**cfg["vae"], "iters": 0}, Strategy(cfg["vae"]["regularizer"]), 0)
+    pipeline.train_mae(bundle, {**cfg["mae"], "iters": 0}, 0)
+    assert bundle.full is batch
+    np.testing.assert_array_equal(bundle.full.data, data)
+    np.testing.assert_array_equal(bundle.train, data[:train])
+    np.testing.assert_array_equal(bundle.lat_w, grid.lat_weights(batch.lat))
+    np.testing.assert_array_equal(bundle.var_w, [s.loss_weight for s in batch.specs])
+    copy = pipeline.split_dataset(dataclasses.replace(batch, data=data), train, k)
+    assert bundle.state_specs == copy.state_specs
+    assert bundle.resid_specs == copy.resid_specs
 
 
 VAMFM_LOSS_UNDER_TRACER = """

@@ -13,6 +13,7 @@ import struct
 import subprocess
 import sys
 import time
+import weakref
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -1256,6 +1257,29 @@ def test_stages_standardize_states_once(trained, tmp_path, monkeypatch):
         assert cli.main([stage, "--config", str(config), "--out", str(tmp_path)]) == 0
     assert counts[grid, "standardize_array"] == {"train-diffusion": 2, "diagnose": 2}
     assert counts[grid, "standardized_residuals"] == {"train-diffusion": 1, "diagnose": 1}
+
+
+@pytest.mark.parametrize("stage", ["train-vae", "train-mae", "train-diffusion"])
+def test_train_stages_free_the_raw_dataset_before_the_fit(trained, tmp_path, monkeypatch, stage):
+    out, config, _ = trained
+    shutil.copytree(out, tmp_path, dirs_exist_ok=True)
+    read, fit = grid.read_fields, ad.fit
+    raw, freed = [], []
+
+    def reading(*args, **kwargs):
+        batch = read(*args, **kwargs)
+        raw.append(weakref.ref(batch.data))
+        return batch
+
+    def fitting(*args, **kwargs):
+        freed.append([ref() is None for ref in raw])
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(grid, "read_fields", reading)
+    monkeypatch.setattr(ad, "fit", fitting)
+    assert cli.main([stage, "--config", str(config), "--out", str(tmp_path)]) == 0
+    # One dataset read, gone by the stage's one fit.
+    assert len(raw) == 1 and freed == [[True]]
 
 
 def test_non_utf8_variable_name_exits_3(trained, tmp_path, caplog):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from shell_profile import radial_profile
 
-from nimbus import grid, pipeline
+from nimbus import grid, pipeline, spectral
 from nimbus.errors import ConfigError, DomainError, FormatError
 
 
@@ -82,6 +82,22 @@ class TestStandardize:
         back = grid.destandardize_array(grid.standardize_array(b.data, b.specs), b.specs)
         np.testing.assert_allclose(back, b.data, rtol=1e-6, atol=1e-6)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_out_holds_the_same_bytes_as_the_formula(self, dtype):
+        b = make_batch(t=3, v=3, seed=5)
+        a = b.data.astype(dtype)
+        mean = np.array([s.mean for s in b.specs], dtype=dtype)[:, None, None]
+        std = np.array([s.std for s in b.specs], dtype=dtype)[:, None, None]
+        want = (a - mean) / std
+        fresh = grid.standardize_array(a, b.specs)
+        assert fresh.dtype == dtype
+        np.testing.assert_array_equal(fresh, want)
+        out = np.full_like(a, np.nan)
+        assert grid.standardize_array(a, b.specs, out) is out
+        np.testing.assert_array_equal(out, want)
+        assert grid.standardize_array(a, b.specs, a) is a
+        np.testing.assert_array_equal(a, want)
+
     def test_missing_spec_is_config_error(self):
         b = make_batch(v=2)
         with pytest.raises(ConfigError):
@@ -146,7 +162,49 @@ class TestResiduals:
             assert abs(s.std - diff[:, i].std()) <= tol
 
 
+def whole_array_synthetic(seed, h, w, v, t):
+    """``grid.gen_synthetic``'s dataset and specs at its default slopes, advection and
+    forcing, built as one (T, V, H, W) float64 array, fitted on its variables and then cast."""
+    rng = np.random.default_rng(seed)
+    slopes = np.linspace(1.0, 3.5, v)
+    advection = [((i % 3) - 1, 1 + (i % 4)) for i in range(v)]
+    r = spectral.normalized_radius(h, w)
+    r0 = 2.0 / max(h, w)
+    data = np.empty((t, v, h, w), dtype=np.float64)
+
+    def grf(amp):
+        z = rng.standard_normal((h, w)) + 1j * rng.standard_normal((h, w))
+        f = np.fft.ifft2(amp * z).real
+        f -= f.mean()
+        s = f.std()
+        return f / s if s > 0 else f
+
+    for j in range(v):
+        amp = (r + r0) ** (-slopes[j])
+        cur = grf(amp)
+        data[0, j] = cur
+        for i in range(1, t):
+            cur = np.roll(cur, shift=advection[j], axis=(0, 1))
+            cur = cur + 0.1 * grf(amp)
+            data[i, j] = cur
+    unfitted = tuple(grid.VariableSpec(name=f"var{j}", mean=0.0, std=1.0) for j in range(v))
+    return data.astype(np.float32), grid.fit_specs(unfitted, data.swapaxes(0, 1))
+
+
 class TestGenSynthetic:
+    # TINY's grid (test_cli.py), a non-square one with odd V, and one variable,
+    # whose frames lie contiguous in the whole array.
+    @pytest.mark.parametrize(
+        "seed, h, w, v, t", [(3, 16, 32, 3, 40), (1, 24, 40, 5, 30), (7, 24, 40, 1, 30)]
+    )
+    def test_equals_the_whole_array_formula(self, seed, h, w, v, t):
+        want_data, want_specs = whole_array_synthetic(seed, h, w, v, t)
+        b = grid.gen_synthetic(seed=seed, h=h, w=w, v=v, t=t)
+        assert b.data.dtype == np.float32
+        np.testing.assert_array_equal(b.data, want_data)
+        # Exact float equality: the fitted means and stds carry the sum order.
+        assert b.specs == want_specs
+
     def test_deterministic(self):
         a = grid.gen_synthetic(seed=7, h=16, w=16, v=2, t=3)
         b = grid.gen_synthetic(seed=7, h=16, w=16, v=2, t=3)
@@ -438,6 +496,16 @@ class TestPeakAllocation:
         # Twice the frames cost nothing more: the peaks differ only by the
         # interpreter's small objects, far less than a frame (32 KiB here).
         assert abs(peaks[1] - peaks[0]) <= 4096
+
+    def test_gen_synthetic_works_one_variable_at_a_time(self):
+        t, v, h, w = 40, 8, 32, 64
+        grid.gen_synthetic(seed=0, h=h, w=w, v=v, t=2)  # warm numpy's FFT caches
+        b, peak = peak_bytes(grid.gen_synthetic, 1, h, w, v, t)
+        # The float32 dataset, one variable's float64 column and the centred
+        # copy that its std makes, and a few frames of the field generator.
+        # The whole dataset in float64 would be V = 8 columns on its own.
+        column, frame = 8 * t * h * w, 16 * h * w
+        assert peak <= b.data.nbytes + 2 * column + 16 * frame
 
     def test_split_dataset_works_one_variable_at_a_time(self):
         train, k = 24, 2
