@@ -12,9 +12,15 @@ matrix: one gather, ``_gather``, collects windows over the trailing spatial
 axes only (W for conv2d, H and W for conv3d), and ``_corr`` runs one GEMM
 per tap of the leading axis (H for conv2d, T for conv3d) on a row-shifted
 view of those windows. A conv node keeps no windows: its backward pads the
-input again and re-gathers them for the weight gradient, and the input
-gradient is a stride-1 ``_corr`` with the flipped kernel. So a training
-graph holds the activations and nothing conv-sized beyond them.
+input again and re-gathers them for the weight gradient. The input gradient
+is one stride-1 ``_corr`` per stride phase with that phase's flipped
+sub-kernel (``_corr_input_grad``), so no zero that a stride spreads between
+output points is multiplied, and it is formed only where the input is, not
+over its zero padding. A conv over a nearest 2x upsample,
+``conv2d(..., upsample=2)``, runs as four 2x2 ``_corr`` at the input's own
+resolution and never forms the upsampled image. So a training graph holds
+the activations and nothing conv-sized beyond them; SiLU keeps no sigmoid
+either.
 
 ``Tensor.backward`` releases the graph as it walks it: each node drops its
 parents and its backward closure once the closure has run, so the
@@ -46,6 +52,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import itertools
 import math
 import mmap
 import os
@@ -305,16 +312,25 @@ def square(x: Tensor) -> Tensor:
     return Tensor(x.data * x.data, x.requires_grad, (x,), backward)
 
 
-def silu(x: Tensor) -> Tensor:
-    # exp(-x) overflows to inf for x below about -88 in float32, where s = 0 is right.
+def _sigmoid(a):
+    # exp(-a) overflows to inf for a below about -88 in float32, where 0 is right.
     with np.errstate(over="ignore"):
-        s = 1.0 / (1.0 + np.exp(-x.data))
-    out_data = x.data * s
+        return 1.0 / (1.0 + np.exp(-a))
+
+
+def silu(x: Tensor) -> Tensor:
+    """x * sigmoid(x); the node keeps only its parent.
+
+    Backward computes the sigmoid again from ``x.data``, by the same
+    expression, rather than holding it from forward to backward: one
+    exp per element buys an activation-sized array less in the graph.
+    """
 
     def backward(go):
+        s = _sigmoid(x.data)
         return (go * (s * (1.0 + x.data * (1.0 - s))),)
 
-    return Tensor(out_data, x.requires_grad, (x,), backward)
+    return Tensor(x.data * _sigmoid(x.data), x.requires_grad, (x,), backward)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -500,10 +516,8 @@ def _copy_channels_last(dst, src):
         dst[..., c : c + 8] = np.moveaxis(src[:, c : c + 8], 1, -1)
 
 
-def _unpad_spatial(gp, h, w, pads):
-    """Fold a padded-space gradient back onto the unpadded grid."""
-    pt, _, pl, pr = pads
-    g = gp[..., pt : pt + h, :]
+def _fold_w(g, w, pl, pr):
+    """Fold a gradient over W's wrapped columns (``_pad_spatial``'s pl + w + pr) back onto w columns."""
     out = g[..., pl : pl + w].copy()
     if pl:
         out[..., w - pl :] += g[..., :pl]
@@ -813,23 +827,46 @@ def _corr_wgrad(go, windows, w_shape, s):
     return np.moveaxis(gw.reshape((o,) + tuple(w_shape[2:]) + (w_shape[1],)), -1, 1)
 
 
-def _corr_input_grad(go, w, strides, padded_spatial):
-    """Gradient of a valid strided correlation w.r.t. its (padded) input.
+def _corr_input_grad(go, w, strides, kept):
+    """Gradient of a valid strided correlation w.r.t. its input, at the positions ``kept``.
 
-    The gradient, spread out by the strides and zero-padded by kernel - 1 on
-    each side, is written once into a channels-last zero buffer and
-    correlated with the kernel flipped in space and transposed in channels.
+    go is (B, O, *out_spatial) and ``kept`` one ``range`` of input
+    positions per spatial axis; the result is (B, C, *map(len, kept)).
+
+    Phase rule: along an axis of stride s and kernel size k, input position
+    p = s*m + r (phase r < s) is read by tap d = r + s*j of output m - j
+    only. So phase r's gradient is a stride-1 full correlation of go with
+    the sub-kernel ``w[r::s]``, ceil((k - r) / s) taps wide, flipped in
+    space and transposed in channels, and each phase (a tuple of one r per
+    axis) runs as one ``_corr`` written into its own positions. A 3-wide
+    kernel at stride 2 has sub-kernels 2 and 1 wide, a 2-tap one one tap
+    per phase. A phase with no taps (r >= k) gets zeros, and so does a
+    position past s*(n_out - 1) + k - 1, which no window reads. Nothing
+    multiplies the zeros a stride spreads between output points, and the
+    sums keep their order, so the result is the zero-spread correlation's.
     """
     nsp = w.ndim - 2
-    ksz = w.shape[2:]
-    full = tuple(p + k - 1 for p, k in zip(padded_spatial, ksz))
-    gd = np.zeros((go.shape[0],) + full + (go.shape[1],), go.dtype)
-    spread = tuple(
-        slice(k - 1, k + (n - 1) * s, s) for k, n, s in zip(ksz, go.shape[2:], strides)
-    )
-    _copy_channels_last(gd[(slice(None),) + spread], go)
-    w_rot = np.flip(w, axis=tuple(range(2, 2 + nsp))).swapaxes(0, 1)
-    gx, _ = _corr(np.moveaxis(gd, -1, 1), w_rot, (1,) * nsp)
+    ksz, n_out = w.shape[2:], go.shape[2:]
+    # go, zero-padded by the widest sub-kernel less one on each side, channels-last, once.
+    pads = [-(-k // s) - 1 for k, s in zip(ksz, strides)]
+    gp = np.zeros((go.shape[0], *(n + 2 * p for n, p in zip(n_out, pads)), go.shape[1]), go.dtype)
+    _copy_channels_last(gp[(slice(None),) + tuple(slice(p, p + n) for p, n in zip(pads, n_out))], go)
+    gp = np.moveaxis(gp, -1, 1)
+    gx = np.zeros((go.shape[0], w.shape[1], *map(len, kept)), np.result_type(go, w))
+    for phase in itertools.product(*map(range, strides)):
+        src, dst = [slice(None)] * 2, [slice(None)] * 2
+        for r, s, k, n, p, keep in zip(phase, strides, ksz, n_out, pads, kept):
+            taps = len(range(r, k, s))
+            m_lo = max(0, -((r - keep.start) // s))
+            m_hi = -(-(min(keep.stop, s * (n - 1) + k) - r) // s)
+            if not taps or m_hi <= m_lo:
+                break
+            src.append(slice(m_lo - taps + 1 + p, m_hi + p))
+            dst.append(slice(s * m_lo + r - keep.start, s * (m_hi - 1) + r - keep.start + 1, s))
+        else:
+            sub = w[(slice(None), slice(None)) + tuple(slice(r, None, s) for r, s in zip(phase, strides))]
+            sub_rot = np.flip(sub, axis=tuple(range(2, 2 + nsp))).swapaxes(0, 1)
+            gx[tuple(dst)] = _corr(gp[tuple(src)], sub_rot, (1,) * nsp)[0]
     return gx
 
 
@@ -845,9 +882,12 @@ def _conv(x: Tensor, w: Tensor, b: Tensor, strides, pad_t=0) -> Tensor:
     c, *_, kh, kw = w.data.shape[1:]
     if c != x.data.shape[1]:
         raise DomainError(f"kernel expects {c} input channels, got {x.data.shape[1]}")
-    xp, pads = _pad_spatial(x.data, kh, kw, pad_t)
-    padded_spatial = xp.shape[2:]  # the closure must not keep xp alive
+    xp, (pt, _, pl, pr) = _pad_spatial(x.data, kh, kw, pad_t)
+    # Input gradients only where x is: past the causal frames and the zero-H
+    # rows, over every wrapped W column, which _fold_w folds back.
+    kept = tuple(range(pad_t, n) for n in xp.shape[2:-2]) + (range(pt, pt + h), range(xp.shape[-1]))
     out = _corr(xp, w.data, strides)[0]
+    del xp  # freed before the bias add makes a second output-sized array
     out = out + b.data.reshape((-1,) + (1,) * (out.ndim - 2))
 
     def backward(go):
@@ -856,17 +896,78 @@ def _conv(x: Tensor, w: Tensor, b: Tensor, strides, pad_t=0) -> Tensor:
         del windows
         gx = None
         if x.requires_grad:
-            gxp = _corr_input_grad(go, w.data, strides, padded_spatial)
-            gx = _unpad_spatial(gxp, h, wd, pads)[:, :, pad_t:]
+            gx = _fold_w(_corr_input_grad(go, w.data, strides, kept), wd, pl, pr)
         return gx, gw, go.sum(axis=(0, *range(2, go.ndim)))
 
     return Tensor(out, _requires(x, w, b), (x, w, b), backward)
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
-    """Cross-correlation with same-size spatial padding (zero-H, circular-W)."""
+# The taps of a 3-tap kernel axis over a nearest 2x upsampled input, folded
+# onto the low-resolution input per output phase: output 2i reads low-res
+# i - 1 and i with (w0, w1 + w2), output 2i + 1 reads i and i + 1 with
+# (w0 + w1, w2). _FOLD[a] @ taps folds for phase a; its transpose unfolds.
+_FOLD = np.array([[[1, 0, 0], [0, 1, 1]], [[1, 1, 0], [0, 0, 1]]], np.float32)
+
+
+def _phase_kernels(w):
+    """The four (O, C, 2, 2) kernels of (O, C, 3, 3) w over a 2x upsample, by output phase (a, e)."""
+    return [(a, e, _FOLD[a] @ w @ _FOLD[e].T) for a in range(2) for e in range(2)]
+
+
+def _upsample_conv(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``conv2d(x, w, b, upsample=2)``: the 3x3 same conv of x upsampled 2x, at x's resolution.
+
+    Output phase (a, e), the points (2i + a, 2j + e), is a 2x2 ``_corr``
+    of x padded by ``_pad_spatial(x, 3, 3)`` with the folded kernel
+    ``_phase_kernels`` gives; that padding, zero in H and wrapped in W, is
+    the upsampled image's own. The node keeps only its parents. Backward
+    unfolds each phase's weight gradient onto the 3x3 taps and sums the
+    phases' input gradients at x's resolution.
+    """
+    bsz, c, h, wd = x.data.shape
+    if w.data.shape[1:] != (c, 3, 3):
+        raise DomainError(f"upsample=2 takes a (O, {c}, 3, 3) kernel, got {w.data.shape}")
+    xp, _ = _pad_spatial(x.data, 3, 3)
+    out = np.empty((bsz, w.data.shape[0], 2 * h, 2 * wd), np.result_type(x.data, w.data))
+    for a, e, k in _phase_kernels(w.data):
+        out[:, :, a::2, e::2] = _corr(xp[:, :, a : a + h + 1, e : e + wd + 1], k, (1, 1))[0]
+    del xp
+    out += b.data.reshape(-1, 1, 1)
+
+    def backward(go):
+        xp, _ = _pad_spatial(x.data, 3, 3)
+        gw = 0
+        gx = np.zeros((bsz, c, h, wd + 2), go.dtype) if x.requires_grad else None
+        for a, e, k in _phase_kernels(w.data):
+            g = np.ascontiguousarray(go[:, :, a::2, e::2])
+            windows, _ = _gather(xp[:, :, a : a + h + 1, e : e + wd + 1], k, (1, 1))
+            gw = gw + _FOLD[a].T @ _corr_wgrad(g, windows, k.shape, 1) @ _FOLD[e]
+            del windows
+            if gx is not None:
+                # Phase row a of the padded x holds x's rows from row 1 - a on.
+                kept = (range(1 - a, h + 1 - a), range(wd + 1))
+                gx[..., e : e + wd + 1] += _corr_input_grad(g, k, (1, 1), kept)
+        gx = None if gx is None else _fold_w(gx, wd, 1, 1)
+        return gx, gw, go.sum(axis=(0, 2, 3))
+
+    return Tensor(out, _requires(x, w, b), (x, w, b), backward)
+
+
+def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, upsample: int = 1) -> Tensor:
+    """Cross-correlation with same-size spatial padding (zero-H, circular-W).
+
+    ``upsample=2`` convolves x upsampled 2x by nearest neighbour, with a
+    3x3 kernel at stride 1, and never forms the upsampled input: each 3x3
+    kernel folds into four 2x2 kernels that read x itself (``_upsample_conv``).
+    The sums of folded taps round differently from the 3x3 conv of the
+    upsampled image, by a few float32 ulps.
+    """
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise DomainError("conv2d expects x (B,C,H,W) and w (O,C,kh,kw)")
+    if upsample not in (1, 2) or (upsample == 2 and stride != 1):
+        raise DomainError(f"conv2d takes upsample 1, or 2 at stride 1; got {upsample} at stride {stride}")
+    if upsample == 2:
+        return _upsample_conv(x, w, b)
     return _conv(x, w, b, (stride, stride))
 
 
@@ -889,18 +990,6 @@ def conv3d(
 # ---------------------------------------------------------------------------
 # Resampling and spectral projections
 # ---------------------------------------------------------------------------
-
-
-def upsample2d(x: Tensor, factor: int = 2) -> Tensor:
-    """Nearest-neighbour upsampling of the trailing two axes."""
-    out_data = np.repeat(np.repeat(x.data, factor, axis=-2), factor, axis=-1)
-
-    def backward(go):
-        s = go.shape
-        g = go.reshape(s[:-2] + (s[-2] // factor, factor, s[-1] // factor, factor))
-        return (g.sum(axis=(-3, -1)),)
-
-    return Tensor(out_data, x.requires_grad, (x,), backward)
 
 
 def avgpool2d(x: Tensor, factor: int) -> Tensor:

@@ -75,10 +75,8 @@ class Vae:
         p = self.params
         h = ad.conv2d(z, p["dec0.w"], p["dec0.b"])
         h = self._res(h, "decr0", "decr1")
-        h = ad.upsample2d(ad.silu(h))
-        h = ad.silu(ad.conv2d(h, p["dec1.w"], p["dec1.b"]))
-        h = ad.upsample2d(h)
-        h = ad.silu(ad.conv2d(h, p["dec2.w"], p["dec2.b"]))
+        h = ad.silu(ad.conv2d(ad.silu(h), p["dec1.w"], p["dec1.b"], upsample=2))
+        h = ad.silu(ad.conv2d(h, p["dec2.w"], p["dec2.b"], upsample=2))
         return ad.conv2d(h, p["dech.w"], p["dech.b"])
 
     @ad.no_grad()
@@ -249,10 +247,8 @@ class Mae:
         """Frame-wise 2D decoder: (N, Cz, h, w) latent frames -> (N, V, H, W)."""
         p = self.params
         h = ad.silu(ad.conv2d(z, p["d0.w"], p["d0.b"]))
-        h = ad.upsample2d(h)
-        h = ad.silu(ad.conv2d(h, p["d1.w"], p["d1.b"]))
-        h = ad.upsample2d(h)
-        h = ad.silu(ad.conv2d(h, p["d2.w"], p["d2.b"]))
+        h = ad.silu(ad.conv2d(h, p["d1.w"], p["d1.b"], upsample=2))
+        h = ad.silu(ad.conv2d(h, p["d2.w"], p["d2.b"], upsample=2))
         return ad.conv2d(h, p["dh.w"], p["dh.b"])
 
     def decode(self, z: ad.Tensor) -> ad.Tensor:
@@ -311,10 +307,8 @@ class FrameAe:
     def decode(self, z: ad.Tensor) -> ad.Tensor:
         p = self.params
         h = ad.silu(ad.conv2d(z, p["d0.w"], p["d0.b"]))
-        h = ad.upsample2d(h)
-        h = ad.silu(ad.conv2d(h, p["d1.w"], p["d1.b"]))
-        h = ad.upsample2d(h)
-        return ad.conv2d(h, p["dh.w"], p["dh.b"])
+        h = ad.silu(ad.conv2d(h, p["d1.w"], p["d1.b"], upsample=2))
+        return ad.conv2d(h, p["dh.w"], p["dh.b"], upsample=2)
 
     @ad.no_grad()
     def encode_array(self, x: np.ndarray) -> np.ndarray:

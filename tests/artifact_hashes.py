@@ -5,9 +5,11 @@ it imports the ``nimbus`` package from that checkout's ``src/``. In a
 temporary directory it runs ``gen-data``, ``train-vae``, ``train-mae``,
 ``train-diffusion``, ``forecast``, ``evaluate`` and ``diagnose`` at
 ``--seed 3 --workers N`` (default 2) once per ``vae.regularizer``, then
-``ablate``, then every stage again with ``sampler.s_churn`` 2.5, and again
+``ablate``, then every stage again with ``sampler.s_churn`` 2.5, again
 at ``sampler.steps`` 6, whose later steps are the sampler's third-order
-ones (at 3 steps it takes none). Last, it runs ``gen-data`` once without
+ones (at 3 steps it takes none), and again at ``mae.spatial_strides``
+[1, 4], whose 3-wide kernel at stride 4 leaves one input phase with no
+taps and the last padded rows read by no window. Last, it runs ``gen-data`` once without
 ``--seed``, the default seed 0. It prints one ``sha256  path`` line per
 file. The run manifests hold the wall-clock time and are left out. Two
 checkouts whose tables match wrote the same bytes, so a refactor that
@@ -68,8 +70,9 @@ def main():
         run(root, "ablate", TINY, ("gen-data", "ablate"), workers)
         run(root, "churn", {**TINY, "sampler": {**TINY["sampler"], "s_churn": 2.5}}, STAGES, workers)
         run(root, "steps6", {**TINY, "sampler": {"steps": 6}}, STAGES, workers)
+        run(root, "stride4", {**TINY, "mae": {**TINY["mae"], "spatial_strides": [1, 4]}}, STAGES, workers)
         run(root, "default_seed", TINY, ("gen-data",), workers, seed=())
-        for name in (*REGULARIZERS, "ablate", "churn", "steps6", "default_seed"):
+        for name in (*REGULARIZERS, "ablate", "churn", "steps6", "stride4", "default_seed"):
             for dirpath, dirnames, filenames in os.walk(os.path.join(root, name)):
                 dirnames.sort()
                 for fname in sorted(filenames):

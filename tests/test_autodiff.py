@@ -64,6 +64,19 @@ class TestElementwise:
         total(y).backward()
         assert np.all(np.isfinite(x.grad))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_silu_recomputes_the_sigmoid_it_does_not_keep(self, dtype):
+        rng = np.random.default_rng(3)
+        x = (rng.standard_normal((4, 50)) * 40).astype(dtype)  # float32 exp(-x) overflows below -88
+        node = ad.silu(ad.Tensor(x, requires_grad=True))
+        cells = [cell.cell_contents for cell in node._backward.__closure__]
+        assert not [c for c in cells if isinstance(c, np.ndarray)]
+        go = rng.standard_normal(x.shape).astype(dtype)
+        with np.errstate(over="ignore"):
+            s = 1.0 / (1.0 + np.exp(-x))
+        (gx,) = node._backward(go)
+        assert gx.tobytes() == (go * (s * (1.0 + x * (1.0 - s)))).tobytes()
+
     @pytest.mark.parametrize("seed", range(N_SEEDS))
     def test_silu_grad(self, seed):
         rng = np.random.default_rng(seed)
@@ -200,9 +213,11 @@ class TestShapeOps:
     def test_repeat_upsample_avgpool(self, seed):
         rng = np.random.default_rng(seed)
         x = random_param(rng, (1, 2, 4, 4))
+        w = random_param(rng, (3, 2, 3, 3), scale=0.5)
+        b = random_param(rng, (3,))
 
         def loss():
-            up = ad.upsample2d(x)
+            up = ad.conv2d(x, w, b, upsample=2)
             rep = ad.repeat_axis(x, 3, axis=1)
             pooled = ad.avgpool2d(x, 2)
             return ad.add(
@@ -210,11 +225,15 @@ class TestShapeOps:
                 ad.add(total(ad.square(rep)), total(ad.square(pooled))),
             )
 
-        check_grads(loss, [x])
+        check_grads(loss, [x, w, b])
 
     def test_upsample_then_avgpool_identity(self):
-        x = ad.constant(np.random.default_rng(0).standard_normal((1, 1, 4, 6)))
-        back = ad.avgpool2d(ad.upsample2d(x, 2), 2)
+        # A centre-tap-only kernel makes the upsample-conv a pure nearest upsample.
+        x = ad.constant(np.random.default_rng(0).standard_normal((1, 2, 4, 6)))
+        delta = np.zeros((2, 2, 3, 3))
+        delta[[0, 1], [0, 1], 1, 1] = 1.0
+        up = ad.conv2d(x, ad.constant(delta), zero_bias(delta), upsample=2)
+        back = ad.avgpool2d(up, 2)
         np.testing.assert_allclose(back.data, x.data, atol=1e-12)
 
 
@@ -476,6 +495,130 @@ class TestPadding:
         assert grads[0].keys() == grads[1].keys()
         for key in grads[0]:
             np.testing.assert_array_equal(grads[0][key], grads[1][key], err_msg=key)
+
+
+def zero_spread_input_grad(go, w, strides, padded, kept):
+    """The input gradient stride phases replace, at the positions ``kept``.
+
+    go is spread by the strides into a zero buffer padded by kernel - 1 on
+    each side and correlated at stride 1 with the kernel flipped in space
+    and transposed in channels, over the whole padded input.
+    """
+    nsp = w.ndim - 2
+    ksz = w.shape[2:]
+    gd = np.zeros(go.shape[:2] + tuple(p + k - 1 for p, k in zip(padded, ksz)), go.dtype)
+    spread = tuple(slice(k - 1, k + (n - 1) * s, s) for k, n, s in zip(ksz, go.shape[2:], strides))
+    gd[(slice(None), slice(None)) + spread] = go
+    w_rot = np.flip(w, axis=tuple(range(2, 2 + nsp))).swapaxes(0, 1)
+    gx, _ = ad._corr(gd, w_rot, (1,) * nsp)
+    return gx[(slice(None), slice(None)) + tuple(slice(r.start, r.stop) for r in kept)]
+
+
+class TestStridePhases:
+    """``_corr_input_grad`` by stride phase against the zero-spread correlation.
+
+    Every GEMM here is large enough for OpenBLAS's blocked kernel, which
+    sums each output's terms in order, so leaving the zero terms out keeps
+    the bytes. Below an M * N of about 1,250 OpenBLAS switches to a
+    small-matrix kernel that rounds otherwise, so smaller sizes can differ
+    in the last bit; ``test_small_sizes_within_rounding`` covers those.
+    """
+
+    # (padded input, kernel (O, C, *k), strides); each last padded row or
+    # frame is read by no window.
+    CASES = [
+        ((34, 66), (16, 32, 3, 3), (2, 2)),  # 3x3 at stride 2: sub-kernels 2 and 1 wide
+        ((35, 67), (16, 32, 3, 3), (4, 4)),  # 3 wide at stride 4: phase 3 has no taps
+        ((9, 18, 34), (16, 32, 2, 3, 3), (2, 2, 2)),  # 3D-MAE c3d1: one T tap per phase
+        ((9, 18, 34), (16, 32, 2, 3, 3), (2, 4, 4)),  # c3d1 at mae.spatial_strides [1, 4]
+        ((9, 16, 32), (16, 32, 2, 1, 1), (2, 1, 1)),  # 2 taps at stride 2 on T alone
+    ]
+
+    @staticmethod
+    def inputs(padded, wshape, strides, dtype, batch=2):
+        rng = np.random.default_rng(len(padded) + sum(strides))
+        n_out = tuple((p - k) // s + 1 for p, k, s in zip(padded, wshape[2:], strides))
+        go = rng.standard_normal((batch, wshape[0], *n_out)).astype(dtype)
+        return go, rng.standard_normal(wshape).astype(dtype)
+
+    @staticmethod
+    def kept_ranges(padded, interior):
+        """Every position, or those ``_conv`` keeps: past a leading frame and one H row each side."""
+        if not interior:
+            return tuple(map(range, padded))
+        return tuple(range(1, p) for p in padded[:-2]) + (range(1, padded[-2] - 1), range(padded[-1]))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("interior", [False, True])
+    @pytest.mark.parametrize("padded,wshape,strides", CASES)
+    def test_bit_identical_to_zero_spread(self, padded, wshape, strides, interior, dtype):
+        go, w = self.inputs(padded, wshape, strides, dtype)
+        kept = self.kept_ranges(padded, interior)
+        got = ad._corr_input_grad(go, w, strides, kept)
+        want = zero_spread_input_grad(go, w, strides, padded, kept)
+        assert got.dtype == dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_tapless_phase_and_unread_rows_are_zero(self):
+        padded, wshape, strides = self.CASES[1]
+        go, w = self.inputs(padded, wshape, strides, np.float32)
+        gx = ad._corr_input_grad(go, w, strides, tuple(map(range, padded)))
+        assert not gx[:, :, 3::4].any() and not gx[..., 3::4].any()
+        assert not gx[:, :, 4 * (go.shape[2] - 1) + 3 :].any()
+        assert gx[:, :, :-4:4, :-4:4].all()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("padded,wshape,strides", CASES)
+    def test_small_sizes_within_rounding(self, padded, wshape, strides, dtype):
+        padded = tuple(p // 4 + k for p, k in zip(padded, wshape[2:]))
+        go, w = self.inputs(padded, (3, 2) + wshape[2:], strides, dtype, batch=1)
+        kept = self.kept_ranges(padded, True)
+        got = ad._corr_input_grad(go, w, strides, kept)
+        want = zero_spread_input_grad(go, w, strides, padded, kept)
+        tol = TestConvValues.TOL[dtype] * np.abs(want).max()
+        np.testing.assert_allclose(got, want, rtol=0, atol=tol)
+
+
+class TestUpsampleConv:
+    """``conv2d(x, w, b, upsample=2)`` against the 3x3 conv of the repeated input."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_values(self, dtype):
+        # B = 2 and C != O; the reference covers the zero-H edge rows and the wrapped W columns.
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((2, 3, 5, 7)).astype(dtype)
+        w = rng.standard_normal((4, 3, 3, 3)).astype(dtype)
+        b = rng.standard_normal(4).astype(dtype)
+        out = ad.conv2d(ad.constant(x), ad.constant(w), ad.constant(b), upsample=2).data
+        assert out.dtype == dtype and out.shape == (2, 4, 10, 14)
+        up = np.repeat(np.repeat(x, 2, axis=-2), 2, axis=-1)
+        ref = reference_conv(up, w, (1, 1)) + b[:, None, None]
+        tol = TestConvValues.TOL[dtype] * np.abs(ref).max()
+        np.testing.assert_allclose(out, ref, rtol=0, atol=tol)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_grads(self, seed):
+        rng = np.random.default_rng(seed)
+        x = random_param(rng, (2, 3, 3, 4))
+        w = random_param(rng, (2, 3, 3, 3), scale=0.5)
+        b = random_param(rng, (2,))
+
+        def loss():
+            out = ad.conv2d(x, w, b, upsample=2)
+            return ad.weighted_mse(out, np.zeros(out.data.shape), 1.0)
+
+        check_grads(loss, [x, w, b])
+        cells = [cell.cell_contents for cell in loss()._parents[0]._backward.__closure__]
+        assert not [c for c in cells if isinstance(c, np.ndarray)]
+
+    @pytest.mark.parametrize(
+        "wshape,stride,upsample", [((2, 3, 3, 3), 1, 3), ((2, 3, 3, 3), 2, 2), ((2, 3, 1, 1), 1, 2)]
+    )
+    def test_rejected(self, wshape, stride, upsample):
+        x = ad.constant(np.ones((1, 3, 4, 4)))
+        w = np.ones(wshape)
+        with pytest.raises(DomainError):
+            ad.conv2d(x, ad.constant(w), zero_bias(w), stride=stride, upsample=upsample)
 
 
 class TestConv2d:
