@@ -18,9 +18,11 @@ sub-kernel (``_corr_input_grad``), so no zero that a stride spreads between
 output points is multiplied, and it is formed only where the input is, not
 over its zero padding. A conv over a nearest 2x upsample,
 ``conv2d(..., upsample=2)``, runs as four 2x2 ``_corr`` at the input's own
-resolution and never forms the upsampled image. So a training graph holds
-the activations and nothing conv-sized beyond them; SiLU keeps no sigmoid
-either.
+resolution and never forms the upsampled image. An output frame of a
+conv3d whose window lies wholly in its causal zero frames is its bias, so
+it is written as that, and ``_corr`` gets only the rows the other frames
+read (``_conv``). So a training graph holds the activations and nothing
+conv-sized beyond them; SiLU keeps no sigmoid either.
 
 ``Tensor.backward`` releases the graph as it walks it: each node drops its
 parents and its backward closure once the closure has run, so the
@@ -873,22 +875,40 @@ def _corr_input_grad(go, w, strides, kept):
 def _conv(x: Tensor, w: Tensor, b: Tensor, strides, pad_t=0) -> Tensor:
     """The body of conv2d and conv3d: pad, ``_corr``, add the bias; its backward.
 
+    Bias frames: an output frame whose window lies wholly in the ``pad_t``
+    causal zero frames is b whatever the input, so it is written as b,
+    with no padding, gather or GEMM behind it. For ``pad_t >= kt``
+    at temporal stride s these are the first n = (pad_t - kt) // s + 1
+    frames; x is padded with only pad_t - n*s causal frames, and ``_corr``
+    gets only the rows the other frames read.
+
     The node keeps no array of its own, only its parents: backward pads
-    ``x.data`` again and re-gathers the windows for the weight gradient,
-    which costs one gather and saves holding the windows from forward to
-    backward.
+    ``x.data`` again with all ``pad_t`` frames and re-gathers the windows
+    for the weight gradient, which costs one gather and saves holding the
+    windows from forward to backward.
     """
     *_, h, wd = x.data.shape
     c, *_, kh, kw = w.data.shape[1:]
     if c != x.data.shape[1]:
         raise DomainError(f"kernel expects {c} input channels, got {x.data.shape[1]}")
-    xp, (pt, _, pl, pr) = _pad_spatial(x.data, kh, kw, pad_t)
+    # The bias frames; conv2d passes pad_t 0 and has none. At least one frame
+    # is computed, and at a stride past kt no frame of x is skipped.
+    st, kt = strides[0], w.data.shape[2]
+    n_bias = max(0, min((pad_t - kt) // st + 1, pad_t // st, (x.data.shape[2] + pad_t - kt) // st))
+    xp, (pt, _, pl, pr) = _pad_spatial(x.data, kh, kw, pad_t - n_bias * st)
     # Input gradients only where x is: past the causal frames and the zero-H
     # rows, over every wrapped W column, which _fold_w folds back.
-    kept = tuple(range(pad_t, n) for n in xp.shape[2:-2]) + (range(pt, pt + h), range(xp.shape[-1]))
-    out = _corr(xp, w.data, strides)[0]
-    del xp  # freed before the bias add makes a second output-sized array
-    out = out + b.data.reshape((-1,) + (1,) * (out.ndim - 2))
+    kept = tuple(range(pad_t, pad_t + n) for n in x.data.shape[2:-2])
+    kept += (range(pt, pt + h), range(wd + kw - 1))
+    part = _corr(xp, w.data, strides)[0]
+    del xp  # freed, as the windows are, before the output is allocated
+    # A new output, not part += b: a graph keeps the output, and one allocated
+    # after the windows are freed fragments the heap less than part, which
+    # was allocated while they were live.
+    bias = b.data.reshape((-1,) + (1,) * (part.ndim - 2))
+    out = np.empty((*part.shape[:2], n_bias + part.shape[2], *part.shape[3:]), np.result_type(part, bias))
+    out[:, :, :n_bias] = bias
+    np.add(part, bias, out=out[:, :, n_bias:])
 
     def backward(go):
         windows, _ = _gather(_pad_spatial(x.data, kh, kw, pad_t)[0], w.data, strides)

@@ -75,8 +75,9 @@ def conditioning_latents(
 ) -> np.ndarray:
     """z_bar for the step after ``recent``, (B, k, V, H, W) standardized states.
 
-    A 3D-MAE encodes the k states and a zero frame that fills the window's
-    last slot, which its encoder never reads; a frame AE encodes the last
+    A 3D-MAE encodes the (B, V, k+1, H, W) window of the k states and a
+    zero last slot, which its encoder never reads; the states are copied
+    into that one buffer once, transposed. A frame AE encodes the last
     1 + k//2 states one by one, and no encoder gives zeros shaped like the
     residual latents ``z_prev`` (B, C, h, w).
     """
@@ -87,8 +88,9 @@ def conditioning_latents(
     if isinstance(encoder, FrameAe):
         z = encoder.encode_array(recent[:, -n:].reshape((b * n,) + recent.shape[2:]))
         return np.ascontiguousarray(z.reshape((b, n) + z.shape[1:]).swapaxes(1, 2))
-    window = np.concatenate([recent, np.zeros_like(recent[:, :1])], axis=1)
-    window = np.ascontiguousarray(window.transpose(0, 2, 1, 3, 4))
+    window = np.empty((b, recent.shape[2], k + 1) + recent.shape[3:], recent.dtype)
+    window[:, :, :k] = recent.swapaxes(1, 2)
+    window[:, :, k] = 0
     return encoder.encode_array(window)
 
 
@@ -100,6 +102,7 @@ def step(models: ForecastModels, window, z_prev, lead, rng):
     """
     recent = grid.standardize_array(window[1:], models.state_specs)[None]
     z_bar = conditioning_latents(models.encoder, recent, z_prev[None])
+    del recent  # not held through the sampler's denoiser calls
     denoise = edm.make_denoise_fn(models.denoiser, z_bar, z_prev[None], models.edm_config)
     z_hat = edm.sample_stochastic(denoise, (1,) + z_prev.shape, rng, models.edm_config)
     if not np.all(np.isfinite(z_hat)):

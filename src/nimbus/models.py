@@ -201,6 +201,11 @@ class Mae:
     latent frames, and latent frame j reads padded frames 2j ... 2j+2 only,
     so no frame reads a later one. Latent frame 0 reads only the zero frames,
     and the window's last frame (padded frame k+3) is never read.
+
+    Layer 0 emits k+3 frames. Its frames 0 and 1 read only zero frames, so
+    ``conv3d`` writes them as c3d0.b with no GEMM, and they are
+    silu(c3d0.b) whatever the window; frames 2 ... k+2 are computed from
+    the k+2 frames from the last zero frame on.
     """
 
     def __init__(self, v: int, cfg: MaeConfig, rng: np.random.Generator):

@@ -1,4 +1,4 @@
-"""Print the sha256 of every file a TINY run of each CLI stage writes.
+"""Print the sha256 of every file a TINY run of each CLI stage writes, and of the bench's run.
 
 Run as ``python3 tests/artifact_hashes.py [--workers N]`` from a checkout;
 it imports the ``nimbus`` package from that checkout's ``src/``. In a
@@ -9,8 +9,14 @@ temporary directory it runs ``gen-data``, ``train-vae``, ``train-mae``,
 at ``sampler.steps`` 6, whose later steps are the sampler's third-order
 ones (at 3 steps it takes none), and again at ``mae.spatial_strides``
 [1, 4], whose 3-wide kernel at stride 4 leaves one input phase with no
-taps and the last padded rows read by no window. Last, it runs ``gen-data`` once without
-``--seed``, the default seed 0. It prints one ``sha256  path`` line per
+taps and the last padded rows read by no window. Then it runs ``gen-data``
+once without ``--seed``, the default seed 0. Last, it runs ``gen-data`` and
+the three ``train-*`` stages at ``perfbench/run.py``'s pinned
+``TRAIN_CONFIG`` and ``forecast`` at its ``FORECAST_CONFIG``, on the default
+64x128 grid. TINY's GEMMs sit near the size at which OpenBLAS switches to a
+small-matrix kernel that rounds otherwise, so a change in how many rows a
+GEMM computes can move TINY's bytes and not the bench's, or the reverse;
+the bench-config lines show which. It prints one ``sha256  path`` line per
 file. The run manifests hold the wall-clock time and are left out. Two
 checkouts whose tables match wrote the same bytes, so a refactor that
 claims byte-identical outputs diffs the two tables, and tables at several
@@ -31,6 +37,10 @@ import tempfile
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
 
 from nimbus import cli  # noqa: E402
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench"))
+
+import run as bench  # noqa: E402
 
 # The test suite's TINY config, with the frame AE that `ablate` conditions on
 # and six VAE iterations: within six, SE draws a box factor other than 1, so
@@ -72,7 +82,9 @@ def main():
         run(root, "steps6", {**TINY, "sampler": {"steps": 6}}, STAGES, workers)
         run(root, "stride4", {**TINY, "mae": {**TINY["mae"], "spatial_strides": [1, 4]}}, STAGES, workers)
         run(root, "default_seed", TINY, ("gen-data",), workers, seed=())
-        for name in (*REGULARIZERS, "ablate", "churn", "steps6", "stride4", "default_seed"):
+        run(root, "bench", bench.TRAIN_CONFIG, STAGES[:4], workers)
+        run(root, "bench", bench.FORECAST_CONFIG, ("forecast",), workers)
+        for name in (*REGULARIZERS, "ablate", "churn", "steps6", "stride4", "default_seed", "bench"):
             for dirpath, dirnames, filenames in os.walk(os.path.join(root, name)):
                 dirnames.sort()
                 for fname in sorted(filenames):

@@ -715,6 +715,101 @@ class TestConv3d:
         check_grads(loss, [x, w])
 
 
+class TestBiasFrames:
+    """Output frames whose window lies wholly in the causal zero frames are ``0 + b``.
+
+    The reference pads the same input with explicit zero frames and runs it
+    at pad_t 0, so it computes every frame with a GEMM. At the "large" size
+    every forward and input-gradient GEMM has an M * N above OpenBLAS's
+    small-matrix switch (about 1,250), so the two sides agree to the byte;
+    at "small" they may round otherwise, within ``TestConvValues`` tolerance.
+    """
+
+    SIZES = {"large": ((2, 8, 3, 16, 16), 8), "small": ((1, 3, 3, 4, 6), 4)}
+    CASES = [(kt, st, kt + extra) for kt in (2, 3) for st in (1, 2) for extra in (-1, 0, 1, 2)]
+
+    @staticmethod
+    def n_bias(t, pad_t, kt, st):
+        """The output frames m whose window, padded frames st*m ... st*m + kt - 1, is all zero frames."""
+        return sum(st * m + kt <= pad_t for m in range((t + pad_t - kt) // st + 1))
+
+    @staticmethod
+    def conv_and_reference(xshape, o, kt, st, pad_t, dtype):
+        """b, then (out, x grad, w grad, b grad) of the conv and of its explicit-zero reference."""
+        rng = np.random.default_rng(100 * kt + 10 * st + pad_t)
+        x = rng.standard_normal(xshape).astype(dtype)
+        w = (0.3 * rng.standard_normal((o, xshape[1], kt, 3, 3))).astype(dtype)
+        b = rng.standard_normal(o).astype(dtype)
+        x_zeros = np.concatenate([np.zeros(xshape[:2] + (pad_t,) + xshape[3:], dtype), x], axis=2)
+        sides = []
+        for x_in, pad in ((x, pad_t), (x_zeros, 0)):
+            xt, wt, bt = (ad.Tensor(a.copy(), requires_grad=True) for a in (x_in, w, b))
+            out = ad.conv3d(xt, wt, bt, st, 1, pad)
+            ad.weighted_mse(out, np.zeros(out.data.shape), 1.0).backward()
+            sides.append((out.data, xt.grad[:, :, x_in.shape[2] - xshape[2] :], wt.grad, bt.grad))
+        return b, sides
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("size", ["large", "small"])
+    @pytest.mark.parametrize("kt,st,pad_t", CASES)
+    def test_matches_explicit_zero_frames(self, kt, st, pad_t, size, dtype):
+        xshape, o = self.SIZES[size]
+        b, ((out, *grads), (ref, *ref_grads)) = self.conv_and_reference(xshape, o, kt, st, pad_t, dtype)
+        assert out.dtype == dtype and out.shape == ref.shape
+        n = self.n_bias(xshape[2], pad_t, kt, st)
+        assert n == (max(0, (pad_t - kt) // st + 1))
+        bias = np.zeros_like(out[:, :, :n]) + b[:, None, None, None]
+        assert out[:, :, :n].tobytes() == bias.tobytes()
+        for got, want in zip([out[:, :, n:], *grads], [ref[:, :, n:], *ref_grads]):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            if size == "large":
+                assert got.tobytes() == want.tobytes()
+            else:
+                tol = TestConvValues.TOL[dtype] * np.abs(want).max()
+                np.testing.assert_allclose(got, want, rtol=0, atol=tol)
+
+    @pytest.mark.parametrize("kt,st,pad_t", CASES)
+    def test_grads(self, kt, st, pad_t):
+        rng = np.random.default_rng(kt + st + pad_t)
+        x = random_param(rng, (1, 2, 3, 4, 5))
+        w = random_param(rng, (3, 2, kt, 3, 3), scale=0.5)
+        b = random_param(rng, (3,))
+
+        def loss():
+            out = ad.conv3d(x, w, b, st, 1, pad_t)
+            return ad.weighted_mse(out, np.ones(out.data.shape), 1.0)
+
+        check_grads(loss, [x, w, b])
+
+    @pytest.mark.parametrize("kt,st,pad_t", CASES)
+    def test_corr_sees_only_rows_past_the_bias_frames(self, monkeypatch, kt, st, pad_t):
+        seen = []
+        corr = ad._corr
+
+        def recording(x, w, strides):
+            seen.append(x.shape[2])
+            return corr(x, w, strides)
+
+        monkeypatch.setattr(ad, "_corr", recording)
+        t = 3
+        w = np.ones((3, 2, kt, 3, 3))
+        ad.conv3d(ad.constant(np.ones((1, 2, t, 4, 6))), ad.constant(w), zero_bias(w), st, 1, pad_t)
+        assert seen == [t + pad_t - st * self.n_bias(t, pad_t, kt, st)]
+
+    # (T, kt, stride_t, pad_t): every window in the zero frames; a stride past
+    # kt, with and without a bias frame; one computed frame behind four.
+    @pytest.mark.parametrize("t,kt,st,pad_t", [(1, 2, 2, 2), (2, 1, 3, 2), (3, 2, 3, 4), (1, 2, 1, 5)])
+    def test_edge_cases_match_reference(self, t, kt, st, pad_t):
+        rng = np.random.default_rng(t + kt + st + pad_t)
+        x = rng.standard_normal((2, 3, t, 4, 6))
+        w = rng.standard_normal((4, 3, kt, 3, 3))
+        b = rng.standard_normal(4)
+        out = ad.conv3d(ad.constant(x), ad.constant(w), ad.constant(b), st, 1, pad_t).data
+        ref = reference_conv(x, w, (st, 1, 1), pad_t=pad_t) + b[:, None, None, None]
+        assert out.shape == ref.shape
+        np.testing.assert_allclose(out, ref, rtol=0, atol=TestConvValues.TOL[np.float64] * np.abs(ref).max())
+
+
 class TestSpectralOps:
     @pytest.mark.parametrize("seed", range(8))
     def test_lowpass2d_grad(self, seed):

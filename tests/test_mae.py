@@ -119,6 +119,39 @@ class TestEncodeFull:
                 assert padded_idx <= 2 * j + 3
 
 
+class TestLayer0BiasFrames:
+    """Layer 0's first two frames read only causal zero frames, so they cost no GEMM."""
+
+    @pytest.mark.parametrize("k", [2, 4, 6])
+    def test_frames_0_and_1_are_silu_of_the_bias(self, monkeypatch, k):
+        mae = small_mae(seed=k, k=k)
+        b = np.random.default_rng(k).standard_normal(mae.params["c3d0.b"].data.shape)
+        mae.params["c3d0.b"].data = b
+        rows, acts = [], []
+        corr, silu = ad._corr, ad.silu
+
+        def recording_corr(x, w, strides):
+            rows.append(x.shape[2])
+            return corr(x, w, strides)
+
+        def recording_silu(x):
+            out = silu(x)
+            acts.append(out.data)
+            return out
+
+        monkeypatch.setattr(ad, "_corr", recording_corr)
+        monkeypatch.setattr(ad, "silu", recording_silu)
+        want = silu(ad.constant(np.broadcast_to(b[:, None, None, None], (4, 2, 6, 8)))).data
+        for scale in (1.0, 100.0):
+            rows.clear()
+            acts.clear()
+            encode(mae, scale * window(seed=k, b=2, k=k))
+            assert acts[0].shape[2] == k + 3
+            for sample in acts[0][:, :, :2]:
+                assert sample.tobytes() == want.tobytes()
+            assert rows[0] == k + 2
+
+
 class TestStackValidation:
     def test_build_spatial_factor(self):
         mae = small_mae(channels=(4, 4), spatial_strides=(2, 2))
