@@ -150,13 +150,6 @@ SCHEMA = {
         "batch": (2, COUNT),
         "lr": (1.5e-3, POSITIVE),
     },
-    "frame_ae": {
-        "latent_channels": (16, COUNT),
-        "base_channels": (16, COUNT),
-        "iters": (160, NATURAL),
-        "batch": (6, COUNT),
-        "lr": (1.5e-3, POSITIVE),
-    },
     "diffusion": {
         "hidden": (32, COUNT),
         "blocks": (4, COUNT),
@@ -164,12 +157,14 @@ SCHEMA = {
         "iters": (320, NATURAL),
         "batch": (4, COUNT),
         "lr": (2e-3, POSITIVE),
-        # No command trains the 2D frame encoder alone: only `ablate` conditions on it.
+        # The 2D mode, the 3D-MAE with temporal extent 1, runs only in `ablate`:
+        # mae.pypt does not record which mode trained it.
         "cond_mode": (
             "3dmae",
             choice(
                 ("3dmae", "none"),
-                "; the 2d frame encoder runs only in `nimbus ablate` (ablate.conds)",
+                "; the 2d mode (the 3D-MAE with no temporal mixing) runs only in "
+                "`nimbus ablate` (ablate.conds)",
             ),
         ),
     },
@@ -250,6 +245,7 @@ def _check_config(given) -> dict:
 def _check_together(cfg) -> None:
     """The rules that tie keys, or one list's entries, together; run once every key has passed."""
     d, m, s, bands = cfg["data"], cfg["mae"], cfg["sampler"], cfg["verify"]["bands"]
+    conds, strats = cfg["ablate"]["conds"], cfg["ablate"]["strategies"]
     # The 3D-MAE has one spatial stride per layer, two layers at least (the
     # leading two are temporal) and 4x downsampling in all: the denoiser stacks
     # its latents with the VAE's H/4 x W/4 ones.
@@ -265,6 +261,9 @@ def _check_together(cfg) -> None:
         ("sampler.sigma_max", s["sigma_max"] > s["sigma_min"], f"> sigma_min = {s['sigma_min']!r}"),
         ("sampler.s_max", s["s_max"] >= s["s_min"], f">= s_min = {s['s_min']!r}"),
         ("verify.bands", edges, f"ascending from 0 to at least sqrt(2) = {spectral.R_CORNER!r}"),
+        # An empty list runs no cell; a repeated entry scores its cells twice.
+        ("ablate.conds", 0 < len(conds) == len(set(conds)), "non-empty with no entry repeated"),
+        ("ablate.strategies", 0 < len(strats) == len(set(strats)), "non-empty with no entry repeated"),
     ):
         if not ok:
             section, name = key.split(".")
@@ -374,14 +373,17 @@ def _load(model, out_dir, name):
 
 
 def _check_encoder_channels(cfg, conds, key):
-    """Raise a ConfigError naming both keys unless each encoder in ``conds`` has vae.latent_channels."""
-    want = cfg["vae"]["latent_channels"]
+    """Raise a ConfigError naming both keys unless mae.latent_channels is vae.latent_channels.
+
+    Only a cond of ``conds`` other than "none" needs them equal: the denoiser
+    stacks the encoder's latents with the VAE's.
+    """
+    got, want = cfg["mae"]["latent_channels"], cfg["vae"]["latent_channels"]
     for cond in conds:
-        section = pipeline.ENCODER_SECTIONS.get(cond)
-        if section and cfg[section]["latent_channels"] != want:
+        if cond != "none" and got != want:
             raise ConfigError(
-                f"{section}.latent_channels is {cfg[section]['latent_channels']} but "
-                f"vae.latent_channels is {want}; {key} {cond!r} needs them equal"
+                f"mae.latent_channels is {got} but vae.latent_channels is {want}; "
+                f"{key} {cond!r} needs them equal"
             )
 
 

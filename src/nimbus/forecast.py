@@ -41,7 +41,7 @@ import numpy as np
 from . import autodiff as ad
 from . import edm, grid
 from .errors import DomainError, FormatError, RolloutError
-from .models import FrameAe, Mae, Vae
+from .models import Mae, Vae
 
 @dataclass
 class ForecastModels:
@@ -51,8 +51,8 @@ class ForecastModels:
     the training slice's states and residuals: ``pipeline.train_denoiser``
     takes them from the dataset it trains on, and ``nimbus forecast`` from
     the edm_config.json that ``train-diffusion`` wrote. ``encoder`` encodes
-    the conditioning window: a 3D-MAE, a frame AE, or None for zero
-    conditioning.
+    the conditioning window: a 3D-MAE, in either of its modes (the 2D one
+    mixes no time), or None for zero conditioning.
     """
 
     vae: Vae
@@ -61,7 +61,7 @@ class ForecastModels:
     state_specs: tuple
     resid_specs: tuple
     k: int
-    encoder: Mae | FrameAe | None
+    encoder: Mae | None
 
 
 def init_member_state(models: ForecastModels, init_window: np.ndarray) -> np.ndarray:
@@ -71,23 +71,19 @@ def init_member_state(models: ForecastModels, init_window: np.ndarray) -> np.nda
 
 
 def conditioning_latents(
-    encoder: Mae | FrameAe | None, recent: np.ndarray, z_prev: np.ndarray
+    encoder: Mae | None, recent: np.ndarray, z_prev: np.ndarray
 ) -> np.ndarray:
     """z_bar for the step after ``recent``, (B, k, V, H, W) standardized states.
 
-    A 3D-MAE encodes the (B, V, k+1, H, W) window of the k states and a
-    zero last slot, which its encoder never reads; the states are copied
-    into that one buffer once, transposed. A frame AE encodes the last
-    1 + k//2 states one by one, and no encoder gives zeros shaped like the
-    residual latents ``z_prev`` (B, C, h, w).
+    The 3D-MAE, in either mode, encodes the (B, V, k+1, H, W) window of the
+    k states and a zero last slot, which its encoder never reads; the states
+    are copied into that one buffer once, transposed. No encoder gives the
+    1 + k/2 latent frames as zeros shaped like the residual latents
+    ``z_prev`` (B, C, h, w).
     """
     b, k = recent.shape[:2]
-    n = 1 + k // 2
     if encoder is None:
-        return np.zeros((b, z_prev.shape[1], n) + z_prev.shape[2:], dtype=np.float32)
-    if isinstance(encoder, FrameAe):
-        z = encoder.encode_array(recent[:, -n:].reshape((b * n,) + recent.shape[2:]))
-        return np.ascontiguousarray(z.reshape((b, n) + z.shape[1:]).swapaxes(1, 2))
+        return np.zeros((b, z_prev.shape[1], 1 + k // 2) + z_prev.shape[2:], dtype=np.float32)
     window = np.empty((b, recent.shape[2], k + 1) + recent.shape[3:], recent.dtype)
     window[:, :, :k] = recent.swapaxes(1, 2)
     window[:, :, k] = 0

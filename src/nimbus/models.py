@@ -4,7 +4,8 @@ The VAE works on standardized residual fields (one frame at a time) and
 carries the spectral-regularization hooks. The 3D-MAE works on standardized
 raw states: its causal encoder must predict evolution, so it never reads the
 final frame of a window, and the decoder reconstructs all k+1 frames.
-A frame-wise 2D autoencoder provides the conditioning baseline for ablations.
+The same 3D-MAE with temporal extent 1 in its two time-mixing layers is the
+frame-wise 2D conditioning baseline of the ablation.
 """
 
 from __future__ import annotations
@@ -185,6 +186,7 @@ class MaeConfig:
     spatial_strides: tuple = (2, 2)
     decoder_channels: int = 32
     k: int = 4
+    kt: int = 2  # temporal extent of c3d0 and c3d1: 2 mixes time, 1 is the 2D mode
 
     def __post_init__(self):
         if self.k < 2 or self.k % 2:
@@ -194,18 +196,22 @@ class MaeConfig:
 class Mae:
     """Causal 3D encoder plus a non-causal frame-wise decoder, no KL.
 
-    The encoder reads a window of k+1 frames behind three causal zero frames,
-    so the padded sequence holds frames 0 ... k+3. Layer 0 (temporal extent
-    2, stride 1) and layer 1 (extent 2, temporal stride 2) mix time; the
-    layers after them and the 1x1x1 head are frame-local. It emits 1 + k/2
-    latent frames, and latent frame j reads padded frames 2j ... 2j+2 only,
-    so no frame reads a later one. Latent frame 0 reads only the zero frames,
-    and the window's last frame (padded frame k+3) is never read.
+    Layer 0 (temporal extent ``cfg.kt``, stride 1) and layer 1 (extent
+    ``kt``, temporal stride 2) are the time-mixing layers; the layers after
+    them and the 1x1x1 head are frame-local. The encoder reads a window of
+    k+1 frames behind 2kt - 1 causal zero frames and emits 1 + k/2 latent
+    frames in both modes. Latent frame 0 reads only zero frames, no frame
+    reads a later one, and the window's last frame is never read.
 
-    Layer 0 emits k+3 frames. Its frames 0 and 1 read only zero frames, so
-    ``conv3d`` writes them as c3d0.b with no GEMM, and they are
-    silu(c3d0.b) whatever the window; frames 2 ... k+2 are computed from
-    the k+2 frames from the last zero frame on.
+    - kt = 2, the 3D-MAE: three zero frames, so the padded sequence holds
+      frames 0 ... k+3, and latent frame j reads padded frames 2j ... 2j+2,
+      input frames 2j-3 ... 2j-1. Layer 0 emits k+3 frames. Its frames 0
+      and 1 read only zero frames, so ``conv3d`` writes them as c3d0.b with
+      no GEMM, and they are silu(c3d0.b) whatever the window; frames
+      2 ... k+2 are computed from the k+2 frames from the last zero frame on.
+    - kt = 1, the 2D mode: one zero frame, and latent frame j reads input
+      frame 2j-1 alone, the newest frame of the 3D-MAE's latent frame j.
+      Layer 0's frame 0 is its bias frame.
     """
 
     def __init__(self, v: int, cfg: MaeConfig, rng: np.random.Generator):
@@ -213,11 +219,11 @@ class Mae:
         self.cfg = cfg
         cz, cd = cfg.latent_channels, cfg.decoder_channels
         p = {}
-        # c3d0 ... c3d{n-1} have 3x3 spatial kernels and temporal extent 2 for
+        # c3d0 ... c3d{n-1} have 3x3 spatial kernels and temporal extent kt for
         # the first two, 1 after; c3d{n} is the 1x1x1 head.
         cin, n = v, len(cfg.channels)
         for i, cout in enumerate([*cfg.channels, cz]):
-            kt, k_hw = (2 if i < 2 else 1), (3 if i < n else 1)
+            kt, k_hw = (cfg.kt if i < 2 else 1), (3 if i < n else 1)
             p[f"c3d{i}.w"] = ad.conv_weight(rng, cout, cin, kt, k_hw, k_hw)
             p[f"c3d{i}.b"] = _zeros(cout)
             cin = cout
@@ -229,13 +235,13 @@ class Mae:
 
     def encode(self, x: ad.Tensor) -> ad.Tensor:
         """(B, V, k+1, H, W) window -> (B, Cz, 1+k/2, h, w) latent."""
-        k, p = self.cfg.k, self.params
+        k, kt, p = self.cfg.k, self.cfg.kt, self.params
         if x.data.ndim != 5 or x.data.shape[2] != k + 1:
             raise DomainError(f"window must be (B, V, k+1 = {k + 1}, H, W), got {x.data.shape}")
         h = x
         for i, s in enumerate(self.cfg.spatial_strides):
-            # Layer 0 reads the three causal zero frames; layer 1 strides time by 2.
-            stride_t, pad_t = (1, 3) if i == 0 else (2, 0) if i == 1 else (1, 0)
+            # Layer 0 reads the 2kt - 1 causal zero frames; layer 1 strides time by 2.
+            stride_t, pad_t = (1, 2 * kt - 1) if i == 0 else (2, 0) if i == 1 else (1, 0)
             h = ad.silu(ad.conv3d(h, p[f"c3d{i}.w"], p[f"c3d{i}.b"], stride_t, s, pad_t))
         n = len(self.cfg.spatial_strides)
         h = ad.conv3d(h, p[f"c3d{n}.w"], p[f"c3d{n}.b"])
@@ -282,48 +288,6 @@ def mae_loss(mae: Mae, window: np.ndarray, lat_w, var_w):
     recon = mae.decode(z)
     weights = combined_weights(lat_w, var_w)[:, None, :, :]
     return ad.weighted_mse(recon, window, weights)
-
-
-# ---------------------------------------------------------------------------
-# Frame-wise 2D conditioning encoder (ablation baseline)
-# ---------------------------------------------------------------------------
-
-
-class FrameAe:
-    """Plain 2D autoencoder on states; matched latent channel budget."""
-
-    def __init__(self, v: int, latent_channels: int, rng: np.random.Generator, base: int = 16):
-        c1, c2, cz = base, 2 * base, latent_channels
-        p = {}
-        p["e0.w"], p["e0.b"] = ad.conv_weight(rng, c1, v, 3), _zeros(c1)
-        p["e1.w"], p["e1.b"] = ad.conv_weight(rng, c2, c1, 3), _zeros(c2)
-        p["eh.w"], p["eh.b"] = ad.conv_weight(rng, cz, c2, 1), _zeros(cz)
-        p["d0.w"], p["d0.b"] = ad.conv_weight(rng, c2, cz, 1), _zeros(c2)
-        p["d1.w"], p["d1.b"] = ad.conv_weight(rng, c1, c2, 3), _zeros(c1)
-        p["dh.w"], p["dh.b"] = ad.conv_weight(rng, v, c1, 3), _zeros(v)
-        self.params = p
-
-    def encode(self, x: ad.Tensor) -> ad.Tensor:
-        p = self.params
-        h = ad.silu(ad.conv2d(x, p["e0.w"], p["e0.b"], stride=2))
-        h = ad.silu(ad.conv2d(h, p["e1.w"], p["e1.b"], stride=2))
-        return ad.conv2d(h, p["eh.w"], p["eh.b"])
-
-    def decode(self, z: ad.Tensor) -> ad.Tensor:
-        p = self.params
-        h = ad.silu(ad.conv2d(z, p["d0.w"], p["d0.b"]))
-        h = ad.silu(ad.conv2d(h, p["d1.w"], p["d1.b"], upsample=2))
-        return ad.conv2d(h, p["dh.w"], p["dh.b"], upsample=2)
-
-    @ad.no_grad()
-    def encode_array(self, x: np.ndarray) -> np.ndarray:
-        return self.encode(ad.constant(x)).data
-
-
-def frame_ae_loss(ae: FrameAe, batch: np.ndarray, lat_w, var_w):
-    recon = ae.decode(ae.encode(ad.constant(batch)))
-    weights = combined_weights(lat_w, var_w)
-    return ad.weighted_mse(recon, batch, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -388,15 +352,3 @@ def train_mae(mae: Mae, states_std, cfg: dict, seed: int, lat_w, var_w, workers=
         return lambda b: mae_loss(mae, windows[b], lat_w, var_w)
 
     return ad.fit(mae.params, cfg, draw, workers)
-
-
-def train_frame_ae(ae: FrameAe, states_std, cfg: dict, seed: int, lat_w, var_w, workers=1) -> list:
-    """Train on single frames of the standardized states (T, V, H, W); the loss curve."""
-    rng = np.random.default_rng(seed)
-    n = states_std.shape[0]
-
-    def draw():
-        idx = rng.integers(0, n, size=cfg["batch"])
-        return lambda b: frame_ae_loss(ae, states_std[idx[b : b + 1]], lat_w, var_w)
-
-    return ad.fit(ae.params, cfg, draw, workers)

@@ -16,11 +16,10 @@ from . import edm, forecast, grid, models, verify
 from .errors import ConfigError
 from .regularize import Strategy
 
-# Conditioning encoders the ablation compares: 3D-MAE, frame AE, none.
+# Conditioning the ablation compares: the 3D-MAE, the same model with no
+# temporal mixing (``kt`` 1, frame-wise), and none. Both encoders are built
+# from the ``mae`` section and trained alike.
 COND_MODES = ("3dmae", "2d", "none")
-# The config section of each conditioning encoder. The denoiser stacks its
-# latents with the VAE's, so both must have the same channel count.
-ENCODER_SECTIONS = {"3dmae": "mae", "2d": "frame_ae"}
 
 
 @dataclass
@@ -107,8 +106,11 @@ def build_vae(v: int, cfg: dict, seed: int) -> models.Vae:
     )
 
 
-def build_mae(v: int, cfg: dict, seed: int) -> models.Mae:
-    """The untrained 3D-MAE of ``v`` variables that ``train_mae`` starts from, for the same seed."""
+def build_mae(v: int, cfg: dict, seed: int, kt: int = 2) -> models.Mae:
+    """The untrained 3D-MAE of ``v`` variables that ``train_mae`` starts from, for the same seed.
+
+    ``kt`` is the temporal extent of its two time-mixing layers: 1 builds the 2D mode.
+    """
     return models.Mae(
         v=v,
         cfg=models.MaeConfig(
@@ -117,18 +119,9 @@ def build_mae(v: int, cfg: dict, seed: int) -> models.Mae:
             spatial_strides=tuple(cfg["spatial_strides"]),
             decoder_channels=cfg["decoder_channels"],
             k=cfg["k"],
+            kt=kt,
         ),
         rng=np.random.default_rng([seed, 202]),
-    )
-
-
-def build_frame_ae(v: int, cfg: dict, seed: int) -> models.FrameAe:
-    """The untrained frame AE of ``v`` variables that ``train_frame_ae`` starts from, for the same seed."""
-    return models.FrameAe(
-        v=v,
-        latent_channels=cfg["latent_channels"],
-        rng=np.random.default_rng([seed, 303]),
-        base=cfg["base_channels"],
     )
 
 
@@ -164,12 +157,15 @@ def train_vae(
     return vae
 
 
-def train_mae(bundle: DatasetBundle, cfg: dict, seed: int, workers: int = 1) -> models.Mae:
+def train_mae(
+    bundle: DatasetBundle, cfg: dict, seed: int, workers: int = 1, kt: int = 2
+) -> models.Mae:
     """``build_mae``'s 3D-MAE trained by the ``mae`` section ``cfg`` on the train states.
 
     The bundle is dropped once its states are standardized, as in ``train_vae``.
+    Both modes (``kt``) draw the same windows for the same seed.
     """
-    mae = build_mae(bundle.train.shape[1], cfg, seed)
+    mae = build_mae(bundle.train.shape[1], cfg, seed, kt)
     states_std = grid.standardize_array(bundle.train, bundle.state_specs)
     weights = bundle.lat_w, bundle.var_w
     del bundle
@@ -177,25 +173,11 @@ def train_mae(bundle: DatasetBundle, cfg: dict, seed: int, workers: int = 1) -> 
     return mae
 
 
-def train_frame_ae(bundle: DatasetBundle, cfg: dict, seed: int, workers: int = 1) -> models.FrameAe:
-    """``build_frame_ae``'s AE trained by the ``frame_ae`` section ``cfg`` on the train states.
-
-    The bundle is dropped once its states are standardized, as in ``train_vae``.
-    """
-    ae = build_frame_ae(bundle.train.shape[1], cfg, seed)
-    states_std = grid.standardize_array(bundle.train, bundle.state_specs)
-    weights = bundle.lat_w, bundle.var_w
-    del bundle
-    models.train_frame_ae(ae, states_std, cfg, seed * 7919 + 33, *weights, workers)
-    return ae
-
-
 def train_encoder(bundle: DatasetBundle, config: dict, cond: str, seed: int, workers: int = 1):
-    """The conditioning encoder of ``cond`` trained by its config section; None for "none"."""
+    """The encoder of ``cond`` trained by the ``mae`` section: 3D or 2D (kt 1); None for "none"."""
     if cond == "none":
         return None
-    train = train_mae if cond == "3dmae" else train_frame_ae
-    return train(bundle, config[ENCODER_SECTIONS[cond]], seed, workers=workers)
+    return train_mae(bundle, config["mae"], seed, workers=workers, kt=2 if cond == "3dmae" else 1)
 
 
 def _stack(encode, count: int, workers: int) -> np.ndarray:
@@ -344,9 +326,9 @@ def ablate(
     for seed in seeds:
         vaes = {
             s: train_vae(bundle, config["vae"], Strategy(s), seed, workers=workers)
-            for s in dict.fromkeys(strategies)
+            for s in strategies
         }
-        encoders = {c: train_encoder(bundle, config, c, seed, workers) for c in dict.fromkeys(conds)}
+        encoders = {c: train_encoder(bundle, config, c, seed, workers) for c in conds}
         for cond in conds:
             for strat in strategies:
                 fmodels = train_denoiser(bundle, config, vaes[strat], encoders[cond], seed, workers)

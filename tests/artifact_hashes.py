@@ -17,10 +17,13 @@ the three ``train-*`` stages at ``perfbench/run.py``'s pinned
 small-matrix kernel that rounds otherwise, so a change in how many rows a
 GEMM computes can move TINY's bytes and not the bench's, or the reverse;
 the bench-config lines show which. It prints one ``sha256  path`` line per
-file. The run manifests hold the wall-clock time and are left out. Two
-checkouts whose tables match wrote the same bytes, so a refactor that
-claims byte-identical outputs diffs the two tables, and tables at several
-``--workers`` show that no output depends on the worker count.
+file, and after ``ablation.csv`` one ``sha256  path cond=NAME`` line per
+conditioning over that conditioning's rows, in the order of the file, so
+a change to one conditioning shows which rows it moved. The run manifests
+hold the wall-clock time and are left out. Two checkouts whose tables
+match wrote the same bytes, so a refactor that claims byte-identical
+outputs diffs the two tables, and tables at several ``--workers`` show
+that no output depends on the worker count.
 
 pytest does not collect this file.
 """
@@ -42,14 +45,12 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.p
 
 import run as bench  # noqa: E402
 
-# The test suite's TINY config, with the frame AE that `ablate` conditions on
-# and six VAE iterations: within six, SE draws a box factor other than 1, so
-# each regularizer trains its own VAE.
+# The test suite's TINY config with six VAE iterations: within six, SE draws a
+# box factor other than 1, so each regularizer trains its own VAE.
 TINY = {
     "data": {"h": 16, "w": 32, "v": 3, "t": 40},
     "vae": {"iters": 6, "batch": 2, "base_channels": 4, "latent_channels": 4},
     "mae": {"iters": 2, "batch": 1, "channels": [4, 6], "latent_channels": 4, "decoder_channels": 4},
-    "frame_ae": {"iters": 2, "batch": 1, "base_channels": 4, "latent_channels": 4},
     "diffusion": {"iters": 2, "batch": 2, "hidden": 6, "blocks": 1, "emb_dim": 4},
     "sampler": {"steps": 3},
     "forecast": {"members": 2, "t_lead": 2, "train_frames": 24},
@@ -68,6 +69,14 @@ def run(root, name, config, stages, workers, seed=("--seed", "3")):
         argv = [stage, "--config", path, "--out", out, *seed, "--workers", str(workers)]
         if cli.main(argv) != 0:
             raise SystemExit(f"nimbus {' '.join(argv)} failed")
+
+
+def cond_hashes(data: bytes):
+    """(cond, sha256 of its rows) for each cond of ablation.csv's bytes, in file order."""
+    rows = {}
+    for line in data.decode().splitlines(keepends=True)[1:]:
+        rows.setdefault(line.split(",")[1], []).append(line)
+    return [(cond, hashlib.sha256("".join(lines).encode()).hexdigest()) for cond, lines in rows.items()]
 
 
 def main():
@@ -93,7 +102,11 @@ def main():
                     if rel == os.path.join(name, "manifest.json"):
                         continue
                     with open(path, "rb") as fh:
-                        print(f"{hashlib.sha256(fh.read()).hexdigest()}  {rel}")
+                        data = fh.read()
+                    print(f"{hashlib.sha256(data).hexdigest()}  {rel}")
+                    if fname == "ablation.csv":
+                        for cond, digest in cond_hashes(data):
+                            print(f"{digest}  {rel} cond={cond}")
 
 
 if __name__ == "__main__":

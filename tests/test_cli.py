@@ -681,6 +681,11 @@ def test_unreadable_config_exits_2(tmp_path, content, message, caplog):
         ("sampler", "sigma_min", 1e-300),
         ("sampler", "sigma_max", 0.002000000000000001),
         ("sampler", "rho", 0.001),
+        # An empty list runs no cell, and a repeated entry trains and scores its cells twice.
+        ("ablate", "conds", []),
+        ("ablate", "strategies", []),
+        ("ablate", "conds", ["2d", "none", "2d"]),
+        ("ablate", "strategies", ["se", "se"]),
     ],
 )
 @pytest.mark.parametrize("dry_run", [True, False])
@@ -734,10 +739,10 @@ def test_object_value_exits_2_naming_key(tmp_path, section, key, caplog):
 def test_config_hashes_are_pinned(tmp_path):
     # Manifests and forecast directories record these hashes: a changed default
     # or a change in how a config is merged over the defaults moves them.
-    assert cli.config_hash(cli.load_config()) == "182f39e5537eef71"
+    assert cli.config_hash(cli.load_config()) == "b6f5cccb396f69f7"
     path = tmp_path / "config.json"
     path.write_text(json.dumps(TINY))
-    assert cli.config_hash(cli.load_config(str(path))) == "d94dd8b09b05df4b"
+    assert cli.config_hash(cli.load_config(str(path))) == "32a0e462d91e3eba"
 
 
 @pytest.mark.parametrize(
@@ -1112,8 +1117,6 @@ def _ablate_config(tmp_path, out, **ablate):
     """TINY with an ``ablate`` section, beside a copy of the run's dataset."""
     shutil.copy(out / "dataset.pyld", tmp_path)
     cfg = {**TINY, "ablate": {"conds": ["none"], "strategies": ["none"], "replicates": 1, **ablate}}
-    # The frame AE's latents condition the denoiser beside the VAE's 4 channels.
-    cfg["frame_ae"] = {"iters": 2, "batch": 1, "base_channels": 4, "latent_channels": 4}
     config = tmp_path / "config.json"
     config.write_text(json.dumps(cfg))
     return config
@@ -1165,10 +1168,12 @@ def test_ablate_t_lead_beyond_truth_exits_2_before_training(trained, tmp_path, m
 def test_ablate_encoder_channel_mismatch_exits_2_before_training(
     trained, tmp_path, monkeypatch, caplog
 ):
-    # TINY leaves frame_ae.latent_channels at its default 16 against vae's 4.
+    # The 2D mode is the 3D-MAE with no temporal mixing: it needs mae.latent_channels
+    # equal to vae's 4.
     out, _, _ = trained
     shutil.copy(out / "dataset.pyld", tmp_path)
-    cfg = {**TINY, "ablate": {"conds": ["2d"], "strategies": ["none"], "replicates": 1}}
+    cfg = {**TINY, "mae": {**TINY["mae"], "latent_channels": 6}}
+    cfg["ablate"] = {"conds": ["2d"], "strategies": ["none"], "replicates": 1}
     config = tmp_path / "config.json"
     config.write_text(json.dumps(cfg))
     calls = []
@@ -1176,7 +1181,7 @@ def test_ablate_encoder_channel_mismatch_exits_2_before_training(
     monkeypatch.setattr(models, "vae_loss", lambda *a, **k: calls.append(1) or vae_loss(*a, **k))
     with caplog.at_level(logging.ERROR, logger="nimbus"):
         assert cli.main(["ablate", "--config", str(config), "--out", str(tmp_path)]) == 2
-    assert "frame_ae.latent_channels is 16 but vae.latent_channels is 4" in caplog.text
+    assert "mae.latent_channels is 6 but vae.latent_channels is 4" in caplog.text
     assert "ablate.conds '2d'" in caplog.text
     assert calls == []
 
@@ -1203,13 +1208,14 @@ def test_ablate_scores_every_conditioning_and_trains_each_model_once_per_seed(
     config = _ablate_config(
         tmp_path, out, conds=conds, strategies=strategies, replicates=2, members=2, t_lead=2
     )
-    trains = {name: [] for name in ("train_vae", "train_mae", "train_frame_ae")}
+    trains = {name: [] for name in ("train_vae", "train_mae")}
 
     def counting(name):
         train = getattr(pipeline, name)
 
         def counted(*args, **kwargs):
-            trains[name].append(args[-1])  # the seed; workers is passed by keyword
+            # The seed, and the 3D-MAE's temporal extent kt; workers and kt are passed by keyword.
+            trains[name].append((args[-1], kwargs.get("kt")))
             return train(*args, **kwargs)
 
         return counted
@@ -1217,8 +1223,12 @@ def test_ablate_scores_every_conditioning_and_trains_each_model_once_per_seed(
     for name in trains:
         monkeypatch.setattr(pipeline, name, counting(name))
     assert cli.main(["ablate", "--config", str(config), "--out", str(tmp_path)]) == 0
-    # One VAE per (seed, regularizer) and one encoder per seed, not one per cell.
-    assert trains == {"train_vae": [0, 0, 1, 1], "train_mae": [0, 1], "train_frame_ae": [0, 1]}
+    # One VAE per (seed, regularizer) and one 3D-MAE per (seed, mode), not one per
+    # cell: "2d" builds it with temporal extent 1, "3dmae" with 2.
+    assert trains == {
+        "train_vae": [(0, None), (0, None), (1, None), (1, None)],
+        "train_mae": [(0, 1), (0, 2), (1, 1), (1, 2)],
+    }
     keys = {
         (f"var{v}", str(lead), metric)
         for v in range(TINY["data"]["v"])

@@ -276,7 +276,7 @@ def test_lone_member_keeps_blas_threads(tiny, monkeypatch):
     assert seen and set(seen) == {before}
 
 
-@pytest.mark.parametrize("encoder", ["mae", "frame_ae", "none"])
+@pytest.mark.parametrize("encoder", ["mae", "2d", "none"])
 def test_training_and_rollout_condition_alike(tiny, encoder, monkeypatch):
     """Row i of the training z_bar is what a member at train frame t = k + i samples with.
 
@@ -290,7 +290,7 @@ def test_training_and_rollout_condition_alike(tiny, encoder, monkeypatch):
     fmodels, bundle = tiny
     enc = {
         "mae": fmodels.encoder,
-        "frame_ae": models.FrameAe(3, CZ, np.random.default_rng(1), base=4),
+        "2d": models.Mae(3, dataclasses.replace(fmodels.encoder.cfg, kt=1), np.random.default_rng(1)),
         "none": None,
     }[encoder]
     fmodels = dataclasses.replace(fmodels, encoder=enc)

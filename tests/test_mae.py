@@ -9,13 +9,18 @@ from nimbus import models
 from nimbus.errors import ConfigError, DomainError
 
 
-def small_mae(seed=0, v=2, cz=3, k=4, spatial_strides=(1, 1), channels=(4, 5)):
+# (kt, causal zero frames) of each mode: the 3D-MAE and the 2D mode.
+MODES = ((2, 3), (1, 1))
+
+
+def small_mae(seed=0, v=2, cz=3, k=4, spatial_strides=(1, 1), channels=(4, 5), kt=2):
     cfg = models.MaeConfig(
         latent_channels=cz,
         channels=channels,
         spatial_strides=spatial_strides,
         decoder_channels=4,
         k=k,
+        kt=kt,
     )
     mae = models.Mae(v, cfg, np.random.default_rng(seed))
     to_float64(mae.params)
@@ -49,33 +54,38 @@ class TestPadAndMask:
 class TestEncodeFull:
     def test_output_length_law(self):
         for k in (2, 4, 6):
-            assert encode(small_mae(k=k), window(k=k)).shape[2] == 1 + k // 2
+            for kt, _ in MODES:
+                assert encode(small_mae(k=k, kt=kt), window(k=k)).shape[2] == 1 + k // 2
 
     def test_zero_input_no_bias_gives_zero(self):
         z = encode(small_mae(), np.zeros((1, 2, 5, 6, 8)))
         np.testing.assert_array_equal(z, 0.0)
 
     def test_matches_monolithic_conv_oracle(self):
-        # Valid convs over the whole zero-padded sequence, built by hand.
-        mae = small_mae(seed=3)
-        x = window(seed=3)
-        got = encode(mae, x)
+        # Valid convs over the whole zero-padded sequence, built by hand, in
+        # each mode (a loop, not a parametrization, keeps the test's id).
+        for kt, pad in MODES:
+            mae = small_mae(seed=3, kt=kt)
+            x = window(seed=3)
+            got = encode(mae, x)
 
-        h = np.concatenate([np.zeros_like(x[:, :, :3]), x], axis=2)
-        strides_t = (1, 2, 1)
-        strides_hw = (*mae.cfg.spatial_strides, 1)
-        for i, (st, shw) in enumerate(zip(strides_t, strides_hw)):
-            w, b = mae.params[f"c3d{i}.w"], mae.params[f"c3d{i}.b"]
-            out = ad.conv3d(ad.constant(h), w, b, stride_t=st, stride_hw=shw).data
-            h = out / (1.0 + np.exp(-out)) if i < 2 else out
-        np.testing.assert_allclose(got, h, atol=1e-5)
+            h = np.concatenate([np.zeros_like(x[:, :, :pad]), x], axis=2)
+            strides_t = (1, 2, 1)
+            strides_hw = (*mae.cfg.spatial_strides, 1)
+            for i, (st, shw) in enumerate(zip(strides_t, strides_hw)):
+                w, b = mae.params[f"c3d{i}.w"], mae.params[f"c3d{i}.b"]
+                assert w.data.shape[2] == (kt if i < 2 else 1)
+                out = ad.conv3d(ad.constant(h), w, b, stride_t=st, stride_hw=shw).data
+                h = out / (1.0 + np.exp(-out)) if i < 2 else out
+            np.testing.assert_allclose(got, h, atol=1e-5)
 
     def test_masked_frame_never_read(self):
-        mae = small_mae(seed=4)
-        x = window(seed=4)
-        x2 = x.copy()
-        x2[:, :, -1] = np.random.default_rng(99).standard_normal(x2[:, :, -1].shape)
-        np.testing.assert_array_equal(encode(mae, x), encode(mae, x2))
+        for kt, _ in MODES:
+            mae = small_mae(seed=4, kt=kt)
+            x = window(seed=4)
+            x2 = x.copy()
+            x2[:, :, -1] = np.random.default_rng(99).standard_normal(x2[:, :, -1].shape)
+            np.testing.assert_array_equal(encode(mae, x), encode(mae, x2))
 
     def test_mask_blocks_gradient(self):
         mae = small_mae(seed=5)
@@ -117,6 +127,29 @@ class TestEncodeFull:
             padded_idx = frame + 3
             for j in changed:
                 assert padded_idx <= 2 * j + 3
+
+
+class Test2dMode:
+    """kt = 1: latent frame j reads input frame 2j - 1 alone, the newest of the 3D-MAE's frame j."""
+
+    @pytest.mark.parametrize("k", [2, 4, 6])
+    def test_latent_frame_j_reads_input_frame_2j_minus_1(self, k):
+        mae = small_mae(seed=20 + k, k=k, kt=1)
+        x = window(seed=20 + k, k=k)
+        base = encode(mae, x)
+        assert base.shape[2] == 1 + k // 2
+        for frame in range(k + 1):
+            x2 = x.copy()
+            x2[:, :, frame] += 1.0
+            out = encode(mae, x2)
+            moved = [j for j in range(base.shape[2]) if np.any(out[:, :, j] != base[:, :, j])]
+            assert moved == ([(frame + 1) // 2] if frame % 2 else []), frame
+        # The Jacobian of latent frame j is zero outside input frame 2j - 1.
+        for j in range(1 + k // 2):
+            xt = param64(x)
+            total(ad.square(ad.narrow(mae.encode(xt), 2, j, 1))).backward()
+            read = [f for f in range(k + 1) if np.abs(xt.grad[:, :, f]).max() > 0]
+            assert read == ([] if j == 0 else [2 * j - 1]), j
 
 
 class TestLayer0BiasFrames:

@@ -100,7 +100,7 @@ def test_latent_precompute_matches_one_batched_encode(bundle, cond):
     vae = pipeline.build_vae(bundle.train.shape[1], config["vae"], 3)
     encoder = {
         "3dmae": lambda: pipeline.build_mae(bundle.train.shape[1], config["mae"], 3),
-        "2d": lambda: pipeline.build_frame_ae(bundle.train.shape[1], config["frame_ae"], 3),
+        "2d": lambda: pipeline.build_mae(bundle.train.shape[1], config["mae"], 3, kt=1),
         "none": lambda: None,
     }[cond]()
     resid = grid.standardized_residuals(bundle.train, bundle.resid_specs)
@@ -125,14 +125,15 @@ def test_zero_iterations_train_nothing(bundle):
     # The bench builds its untrained baselines as `iters: 0` trainings.
     config = copy.deepcopy(cli.DEFAULT_CONFIG)
     config["mae"]["k"] = K
-    for section in ("vae", "mae", "frame_ae", "diffusion"):
+    for section in ("vae", "mae", "diffusion"):
         config[section]["iters"] = 0
     seed = 3
     vae = pipeline.train_vae(bundle, config["vae"], Strategy.VAMFM, seed)
     _params_equal(vae, pipeline.build_vae(bundle.train.shape[1], config["vae"], seed))
     mae = pipeline.train_mae(bundle, config["mae"], seed)
     _params_equal(mae, pipeline.build_mae(bundle.train.shape[1], config["mae"], seed))
-    ae = pipeline.train_frame_ae(bundle, config["frame_ae"], seed)
-    _params_equal(ae, pipeline.build_frame_ae(bundle.train.shape[1], config["frame_ae"], seed))
+    mae2d = pipeline.train_mae(bundle, config["mae"], seed, kt=1)
+    _params_equal(mae2d, pipeline.build_mae(bundle.train.shape[1], config["mae"], seed, kt=1))
+    assert mae2d.params["c3d0.w"].data.shape[2] == mae2d.params["c3d1.w"].data.shape[2] == 1
     fmodels = pipeline.train_denoiser(bundle, config, vae, mae, seed)
     _params_equal(fmodels.denoiser, pipeline.build_denoiser(config, seed))
